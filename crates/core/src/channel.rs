@@ -1,9 +1,9 @@
 //! Owned, cloneable channel endpoints over the queue stack (DESIGN.md §10).
 //!
 //! The per-thread handles ([`crate::WcqHandle`] & co.) are deliberately
-//! minimal: they borrow the queue, pin one thread record, and expose the
-//! raw wait-free surface. That shape traps every consumer inside
-//! `std::thread::scope`. This module is the production face of the stack —
+//! minimal: they pin one thread record and expose the raw wait-free
+//! surface, leaving registration, slot exhaustion and shutdown to the
+//! caller. This module is the production face of the stack —
 //! `Arc`-owned queues behind cloneable [`Sender`]/[`Receiver`] endpoints
 //! that move freely into `std::thread::spawn` closures and `'static`
 //! futures, with two pieces of lifecycle automation the raw handles leave
@@ -11,8 +11,9 @@
 //!
 //! * **Lazy thread-slot acquisition.** Cloning an endpoint costs nothing:
 //!   a clone holds no thread slot until its first operation, which
-//!   registers an owned handle ([`crate::WcqQueue::register_owned`] & co.)
-//!   cached inside the endpoint for its lifetime. Dropping the endpoint
+//!   registers an `Arc`-holding handle
+//!   ([`crate::WcqQueue::register_owned`] & co.) cached inside the
+//!   endpoint for its lifetime. Dropping the endpoint
 //!   quiesces and releases the slot (the `Drop` protocol in
 //!   `wcq/queue.rs`). At most `max_threads` endpoints can therefore be
 //!   *operating* concurrently; an operation on an endpoint beyond that
@@ -25,15 +26,18 @@
 //!   a queue nobody will ever read. Explicit `close()` calls are never
 //!   needed; pipelines shut down by dropping endpoints.
 //!
-//! Five constructors pick the backend; the endpoint types are identical:
+//! One constructor, [`over`], builds a channel on any of the four queue
+//! types (`channel::over(WcqQueue::with_config(..))`,
+//! `channel::over(TopoCore::spsc(..))`, …); five one-line conveniences
+//! cover the default-tuned cases. The endpoint types are identical:
 //!
-//! | Constructor | Backend | Full behavior |
+//! | Convenience | `over(..)` of | Full behavior |
 //! |---|---|---|
 //! | [`bounded`] | [`crate::WcqQueue`] (wait-free, bounded) | `send` parks / `try_send` returns [`TrySendError::Full`] |
 //! | [`sharded`] | [`crate::ShardedWcq`] (per-shard FIFO) | as above, per affinity shard |
 //! | [`unbounded`] | [`crate::UnboundedWcq`] (list of rings) | `send` never blocks on capacity |
-//! | [`spsc`] | [`crate::spsc::Ring`] + wCQ spine ([`crate::topology`]) | as [`bounded`]; load/store fast path |
-//! | [`mpsc`] | per-sender [`crate::spsc::Ring`]s + wCQ spine | as [`bounded`], per sender ring |
+//! | [`spsc`] | [`TopoCore::spsc`]: [`crate::spsc::Ring`] + wCQ spine ([`crate::topology`]) | as [`bounded`]; load/store fast path |
+//! | [`mpsc`] | [`TopoCore::mpsc`]: per-sender [`crate::spsc::Ring`]s + wCQ spine | as [`bounded`], per sender ring |
 //!
 //! The topology-declared constructors ([`spsc`], [`mpsc`]) are not a
 //! different contract — they are the same channel running on private SPSC
@@ -77,14 +81,14 @@
 //! assert_eq!(got, 200);
 //! ```
 
-use crate::shard::OwnedShardedHandle;
 use crate::sync::{
-    DequeueFuture, EnqueueFuture, RecvError, SendError, SyncQueue, SyncState,
+    wait_for_slot, DequeueFuture, EnqueueFuture, RecvError, SendError, SyncQueue, SyncState,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
-use crate::unbounded::{OwnedUnboundedHandle, WcqInner};
-use crate::wcq::queue::OwnedWcqHandle;
-use crate::{ShardedWcq, UnboundedWcq, WcqConfig, WcqQueue};
+use crate::unbounded::WcqInner;
+use crate::{
+    ShardedHandle, ShardedWcq, UnboundedHandle, UnboundedWcq, WcqConfig, WcqHandle, WcqQueue,
+};
 use std::future::Future;
 use std::pin::Pin;
 use crate::sim::AtomicUsize;
@@ -96,6 +100,42 @@ use std::time::{Duration, Instant};
 // ===================================================================
 // Constructors
 // ===================================================================
+
+/// Creates a channel over `queue` — the one constructor path; every other
+/// constructor in this module is a one-line convenience over it.
+///
+/// `queue` is any of the four queue types a channel can run on, built
+/// however the caller likes (this is where explicit [`WcqConfig`] tuning
+/// goes): a [`WcqQueue`] ([`bounded`]), a [`ShardedWcq`] ([`sharded`]), an
+/// [`UnboundedWcq`] ([`unbounded`]), or a topology-declared [`TopoCore`]
+/// ([`spsc`] / [`mpsc`]). The set is closed: the `Into` target is private
+/// to this module, so no other type can be passed.
+///
+/// ```
+/// use wcq::{channel, WcqConfig, WcqQueue};
+///
+/// let (mut tx, mut rx) = channel::over(WcqQueue::with_config(4, 2, &WcqConfig::stress()));
+/// tx.send(7u64).unwrap();
+/// assert_eq!(rx.recv(), Ok(7));
+/// assert_eq!(tx.backend(), "wcq");
+/// ```
+pub fn over<T: Send>(queue: impl Into<Backend<T>>) -> (Sender<T>, Receiver<T>) {
+    let shared = Arc::new(Shared {
+        backend: queue.into(),
+        senders: AtomicUsize::new(1),
+        receivers: AtomicUsize::new(1),
+    });
+    (
+        Sender {
+            shared: Arc::clone(&shared),
+            cache: None,
+        },
+        Receiver {
+            shared,
+            cache: None,
+        },
+    )
+}
 
 /// Creates a bounded channel over a [`WcqQueue`] with `2^order` slots and
 /// room for `max_threads` concurrently *operating* endpoints.
@@ -111,20 +151,7 @@ use std::time::{Duration, Instant};
 /// `2^order`, the paper's `k <= n` assumption); violations panic here,
 /// at construction.
 pub fn bounded<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
-    bounded_with_config(order, max_threads, &WcqConfig::default())
-}
-
-/// [`bounded`] with explicit ring tuning knobs.
-pub fn bounded_with_config<T: Send>(
-    order: u32,
-    max_threads: usize,
-    cfg: &WcqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    endpoints(Backend::Bounded(Arc::new(WcqQueue::with_config(
-        order,
-        max_threads,
-        cfg,
-    ))))
+    over(WcqQueue::new(order, max_threads))
 }
 
 /// Creates a bounded channel over a [`ShardedWcq`]: `shards` sub-queues
@@ -136,42 +163,14 @@ pub fn sharded<T: Send>(
     order: u32,
     max_threads: usize,
 ) -> (Sender<T>, Receiver<T>) {
-    sharded_with_config(shards, order, max_threads, &WcqConfig::default())
-}
-
-/// [`sharded`] with explicit ring tuning knobs.
-pub fn sharded_with_config<T: Send>(
-    shards: usize,
-    order: u32,
-    max_threads: usize,
-    cfg: &WcqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    endpoints(Backend::Sharded(Arc::new(ShardedWcq::with_config(
-        shards,
-        order,
-        max_threads,
-        cfg,
-    ))))
+    over(ShardedWcq::new(shards, order, max_threads))
 }
 
 /// Creates an unbounded channel over a [`UnboundedWcq`] whose list nodes
 /// hold `2^node_order` slots each. `send` never blocks on capacity (the
 /// list grows); it fails only once every receiver is gone.
 pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
-    unbounded_with_config(node_order, max_threads, &WcqConfig::default())
-}
-
-/// [`unbounded`] with explicit ring tuning knobs.
-pub fn unbounded_with_config<T: Send>(
-    node_order: u32,
-    max_threads: usize,
-    cfg: &WcqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    endpoints(Backend::Unbounded(Arc::new(UnboundedWcq::with_config(
-        node_order,
-        max_threads,
-        cfg,
-    ))))
+    over(UnboundedWcq::new(node_order, max_threads))
 }
 
 /// Creates a channel declared single-producer / single-consumer: one
@@ -195,21 +194,7 @@ pub fn unbounded_with_config<T: Send>(
 /// lazy-acquisition/wait semantics. Before any upgrade it is unused (the
 /// ring needs no slots).
 pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
-    spsc_with_config(order, max_threads, &WcqConfig::default())
-}
-
-/// [`spsc`] with explicit ring tuning knobs (applied to the spine; the
-/// SPSC ring itself has none).
-pub fn spsc_with_config<T: Send>(
-    order: u32,
-    max_threads: usize,
-    cfg: &WcqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    endpoints(Backend::Topo(Arc::new(TopoCore::spsc(
-        order,
-        max_threads,
-        cfg,
-    ))))
+    over(TopoCore::spsc(order, max_threads, &WcqConfig::default()))
 }
 
 /// Creates a channel declared multi-producer / single-consumer: each of
@@ -226,22 +211,12 @@ pub fn mpsc<T: Send>(
     max_senders: usize,
     max_threads: usize,
 ) -> (Sender<T>, Receiver<T>) {
-    mpsc_with_config(order, max_senders, max_threads, &WcqConfig::default())
-}
-
-/// [`mpsc`] with explicit ring tuning knobs (applied to the spine).
-pub fn mpsc_with_config<T: Send>(
-    order: u32,
-    max_senders: usize,
-    max_threads: usize,
-    cfg: &WcqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    endpoints(Backend::Topo(Arc::new(TopoCore::mpsc(
+    over(TopoCore::mpsc(
         max_senders,
         order,
         max_threads,
-        cfg,
-    ))))
+        &WcqConfig::default(),
+    ))
 }
 
 /// Receives from whichever of `rxs` has a value first — the minimal
@@ -409,24 +384,6 @@ pub fn recv_any<T: Send>(
     }
 }
 
-fn endpoints<T: Send>(backend: Backend<T>) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        backend,
-        senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
-    });
-    (
-        Sender {
-            shared: Arc::clone(&shared),
-            cache: None,
-        },
-        Receiver {
-            shared,
-            cache: None,
-        },
-    )
-}
-
 // ===================================================================
 // Errors
 // ===================================================================
@@ -485,12 +442,44 @@ impl std::error::Error for TryRecvError {}
 // Shared state
 // ===================================================================
 
-/// The `Arc`-owned queue behind a channel.
-enum Backend<T: Send> {
-    Bounded(Arc<WcqQueue<T>>),
-    Sharded(Arc<ShardedWcq<T>>),
-    Unbounded(Arc<UnboundedWcq<T>>),
-    Topo(Arc<TopoCore<T>>),
+mod sealed {
+    use super::*;
+
+    /// The `Arc`-owned queue behind a channel — what [`over`] converts its
+    /// argument into. `pub` inside a private module: nameable here, not
+    /// outside, which is what closes the set of queues `over` accepts to
+    /// the four `From` impls below.
+    pub enum Backend<T: Send> {
+        Bounded(Arc<WcqQueue<T>>),
+        Sharded(Arc<ShardedWcq<T>>),
+        Unbounded(Arc<UnboundedWcq<T>>),
+        Topo(Arc<TopoCore<T>>),
+    }
+}
+use sealed::Backend;
+
+impl<T: Send> From<WcqQueue<T>> for Backend<T> {
+    fn from(q: WcqQueue<T>) -> Self {
+        Backend::Bounded(Arc::new(q))
+    }
+}
+
+impl<T: Send> From<ShardedWcq<T>> for Backend<T> {
+    fn from(q: ShardedWcq<T>) -> Self {
+        Backend::Sharded(Arc::new(q))
+    }
+}
+
+impl<T: Send> From<UnboundedWcq<T>> for Backend<T> {
+    fn from(q: UnboundedWcq<T>) -> Self {
+        Backend::Unbounded(Arc::new(q))
+    }
+}
+
+impl<T: Send> From<TopoCore<T>> for Backend<T> {
+    fn from(core: TopoCore<T>) -> Self {
+        Backend::Topo(Arc::new(core))
+    }
 }
 
 impl<T: Send> Backend<T> {
@@ -535,20 +524,11 @@ struct Shared<T: Send> {
 }
 
 impl<T: Send> Shared<T> {
-    /// Registers an owned handle, waiting (yield loop) while all
-    /// `max_threads` slots are taken — slots free whenever an endpoint
-    /// drops, so the wait is bounded by the caller's own endpoint
-    /// discipline (documented on [`bounded`]).
+    /// Registers an `Arc`-holding handle, waiting while all `max_threads`
+    /// slots are taken (see [`wait_for_slot`] and [`bounded`]). Kept out
+    /// of line: it runs once per endpoint, next to a per-operation check.
     fn acquire(&self) -> Endpoint<T> {
-        let mut backoff = crate::sync::Backoff::new();
-        loop {
-            if let Some(e) = self.backend.register() {
-                return e;
-            }
-            // A slot frees only when another endpoint drops — likely a
-            // descheduled thread, so escalate to yielding quickly.
-            backoff.snooze();
-        }
+        wait_for_slot(|| self.backend.register())
     }
 
     fn is_closed(&self) -> bool {
@@ -560,13 +540,14 @@ impl<T: Send> Shared<T> {
     }
 }
 
-/// A lazily registered owned handle, cached inside an endpoint. One
-/// endpoint drives one thread record at a time (endpoints take `&mut self`
-/// and are not `Sync`), which is the owned handles' contract.
+/// A lazily registered `Arc`-holding handle, cached inside an endpoint.
+/// One endpoint drives one thread record at a time (endpoints take
+/// `&mut self`, and a clone starts with an empty cache), which is the
+/// handles' contract.
 enum Endpoint<T: Send> {
-    Bounded(OwnedWcqHandle<T>),
-    Sharded(OwnedShardedHandle<T>),
-    Unbounded(OwnedUnboundedHandle<T, WcqInner<T>>),
+    Bounded(WcqHandle<T, Arc<WcqQueue<T>>>),
+    Sharded(ShardedHandle<T, Arc<ShardedWcq<T>>>),
+    Unbounded(UnboundedHandle<T, WcqInner<T>, Arc<UnboundedWcq<T>>>),
     Topo(TopoEndpoint<T>),
 }
 
@@ -730,7 +711,7 @@ impl<T: Send> Clone for Sender<T> {
 
 impl<T: Send> Drop for Sender<T> {
     fn drop(&mut self) {
-        // Release the thread slot first (quiesced, via the owned handle's
+        // Release the thread slot first (quiesced, via the cached handle's
         // drop), then retire from the refcount; last sender out closes the
         // channel so receivers drain and see `Closed`.
         self.cache = None;

@@ -33,18 +33,19 @@
 //! | [`UnboundedWcq`] | wait-free rings, lock-free list | unbounded, hazard-pointer reclaimed | App. A |
 //! | [`ShardedWcq`] | wait-free per shard | bounded | beyond the paper: splits the §6 `Head`/`Tail` hotspot over S rings |
 //! | [`spsc::Ring`] + [`topology`] | load/store fast path, wait-free spine | bounded | beyond the paper: topology-declared channels that only pay for wCQ when usage goes MPMC |
+//! | [`WcqHandle`] / [`ShardedHandle`] / [`UnboundedHandle`] | — | — | §3.4's one precondition (one exclusive driver per thread record), as a type: **one** handle struct per family, generic over how it holds the queue ([`Hold`]: `&Q` from `register()`, `Arc<Q>` from `register_owned()`) |
+//! | [`channel`] | as the queue under it | as the queue under it | beyond the paper: cloneable `Arc`-owning [`Sender`]/[`Receiver`]; one constructor path, [`channel::over`] |
 //!
 //! Wait-freedom of the slow path relies on hardware double-width CAS; see
 //! [`dwcas::HARDWARE_CAS2`] and `DESIGN.md` §3.5 for the portable fallback
 //! semantics.
 //!
-//! Every queue also exposes a **blocking/async facade** through the
+//! Every handle also exposes a **blocking/async facade** through the
 //! [`sync::SyncQueue`] trait (parking on the empty/full edge only — the
-//! wait-free fast path is untouched; see [`sync`] and `DESIGN.md` §9),
-//! and a **channel API** ([`channel`]) of cloneable, `Arc`-owning
-//! [`Sender`]/[`Receiver`] endpoints with lazy thread-slot acquisition and
-//! refcount-driven close — the surface to reach for first when threads are
-//! spawned rather than scoped (`DESIGN.md` §10).
+//! wait-free fast path is untouched; see [`sync`] and `DESIGN.md` §9).
+//! The **channel API** ([`channel`]) adds lazy thread-slot acquisition and
+//! refcount-driven close on top — the surface to reach for first when
+//! threads are spawned rather than scoped (`DESIGN.md` §10).
 //!
 //! The paper-to-code map — which figure/algorithm lives in which module —
 //! is `PAPER_MAP.md` at the repository root.
@@ -54,6 +55,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod channel;
+mod hold;
 pub mod pack;
 pub mod scq;
 pub mod shard;
@@ -65,11 +67,12 @@ pub mod unbounded;
 pub mod wcq;
 
 pub use channel::{Receiver, Sender};
+pub use hold::Hold;
 pub use scq::{ScqQueue, ScqRing};
-pub use shard::{OwnedShardedHandle, ShardedHandle, ShardedWcq};
+pub use shard::{ShardedHandle, ShardedWcq};
 pub use sync::{RecvError, SendError, SyncQueue};
-pub use unbounded::{OwnedUnboundedHandle, UnboundedHandle, UnboundedScq, UnboundedWcq};
-pub use wcq::{OwnedWcqHandle, WcqHandle, WcqQueue, WcqRing};
+pub use unbounded::{UnboundedHandle, UnboundedScq, UnboundedWcq};
+pub use wcq::{WcqHandle, WcqQueue, WcqRing};
 
 /// Tuning knobs for SCQ/wCQ rings. Defaults follow the paper's evaluation
 /// (§6): patience 16 for enqueue and 64 for dequeue; `HELP_DELAY` and the

@@ -25,10 +25,12 @@
 //! contract the handle layer upholds across all shards at once — the same
 //! pattern the unbounded list-of-rings uses.
 
+use crate::hold::Hold;
 use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::queue::{acquire_slot, WcqQueue};
 use crate::WcqConfig;
 use crate::sim::AtomicBool;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
@@ -115,29 +117,17 @@ impl<T> ShardedWcq<T> {
 
     /// Registers the calling thread; its enqueue affinity is
     /// `tid mod shards`. `None` when all `max_threads` slots are taken.
-    pub fn register(&self) -> Option<ShardedHandle<'_, T>> {
+    pub fn register(&self) -> Option<ShardedHandle<T, &Self>> {
         let tid = self.claim_slot()?;
-        let affinity = tid & (self.shards.len() - 1);
-        Some(ShardedHandle {
-            q: self,
-            tid,
-            affinity,
-            cursor: affinity,
-        })
+        Some(ShardedHandle::pinned(self, tid))
     }
 
-    /// Registers the calling thread on an `Arc`-owned queue; the owning
-    /// twin of [`Self::register`] (see [`crate::OwnedWcqHandle`] for the
-    /// pattern). The handle moves freely into `'static` spawned threads.
-    pub fn register_owned(self: &Arc<Self>) -> Option<OwnedShardedHandle<T>> {
+    /// Registers the calling thread on an `Arc`-owned queue: the same
+    /// [`ShardedHandle`], holding the queue by `Arc` so it moves freely
+    /// into `'static` spawned threads (see [`crate::Hold`]).
+    pub fn register_owned(self: &Arc<Self>) -> Option<ShardedHandle<T, Arc<Self>>> {
         let tid = self.claim_slot()?;
-        let affinity = tid & (self.shards.len() - 1);
-        Some(OwnedShardedHandle {
-            q: Arc::clone(self),
-            tid,
-            affinity,
-            cursor: affinity,
-        })
+        Some(ShardedHandle::pinned(Arc::clone(self), tid))
     }
 
     /// Claims a free global thread slot, asserting (debug builds) that the
@@ -164,117 +154,107 @@ impl<T> ShardedWcq<T> {
         }
         self.slots[tid].store(false, SeqCst);
     }
+}
 
-    // ---- shared per-tid operations (both handle flavors) ---------------
-    //
-    // Exclusivity contract: `tid` came from `claim_slot` and is driven by
-    // exactly one handle at a time (handles are !Sync with &mut methods),
-    // which is what the shards' raw thread-id API requires.
+/// A per-thread handle to a [`ShardedWcq`], holding it as `H` (`&ShardedWcq`
+/// from [`ShardedWcq::register`], `Arc<ShardedWcq>` from
+/// [`ShardedWcq::register_owned`]; see [`Hold`]).
+///
+/// Like [`crate::WcqHandle`], a handle is `Send` but not `Clone` and its
+/// methods take `&mut self`: it drives one thread id exclusively — here,
+/// across every shard at once.
+pub struct ShardedHandle<T, H: Hold<ShardedWcq<T>>> {
+    q: H,
+    tid: usize,
+    affinity: usize,
+    /// Next shard to try first on dequeue; sticks to the last hit.
+    cursor: usize,
+    _item: PhantomData<fn() -> T>,
+}
 
-    fn enqueue_tid(&self, tid: usize, affinity: usize, v: T) -> Result<(), T> {
+// Exclusivity contract behind every raw call below: `tid` came from
+// `claim_slot` and is driven by exactly one handle at a time (handles are
+// not `Clone` and take `&mut self`), which is what the shards' raw
+// thread-id API requires. Blocking consumers park on the sharded-level
+// state, so that is what gets notified; the raw path deliberately skips
+// each shard's own (always waiter-less) parking state.
+impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
+    fn pinned(q: H, tid: usize) -> Self {
+        let affinity = tid & (q.shards.len() - 1);
+        ShardedHandle {
+            q,
+            tid,
+            affinity,
+            cursor: affinity,
+            _item: PhantomData,
+        }
+    }
+
+    /// Wait-free enqueue into this handle's affinity shard. `Err(v)` when
+    /// that shard is full (values never spill to other shards — spilling
+    /// would break per-producer FIFO).
+    #[inline]
+    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
         // SAFETY: exclusivity contract above.
-        let r = unsafe { self.shards[affinity].enqueue_raw(tid, v) };
+        let r = unsafe { self.q.shards[self.affinity].enqueue_raw(self.tid, v) };
         if r.is_ok() {
-            // Blocking consumers park on the sharded-level state; the raw
-            // path deliberately skips the shard's own (always waiter-less)
-            // parking state.
-            self.sync.notify_not_empty();
+            self.q.sync.notify_not_empty();
         }
         r
     }
 
-    fn enqueue_batch_tid(&self, tid: usize, affinity: usize, items: &mut Vec<T>) -> usize {
+    /// Batch enqueue into the affinity shard; semantics of
+    /// [`crate::WcqHandle::enqueue_batch`].
+    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         // SAFETY: exclusivity contract above.
-        let n = unsafe { self.shards[affinity].enqueue_batch_raw(tid, items) };
+        let n = unsafe { self.q.shards[self.affinity].enqueue_batch_raw(self.tid, items) };
         if n > 0 {
-            self.sync.notify_not_empty();
+            self.q.sync.notify_not_empty();
         }
         n
     }
 
-    fn dequeue_tid(&self, tid: usize, cursor: &mut usize) -> Option<T> {
-        let s = self.shards.len();
+    /// Dequeue, visiting every shard (starting at the sticky cursor) before
+    /// reporting empty. Each shard miss costs its O(1) threshold probe.
+    pub fn dequeue(&mut self) -> Option<T> {
+        let s = self.q.shards.len();
         for i in 0..s {
-            let shard = (*cursor + i) & (s - 1);
+            let shard = (self.cursor + i) & (s - 1);
             // SAFETY: exclusivity contract above.
-            if let Some(v) = unsafe { self.shards[shard].dequeue_raw(tid) } {
-                *cursor = shard;
-                self.sync.notify_not_full();
+            if let Some(v) = unsafe { self.q.shards[shard].dequeue_raw(self.tid) } {
+                self.cursor = shard;
+                self.q.sync.notify_not_full();
                 return Some(v);
             }
         }
         None
     }
 
-    fn dequeue_batch_tid(
-        &self,
-        tid: usize,
-        cursor: &mut usize,
-        out: &mut Vec<T>,
-        max: usize,
-    ) -> usize {
-        let s = self.shards.len();
-        let start = *cursor; // the sweep base must not move mid-sweep
+    /// Batch dequeue: appends up to `max` elements to `out`, draining
+    /// shards in cursor rotation; returns how many were appended (0 means
+    /// every shard was observed empty).
+    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        let s = self.q.shards.len();
+        let start = self.cursor; // the sweep base must not move mid-sweep
         let mut total = 0;
         for i in 0..s {
             if total >= max {
                 break;
             }
             let shard = (start + i) & (s - 1);
+            let q = &self.q.shards[shard];
             // SAFETY: exclusivity contract above.
-            let got = unsafe { self.shards[shard].dequeue_batch_raw(tid, out, max - total) };
+            let got = unsafe { q.dequeue_batch_raw(self.tid, out, max - total) };
             if got > 0 {
-                *cursor = shard;
+                self.cursor = shard;
                 total += got;
             }
         }
         if total > 0 {
-            self.sync.notify_not_full();
+            self.q.sync.notify_not_full();
         }
         total
     }
-}
-
-/// A per-thread handle to a [`ShardedWcq`].
-///
-/// Like [`crate::WcqHandle`], a handle is `Send` but not `Sync`/`Clone` and
-/// its methods take `&mut self`: it drives one thread id exclusively —
-/// here, across every shard at once.
-pub struct ShardedHandle<'q, T> {
-    q: &'q ShardedWcq<T>,
-    tid: usize,
-    affinity: usize,
-    /// Next shard to try first on dequeue; sticks to the last hit.
-    cursor: usize,
-}
-
-impl<'q, T> ShardedHandle<'q, T> {
-    /// Wait-free enqueue into this handle's affinity shard. `Err(v)` when
-    /// that shard is full (values never spill to other shards — spilling
-    /// would break per-producer FIFO).
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, self.affinity, v)
-    }
-
-    /// Batch enqueue into the affinity shard; semantics of
-    /// [`crate::WcqHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, self.affinity, items)
-    }
-
-    /// Dequeue, visiting every shard (starting at the sticky cursor) before
-    /// reporting empty. Each shard miss costs its O(1) threshold probe.
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.cursor)
-    }
-
-    /// Batch dequeue: appends up to `max` elements to `out`, draining
-    /// shards in cursor rotation; returns how many were appended (0 means
-    /// every shard was observed empty).
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.cursor, out, max)
-    }
 
     /// The thread slot this handle occupies (diagnostics).
     pub fn tid(&self) -> usize {
@@ -285,97 +265,18 @@ impl<'q, T> ShardedHandle<'q, T> {
     pub fn affinity(&self) -> usize {
         self.affinity
     }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &'q ShardedWcq<T> {
-        self.q
-    }
 }
 
-impl<T> Drop for ShardedHandle<'_, T> {
+impl<T, H: Hold<ShardedWcq<T>>> Drop for ShardedHandle<T, H> {
     fn drop(&mut self) {
         self.q.release_slot(self.tid);
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`ShardedWcq`] — the
-/// [`crate::OwnedWcqHandle`] pattern applied to the sharded front-end.
-/// Obtained from [`ShardedWcq::register_owned`].
-pub struct OwnedShardedHandle<T> {
-    q: Arc<ShardedWcq<T>>,
-    tid: usize,
-    affinity: usize,
-    /// Next shard to try first on dequeue; sticks to the last hit.
-    cursor: usize,
-}
-
-impl<T> OwnedShardedHandle<T> {
-    /// Wait-free enqueue into this handle's affinity shard; see
-    /// [`ShardedHandle::enqueue`].
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, self.affinity, v)
-    }
-
-    /// Batch enqueue into the affinity shard; see
-    /// [`ShardedHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, self.affinity, items)
-    }
-
-    /// Rotating dequeue; see [`ShardedHandle::dequeue`].
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.cursor)
-    }
-
-    /// Rotating batch dequeue; see [`ShardedHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.cursor, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The shard this handle enqueues into.
-    pub fn affinity(&self) -> usize {
-        self.affinity
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<ShardedWcq<T>> {
-        &self.q
-    }
-}
-
-impl<T> Drop for OwnedShardedHandle<T> {
-    fn drop(&mut self) {
-        self.q.release_slot(self.tid);
-    }
-}
-
-/// Blocking/async facade; see the [`ShardedHandle`] impl.
-impl<T> SyncQueue for OwnedShardedHandle<T> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
     }
 }
 
 /// Blocking/async facade over the sharded queue: parked enqueuers wake on
 /// any shard's dequeue (then retry their own affinity shard), parked
 /// dequeuers wake on any enqueue (their sweep visits every shard).
-impl<T> SyncQueue for ShardedHandle<'_, T> {
+impl<T, H: Hold<ShardedWcq<T>>> SyncQueue for ShardedHandle<T, H> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {

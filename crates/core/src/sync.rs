@@ -10,11 +10,11 @@
 //! queue operation stays the untouched wait-free fast path plus one
 //! `SeqCst` load to check for sleepers.
 //!
-//! The entry points live on the [`SyncQueue`] trait, implemented by
-//! [`crate::WcqHandle`], [`crate::ShardedHandle`], and
-//! [`crate::UnboundedHandle`] (and their owned twins, which also back the
-//! [`crate::channel`] endpoints — there the `close()` below is driven
-//! automatically by sender/receiver refcounts):
+//! The entry points live on the [`SyncQueue`] trait, implemented once per
+//! queue family — [`crate::WcqHandle`], [`crate::ShardedHandle`],
+//! [`crate::UnboundedHandle`], each over either holder ([`crate::Hold`]) —
+//! and by the [`crate::channel`] endpoints built on them (there the
+//! `close()` below is driven automatically by sender/receiver refcounts):
 //!
 //! * [`SyncQueue::enqueue_blocking`] / [`SyncQueue::dequeue_blocking`] —
 //!   park until space/data or [`close`](crate::WcqQueue::close);
@@ -174,6 +174,23 @@ impl Backoff {
     #[inline]
     pub fn is_completed(&self) -> bool {
         self.step > YIELD_LIMIT
+    }
+}
+
+/// The one slot-wait policy: retries `register` until it yields a handle,
+/// [snoozing](Backoff::snooze) while all of a queue's `max_threads` slots
+/// are taken. A slot frees only when another endpoint drops — likely a
+/// descheduled thread, so the backoff escalates to yielding quickly. The
+/// wait is bounded by the caller's own endpoint discipline (documented on
+/// [`crate::channel::bounded`]): an undersized `max_threads` whose holders
+/// never drop waits forever.
+pub(crate) fn wait_for_slot<H>(mut register: impl FnMut() -> Option<H>) -> H {
+    let mut backoff = Backoff::new();
+    loop {
+        if let Some(h) = register() {
+            return h;
+        }
+        backoff.snooze();
     }
 }
 
@@ -683,9 +700,12 @@ impl std::error::Error for RecvError {}
 /// queue's [`SyncState`]; the blocking, timeout, and async entry points
 /// are provided methods sharing one parking protocol (module docs).
 ///
-/// Implemented by [`crate::WcqHandle`], [`crate::ShardedHandle`], and
-/// [`crate::UnboundedHandle`] (whose `try_enqueue` never fails — the list
-/// grows instead, so its blocking enqueue only parks when closed… never).
+/// Four implementors: the three per-family handles — [`crate::WcqHandle`],
+/// [`crate::ShardedHandle`], and [`crate::UnboundedHandle`] (whose
+/// `try_enqueue` never fails — the list grows instead, so its blocking
+/// enqueue never parks), each generic over how it holds the queue — and
+/// the [`crate::channel`] module's internal endpoint, which dispatches to
+/// one of them or to a [`crate::topology::TopoEndpoint`].
 pub trait SyncQueue {
     /// Element type.
     type Item;

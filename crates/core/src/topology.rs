@@ -66,9 +66,8 @@
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
 
 use crate::spsc::Ring;
-use crate::sync::SyncState;
-use crate::wcq::queue::OwnedWcqHandle;
-use crate::{WcqConfig, WcqQueue};
+use crate::sync::{wait_for_slot, SyncState};
+use crate::{WcqConfig, WcqHandle, WcqQueue};
 use crate::sim::{AtomicBool, AtomicU8, OnceLock};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
 use std::sync::Arc;
@@ -250,7 +249,7 @@ pub struct TopoEndpoint<T: Send> {
     /// busy producer is consumed in runs instead of round-robin churn).
     cursor: usize,
     /// Spine handle, acquired lazily by the first spine-lane operation.
-    spine: Option<OwnedWcqHandle<T>>,
+    spine: Option<WcqHandle<T, Arc<WcqQueue<T>>>>,
 }
 
 impl<T: Send> TopoEndpoint<T> {
@@ -287,27 +286,15 @@ impl<T: Send> TopoEndpoint<T> {
         self.has_cons_seat
     }
 
-    /// Registers on the spine, waiting (spin, then yield) while all of its
-    /// `max_threads` slots are taken — the same contract as the channel's
-    /// lazy slot acquisition on the other backends.
-    fn spine_handle(&mut self) -> &mut OwnedWcqHandle<T> {
-        if self.spine.is_none() {
-            let spine = self.core.spine.get().expect("mode SPINE implies spine");
-            let mut spins = 0u32;
-            let h = loop {
-                if let Some(h) = spine.register_owned() {
-                    break h;
-                }
-                spins += 1;
-                if spins <= 64 {
-                    crate::sim::spin_loop();
-                } else {
-                    crate::sim::yield_now();
-                }
-            };
-            self.spine = Some(h);
-        }
-        self.spine.as_mut().expect("just filled")
+    /// Registers on the spine, waiting while all of its `max_threads` slots
+    /// are taken — the same contract (and the same [`wait_for_slot`]
+    /// policy) as the channel's lazy slot acquisition on the other backends.
+    fn spine_handle(&mut self) -> &mut WcqHandle<T, Arc<WcqQueue<T>>> {
+        let spine = &self.core.spine;
+        self.spine.get_or_insert_with(|| {
+            let spine = spine.get().expect("mode SPINE implies spine");
+            wait_for_slot(|| spine.register_owned())
+        })
     }
 
     /// Non-blocking enqueue; `Err(v)` when this producer's lane — its

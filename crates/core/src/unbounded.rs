@@ -58,9 +58,11 @@
 //! `max_threads × HP_PER_THREAD` protected rings plus the scan threshold
 //! (see DESIGN.md §8).
 
+use crate::hold::Hold;
 use crate::sync::{SyncQueue, SyncState};
 use crate::{ScqQueue, WcqConfig, WcqQueue};
 use hazard::{Domain, HpHandle};
+use std::marker::PhantomData;
 use std::ptr;
 use crate::sim::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 use std::sync::atomic::Ordering::SeqCst;
@@ -352,29 +354,15 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
 
     /// Registers the calling thread. The hazard-domain slot index doubles
     /// as the ring thread id, so a single registration covers both.
-    pub fn register(&self) -> Option<UnboundedHandle<'_, T, R>> {
-        let hp = self.domain.register()?;
-        let tid = hp.idx();
-        Some(UnboundedHandle { q: self, hp, tid })
+    pub fn register(&self) -> Option<UnboundedHandle<T, R, &Self>> {
+        UnboundedHandle::pin(self)
     }
 
-    /// Registers the calling thread on an `Arc`-owned queue; the owning
-    /// twin of [`Self::register`] (see [`crate::OwnedWcqHandle`] for the
-    /// pattern). The handle moves freely into `'static` spawned threads.
-    pub fn register_owned(self: &Arc<Self>) -> Option<OwnedUnboundedHandle<T, R>> {
-        let hp = self.domain.register()?;
-        let tid = hp.idx();
-        // SAFETY: the hazard handle borrows `self.domain`, which lives on
-        // the heap inside the `Arc` the returned handle also owns, so the
-        // borrow outlives the handle; `OwnedUnboundedHandle` declares `hp`
-        // before `q` so the lifetime-erased handle drops strictly before
-        // the `Arc` that keeps the domain alive.
-        let hp: HpHandle<'static> = unsafe { std::mem::transmute::<HpHandle<'_>, _>(hp) };
-        Some(OwnedUnboundedHandle {
-            hp,
-            tid,
-            q: Arc::clone(self),
-        })
+    /// Registers the calling thread on an `Arc`-owned queue: the same
+    /// [`UnboundedHandle`], holding the queue by `Arc` so it moves freely
+    /// into `'static` spawned threads (see [`crate::Hold`]).
+    pub fn register_owned(self: &Arc<Self>) -> Option<UnboundedHandle<T, R, Arc<Self>>> {
+        UnboundedHandle::pin(Arc::clone(self))
     }
 
     /// If `node` (the ring at `ltail`) has a successor, helps `tail` over
@@ -674,28 +662,37 @@ impl<T, R: InnerRing<T>> Drop for Unbounded<T, R> {
     }
 }
 
-/// Per-thread handle to an [`Unbounded`] queue. Carries the thread's
+/// Per-thread handle to an [`Unbounded`] queue, holding it as `H`
+/// (`&Unbounded` from [`Unbounded::register`], `Arc<Unbounded>` from
+/// [`Unbounded::register_owned`]; see [`Hold`]). Carries the thread's
 /// hazard pointers; dropping it quiesces the reachable rings' helping
 /// records (see [`Unbounded`]'s module docs), releases both the hazard
 /// slots and the ring thread id, and hands any still-protected retired
 /// rings to the domain's orphan list.
-pub struct UnboundedHandle<'q, T, R: InnerRing<T>> {
-    q: &'q Unbounded<T, R>,
-    hp: HpHandle<'q>,
+pub struct UnboundedHandle<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> {
+    /// Lifetime-erased hazard handle; its true borrow is of `q`'s domain.
+    /// MUST stay declared before `q`: fields drop in declaration order, so
+    /// the hazard handle (which touches the domain in its destructor)
+    /// drops while `q` still keeps the domain alive.
+    hp: HpHandle<'static>,
     tid: usize,
+    q: H,
+    _item: PhantomData<fn() -> (T, R)>,
 }
 
-impl<T, R: InnerRing<T>> Drop for UnboundedHandle<'_, T, R> {
-    fn drop(&mut self) {
-        // Quiesce before the hazard handle (dropped right after this body)
-        // releases the domain slot: the slot index doubles as the ring
-        // thread id, so releasing it un-quiesced would hand a new
-        // registrant records a helper may still be driving.
-        self.q.quiesce_tid(self.tid, &self.hp);
+impl<T: Send, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> UnboundedHandle<T, R, H> {
+    fn pin(q: H) -> Option<Self> {
+        let hp = q.domain.register()?;
+        let tid = hp.idx();
+        // SAFETY: `hp` borrows `q.domain` through `H::deref`. `Hold` is
+        // sealed to `&Unbounded` / `Arc<Unbounded>`, which keep the queue
+        // alive at one address for as long as `q` exists, wherever the
+        // handle owning it moves; the struct declares `hp` before `q`, so
+        // the lifetime-erased handle drops first, and `hp` never leaves it.
+        let hp: HpHandle<'static> = unsafe { std::mem::transmute::<HpHandle<'_>, _>(hp) };
+        Some(UnboundedHandle { hp, tid, q, _item: PhantomData })
     }
-}
 
-impl<T: Send, R: InnerRing<T>> UnboundedHandle<'_, T, R> {
     /// Enqueues `v`; never fails (capacity grows by appending rings).
     pub fn enqueue(&mut self, v: T) {
         self.q.enqueue_tid(self.tid, &self.hp, v)
@@ -744,81 +741,20 @@ impl<T: Send, R: InnerRing<T>> UnboundedHandle<'_, T, R> {
     }
 }
 
-/// Blocking/async facade: only the dequeue side ever parks — `try_enqueue`
-/// cannot fail (the list grows), so a blocking enqueue completes on its
-/// first attempt unless the queue is closed.
-impl<T: Send, R: InnerRing<T>> SyncQueue for UnboundedHandle<'_, T, R> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v);
-        Ok(())
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`Unbounded`] queue —
-/// the [`crate::OwnedWcqHandle`] pattern applied to the list-of-rings.
-/// Obtained from [`Unbounded::register_owned`].
-pub struct OwnedUnboundedHandle<T, R: InnerRing<T>> {
-    /// Lifetime-erased hazard handle; its true borrow is of `q`'s domain.
-    /// MUST stay declared before `q`: fields drop in declaration order, so
-    /// the hazard handle (which touches the domain in its destructor)
-    /// drops while the `Arc` still keeps the domain alive.
-    hp: HpHandle<'static>,
-    tid: usize,
-    q: Arc<Unbounded<T, R>>,
-}
-
-impl<T: Send, R: InnerRing<T>> OwnedUnboundedHandle<T, R> {
-    /// Enqueues `v`; never fails (capacity grows by appending rings).
-    pub fn enqueue(&mut self, v: T) {
-        self.q.enqueue_tid(self.tid, &self.hp, v)
-    }
-
-    /// Dequeues; `None` when empty.
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.hp)
-    }
-
-    /// Batch enqueue; see [`UnboundedHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, &self.hp, items)
-    }
-
-    /// Batch dequeue; see [`UnboundedHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.hp, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<Unbounded<T, R>> {
-        &self.q
-    }
-}
-
-impl<T, R: InnerRing<T>> Drop for OwnedUnboundedHandle<T, R> {
+impl<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> Drop for UnboundedHandle<T, R, H> {
     fn drop(&mut self) {
-        // As for the borrowed handle: quiesce before the hazard handle's
-        // own destructor releases the shared slot.
+        // Quiesce before the hazard handle (dropped right after this body)
+        // releases the domain slot: the slot index doubles as the ring
+        // thread id, so releasing it un-quiesced would hand a new
+        // registrant records a helper may still be driving.
         self.q.quiesce_tid(self.tid, &self.hp);
     }
 }
 
-/// Blocking/async facade; see the [`UnboundedHandle`] impl.
-impl<T: Send, R: InnerRing<T>> SyncQueue for OwnedUnboundedHandle<T, R> {
+/// Blocking/async facade: only the dequeue side ever parks — `try_enqueue`
+/// cannot fail (the list grows), so a blocking enqueue completes on its
+/// first attempt unless the queue is closed.
+impl<T: Send, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> SyncQueue for UnboundedHandle<T, R, H> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {

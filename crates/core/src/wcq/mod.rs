@@ -9,5 +9,5 @@ pub mod queue;
 pub mod record;
 pub mod ring;
 
-pub use queue::{OwnedWcqHandle, WcqHandle, WcqQueue};
+pub use queue::{WcqHandle, WcqQueue};
 pub use ring::WcqRing;

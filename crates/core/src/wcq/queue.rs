@@ -2,9 +2,11 @@
 //! (the paper's Fig. 2 indirection), with per-thread handles enforcing the
 //! thread-id discipline the rings require.
 
+use crate::hold::Hold;
 use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use crate::sim::{AtomicBool, DataCell};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
@@ -103,15 +105,20 @@ impl<T> WcqQueue<T> {
     }
 
     /// Registers the calling thread, returning a handle bound to a free
-    /// thread slot, or `None` if all `max_threads` slots are taken.
-    pub fn register(&self) -> Option<WcqHandle<'_, T>> {
+    /// thread slot, or `None` if all `max_threads` slots are taken. The
+    /// handle borrows the queue, so it lives inside the borrow's scope
+    /// (`std::thread::scope`); see [`Self::register_owned`] for the
+    /// `'static` flavour.
+    pub fn register(&self) -> Option<WcqHandle<T, &Self>> {
         let tid = self.claim_slot()?;
-        Some(WcqHandle { q: self, tid })
+        Some(WcqHandle { q: self, tid, _item: PhantomData })
     }
 
-    /// Registers the calling thread on an `Arc`-owned queue, returning an
-    /// [`OwnedWcqHandle`] that keeps the queue alive — the building block
-    /// for `'static` spawned threads and the [`crate::channel`] API.
+    /// Registers the calling thread on an `Arc`-owned queue. The handle is
+    /// the same [`WcqHandle`] as [`Self::register`]'s, holding the queue by
+    /// `Arc` instead of by reference — so it keeps the queue alive and
+    /// moves into `'static` spawned threads; the building block of the
+    /// [`crate::channel`] API.
     ///
     /// # Example
     /// ```
@@ -127,12 +134,9 @@ impl<T> WcqQueue<T> {
     /// let mut h = q.register_owned().unwrap();
     /// assert_eq!(h.dequeue(), Some(7));
     /// ```
-    pub fn register_owned(self: &Arc<Self>) -> Option<OwnedWcqHandle<T>> {
+    pub fn register_owned(self: &Arc<Self>) -> Option<WcqHandle<T, Arc<Self>>> {
         let tid = self.claim_slot()?;
-        Some(OwnedWcqHandle {
-            q: Arc::clone(self),
-            tid,
-        })
+        Some(WcqHandle { q: Arc::clone(self), tid, _item: PhantomData })
     }
 
     /// Claims a free thread slot, asserting (debug builds) that the record
@@ -211,9 +215,10 @@ impl<T> WcqQueue<T> {
 
     /// Raw enqueue under an explicit thread id, bypassing the handle layer.
     ///
-    /// Raw operations do **not** ping this queue's own parking state: every
-    /// raw caller (the sharded front-end, the unbounded list-of-rings) runs
-    /// its own facade-level [`SyncState`] and notifies that instead, so the
+    /// Raw operations do **not** ping this queue's own parking state — the
+    /// notify lives at the handle ([`WcqHandle::enqueue`]). Every other raw
+    /// caller (the sharded front-end, the unbounded list-of-rings) runs its
+    /// own facade-level [`SyncState`] and notifies that instead, so the
     /// inner queue's state can never have waiters.
     ///
     /// # Safety
@@ -222,18 +227,6 @@ impl<T> WcqQueue<T> {
     /// exclusive driver per id). Used by the unbounded list-of-rings, whose
     /// own handle layer provides the exclusivity across every ring.
     pub unsafe fn enqueue_raw(&self, tid: usize, v: T) -> Result<(), T> {
-        self.enqueue_tid_quiet(tid, v)
-    }
-
-    /// Raw dequeue under an explicit thread id.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::enqueue_raw`].
-    pub unsafe fn dequeue_raw(&self, tid: usize) -> Option<T> {
-        self.dequeue_tid_quiet(tid)
-    }
-
-    fn enqueue_tid_quiet(&self, tid: usize, v: T) -> Result<(), T> {
         let Some(i) = self.fq.dequeue(tid) else {
             return Err(v); // no free slot: full
         };
@@ -244,29 +237,16 @@ impl<T> WcqQueue<T> {
         Ok(())
     }
 
-    fn dequeue_tid_quiet(&self, tid: usize) -> Option<T> {
+    /// Raw dequeue under an explicit thread id.
+    ///
+    /// # Safety
+    /// Same contract as [`Self::enqueue_raw`].
+    pub unsafe fn dequeue_raw(&self, tid: usize) -> Option<T> {
         let i = self.aq.dequeue(tid)?;
         // SAFETY: `i` came from `aq`; the matching enqueuer initialized the
         // slot before publishing it. `with_mut`: the read un-initializes.
         let v = self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() });
         self.fq.enqueue(tid, i);
-        Some(v)
-    }
-
-    fn enqueue_tid(&self, tid: usize, v: T) -> Result<(), T> {
-        let r = self.enqueue_tid_quiet(tid, v);
-        if r.is_ok() {
-            // The element is visible; wake any parked dequeuer (one load
-            // when nobody sleeps).
-            self.sync.notify_not_empty();
-        }
-        r
-    }
-
-    fn dequeue_tid(&self, tid: usize) -> Option<T> {
-        let v = self.dequeue_tid_quiet(tid)?;
-        // The slot is recycled; wake any parked enqueuer.
-        self.sync.notify_not_full();
         Some(v)
     }
 
@@ -277,35 +257,6 @@ impl<T> WcqQueue<T> {
     /// # Safety
     /// Same contract as [`Self::enqueue_raw`].
     pub unsafe fn enqueue_batch_raw(&self, tid: usize, items: &mut Vec<T>) -> usize {
-        self.enqueue_batch_tid_quiet(tid, items)
-    }
-
-    /// Raw batch dequeue under an explicit thread id; see
-    /// [`WcqHandle::dequeue_batch`] for semantics.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::enqueue_raw`].
-    pub unsafe fn dequeue_batch_raw(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch_tid_quiet(tid, out, max)
-    }
-
-    fn enqueue_batch_tid(&self, tid: usize, items: &mut Vec<T>) -> usize {
-        let n = self.enqueue_batch_tid_quiet(tid, items);
-        if n > 0 {
-            self.sync.notify_not_empty(); // whole batch visible: wake once
-        }
-        n
-    }
-
-    fn dequeue_batch_tid(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        let n = self.dequeue_batch_tid_quiet(tid, out, max);
-        if n > 0 {
-            self.sync.notify_not_full(); // slots recycled: wake once
-        }
-        n
-    }
-
-    fn enqueue_batch_tid_quiet(&self, tid: usize, items: &mut Vec<T>) -> usize {
         // Consume by iterator, not repeated front-drains: keeps the whole
         // batch O(len) while still leaving rejects behind in order.
         let mut it = std::mem::take(items).into_iter();
@@ -342,7 +293,12 @@ impl<T> WcqQueue<T> {
         total
     }
 
-    fn dequeue_batch_tid_quiet(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
+    /// Raw batch dequeue under an explicit thread id; see
+    /// [`WcqHandle::dequeue_batch`] for semantics.
+    ///
+    /// # Safety
+    /// Same contract as [`Self::enqueue_raw`].
+    pub unsafe fn dequeue_batch_raw(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
         while total < max {
@@ -350,17 +306,16 @@ impl<T> WcqQueue<T> {
             let got = self.aq.dequeue_batch(tid, &mut idxs[..want]);
             if got == 0 {
                 // Advisory miss: confirm emptiness via the singleton path.
-                let Some(i) = self.aq.dequeue(tid) else {
+                // SAFETY: the caller's contract, passed through unchanged.
+                let Some(v) = (unsafe { self.dequeue_raw(tid) }) else {
                     break; // empty
                 };
-                // SAFETY: `i` came from `aq`; the enqueuer initialized it.
-                out.push(self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() }));
-                self.fq.enqueue(tid, i);
+                out.push(v);
                 total += 1;
                 continue;
             }
             for &i in &idxs[..got] {
-                // SAFETY: as above.
+                // SAFETY: `i` came from `aq`; the enqueuer initialized it.
                 out.push(self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() }));
             }
             // Recycle the whole run of slots to `fq` under one tail F&A.
@@ -377,19 +332,22 @@ const BATCH_CHUNK: usize = 64;
 
 impl<T> Drop for WcqQueue<T> {
     fn drop(&mut self) {
-        // Drain so remaining elements are dropped. tid 0 is safe here: we
-        // hold `&mut self`, no other thread can be active (so no waiters
-        // to notify either — use the quiet path).
-        while self.dequeue_tid_quiet(0).is_some() {}
+        // Drain so remaining elements are dropped.
+        // SAFETY: tid 0 exists (`max_threads >= 1`) and `&mut self` rules
+        // out any concurrent driver — which also means no waiters to notify.
+        while unsafe { self.dequeue_raw(0) }.is_some() {}
     }
 }
 
-/// A per-thread handle to a [`WcqQueue`].
+/// A per-thread handle to a [`WcqQueue`], holding it as `H`: `&WcqQueue`
+/// from [`WcqQueue::register`], `Arc<WcqQueue>` from
+/// [`WcqQueue::register_owned`] (see [`Hold`]). Both are the same struct
+/// and the same code; only the lifetime story differs.
 ///
-/// Handles are `Send` but deliberately not `Sync`/`Clone`, and their methods
-/// take `&mut self`: exactly one thread can drive a given thread record at a
+/// Handles are `Send` but deliberately not `Clone`, and their methods take
+/// `&mut self`: exactly one thread can drive a given thread record at a
 /// time, which is the precondition of the helping protocol. Dropping the
-/// handle frees its slot for another thread.
+/// handle quiesces its record and frees its slot for another thread.
 ///
 /// Besides the wait-free [`enqueue`](Self::enqueue)/[`dequeue`](Self::dequeue)
 /// pair and the batch API, handles implement [`crate::sync::SyncQueue`],
@@ -407,22 +365,38 @@ impl<T> Drop for WcqQueue<T> {
 /// assert_eq!(h.dequeue(), Some("b"));
 /// assert_eq!(h.dequeue(), None);
 /// ```
-pub struct WcqHandle<'q, T> {
-    q: &'q WcqQueue<T>,
+pub struct WcqHandle<T, H: Hold<WcqQueue<T>>> {
+    q: H,
     tid: usize,
+    _item: PhantomData<fn() -> T>,
 }
 
-impl<'q, T> WcqHandle<'q, T> {
+// Exclusivity contract behind every raw call below: `tid` came from
+// `claim_slot` and stays claimed until this handle drops, and the handle is
+// neither `Clone` nor usable through `&self` — so it is the only driver of
+// `tid` on `q`, which is what the raw thread-id API requires.
+impl<T, H: Hold<WcqQueue<T>>> WcqHandle<T, H> {
     /// Wait-free enqueue. `Err(v)` returns the value when the queue is full.
     #[inline]
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
+        // SAFETY: exclusivity contract above.
+        let r = unsafe { self.q.enqueue_raw(self.tid, v) };
+        if r.is_ok() {
+            // The element is visible; wake any parked dequeuer (one load
+            // when nobody sleeps).
+            self.q.sync.notify_not_empty();
+        }
+        r
     }
 
     /// Wait-free dequeue; `None` when empty.
     #[inline]
     pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
+        // SAFETY: exclusivity contract above.
+        let v = unsafe { self.q.dequeue_raw(self.tid) }?;
+        // The slot is recycled; wake any parked enqueuer.
+        self.q.sync.notify_not_full();
+        Some(v)
     }
 
     /// Batch enqueue: drains as many items as fit from the **front** of
@@ -447,7 +421,12 @@ impl<'q, T> WcqHandle<'q, T> {
     /// assert_eq!(out, (0..16).collect::<Vec<_>>());
     /// ```
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, items)
+        // SAFETY: exclusivity contract above.
+        let n = unsafe { self.q.enqueue_batch_raw(self.tid, items) };
+        if n > 0 {
+            self.q.sync.notify_not_empty(); // whole batch visible: wake once
+        }
+        n
     }
 
     /// Batch dequeue: appends up to `max` elements to `out` in queue order
@@ -456,21 +435,21 @@ impl<'q, T> WcqHandle<'q, T> {
     /// Like [`Self::enqueue_batch`], ticket claims are amortized over
     /// contiguous runs where the ring state allows.
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, out, max)
+        // SAFETY: exclusivity contract above.
+        let n = unsafe { self.q.dequeue_batch_raw(self.tid, out, max) };
+        if n > 0 {
+            self.q.sync.notify_not_full(); // slots recycled: wake once
+        }
+        n
     }
 
     /// The thread slot this handle occupies (diagnostics).
     pub fn tid(&self) -> usize {
         self.tid
     }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &'q WcqQueue<T> {
-        self.q
-    }
 }
 
-impl<T> Drop for WcqHandle<'_, T> {
+impl<T, H: Hold<WcqQueue<T>>> Drop for WcqHandle<T, H> {
     fn drop(&mut self) {
         // Quiesce-then-release: a bare `store(false)` here would let a new
         // registrant publish a fresh request on a record a helper is still
@@ -481,7 +460,7 @@ impl<T> Drop for WcqHandle<'_, T> {
 
 /// Blocking/async facade: parks on the empty/full edge only; the wait-free
 /// spin operations above are the fast path (see [`crate::sync`]).
-impl<T> SyncQueue for WcqHandle<'_, T> {
+impl<T, H: Hold<WcqQueue<T>>> SyncQueue for WcqHandle<T, H> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {
@@ -489,81 +468,11 @@ impl<T> SyncQueue for WcqHandle<'_, T> {
     }
 
     fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
+        self.enqueue(v)
     }
 
     fn try_dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`WcqQueue`].
-///
-/// Semantically identical to [`WcqHandle`] — one exclusive thread record,
-/// `&mut` methods, quiesced slot release on drop — but it keeps the queue
-/// alive instead of borrowing it, so it moves freely into
-/// `std::thread::spawn` closures and `'static` futures. Obtained from
-/// [`WcqQueue::register_owned`]; the [`crate::channel`] senders/receivers
-/// are built on these.
-pub struct OwnedWcqHandle<T> {
-    q: Arc<WcqQueue<T>>,
-    tid: usize,
-}
-
-impl<T> OwnedWcqHandle<T> {
-    /// Wait-free enqueue. `Err(v)` returns the value when the queue is full.
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
-    }
-
-    /// Wait-free dequeue; `None` when empty.
-    #[inline]
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
-    }
-
-    /// Batch enqueue; see [`WcqHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, items)
-    }
-
-    /// Batch dequeue; see [`WcqHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<WcqQueue<T>> {
-        &self.q
-    }
-}
-
-impl<T> Drop for OwnedWcqHandle<T> {
-    fn drop(&mut self) {
-        self.q.release_slot(self.tid);
-    }
-}
-
-/// Blocking/async facade; see the [`WcqHandle`] impl.
-impl<T> SyncQueue for OwnedWcqHandle<T> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
+        self.dequeue()
     }
 }
 

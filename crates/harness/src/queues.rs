@@ -6,6 +6,8 @@
 //! on the hot path, as the perf guide prescribes.
 
 use baselines::{CcQueue, CrTurnQueue, FaaQueue, Lcrq, MsQueue, YmcQueue};
+use wcq::channel::{self, Receiver, Sender};
+use wcq::topology::TopoCore;
 use wcq::unbounded::{InnerRing, Unbounded, UnboundedHandle, WcqInner};
 use wcq::{ScqQueue, UnboundedScq, UnboundedWcq, WcqConfig, WcqQueue};
 
@@ -97,7 +99,7 @@ impl WcqBench {
 }
 
 impl BenchQueue for WcqBench {
-    type Handle<'a> = wcq::WcqHandle<'a, u64>;
+    type Handle<'a> = wcq::WcqHandle<u64, &'a WcqQueue<u64>>;
     fn name(&self) -> &'static str {
         "wCQ"
     }
@@ -106,23 +108,7 @@ impl BenchQueue for WcqBench {
     }
 }
 
-impl QueueHandle for wcq::WcqHandle<'_, u64> {
-    #[inline]
-    fn enqueue(&mut self, v: u64) -> bool {
-        WcqHandleExt::enqueue(self, v)
-    }
-    #[inline]
-    fn dequeue(&mut self) -> Option<u64> {
-        WcqHandleExt::dequeue(self)
-    }
-}
-
-// Helper to disambiguate from the trait method names.
-trait WcqHandleExt {
-    fn enqueue(&mut self, v: u64) -> bool;
-    fn dequeue(&mut self) -> Option<u64>;
-}
-impl WcqHandleExt for wcq::WcqHandle<'_, u64> {
+impl QueueHandle for wcq::WcqHandle<u64, &WcqQueue<u64>> {
     #[inline]
     fn enqueue(&mut self, v: u64) -> bool {
         wcq::WcqHandle::enqueue(self, v).is_ok()
@@ -182,7 +168,7 @@ impl ShardedWcqBench {
 }
 
 impl BenchQueue for ShardedWcqBench {
-    type Handle<'a> = wcq::ShardedHandle<'a, u64>;
+    type Handle<'a> = wcq::ShardedHandle<u64, &'a wcq::ShardedWcq<u64>>;
     fn name(&self) -> &'static str {
         "wCQ-sharded"
     }
@@ -191,7 +177,7 @@ impl BenchQueue for ShardedWcqBench {
     }
 }
 
-impl QueueHandle for wcq::ShardedHandle<'_, u64> {
+impl QueueHandle for wcq::ShardedHandle<u64, &wcq::ShardedWcq<u64>> {
     #[inline]
     fn enqueue(&mut self, v: u64) -> bool {
         wcq::ShardedHandle::enqueue(self, v).is_ok()
@@ -257,7 +243,7 @@ impl UnboundedWcqBench {
 }
 
 impl BenchQueue for UnboundedWcqBench {
-    type Handle<'a> = UnboundedHandle<'a, u64, WcqInner<u64>>;
+    type Handle<'a> = UnboundedHandle<u64, WcqInner<u64>, &'a UnboundedWcq<u64>>;
     fn name(&self) -> &'static str {
         "wCQ-unbounded"
     }
@@ -287,7 +273,7 @@ impl UnboundedScqBench {
 }
 
 impl BenchQueue for UnboundedScqBench {
-    type Handle<'a> = UnboundedHandle<'a, u64, ScqQueue<u64>>;
+    type Handle<'a> = UnboundedHandle<u64, ScqQueue<u64>, &'a UnboundedScq<u64>>;
     fn name(&self) -> &'static str {
         "LSCQ"
     }
@@ -296,7 +282,7 @@ impl BenchQueue for UnboundedScqBench {
     }
 }
 
-impl<R: InnerRing<u64>> QueueHandle for UnboundedHandle<'_, u64, R> {
+impl<R: InnerRing<u64>> QueueHandle for UnboundedHandle<u64, R, &Unbounded<u64, R>> {
     #[inline]
     fn enqueue(&mut self, v: u64) -> bool {
         UnboundedHandle::enqueue(self, v);
@@ -310,49 +296,88 @@ impl<R: InnerRing<u64>> QueueHandle for UnboundedHandle<'_, u64, R> {
 
 // ------------------------------------------------------------ channel -----
 
-/// Adapter: the owned channel API (`wcq::channel`) over a bounded wCQ.
+/// Adapter: the owned channel API (`wcq::channel`) over any of its
+/// backends, built through the one `channel::over` entry.
 ///
 /// Measures what the production-facing surface costs on top of the raw
 /// handles: the `Arc` indirection, the per-op closed check, and the lazy
 /// endpoint registration. Each worker handle is a cloned
 /// `(Sender, Receiver)` pair; endpoints take thread slots lazily on first
-/// use, so the prototype pair held here costs nothing while idle — the
-/// queue is sized at two slots per worker (sender + receiver endpoint).
+/// use, so the prototype pair held here costs nothing while idle — every
+/// flavour sizes its wCQ (queue or spine) at two slots per worker (sender +
+/// receiver endpoint) plus the drain handle's pair.
+///
+/// The harness workloads are MPMC-shaped — every worker holds a sender
+/// *and* a receiver clone — so on the topology flavours ([`Self::spsc`],
+/// [`Self::mpsc`]) `threads == 1` measures the true ring fast path, while
+/// any higher thread count exceeds the declared topology on first use and
+/// measures the **upgraded wCQ spine** through the same endpoints (a
+/// conformance row, by design: it proves the upgrade keeps the channel
+/// serving). The dedicated `figure_topology` binary does the honest
+/// per-topology pair measurements.
 pub struct ChannelBench {
-    tx: wcq::channel::Sender<u64>,
-    rx: wcq::channel::Receiver<u64>,
+    name: &'static str,
+    proto: ChannelEndpoints,
 }
 
 impl ChannelBench {
-    /// Builds from a [`QueueSpec`]: capacity `2^ring_order`, two thread
-    /// slots per worker plus the drain handle's pair.
+    fn over(name: &'static str, (tx, rx): (Sender<u64>, Receiver<u64>)) -> Self {
+        ChannelBench { name, proto: ChannelEndpoints { tx, rx } }
+    }
+
+    fn slots(spec: &QueueSpec) -> usize {
+        (spec.max_threads + 1) * 2
+    }
+
+    /// `"wCQ-channel"`: a bounded wCQ of capacity `2^ring_order`.
     pub fn new(spec: &QueueSpec) -> Self {
-        let (tx, rx) = wcq::channel::bounded_with_config(
-            spec.ring_order,
-            (spec.max_threads + 1) * 2,
-            &spec.cfg,
-        );
-        ChannelBench { tx, rx }
+        let q = WcqQueue::with_config(spec.ring_order, Self::slots(spec), &spec.cfg);
+        Self::over("wCQ-channel", channel::over(q))
+    }
+
+    /// `"chan-spsc"`: the SPSC-declared topology backend, one
+    /// `2^ring_order`-slot ring.
+    pub fn spsc(spec: &QueueSpec) -> Self {
+        let core = TopoCore::spsc(spec.ring_order, Self::slots(spec), &spec.cfg);
+        Self::over("chan-spsc", channel::over(core))
+    }
+
+    /// `"chan-mpsc"`: the MPSC-declared topology backend — one private
+    /// ring per declared sender, capacity split per
+    /// [`Self::mpsc_geometry`].
+    pub fn mpsc(spec: &QueueSpec) -> Self {
+        let (senders, per_ring) = Self::mpsc_geometry(spec);
+        let core = TopoCore::mpsc(senders, per_ring, Self::slots(spec), &spec.cfg);
+        Self::over("chan-mpsc", channel::over(core))
+    }
+
+    /// Resolved MPSC geometry for `spec`: `(senders, per_ring_order)`, with
+    /// total fast-path capacity `senders << per_ring_order` kept at
+    /// `2^ring_order` (like [`ShardedWcqBench`], so spec sweeps stay
+    /// like-for-like) unless the floor (tiny rings) forces it larger.
+    pub fn mpsc_geometry(spec: &QueueSpec) -> (usize, u32) {
+        let senders = spec.max_threads.max(1);
+        let log2s = senders.next_power_of_two().trailing_zeros();
+        let per_ring = spec.ring_order.saturating_sub(log2s).max(2);
+        (senders, per_ring)
     }
 }
 
 /// A worker's endpoint pair for [`ChannelBench`] (owned: no borrow of the
 /// bench struct, exactly like the channel API's own users).
+#[derive(Clone)]
 pub struct ChannelEndpoints {
-    tx: wcq::channel::Sender<u64>,
-    rx: wcq::channel::Receiver<u64>,
+    tx: Sender<u64>,
+    rx: Receiver<u64>,
 }
 
 impl BenchQueue for ChannelBench {
     type Handle<'a> = ChannelEndpoints;
     fn name(&self) -> &'static str {
-        "wCQ-channel"
+        self.name
     }
     fn handle(&self) -> Self::Handle<'_> {
-        ChannelEndpoints {
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
-        }
+        self.proto.clone()
     }
 }
 
@@ -364,100 +389,6 @@ impl QueueHandle for ChannelEndpoints {
     #[inline]
     fn dequeue(&mut self) -> Option<u64> {
         self.rx.try_recv().ok()
-    }
-}
-
-// -------------------------------------------------- topology channels -----
-
-/// Adapter: the channel API over the SPSC-declared topology backend
-/// (`wcq::channel::spsc`).
-///
-/// The harness workloads are MPMC-shaped — every worker holds a sender
-/// *and* a receiver clone — so at `threads == 1` this measures the true
-/// SPSC ring fast path, while any higher thread count exceeds the declared
-/// topology on first use and measures the **upgraded wCQ spine** through
-/// the same endpoints (a conformance row, by design: it proves the upgrade
-/// keeps the channel serving). The dedicated `figure_topology` binary does
-/// the honest per-topology pair measurements.
-pub struct SpscChannelBench {
-    tx: wcq::channel::Sender<u64>,
-    rx: wcq::channel::Receiver<u64>,
-}
-
-impl SpscChannelBench {
-    /// Builds from a [`QueueSpec`]: one `2^ring_order`-slot ring; the
-    /// spine (if the workload upgrades) gets the same two-slots-per-worker
-    /// budget as [`ChannelBench`].
-    pub fn new(spec: &QueueSpec) -> Self {
-        let (tx, rx) = wcq::channel::spsc_with_config(
-            spec.ring_order,
-            (spec.max_threads + 1) * 2,
-            &spec.cfg,
-        );
-        SpscChannelBench { tx, rx }
-    }
-}
-
-impl BenchQueue for SpscChannelBench {
-    type Handle<'a> = ChannelEndpoints;
-    fn name(&self) -> &'static str {
-        "chan-spsc"
-    }
-    fn handle(&self) -> Self::Handle<'_> {
-        ChannelEndpoints {
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
-        }
-    }
-}
-
-/// Adapter: the channel API over the MPSC-declared topology backend
-/// (`wcq::channel::mpsc`) — one private ring per declared sender, capacity
-/// split like [`ShardedWcqBench`] so spec sweeps stay like-for-like.
-///
-/// Same caveat as [`SpscChannelBench`]: the MPMC-shaped workloads clone
-/// receivers, so `threads >= 2` upgrades to the spine on first dequeue
-/// contention; `threads == 1` runs the ring fast path.
-pub struct MpscChannelBench {
-    tx: wcq::channel::Sender<u64>,
-    rx: wcq::channel::Receiver<u64>,
-}
-
-impl MpscChannelBench {
-    /// Resolved geometry for `spec`: `(senders, per_ring_order)`, with
-    /// total fast-path capacity `senders << per_ring_order` kept at
-    /// `2^ring_order` unless the floor (tiny rings) forces it larger.
-    pub fn geometry(spec: &QueueSpec) -> (usize, u32) {
-        let senders = spec.max_threads.max(1);
-        let log2s = senders.next_power_of_two().trailing_zeros();
-        let per_ring = spec.ring_order.saturating_sub(log2s).max(2);
-        (senders, per_ring)
-    }
-
-    /// Builds from a [`QueueSpec`]; each of `max_threads` declared senders
-    /// gets a private `2^per_ring_order`-slot ring.
-    pub fn new(spec: &QueueSpec) -> Self {
-        let (senders, per_ring) = Self::geometry(spec);
-        let (tx, rx) = wcq::channel::mpsc_with_config(
-            per_ring,
-            senders,
-            (spec.max_threads + 1) * 2,
-            &spec.cfg,
-        );
-        MpscChannelBench { tx, rx }
-    }
-}
-
-impl BenchQueue for MpscChannelBench {
-    type Handle<'a> = ChannelEndpoints;
-    fn name(&self) -> &'static str {
-        "chan-mpsc"
-    }
-    fn handle(&self) -> Self::Handle<'_> {
-        ChannelEndpoints {
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
-        }
     }
 }
 
@@ -699,8 +630,9 @@ mod tests {
         roundtrip(&YmcBench::new(&spec));
         roundtrip(&CrTurnBench::new(&spec));
         roundtrip(&CcBench::new(&spec));
-        roundtrip(&SpscChannelBench::new(&spec));
-        roundtrip(&MpscChannelBench::new(&spec));
+        roundtrip(&ChannelBench::new(&spec));
+        roundtrip(&ChannelBench::spsc(&spec));
+        roundtrip(&ChannelBench::mpsc(&spec));
         // FAA is not a real queue; it only counts.
         let f = FaaBench::new(&spec);
         let mut h = f.handle();
@@ -717,8 +649,8 @@ mod tests {
         assert_eq!(UnboundedWcqBench::new(&spec).name(), "wCQ-unbounded");
         assert_eq!(UnboundedScqBench::new(&spec).name(), "LSCQ");
         assert_eq!(ChannelBench::new(&spec).name(), "wCQ-channel");
-        assert_eq!(SpscChannelBench::new(&spec).name(), "chan-spsc");
-        assert_eq!(MpscChannelBench::new(&spec).name(), "chan-mpsc");
+        assert_eq!(ChannelBench::spsc(&spec).name(), "chan-spsc");
+        assert_eq!(ChannelBench::mpsc(&spec).name(), "chan-mpsc");
     }
 
     #[test]
@@ -728,7 +660,7 @@ mod tests {
             ring_order: 10,
             ..QueueSpec::default()
         };
-        let (senders, per_ring) = MpscChannelBench::geometry(&spec);
+        let (senders, per_ring) = ChannelBench::mpsc_geometry(&spec);
         assert_eq!(senders, 4);
         assert_eq!(senders << per_ring, 1 << 10, "capacity split, not multiplied");
         // The per-ring floor inflates tiny splits rather than underflowing.
@@ -737,7 +669,7 @@ mod tests {
             ring_order: 3,
             ..QueueSpec::default()
         };
-        let (_, per_ring) = MpscChannelBench::geometry(&spec);
+        let (_, per_ring) = ChannelBench::mpsc_geometry(&spec);
         assert!(per_ring >= 2);
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wcq::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use wcq::sync::{block_on, RecvError, SendError};
-use wcq::WcqConfig;
+use wcq::{WcqConfig, WcqQueue};
 
 fn oversubscribed(n: usize) -> usize {
     let cores = std::thread::available_parallelism()
@@ -81,7 +81,7 @@ fn bounded_mpmc_on_spawned_threads() {
 fn bounded_mpmc_stress_config() {
     let workers = oversubscribed(8).min(12);
     let (p, c) = (workers / 2, workers / 2);
-    let (tx, rx) = channel::bounded_with_config::<u64>(5, p + c + 2, &WcqConfig::stress());
+    let (tx, rx) = channel::over(WcqQueue::<u64>::with_config(5, p + c + 2, &WcqConfig::stress()));
     mpmc_exact_delivery(tx, rx, p, c, 1_000);
 }
 
@@ -269,7 +269,7 @@ fn sender_clone_churn_exact_delivery() {
     // Endpoint churn through the channel surface: every send creates,
     // uses, and drops a fresh Sender clone (register + quiesced release
     // per item), while a long-lived receiver drains.
-    let (tx, mut rx) = channel::bounded_with_config::<u64>(5, 4, &WcqConfig::stress());
+    let (tx, mut rx) = channel::over(WcqQueue::<u64>::with_config(5, 4, &WcqConfig::stress()));
     let feeders: Vec<_> = (0..2u64)
         .map(|p| {
             let tx = tx.clone();

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use wcq::sync::SyncQueue;
-use wcq::{ShardedWcq, UnboundedWcq, WcqConfig, WcqQueue};
+use wcq::{Hold, ShardedWcq, UnboundedWcq, WcqConfig, WcqHandle, WcqQueue};
 
 /// 4×-core oversubscription, floored so small CI hosts still get enough
 /// threads to overlap a helper's drive window with a drop + re-register.
@@ -113,20 +113,17 @@ fn check_conservation(produced: u64, consumed: Vec<u64>, drained: Vec<u64>) {
 const OPS_PER_ROUND: u64 = 32;
 const ROUNDS: usize = 200;
 
-#[test]
-fn wcq_register_op_drop_churn() {
-    let workers = churn_workers();
-    // Fewer slots than workers: registration itself churns and handles
-    // recycle tids constantly. Stress config keeps the slow path (and so
-    // the helpers) engaged on nearly every contended op.
-    let slots = (workers / 2).clamp(2, 16);
-    let q: WcqQueue<u64> = WcqQueue::with_config(5, slots, &WcqConfig::stress());
-    let owners = TidOwners::new(slots);
+/// The wCQ churn scenario, for either way of holding the queue.
+fn wcq_churn<H>(q: &WcqQueue<u64>, register: impl Fn() -> Option<WcqHandle<u64, H>> + Sync)
+where
+    H: Hold<WcqQueue<u64>> + Send,
+{
+    let owners = TidOwners::new(q.max_threads());
     let (produced, consumed) = churn_rounds(
-        workers,
+        churn_workers(),
         ROUNDS,
         || loop {
-            match q.register() {
+            match register() {
                 Some(h) => {
                     let tid = h.tid();
                     break (h, tid);
@@ -150,9 +147,32 @@ fn wcq_register_op_drop_churn() {
         },
         &owners,
     );
-    let mut h = q.register().unwrap();
+    let mut h = register().unwrap();
     let drained = std::iter::from_fn(|| h.dequeue()).collect();
     check_conservation(produced, consumed, drained);
+}
+
+/// Fewer slots than workers: registration itself churns and handles
+/// recycle tids constantly. Stress config keeps the slow path (and so the
+/// helpers) engaged on nearly every contended op.
+fn churned_wcq() -> WcqQueue<u64> {
+    let slots = (churn_workers() / 2).clamp(2, 16);
+    WcqQueue::with_config(5, slots, &WcqConfig::stress())
+}
+
+#[test]
+fn wcq_register_op_drop_churn() {
+    let q = churned_wcq();
+    wcq_churn(&q, || q.register());
+}
+
+#[test]
+fn owned_handle_churn() {
+    // The same scenario through `register_owned`: every worker's handles
+    // hold the queue by `Arc` (tests/handles.rs covers their move into
+    // plain spawned threads).
+    let q = Arc::new(churned_wcq());
+    wcq_churn(&q, || q.register_owned());
 }
 
 #[test]
@@ -229,64 +249,6 @@ fn unbounded_register_op_drop_churn() {
     let mut h = q.register().unwrap();
     let drained = std::iter::from_fn(|| h.dequeue()).collect();
     check_conservation(produced, consumed, drained);
-}
-
-#[test]
-fn owned_handle_churn_on_spawned_threads() {
-    // The owned registration paths under churn, on plain spawned threads
-    // (no scope): every worker owns the queue through its handles.
-    let workers = churn_workers();
-    let slots = (workers / 2).clamp(2, 16);
-    let q: Arc<WcqQueue<u64>> = Arc::new(WcqQueue::with_config(5, slots, &WcqConfig::stress()));
-    let owners = Arc::new(TidOwners::new(slots));
-    let next_value = Arc::new(AtomicU64::new(0));
-    let sink = Arc::new(Mutex::new(Vec::new()));
-    let threads: Vec<_> = (0..workers)
-        .map(|_| {
-            let q = Arc::clone(&q);
-            let owners = Arc::clone(&owners);
-            let next_value = Arc::clone(&next_value);
-            let sink = Arc::clone(&sink);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..ROUNDS {
-                    let mut h = loop {
-                        match q.register_owned() {
-                            Some(h) => break h,
-                            None => std::thread::yield_now(),
-                        }
-                    };
-                    owners.claim(h.tid());
-                    for _ in 0..OPS_PER_ROUND {
-                        let v = next_value.fetch_add(1, SeqCst);
-                        while h.enqueue(v).is_err() {
-                            if let Some(x) = h.dequeue() {
-                                got.push(x);
-                            }
-                        }
-                        if let Some(x) = h.dequeue() {
-                            got.push(x);
-                        }
-                    }
-                    owners.release(h.tid());
-                    drop(h);
-                }
-                sink.lock().unwrap().extend(got);
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    let mut h = q.register_owned().unwrap();
-    let drained = std::iter::from_fn(|| h.dequeue()).collect();
-    check_conservation(
-        next_value.load(SeqCst),
-        Arc::try_unwrap(sink)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_default(),
-        drained,
-    );
 }
 
 #[test]

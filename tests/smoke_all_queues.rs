@@ -7,8 +7,7 @@
 
 use harness::model::{check_delivery, tag, DeliveryLog};
 use harness::queues::{
-    BenchQueue, CcBench, ChannelBench, CrTurnBench, FaaBench, LcrqBench, MpscChannelBench,
-    MsBench, QueueHandle, SpscChannelBench,
+    BenchQueue, CcBench, ChannelBench, CrTurnBench, FaaBench, LcrqBench, MsBench, QueueHandle,
     QueueSpec, ScqBench, ShardedWcqBench, UnboundedScqBench, UnboundedWcqBench, WcqBench,
     YmcBench,
 };
@@ -92,8 +91,8 @@ fn topology_channels_smoke() {
     // MPMC-shaped traffic over topology-declared channels: the declared
     // fast path is exceeded immediately, so this is the spine-graft
     // conformance row — exact delivery must survive the upgrade.
-    smoke(&SpscChannelBench::new(&spec()));
-    smoke(&MpscChannelBench::new(&spec()));
+    smoke(&ChannelBench::spsc(&spec()));
+    smoke(&ChannelBench::mpsc(&spec()));
 }
 
 #[test]

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use wcq::channel;
+use wcq::topology::TopoCore;
 use wcq::WcqConfig;
 
 fn oversubscribed(n: usize) -> usize {
@@ -26,7 +27,7 @@ fn upgrade_run(cfg: &WcqConfig, per: u64) {
     // Spine slots: seat producer + every excess sender + the receiver may
     // hold one simultaneously, plus headroom for thread-churn laggards.
     let slots = (extra + 2) * 2;
-    let (tx, mut rx) = channel::spsc_with_config::<u64>(10, slots, cfg);
+    let (tx, mut rx) = channel::over(TopoCore::<u64>::spsc(10, slots, cfg));
 
     let total = Arc::new(AtomicU64::new(0));
     let checksum = Arc::new(AtomicU64::new(0));
