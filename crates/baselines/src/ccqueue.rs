@@ -9,6 +9,9 @@
 //! either spins until a combiner executes it or becomes the combiner itself
 //! and executes up to `COMBINE_LIMIT` pending requests against the
 //! sequential queue.
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -108,6 +111,9 @@ impl CcQueue {
         // Spin-then-yield: on oversubscribed hosts a pure spin starves the
         // combiner of CPU (CC-Synch assumes a core per thread).
         let mut spins = 0u32;
+        // BOUND: wait-edge — requester spins-then-yields until the combiner
+        // executes its op or hands it the baton; delegation per pass is
+        // capped by COMBINE_LIMIT but waits on the combiner thread to run
         loop {
             // SAFETY: `cur` stays valid (arena-owned).
             match unsafe { (*cur).state.load(SeqCst) } {
@@ -136,6 +142,8 @@ impl CcQueue {
         let mut node = cur;
         let mut my_result = None;
         let mut executed = 0usize;
+        // BOUND: const — combiner pass executes at most COMBINE_LIMIT
+        // delegated ops before passing the baton
         loop {
             // SAFETY: nodes are arena-owned; `next` was published before the
             // requester started spinning.
@@ -278,6 +286,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

@@ -14,6 +14,9 @@
 //! paper's figures show for CRTurn (slowest truly-nonblocking contender).
 //!
 //! Values are `u64`; nodes are reclaimed with hazard pointers.
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use hazard::{Domain, HpHandle};
 use std::ptr;
@@ -89,6 +92,8 @@ impl CrTurnQueue {
 impl Drop for CrTurnQueue {
     fn drop(&mut self) {
         let mut p = *self.head.get_mut();
+        // BOUND: finite-iter — drop walks the remaining node chain once
+        // under exclusive access
         while !p.is_null() {
             // SAFETY: exclusive access in drop.
             let boxed = unsafe { Box::from_raw(p) };
@@ -118,6 +123,9 @@ impl CrTurnHandle<'_> {
         let tid = self.tid();
         let my_node = Node::boxed(v, tid);
         self.q.enqueuers[tid].store(my_node, SeqCst);
+        // BOUND: helping-bounded — CRTurn enqueue: every pass helps the
+        // current turn's request; this thread's request is cleared within a
+        // bounded number of turns (wait-free by construction)
         loop {
             if self.q.enqueuers[tid].load(SeqCst).is_null() {
                 self.hp.clear_slot(0);
@@ -170,6 +178,9 @@ impl CrTurnHandle<'_> {
     /// Lock-free dequeue via `deqTid` claiming; `None` when empty.
     pub fn dequeue(&mut self) -> Option<u64> {
         let tid = self.tid();
+        // BOUND: helping-bounded — CRTurn dequeue: deqTid turn claiming
+        // guarantees each request is served within one rotation of active
+        // threads
         loop {
             let lhead = self.hp.protect(0, &self.q.head);
             if lhead != self.q.head.load(SeqCst) {
@@ -278,6 +289,8 @@ mod tests {
         let mut h = q.register().unwrap();
         let mut n = 0;
         let mut last = [-1i64; 2];
+        // BOUND: finite-iter — test drains the finite set of
+        // already-enqueued items
         while let Some(v) = h.dequeue() {
             let (p, i) = ((v >> 32) as usize, (v & 0xffff_ffff) as i64);
             assert!(i > last[p], "per-producer FIFO violated");
@@ -311,6 +324,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register().unwrap();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

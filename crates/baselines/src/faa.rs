@@ -4,6 +4,9 @@
 //! atomically increments Head and Tail when calling Dequeue and Enqueue
 //! respectively. FAA is only shown to provide a theoretical performance
 //! 'upper bound' for F&A-based queues." (§6)
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};

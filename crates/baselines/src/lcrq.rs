@@ -9,6 +9,9 @@
 //!
 //! Values are `u64` below `u64::MAX` (the all-ones word is the cell-empty
 //! sentinel, as in the original implementation).
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use crossbeam_utils::CachePadded;
 use dwcas::AtomicPair;
@@ -56,6 +59,8 @@ impl Crq {
     fn enqueue(&self, v: u64) -> Result<(), ()> {
         debug_assert_ne!(v, EMPTY);
         let mut tries = 0u32;
+        // BOUND: retry-budget — closes the ring after MAX_TRIES failed
+        // ticket claims; the caller then appends a fresh CRQ
         loop {
             let t_raw = self.tail.fetch_add(1, SeqCst);
             if t_raw & CLOSED != 0 {
@@ -86,9 +91,14 @@ impl Crq {
 
     /// Dequeue from this ring; `None` when it is currently empty.
     fn dequeue(&self) -> Option<u64> {
+        // BOUND: wait-edge — lock-free CRQ dequeue: a retried pass means a
+        // concurrent op moved head/tail; returns None once head reaches
+        // tail
         loop {
             let h = self.head.fetch_add(1, SeqCst);
             let cell = &self.ring[(h & self.mask) as usize];
+            // BOUND: wait-edge — cell word CAS retry: re-loops only when
+            // the cell changed underneath; O(1) transitions per head index
             loop {
                 let (val, idx_word) = cell.load2();
                 let ix = idx_word & !UNSAFE;
@@ -131,6 +141,8 @@ impl Crq {
 
     /// Drag a lagging tail up to head after observing emptiness.
     fn fix_state(&self) {
+        // BOUND: wait-edge — fix_state CAS retry: failure implies another
+        // thread already advanced tail (lock-free)
         loop {
             let h = self.head.load(SeqCst);
             let t_raw = self.tail.load(SeqCst);
@@ -191,6 +203,8 @@ impl Lcrq {
 impl Drop for Lcrq {
     fn drop(&mut self) {
         let mut p = *self.head.get_mut();
+        // BOUND: finite-iter — drop walks the remaining ring chain once
+        // under exclusive access
         while !p.is_null() {
             // SAFETY: exclusive access in drop.
             let boxed = unsafe { Box::from_raw(p) };
@@ -208,6 +222,9 @@ pub struct LcrqHandle<'q> {
 impl LcrqHandle<'_> {
     /// Lock-free enqueue.
     pub fn enqueue(&mut self, v: u64) {
+        // BOUND: wait-edge — outer-list enqueue retry: each failure implies
+        // another thread appended or closed a ring (lock-free, by design of
+        // the baseline)
         loop {
             let ltail = self.hp.protect(0, &self.q.tail);
             // SAFETY: ltail protected.
@@ -248,6 +265,8 @@ impl LcrqHandle<'_> {
 
     /// Lock-free dequeue; `None` when empty.
     pub fn dequeue(&mut self) -> Option<u64> {
+        // BOUND: wait-edge — outer-list dequeue retry: each failure implies
+        // another thread unlinked an empty ring
         loop {
             let lhead = self.hp.protect(0, &self.q.head);
             // SAFETY: lhead protected.
@@ -328,6 +347,8 @@ mod tests {
                 next_out += 1;
             }
         }
+        // BOUND: finite-iter — test drains the finite set of
+        // already-enqueued items
         while let Some(v) = h.dequeue() {
             assert_eq!(v, next_out);
             next_out += 1;
@@ -359,6 +380,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register().unwrap();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

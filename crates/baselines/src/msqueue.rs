@@ -4,6 +4,9 @@
 //! "A well-known Michael & Scott's lock-free queue which is not very
 //! performant." (§6) Every operation CASes the shared `Head`/`Tail`, which
 //! is exactly why it scales poorly compared to the F&A-based designs.
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use hazard::{Domain, HpHandle};
 use std::ptr;
@@ -67,6 +70,8 @@ impl Drop for MsQueue {
     fn drop(&mut self) {
         // Free the remaining chain (sentinel included).
         let mut p = *self.head.get_mut();
+        // BOUND: finite-iter — drop walks the remaining node chain once
+        // under exclusive access
         while !p.is_null() {
             // SAFETY: exclusive access in drop; nodes were Box-allocated.
             let boxed = unsafe { Box::from_raw(p) };
@@ -85,6 +90,8 @@ impl MsHandle<'_> {
     /// Lock-free enqueue.
     pub fn enqueue(&mut self, v: u64) {
         let node = Node::boxed(v);
+        // BOUND: wait-edge — M&S enqueue CAS retry: a failed append means
+        // another enqueuer appended first (lock-free)
         loop {
             let ltail = self.hp.protect(0, &self.q.tail);
             // SAFETY: ltail is protected and was reachable via `tail`.
@@ -113,6 +120,8 @@ impl MsHandle<'_> {
 
     /// Lock-free dequeue; `None` when empty.
     pub fn dequeue(&mut self) -> Option<u64> {
+        // BOUND: wait-edge — M&S dequeue CAS retry: a failed head swing
+        // means another dequeuer took the node
         loop {
             let lhead = self.hp.protect(0, &self.q.head);
             let ltail = self.q.tail.load(SeqCst);
@@ -204,6 +213,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register().unwrap();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

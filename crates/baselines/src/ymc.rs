@@ -17,6 +17,9 @@
 //! with fresh tickets. This keeps the measured fast path and memory
 //! behaviour while avoiding the (independently known-flawed, see
 //! Ramalhete & Correia) wait-free bookkeeping.
+//!
+//! ORDERING: baseline kept at its paper's SC presentation for fidelity; perf
+//! parity, not ordering tuning, is the goal (DESIGN.md)
 
 use crossbeam_utils::CachePadded;
 use std::ptr;
@@ -155,6 +158,8 @@ impl YmcQueue {
         // SAFETY: only the reclaim-lock holder advances seg_head, and no
         // handle navigates below its published hzd (≥ limit).
         unsafe {
+            // BOUND: finite-iter — reclaim walk: segment id strictly
+            // increases toward `limit` each step
             while (*p).id < limit {
                 let next = (*p).next.load(SeqCst);
                 if next.is_null() {
@@ -173,6 +178,8 @@ impl YmcQueue {
 impl Drop for YmcQueue {
     fn drop(&mut self) {
         let mut p = *self.seg_head.get_mut();
+        // BOUND: finite-iter — drop walks the remaining segment chain once
+        // under exclusive access
         while !p.is_null() {
             // SAFETY: exclusive access in drop.
             let boxed = unsafe { Box::from_raw(p) };
@@ -219,6 +226,9 @@ impl YmcHandle<'_> {
         // segments ahead of it are never freed before it.
         unsafe {
             debug_assert!((*s).id <= seg_id, "navigation went backwards");
+            // BOUND: finite-iter — find_cell navigation: id strictly
+            // increases toward `seg_id`, allocating missing segments on the
+            // way
             while (*s).id < seg_id {
                 let mut next = (*s).next.load(SeqCst);
                 if next.is_null() {
@@ -250,6 +260,9 @@ impl YmcHandle<'_> {
     pub fn enqueue(&mut self, v: u64) {
         debug_assert!(v < u64::MAX - VAL_OFFSET);
         self.op_prologue();
+        // BOUND: wait-edge — ticket retry: the simplified YMC stand-in is
+        // lock-free, not the paper's wait-free path; a burned ticket
+        // implies concurrent progress
         loop {
             let t = self.q.tail.fetch_add(1, SeqCst);
             let cell = Self::find_cell(&mut self.enq_seg, t, &self.q.live_segments);
@@ -266,11 +279,15 @@ impl YmcHandle<'_> {
     /// Dequeue; `None` when empty.
     pub fn dequeue(&mut self) -> Option<u64> {
         self.op_prologue();
+        // BOUND: wait-edge — dequeue ticket retry (lock-free stand-in);
+        // empty exit via fix_state
         loop {
             let h = self.q.head.fetch_add(1, SeqCst);
             let cell = Self::find_cell(&mut self.deq_seg, h, &self.q.live_segments);
             // Bounded wait for the matching enqueuer (helping stand-in).
             let mut spins = 0u32;
+            // BOUND: retry-budget — waits for the matching enqueuer at most
+            // DEQ_PATIENCE spins, then abandons the cell
             while cell.load(SeqCst) == CELL_EMPTY && spins < DEQ_PATIENCE {
                 spins += 1;
                 std::hint::spin_loop();
@@ -290,6 +307,8 @@ impl YmcHandle<'_> {
 
     /// `fix_state`: drag a lagging tail up to head after an empty dequeue.
     fn fix_state(&self, h: u64) {
+        // BOUND: wait-edge — fix_state CAS retry: failure implies another
+        // thread already advanced tail
         loop {
             let t = self.q.tail.load(SeqCst);
             if t >= h {
@@ -410,6 +429,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register().unwrap();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

@@ -169,8 +169,9 @@ fn ablate_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Registration-slot orderings (the ORDERINGS.md SeqCst → Acquire/Release
-/// downgrade, weak-DST proven by `dst_slot_handoff_*`): the claim/release
+/// Registration-slot orderings (the SeqCst → Acquire/Release downgrade
+/// argued at `wcq::queue`'s `acquire_slot`/`release_slot`, weak-DST proven
+/// by `dst_slot_handoff_*`): the claim/release
 /// pair at both ordering levels — on x86-64 the release store compiles to
 /// a plain `mov` where the SeqCst store needs `xchg` — plus the real
 /// `register()`/drop cycle, which now rides the downgraded pair.
@@ -199,7 +200,7 @@ fn ablate_slot_orderings(c: &mut Criterion) {
     g.finish();
 }
 
-/// Adaptive backoff (the LOOPS.md wait-edge pacing shared by the
+/// Adaptive backoff (the `wait-edge` pacing shared by the
 /// `!drained()` residue spin, the endpoint-slot wait, and the
 /// stranded-residue hint): the full `Backoff` ladder against the
 /// constant-yield loop it replaced, plus the adopted path at queue level —
@@ -247,8 +248,8 @@ fn ablate_backoff(c: &mut Criterion) {
     g.finish();
 }
 
-/// Eventcount `listen` epoch-load ordering (the ORDERINGS.md
-/// `sync.rs` Relaxed row, weak-DST proven by
+/// Eventcount `listen` epoch-load ordering (the `Relaxed` load argued at
+/// `wcq::sync::Eventcount::listen`, weak-DST proven by
 /// `dst_eventcount_listen_relaxed_is_sufficient`): the distilled
 /// listen-then-probe pair at both orderings — on x86-64 both loads compile
 /// to `mov`, so any delta is compiler reordering freedom; the row

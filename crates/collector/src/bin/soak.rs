@@ -69,6 +69,7 @@ fn parse_args() -> Result<(SoakCfg, bool), String> {
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or_else(|| format!("{flag} wants a value"))
     };
+    // BOUND: finite-iter — consumes the finite argv iterator
     while let Some(a) = args.next() {
         match a.as_str() {
             "--threads" => cfg.producers = next(&mut args, "--threads")?.parse().map_err(|e| format!("--threads: {e}"))?,

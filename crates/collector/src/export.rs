@@ -121,8 +121,9 @@ impl FailEvery {
 
 impl FaultInjector for FailEvery {
     fn before_attempt(&self) -> FaultAction {
-        // Relaxed: the counter only sequences faults against attempts on
-        // the same (single) exporter thread; cross-thread order is moot.
+        // ORDERING: fault-injection attempt counter; only sequences
+        // injected faults against attempts on the single exporter thread,
+        // cross-thread order immaterial — cover: dst model 8
         let k = self.attempts.fetch_add(1, Relaxed) + 1;
         if k.is_multiple_of(self.n) {
             FaultAction::Fail
@@ -158,6 +159,9 @@ impl StallFor {
 
 impl FaultInjector for StallFor {
     fn before_attempt(&self) -> FaultAction {
+        // ORDERING: fault-injection attempt counter; only sequences
+        // injected faults against attempts on the single exporter thread,
+        // cross-thread order immaterial
         let k = self.attempts.fetch_add(1, Relaxed) + 1;
         if k.is_multiple_of(self.every) {
             FaultAction::Stall(self.dur)

@@ -57,6 +57,10 @@ pub struct Metrics {
     global: CachePadded<GlobalBlock>,
 }
 
+// ORDERING: pure statistical tally (accepted/shed/exported/dropped, flush
+// and failure counts); carries no synchronization — totals are only read
+// exactly after every pipeline thread is joined (DESIGN.md §14) — cover:
+// dst model 8
 impl Metrics {
     /// Counters for `shards` ingest shards, all zero.
     pub fn new(shards: usize) -> Metrics {
@@ -73,6 +77,9 @@ impl Metrics {
 
     pub(crate) fn on_accept(&self, shard: usize, span: &Span) {
         self.shards[shard].accepted.fetch_add(1, Relaxed);
+        // ORDERING: order-independent conservation checksum; XOR commutes
+        // so interleaving is immaterial, and the accepted == exported ^
+        // dropped identity is checked post-join only
         self.global.accepted_ck.fetch_xor(span.checksum(), Relaxed);
     }
 
@@ -82,11 +89,17 @@ impl Metrics {
 
     pub(crate) fn on_export(&self, shard: usize, span: &Span) {
         self.shards[shard].exported.fetch_add(1, Relaxed);
+        // ORDERING: order-independent conservation checksum; XOR commutes
+        // so interleaving is immaterial, and the accepted == exported ^
+        // dropped identity is checked post-join only
         self.global.exported_ck.fetch_xor(span.checksum(), Relaxed);
     }
 
     pub(crate) fn on_drop(&self, shard: usize, span: &Span) {
         self.shards[shard].dropped.fetch_add(1, Relaxed);
+        // ORDERING: order-independent conservation checksum; XOR commutes
+        // so interleaving is immaterial, and the accepted == exported ^
+        // dropped identity is checked post-join only
         self.global.dropped_ck.fetch_xor(span.checksum(), Relaxed);
     }
 
@@ -109,6 +122,9 @@ impl Metrics {
     /// (a span can be accepted but not yet exported — that is the
     /// [`MetricsSnapshot::inflight`] gauge); after shutdown they are
     /// exact.
+    // ORDERING: relaxed point-in-time snapshot by design — documented as
+    // possibly lagging mid-flight (inflight gauge); exact once the pipeline
+    // is joined
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut s = MetricsSnapshot {
             per_shard: Vec::with_capacity(self.shards.len()),

@@ -314,6 +314,8 @@ impl Worker {
     fn run(mut self) {
         let mut buf: Vec<Span> = Vec::with_capacity(self.batch_max);
         let mut opened: Option<Instant> = None;
+        // BOUND: wait-edge — worker service loop: sweeps lanes until
+        // recv_any reports every lane Closed, then flushes and exits
         loop {
             // Sweep every lane while there is room in the batch. A lane
             // that closed mid-sweep just yields nothing here; recv_any
@@ -408,6 +410,8 @@ impl<E: Exporter> ExportStage<E> {
     fn run(mut self) -> (E, Vec<u64>) {
         // `recv` without a timeout only ever yields a value or Closed;
         // Closed here means every worker has flushed its final batch.
+        // BOUND: wait-edge — exporter drains until the batch channel
+        // closes, which means every worker flushed its final batch
         while let Ok(batch) = self.rx.recv() {
             self.export_batch(batch);
         }

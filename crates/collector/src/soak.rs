@@ -153,6 +153,9 @@ pub fn run_soak(cfg: &SoakCfg) -> SoakReport {
                 let begin = Instant::now();
                 let mut submitted = 0u64;
                 let mut seq = 0u64;
+                // BOUND: wait-edge — paced submit loop: exits when the
+                // configured soak deadline passes (wall-clock bound,
+                // checked every 256 spans)
                 loop {
                     // Stride of 256 between deadline/pacing checks keeps
                     // the Instant reads off the per-span fast path.

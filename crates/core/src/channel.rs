@@ -283,6 +283,9 @@ pub fn recv_any<T: Send>(
             }
         }
     };
+    // BOUND: wait-edge — recv_any listen/probe rounds: re-loops only after
+    // a lane's epoch moved (progress elsewhere) or a park woke; deadline
+    // exits via Timeout
     loop {
         // Phase 1: snapshot each lane's epoch, then probe it. The order
         // (listen before probe) is the usual eventcount discipline: a
@@ -354,6 +357,8 @@ pub fn recv_any<T: Send>(
         // Phase 4: park until any registered epoch moves or the deadline
         // passes. Each lane's notify wakes this thread (thread parking is
         // process-global), and the moved epoch tells us which.
+        // BOUND: wait-edge — parks until a registered lane epoch moves or
+        // the deadline passes; spurious unparks re-check every lane
         loop {
             let moved = (0..rxs.len()).any(|i| {
                 tokens[i].is_some()
@@ -701,6 +706,9 @@ impl<T: Send> Sender<T> {
 
 impl<T: Send> Clone for Sender<T> {
     fn clone(&self) -> Self {
+        // ORDERING: endpoint refcount for close-on-last-drop; the ==1
+        // observation must totally order with the peer's count ops — cover:
+        // dst models 5-6
         self.shared.senders.fetch_add(1, SeqCst);
         Sender {
             shared: Arc::clone(&self.shared),
@@ -715,6 +723,8 @@ impl<T: Send> Drop for Sender<T> {
         // drop), then retire from the refcount; last sender out closes the
         // channel so receivers drain and see `Closed`.
         self.cache = None;
+        // ORDERING: endpoint refcount for close-on-last-drop; the ==1
+        // observation must totally order with the peer's count ops
         if self.shared.senders.fetch_sub(1, SeqCst) == 1 {
             self.shared.close();
         }
@@ -808,6 +818,8 @@ impl<T: Send> Receiver<T> {
 
 impl<T: Send> Clone for Receiver<T> {
     fn clone(&self) -> Self {
+        // ORDERING: endpoint refcount for close-on-last-drop; the ==1
+        // observation must totally order with the peer's count ops
         self.shared.receivers.fetch_add(1, SeqCst);
         Receiver {
             shared: Arc::clone(&self.shared),
@@ -819,6 +831,8 @@ impl<T: Send> Clone for Receiver<T> {
 impl<T: Send> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.cache = None;
+        // ORDERING: endpoint refcount for close-on-last-drop; the ==1
+        // observation must totally order with the peer's count ops
         if self.shared.receivers.fetch_sub(1, SeqCst) == 1 {
             // Last reader gone: fail senders fast instead of letting them
             // fill (or grow) a queue nobody will drain.

@@ -10,6 +10,10 @@
 //! Progress: operation-wise lock-free — at least one enqueuer and one
 //! dequeuer complete in a bounded number of steps. Memory usage is fixed at
 //! construction time.
+//!
+//! ORDERING: SCQ ring (paper §2): cycle/threshold invariants assume one
+//! total order over entry RMWs and head/tail F&As; downgrade backlog ROADMAP
+//! item 2
 
 use crate::pack::{pack_s, unpack_s, RingLayout, SEntry};
 use crate::WcqConfig;
@@ -108,6 +112,9 @@ impl ScqRing {
         let t = self.tail.fetch_add(1, SeqCst);
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND: const — retries only when the slot word changed under CAS;
+        // a (slot, cycle) word has O(1) transitions before the guard fails
+        // and the attempt returns
         loop {
             let word = self.entries[j].load(SeqCst);
             let e = unpack_s(l, word);
@@ -147,6 +154,8 @@ impl ScqRing {
         let h = self.head.fetch_add(1, SeqCst);
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND: const — same O(1)-transitions argument for the head
+        // ticket; every path resolves the ticket
         loop {
             let word = self.entries[j].load(SeqCst);
             let e = unpack_s(l, word);
@@ -229,6 +238,10 @@ impl ScqRing {
     #[inline]
     pub fn enqueue(&self, index: u64) {
         debug_assert!(index < self.layout.n());
+        // BOUND: capacity — the ring has 2n entries for at most n live
+        // indices (freelist/allocated usage), so a ticket that lands on an
+        // occupied slot implies other tickets are draining; SCQ's enqueue
+        // terminates when occupancy < capacity
         while self.try_enq(index).is_err() {}
     }
 
@@ -238,6 +251,8 @@ impl ScqRing {
         if self.threshold.load(SeqCst) < 0 {
             return None; // fast empty check
         }
+        // BOUND: threshold — paper 3.2: every failed attempt decrements
+        // `threshold`; at most threshold_reset misses before Empty
         loop {
             match self.try_deq() {
                 Ok(r) => return r,
@@ -322,6 +337,7 @@ impl<T> ScqQueue<T> {
 impl<T> Drop for ScqQueue<T> {
     fn drop(&mut self) {
         // Drain remaining elements so their destructors run.
+        // BOUND: capacity — drop drains at most n remaining elements
         while self.dequeue().is_some() {}
     }
 }
@@ -434,6 +450,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..per {
                     let v = p << 32 | i;
+                    // BOUND: wait-edge — test producer retries a full ring
+                    // until consumers drain
                     loop {
                         if q.enqueue(v).is_ok() {
                             break;
@@ -452,6 +470,8 @@ mod tests {
             let done = Arc::clone(&done);
             chandles.push(std::thread::spawn(move || {
                 let mut local = Vec::new();
+                // BOUND: wait-edge — test consumer drains until producers
+                // set the done flag
                 loop {
                     match q.dequeue() {
                         Some(v) => local.push(v),
@@ -485,6 +505,8 @@ mod tests {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..per {
+                    // BOUND: wait-edge — test producer retries a full ring
+                    // with yield
                     while q.enqueue(p << 32 | i).is_err() {
                         std::thread::yield_now();
                     }
@@ -495,6 +517,8 @@ mod tests {
         let consumer = std::thread::spawn(move || {
             let mut last = vec![-1i64; producers as usize];
             let mut count = 0;
+            // BOUND: wait-edge — test consumer counts up to the fixed
+            // production total
             while count < producers * per {
                 if let Some(v) = q2.dequeue() {
                     let (p, i) = ((v >> 32) as usize, (v & 0xffff_ffff) as i64);

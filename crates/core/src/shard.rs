@@ -152,6 +152,8 @@ impl<T> ShardedWcq<T> {
         for shard in self.shards.iter() {
             shard.quiesce_records(tid);
         }
+        // ORDERING: sharded front-end seat bookkeeping; cold registration
+        // path, kept SeqCst for simplicity
         self.slots[tid].store(false, SeqCst);
     }
 }
@@ -292,6 +294,7 @@ impl<T, H: Hold<ShardedWcq<T>>> SyncQueue for ShardedHandle<T, H> {
     }
 }
 
+// ORDERING: test-only drop counter; ordering irrelevant
 #[cfg(test)]
 mod tests {
     use super::*;

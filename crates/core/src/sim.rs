@@ -107,6 +107,9 @@ mod imp {
         (v as u64, (v >> 64) as u64)
     }
 
+    // ORDERING: DST seam: DWCAS modeled as one SeqCst 128-bit weak location
+    // (cmpxchg16b/LL-SC pairs are full barriers on all supported targets) —
+    // cover: all dst models (wcq_dst builds)
     impl AtomicPair {
         pub const fn new(lo: u64, hi: u64) -> Self {
             Self {
@@ -126,6 +129,9 @@ mod imp {
         #[inline]
         fn mirror(&self, v: u128) {
             let new = unpack(v);
+            // BOUND: wait-edge — DST mirror CAS: retries until the mirror
+            // matches the shadow word; each failure means another mirror
+            // write landed first
             loop {
                 let cur = self.real.load2();
                 if cur == new || self.real.compare_exchange2(cur, new) {

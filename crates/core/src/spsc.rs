@@ -176,6 +176,8 @@ impl<T: Send> Ring<T> {
     }
 }
 
+// ORDERING: own-side cursor or cached peer position; freshness re-checked
+// via the Acquire/Release pair before use — cover: dst models 4-5
 impl<T: Send, L: IndexLayout> Ring<T, L> {
     /// Creates a ring with `2^order` slots in layout `L` — e.g.
     /// `Ring::<u64, Compact>::with_layout(8)` for the ablation shape.
@@ -208,6 +210,9 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     /// `true` while no element is observable. Advisory, like any
     /// concurrent size probe.
     pub fn is_empty_hint(&self) -> bool {
+        // ORDERING: observes the peer's index publication; pairs with the
+        // Release store on the opposite side (slot data race-checked via
+        // DataCell)
         self.cons.head.load(Acquire) == self.prod.tail.load(Acquire)
     }
 
@@ -230,6 +235,10 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     unsafe fn free_slots(&self, tail: usize, want: usize) -> usize {
         let cap = self.buf.len();
         let mut head = self.prod.head_cache.load(Relaxed);
+        // ORDERING: the Acquire load observes the peer's index publication;
+        // pairs with the Release store on the opposite side (slot data
+        // race-checked via DataCell); the Relaxed store is a cache refresh
+        // of an already-acquired peer position; publishes nothing
         if cap - tail.wrapping_sub(head) < want {
             // The snapshot can't cover the request: refresh it from the
             // consumer's line. Keeps single pushes exact at the full edge
@@ -257,6 +266,8 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         // SAFETY: slot `tail & mask` is vacant — the consumer only reads
         // below `tail`, and only this producer writes.
         self.buf[tail & self.mask].with_mut(|p| unsafe { (*p).write(v) });
+        // ORDERING: index publication: releases the slot writes before
+        // handing the range to the peer's Acquire load
         self.prod.tail.store(tail.wrapping_add(1), Release); // publish
         Ok(())
     }
@@ -291,6 +302,10 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     pub(crate) unsafe fn pop(&self) -> Option<T> {
         let head = self.cons.head.load(Relaxed); // consumer-owned index
         let mut tail = self.cons.tail_cache.load(Relaxed);
+        // ORDERING: the Acquire load observes the peer's index publication;
+        // pairs with the Release store on the opposite side (slot data
+        // race-checked via DataCell); the Relaxed store is a cache refresh
+        // of an already-acquired peer position; publishes nothing
         if head == tail {
             tail = self.prod.tail.load(Acquire);
             self.cons.tail_cache.store(tail, Relaxed);
@@ -301,6 +316,8 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         // SAFETY: head < tail, so the slot was initialized by the producer
         // and its write is visible via the Acquire load of `tail`.
         let v = self.buf[head & self.mask].with_mut(|p| unsafe { (*p).assume_init_read() });
+        // ORDERING: index publication: releases the slot writes before
+        // handing the range to the peer's Acquire load
         self.cons.head.store(head.wrapping_add(1), Release); // free the slot
         Some(v)
     }
@@ -313,6 +330,10 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     pub(crate) unsafe fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let head = self.cons.head.load(Relaxed);
         let mut tail = self.cons.tail_cache.load(Relaxed);
+        // ORDERING: the Acquire load observes the peer's index publication;
+        // pairs with the Release store on the opposite side (slot data
+        // race-checked via DataCell); the Relaxed store is a cache refresh
+        // of an already-acquired peer position; publishes nothing
         if tail.wrapping_sub(head) < max {
             // Snapshot can't cover the request — refresh, mirroring the
             // producer's `free_slots` shortfall rule.
@@ -332,17 +353,23 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
                 unsafe { (*p).assume_init_read() }
             }));
         }
+        // ORDERING: index publication: releases the slot writes before
+        // handing the range to the peer's Acquire load
         self.cons.head.store(head.wrapping_add(run), Release);
         run
     }
 }
 
 impl<T: Send, L: IndexLayout> Drop for Ring<T, L> {
+    // ORDERING: own-side cursor or cached peer position; freshness
+    // re-checked via the Acquire/Release pair before use
     fn drop(&mut self) {
         // &mut self: both sides are quiescent; drop the live window.
         let head = self.cons.head.load(Relaxed);
         let tail = self.prod.tail.load(Relaxed);
         let mut i = head;
+        // BOUND: capacity — drop walks head..tail once — at most capacity
+        // slots
         while i != tail {
             // SAFETY: slots in `head..tail` hold initialized elements no
             // endpoint will read again.
@@ -399,6 +426,10 @@ impl<T: Send, L: IndexLayout> Reservation<'_, T, L> {
     /// consumes the reservation. Slots reserved but not written are simply
     /// not published (the producer's `tail` advances by `written`).
     pub fn commit(self) {
+        // ORDERING: index publication: releases the slot writes before
+        // handing the range to the peer's Acquire load. `written` is the
+        // reservation cursor bump on the single-writer side; publication
+        // happens at the Release commit — this store
         self.ring
             .prod
             .tail
@@ -477,6 +508,7 @@ impl<T: Send, L: IndexLayout> Consumer<T, L> {
     }
 }
 
+// ORDERING: test-only drop counter; ordering irrelevant
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +653,8 @@ mod tests {
         let t = std::thread::spawn(move || {
             for i in 0..50_000u64 {
                 let mut v = i;
+                // BOUND: wait-edge — test producer retries a full ring
+                // until the consumer frees space
                 while let Err(back) = tx.push(v) {
                     v = back;
                     std::hint::spin_loop();
@@ -629,6 +663,8 @@ mod tests {
         });
         let mut next = 0u64;
         let mut out = Vec::new();
+        // BOUND: wait-edge — test consumer loops until all 50_000 items
+        // arrive
         while next < 50_000 {
             out.clear();
             if rx.pop_batch(&mut out, 128) == 0 {

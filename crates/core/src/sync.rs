@@ -75,6 +75,10 @@
 //! path. The no-lost-wakeup argument is a Dekker-style flag pair, spelled
 //! out in DESIGN.md §9 and stress-tested at 4× oversubscription in
 //! `tests/blocking_facade.rs`.
+//!
+//! ORDERING: eventcount epoch/waiter-count Dekker with the queue's state
+//! change; the no-lost-wakeup argument needs these in the SeqCst total order
+//! with the queue's RMWs — cover: dst model 5
 
 use crossbeam_utils::CachePadded;
 use std::future::Future;
@@ -107,8 +111,9 @@ use std::time::{Duration, Instant};
 ///
 /// The struct is deliberately *not* a loop bound: it adapts the *cost* of
 /// each retry, never the retry count. Every adopting site keeps (and
-/// documents in LOOPS.md) its own bound argument — `is_completed` merely
-/// signals "pauses are maxed out, park properly if you can".
+/// states in its `// BOUND:` comment) its own bound argument —
+/// `is_completed` merely signals "pauses are maxed out, park properly if
+/// you can".
 ///
 /// ```
 /// use wcq::sync::Backoff;
@@ -186,6 +191,12 @@ impl Backoff {
 /// never drop waits forever.
 pub(crate) fn wait_for_slot<H>(mut register: impl FnMut() -> Option<H>) -> H {
     let mut backoff = Backoff::new();
+    // BOUND: wait-edge — the one slot-wait policy (channel lazy acquisition
+    // and topology spine registration both route here): waits for a peer
+    // endpoint holder to drop one of the queue's max_threads slots; paced
+    // by Backoff::snooze (adaptive spin-then-yield); unbounded only if the
+    // caller undersized max_threads and no holder ever drops (documented on
+    // channel::bounded)
     loop {
         if let Some(h) = register() {
             return h;
@@ -387,6 +398,11 @@ impl Eventcount {
     /// exploration of this exact load at `Relaxed`).
     #[inline]
     pub fn listen(&self) -> u64 {
+        // ORDERING: listen's epoch snapshot is not part of the Dekker pair:
+        // the register path re-reads the epoch under the waiter mutex
+        // before parking, so a stale key costs one retry, never a lost
+        // wakeup (downgraded from SeqCst; bench ablation eventcount_listen)
+        // — cover: dst model 9 (weak)
         self.epoch.load(Relaxed)
     }
 
@@ -420,8 +436,15 @@ impl Eventcount {
     #[inline]
     pub fn notify_all_fenced(&self) {
         if !asymfence::enabled() {
+            // ORDERING: notify_all_fenced symmetric fallback: orders the
+            // caller's plain-store state change before the waiter-count
+            // load when membarrier is unavailable — cover: dst model 5 +
+            // dekker litmus
             crate::sim::fence(SeqCst);
         }
+        // ORDERING: notifier's waiter-count probe on the membarrier path:
+        // the waiter side carries the whole barrier (asymmetric Dekker) —
+        // cover: dst model 5 + dekker litmus
         if self.nwaiters.load(Relaxed) == 0 {
             return;
         }
@@ -473,6 +496,10 @@ impl Eventcount {
     /// `key` (returns `true`) or `deadline` passes (deregisters and
     /// returns `false`). Spurious unparks re-check and re-park.
     pub fn park_registered(&self, token: u64, key: u64, deadline: Option<Instant>) -> bool {
+        // BOUND: wait-edge — parks until the epoch moves past `key` or the
+        // deadline passes; the nwaiters/state Dekker pair (see the
+        // `Eventcount` ORDERING notes) rules out lost wakeups; spurious
+        // unparks re-check — cover: tests/blocking_facade.rs + dst model 9
         loop {
             if self.epoch.load(SeqCst) != key {
                 return true;
@@ -841,6 +868,8 @@ fn enqueue_deadline<Q: SyncQueue>(
     mut v: Q::Item,
     deadline: Option<Instant>,
 ) -> Result<(), SendError<Q::Item>> {
+    // BOUND: wait-edge — blocking enqueue: parks on not_full until a
+    // dequeuer frees space, the queue closes, or the deadline passes
     loop {
         if q.sync_state().is_closed() {
             return Err(SendError::Closed(v));
@@ -885,6 +914,9 @@ fn dequeue_deadline<Q: SyncQueue>(
 ) -> Result<Q::Item, RecvError> {
     // Paces the stranded-residue wait only; the normal path parks instead.
     let mut backoff = Backoff::new();
+    // BOUND: wait-edge — blocking dequeue: parks on not_empty; the
+    // stranded-residue hint branch is paced by Backoff::snooze instead of
+    // parking (degraded-mode path)
     loop {
         let key = q.sync_state().not_empty().listen();
         if let Some(v) = q.try_dequeue() {
@@ -958,6 +990,9 @@ impl<Q: SyncQueue> Future for EnqueueFuture<'_, Q> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mut v = this.v.take().expect("polled after completion");
+        // BOUND: wait-edge — SendFuture poll: re-loops only when the epoch
+        // moved between listen and register (progress elsewhere); otherwise
+        // returns Pending
         loop {
             if this.q.sync_state().is_closed() {
                 this.deregister();
@@ -1026,6 +1061,8 @@ impl<Q: SyncQueue> Future for DequeueFuture<'_, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
+        // BOUND: wait-edge — RecvFuture poll: same listen/register race
+        // re-check as SendFuture; returns Pending once registered
         loop {
             let key = this.q.sync_state().not_empty().listen();
             if let Some(v) = this.q.try_dequeue() {
@@ -1113,6 +1150,8 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     let waker = Waker::from(Arc::new(ThreadWaker(crate::sim::current())));
     let mut cx = Context::from_waker(&waker);
     let mut fut = std::pin::pin!(fut);
+    // BOUND: wait-edge — block_on parks until the waker unparks this
+    // thread; bounded by future completion
     loop {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(v) => return v,
@@ -1154,6 +1193,8 @@ mod tests {
             }));
         }
         // Wait for all three to register, then wake them together.
+        // BOUND: wait-edge — test waits for all three waiters to register
+        // before the broadcast
         while ec.waiters() < 3 {
             std::thread::yield_now();
         }

@@ -154,6 +154,9 @@ impl<T: Send> TopoCore<T> {
     /// rows: `"spsc-ring"`, `"mpsc-rings"`, or — once the overflow lane
     /// exists — `"wcq-spine"`.
     pub fn backend_name(&self) -> &'static str {
+        // ORDERING: seat-table read: observes the seat holder's
+        // publication; pairs with the SeqCst seat claim/store — cover: dst
+        // models 4, 6
         match self.mode.load(Acquire) {
             FAST if self.rings.len() == 1 => "spsc-ring",
             FAST => "mpsc-rings",
@@ -163,6 +166,8 @@ impl<T: Send> TopoCore<T> {
 
     /// `true` once the wCQ spine lane has been grafted on.
     pub fn upgraded(&self) -> bool {
+        // ORDERING: seat-table read: observes the seat holder's
+        // publication; pairs with the SeqCst seat claim/store
         self.mode.load(Acquire) == SPINE
     }
 
@@ -183,6 +188,10 @@ impl<T: Send> TopoCore<T> {
     /// owned by a live endpoint (topology exceeded). The `SeqCst` CAS
     /// pairs with the release store in `TopoEndpoint::drop`, ordering a
     /// dead predecessor's ring accesses before the new owner's.
+    // ORDERING: the Relaxed load is an advisory mode/occupancy probe;
+    // decisions re-validated by the seat CAS; the CAS is the endpoint seat
+    // claim/publish handoff and graft-mode latch; cold path, kept SeqCst
+    // until a weak-DST model argues otherwise
     fn claim_prod_seat(&self) -> Option<usize> {
         for (i, seat) in self.prod_seats.iter().enumerate() {
             if !seat.load(Relaxed) && seat.compare_exchange(false, true, SeqCst, SeqCst).is_ok() {
@@ -192,6 +201,10 @@ impl<T: Send> TopoCore<T> {
         None
     }
 
+    // ORDERING: the Relaxed load is an advisory mode/occupancy probe;
+    // decisions re-validated by the seat CAS; the CAS is the endpoint seat
+    // claim/publish handoff and graft-mode latch; cold path, kept SeqCst
+    // until a weak-DST model argues otherwise
     fn claim_cons_seat(&self) -> bool {
         !self.cons_seat.load(Relaxed)
             && self
@@ -210,8 +223,13 @@ impl<T: Send> TopoCore<T> {
                 &self.cfg,
             ))
         });
+        // ORDERING: advisory mode/occupancy probe; decisions re-validated
+        // by the seat CAS
         if self.mode.load(Relaxed) != SPINE {
             // Release: a reader that sees SPINE sees the initialized lock.
+            // ORDERING: endpoint seat claim/publish handoff and graft-mode
+            // latch; cold path, kept SeqCst until a weak-DST model argues
+            // otherwise
             self.mode.store(SPINE, SeqCst);
             // Parked waiters should re-poll with the new lane in view.
             self.sync.notify_not_empty();
@@ -344,6 +362,8 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
+        // ORDERING: seat-table read: observes the seat holder's
+        // publication; pairs with the SeqCst seat claim/store
         if self.core.mode.load(Acquire) == SPINE {
             let v = self.spine_handle().dequeue();
             if v.is_some() {
@@ -432,6 +452,8 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
+        // ORDERING: seat-table read: observes the seat holder's
+        // publication; pairs with the SeqCst seat claim/store
         if got < max && self.core.mode.load(Acquire) == SPINE {
             got += self.spine_handle().dequeue_batch(out, max - got);
         }
@@ -445,6 +467,8 @@ impl<T: Send> TopoEndpoint<T> {
 }
 
 impl<T: Send> Drop for TopoEndpoint<T> {
+    // ORDERING: endpoint seat claim/publish handoff and graft-mode latch;
+    // cold path, kept SeqCst until a weak-DST model argues otherwise
     fn drop(&mut self) {
         // Hand the seats back so a later endpoint can take over the
         // position (a ring's residue stays where it is; the next seat
@@ -504,6 +528,8 @@ mod tests {
             }
         }
         let mut next = [0u64; 3];
+        // BOUND: finite-iter — test drains already-enqueued items via
+        // try_dequeue until None
         while let Some(v) = rx.try_dequeue() {
             let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
             assert_eq!(seq, next[p], "per-producer FIFO");
@@ -649,6 +675,8 @@ mod tests {
                         for i in 0..64u64 {
                             // Tag above the seed producer's 0..32 range.
                             let mut v = (t as u64 + 1) << 32 | i;
+                            // BOUND: wait-edge — test producer retries a
+                            // full ring until the consumer frees space
                             while let Err(back) = tx.try_enqueue(v) {
                                 v = back;
                                 std::thread::yield_now();
@@ -658,6 +686,8 @@ mod tests {
                 })
                 .collect();
             let mut got = Vec::new();
+            // BOUND: wait-edge — test consumer collects the fixed expected
+            // count
             while got.len() < 32 + 4 * 64 {
                 match rx.try_dequeue() {
                     Some(v) => got.push(v),

@@ -57,6 +57,9 @@
 //! Memory in use is bounded by the live list plus
 //! `max_threads × HP_PER_THREAD` protected rings plus the scan threshold
 //! (see DESIGN.md §8).
+//!
+//! ORDERING: unbounded list-of-rings: node append/retire/seal linearization
+//! relies on the SeqCst total order; downgrade backlog ROADMAP item 2
 
 use crate::hold::Hold;
 use crate::sync::{SyncQueue, SyncState};
@@ -84,6 +87,8 @@ pub trait InnerRing<T>: Sized + Send + Sync {
     fn ring_enqueue_batch(&self, tid: usize, items: &mut Vec<T>) -> usize {
         let mut it = std::mem::take(items).into_iter();
         let mut n = 0;
+        // BOUND: finite-iter — consumes a finite moved-in Vec; stops early
+        // when the ring rejects
         while let Some(v) = it.next() {
             match self.ring_enqueue(tid, v) {
                 Ok(()) => n += 1,
@@ -101,6 +106,8 @@ pub trait InnerRing<T>: Sized + Send + Sync {
     /// returning how many were appended (0 = observed empty).
     fn ring_dequeue_batch(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut n = 0;
+        // BOUND: finite-iter — bounded by `max`; breaks as soon as the ring
+        // observes empty
         while n < max {
             match self.ring_dequeue(tid) {
                 Some(v) => {
@@ -464,6 +471,10 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
     }
 
     fn enqueue_tid(&self, tid: usize, hp: &HpHandle<'_>, mut v: T) {
+        // BOUND: wait-edge — outer-list enqueue CAS retry: each failure
+        // implies another thread appended a ring or advanced tail
+        // (lock-free M&S outer list — the documented non-wait-free layer,
+        // DESIGN.md 13)
         loop {
             let ltail = hp.protect(HP_TAIL, &self.tail);
             // SAFETY: `ltail` was re-validated against `tail` after the
@@ -508,6 +519,9 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
         F: FnMut(&R) -> usize,
     {
         let mut backoff = crate::sync::Backoff::new();
+        // BOUND: wait-edge — re-loops when the drained head ring still has
+        // a mid-flight enqueuer (!drained residue window); paced by
+        // Backoff, reset on progress, donates CPU via yield once hot
         let got = loop {
             let lhead = hp.protect(HP_HEAD, &self.head);
             // SAFETY: as in `enqueue_tid` — validated against `head`, and
@@ -565,6 +579,9 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
         let mut rest = std::mem::take(items);
         rest.reverse();
         let mut chunk: Vec<T> = Vec::new();
+        // BOUND: finite-iter — chunked graft: `rest` strictly shrinks; a
+        // chunk rejected by a closed ring is re-offered to the freshly
+        // appended ring
         while !rest.is_empty() || !chunk.is_empty() {
             if chunk.is_empty() {
                 let take = rest.len().min(chunk_cap);
@@ -607,6 +624,8 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
         max: usize,
     ) -> usize {
         let mut total = 0;
+        // BOUND: finite-iter — bounded by `max`; exits when a whole walk
+        // yields nothing
         while total < max {
             let want = max - total;
             let got = self.dequeue_walk(hp, |ring| ring.ring_dequeue_batch(tid, out, want));
@@ -654,6 +673,8 @@ impl<T, R: InnerRing<T>> Drop for Unbounded<T, R> {
         // `domain` field drops, right after this); here we free the list
         // that is still linked.
         let mut p = *self.head.get_mut();
+        // BOUND: finite-iter — drop walks the remaining ring chain once
+        // under exclusive access
         while !p.is_null() {
             // SAFETY: exclusive access in drop.
             let boxed = unsafe { Box::from_raw(p) };
@@ -822,6 +843,8 @@ mod tests {
                 next_out += 1;
             }
         }
+        // BOUND: finite-iter — test drains the finite set of
+        // already-enqueued items
         while let Some(v) = h.dequeue() {
             assert_eq!(v, next_out);
             next_out += 1;
@@ -909,6 +932,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut h = q.register().unwrap();
                     let mut local = Vec::new();
+                    // BOUND: wait-edge — test consumer drains until
+                    // producers set the done flag
                     loop {
                         match h.dequeue() {
                             Some(v) => local.push(v),

@@ -21,12 +21,18 @@ use std::sync::Arc;
 /// The winning CAS is `Acquire`: it synchronizes with the `Release` store
 /// in [`WcqQueue::release_slot`], so the new owner observes the previous
 /// owner's quiesced record state (the downgrade from `SeqCst` is proven by
-/// the `dst_slot_handoff_*` weak-DST models; see ORDERINGS.md).
+/// the `dst_slot_handoff_*` weak-DST models).
 pub(crate) fn acquire_slot(slots: &[AtomicBool]) -> Option<usize> {
     for (tid, slot) in slots.iter().enumerate() {
+        // ORDERING: registration-scan skip probe; the winning CAS re-checks
+        // with Acquire — cover: dst model 7
         if slot.load(Relaxed) {
             continue; // occupied: don't even attempt the CAS
         }
+        // ORDERING: slot claim: Acquire on success synchronizes with
+        // release_slot's Release store, publishing the quiesced record
+        // state (downgraded from SeqCst) — cover: dst model 7 +
+        // slot_handoff litmus
         if slot.compare_exchange(false, true, Acquire, Relaxed).is_ok() {
             return Some(tid);
         }
@@ -182,10 +188,11 @@ impl<T> WcqQueue<T> {
     /// driving (the handle `Drop`s funnel through here).
     fn release_slot(&self, tid: usize) {
         self.quiesce_records(tid);
-        // `Release` publishes the quiesced record state to whichever thread
-        // claims the slot next via the `Acquire` CAS in [`acquire_slot`] —
-        // the slot flag needs no place in the SeqCst total order, only this
-        // one handoff edge (weak-DST proven; see ORDERINGS.md).
+        // ORDERING: slot release after quiesce: publishes record state to
+        // the next claimant's Acquire CAS (downgraded from SeqCst) in
+        // [`acquire_slot`] — the slot flag needs no place in the SeqCst
+        // total order, only this one handoff edge; cover: dst model 7 +
+        // slot_handoff litmus
         self.slots[tid].store(false, Release);
     }
 
@@ -262,6 +269,8 @@ impl<T> WcqQueue<T> {
         let mut it = std::mem::take(items).into_iter();
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
+        // BOUND: finite-iter — batch enqueue: the moved-in iterator shrinks
+        // every pass; a pass that claims zero free slots exits
         while it.len() > 0 {
             // Claim a run of free slots from `fq` with one F&A...
             let want = it.len().min(BATCH_CHUNK);
@@ -301,6 +310,8 @@ impl<T> WcqQueue<T> {
     pub unsafe fn dequeue_batch_raw(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
+        // BOUND: finite-iter — bounded by `max`; exits when aq yields no
+        // indices
         while total < max {
             let want = (max - total).min(BATCH_CHUNK);
             let got = self.aq.dequeue_batch(tid, &mut idxs[..want]);
@@ -335,6 +346,8 @@ impl<T> Drop for WcqQueue<T> {
         // Drain so remaining elements are dropped.
         // SAFETY: tid 0 exists (`max_threads >= 1`) and `&mut self` rules
         // out any concurrent driver — which also means no waiters to notify.
+        // BOUND: capacity — drop drains at most n remaining elements via
+        // dequeue_raw (no waiters to notify under &mut self)
         while unsafe { self.dequeue_raw(0) }.is_some() {}
     }
 }
@@ -476,6 +489,7 @@ impl<T, H: Hold<WcqQueue<T>>> SyncQueue for WcqHandle<T, H> {
     }
 }
 
+// ORDERING: test-only drop counter; ordering irrelevant
 #[cfg(test)]
 mod tests {
     use super::*;

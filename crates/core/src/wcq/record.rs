@@ -29,6 +29,10 @@
 //! record while inside a handful of instructions to be confused, far beyond
 //! any real schedule (and the exposure window is a single CAS that then
 //! still needs the 48-bit ticket to match).
+//!
+//! ORDERING: helping-record seqlock + request tag (§3.4):
+//! publish/claim/abort edges argued in the paper's SC model — cover: dst
+//! models 1-3
 
 use crate::sim::AtomicU64;
 use std::sync::atomic::{Ordering::Relaxed, Ordering::SeqCst};
@@ -176,6 +180,8 @@ impl ThreadRec {
     /// flag phase 2 must clear.
     #[inline]
     pub fn prepare_phase2(&self, local_addr: usize, tagged_cnt: u64) {
+        // ORDERING: seqlock sequence pre-read; re-validated by the SeqCst
+        // publication pair
         let seq = self.p2_seq1.load(Relaxed).wrapping_add(1);
         self.p2_seq1.store(seq, SeqCst);
         self.p2_local.store(local_addr as u64, SeqCst);

@@ -9,6 +9,10 @@
 //! and sets `FIN`.
 //!
 //! Comments reference figure/line numbers of the SPAA '22 paper.
+//!
+//! ORDERING: wCQ ring protocol (threshold, seqlock phase 2, helping): the
+//! paper's §3 argument is SC; shaving is the ROADMAP item 2 backlog, one
+//! proven edge at a time — cover: dst models 1-3
 
 use crate::pack::{enq_bit, pack_w, unpack_w, RingLayout, WEntry};
 use crate::wcq::record::{cnt_of, tag_from_seq, tag_of, ThreadRec, CNT_MASK, FIN, INC};
@@ -178,6 +182,10 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND: const — retries only when the slot word changed under CAS;
+        // a (slot, cycle) word has O(1) transitions (produce, consume,
+        // invalidate) before the entry guard fails and the attempt returns
+        // — the fast path inserts in one step (Thm 5.9, Enq = 1)
         loop {
             let word = self.entries[j].load_lo(); // value word only
             let e = unpack_w(l, word);
@@ -227,6 +235,9 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND: const — same O(1)-transitions argument for the head
+        // ticket; every exit resolves the ticket (hit, empty via catchup,
+        // miss via threshold)
         loop {
             let word = self.entries[j].load_lo();
             let e = unpack_w(l, word);
@@ -320,6 +331,9 @@ impl WcqRing {
 
     /// Periodically scan one peer for a pending request (Fig. 6 lines 1–12).
     #[inline]
+    // ORDERING: advisory helping-policy counter (next_check/next_tid) or
+    // seqlock pre-read re-validated under SeqCst; no protocol edge rides on
+    // it
     fn help_threads(&self, tid: usize) {
         let rec = &self.records[tid];
         let nc = rec.next_check.load(Relaxed);
@@ -332,6 +346,8 @@ impl WcqRing {
         let thr = &self.records[t];
         // The common no-request case stays a single load; the announce RMWs
         // below run only when a help request was actually observed.
+        // ORDERING: helping protocol edges (announce, re-check, drive,
+        // retire): the file-level argument applies
         if t != tid && thr.pending.load(SeqCst) == 1 {
             // Announce, then RE-CHECK `pending` before driving: a slot
             // release stores `pending = 0` and then waits for
@@ -402,6 +418,9 @@ impl WcqRing {
             "slot released with a pending help request"
         );
         let mut spins = 0u32;
+        // BOUND: wait-edge — quiesce on handle release: waits only for
+        // helpers already inside this record to finish their bounded help
+        // pass; spins QUIESCE_SPIN_BOUND then yields
         while rec.helpers.load(SeqCst) != 0 {
             spins += 1;
             if spins <= QUIESCE_SPIN_BOUND {
@@ -470,6 +489,9 @@ impl WcqRing {
         mylocal: &AtomicU64,
         tag: u64,
     ) -> Option<u64> {
+        // BOUND: helping-bounded — phase-2 local/global agreement (Fig. 7):
+        // a retried pass means the helpee's record advanced (tag moved or
+        // FIN set); paper 3.4 bounds total helper passes per request
         loop {
             let lv = mylocal.load(SeqCst);
             if lv & FIN != 0 || tag_of(lv) != tag {
@@ -519,6 +541,9 @@ impl WcqRing {
         tag: u64,
         dec_threshold: bool,
     ) -> bool {
+        // BOUND: helping-bounded — phase-2 global F&A help: retries only
+        // while concurrent helpers advance the same request; bounded by the
+        // two-phase helping protocol (paper 3.4)
         loop {
             let cnt_opt = self.load_global_help_phase2(global, local, tag);
             let gcnt: u64;
@@ -577,6 +602,9 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND: helping-bounded — slow-path enqueue at a claimed ticket:
+        // O(1) slot transitions per cycle plus FIN cut-off; helpers drive
+        // the request to completion (paper 3.4)
         loop {
             let (val, note) = self.entries[j].load2();
             let e = unpack_w(l, val);
@@ -636,6 +664,9 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND: helping-bounded — slow-path dequeue at a claimed ticket:
+        // same transition bound; every ticket resolves so head never
+        // strands
         loop {
             let (val, note) = self.entries[j].load2();
             let e = unpack_w(l, val);
@@ -697,6 +728,9 @@ impl WcqRing {
     /// `enqueue_slow` (Fig. 7 lines 70–72). `me` owns the phase-2 area.
     fn enqueue_slow(&self, me: &ThreadRec, v0: u64, index: u64, helpee: &ThreadRec, tag: u64) {
         let mut v = v0;
+        // BOUND: helping-bounded — drives slow_faa until the request's FIN
+        // is set; wait-freedom bound of Thm 5.9 (Enq <= patience + bounded
+        // slow-path tickets)
         while self.slow_faa(me, &self.tail, &helpee.local_tail, &mut v, tag, false) {
             if self.try_enq_slow(cnt_of(v), index, helpee, tag) {
                 break;
@@ -707,6 +741,8 @@ impl WcqRing {
     /// `dequeue_slow` (Fig. 7 lines 73–76). `me` owns the phase-2 area.
     fn dequeue_slow(&self, me: &ThreadRec, v0: u64, helpee: &ThreadRec, tag: u64) {
         let mut v = v0;
+        // BOUND: helping-bounded — dequeue twin of the enqueue loop above;
+        // Deq bound from Thm 5.9
         while self.slow_faa(me, &self.head, &helpee.local_head, &mut v, tag, true) {
             if self.try_deq_slow(cnt_of(v), helpee, tag) {
                 break;
@@ -733,6 +769,9 @@ impl WcqRing {
         }
         // == slow path (wCQ) ==
         let rec = &self.records[tid];
+        // ORDERING: advisory helping-policy counter (next_check/next_tid)
+        // or seqlock pre-read re-validated under SeqCst; no protocol edge
+        // rides on it
         let seq = rec.seq1.load(Relaxed);
         let tag = tag_from_seq(seq);
         rec.local_tail.store(tag | tail, SeqCst);
@@ -772,6 +811,9 @@ impl WcqRing {
         }
         // == slow path (wCQ) ==
         let rec = &self.records[tid];
+        // ORDERING: advisory helping-policy counter (next_check/next_tid)
+        // or seqlock pre-read re-validated under SeqCst; no protocol edge
+        // rides on it
         let seq = rec.seq1.load(Relaxed);
         let tag = tag_from_seq(seq);
         rec.local_head.store(tag | head, SeqCst);
@@ -950,6 +992,8 @@ mod tests {
                 let mut h = q.register().expect("producer slot");
                 for i in 0..per {
                     let mut v = p << 32 | i;
+                    // BOUND: wait-edge — test producer retries a full ring
+                    // until consumers drain
                     loop {
                         match h.enqueue(v) {
                             Ok(()) => break,
@@ -970,6 +1014,8 @@ mod tests {
             consumers.push(std::thread::spawn(move || {
                 let mut h = q.register().expect("consumer slot");
                 let mut local = Vec::new();
+                // BOUND: wait-edge — test consumer drains until producers
+                // set the done flag
                 loop {
                     match h.dequeue() {
                         Some(v) => local.push(v),
@@ -1041,6 +1087,8 @@ mod tests {
             let idxs = [round % 4, (round + 1) % 4, (round + 2) % 4];
             r.enqueue_batch(0, &idxs);
             let mut got = Vec::new();
+            // BOUND: wait-edge — test collects exactly 3 indices per round
+            // from its own batch
             while got.len() < 3 {
                 let n = r.dequeue_batch(0, &mut out);
                 got.extend_from_slice(&out[..n]);
@@ -1095,6 +1143,8 @@ mod tests {
                 let mut got = Vec::new();
                 let mut out = [0u64; 8];
                 let mut idle = 0;
+                // BOUND: retry-budget — exits after 10_000 consecutive
+                // empty passes
                 while idle < 10_000 {
                     let n = r.dequeue_batch(c, &mut out);
                     if n == 0 {
@@ -1139,6 +1189,8 @@ mod tests {
             let r = Arc::clone(&r);
             hs.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
+                // BOUND: wait-edge — test circulates indices until 20_000
+                // are seen
                 while seen < 20_000 {
                     if let Some(i) = r.dequeue(tid) {
                         r.enqueue(tid, i);

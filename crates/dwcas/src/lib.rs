@@ -80,6 +80,8 @@ pub struct AtomicPair {
     hi: AtomicU64,
 }
 
+// ORDERING: backend-independent helpers on the exported SeqCst AtomicPair
+// contract
 impl AtomicPair {
     /// Creates a pair initialized to `(lo, hi)`.
     #[inline]
@@ -278,6 +280,8 @@ mod tests {
             let p = Arc::clone(&p);
             thread::spawn(move || {
                 let mut done = 0u64;
+                // BOUND: wait-edge — test CAS retry until 10_000 increments
+                // land
                 while done < 10_000 {
                     let cur = p.load2();
                     if p.compare_exchange2(cur, (cur.0, cur.1 + 1)) {
@@ -297,6 +301,8 @@ mod tests {
     }
 
     #[test]
+    // ORDERING: workload start/stop flags and progress counters; not on a
+    // measured fast path
     fn load2_sees_consistent_snapshots() {
         // A writer CAS2-es from (k, !k) to (k+1, !(k+1)); readers must never
         // observe a pair where hi != !lo.
@@ -307,6 +313,8 @@ mod tests {
                 let p = Arc::clone(&p);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
+                    // BOUND: wait-edge — test reader loops until the stop
+                    // flag
                     while !stop.load(Ordering::Relaxed) {
                         let (lo, hi) = p.load2();
                         assert_eq!(hi, !lo, "torn 128-bit read: lo={lo} hi={hi}");

@@ -31,6 +31,9 @@
 //! the test suite check that wCQ's slow-path requirements ("weak CAS
 //! semantics... only single-word load atomicity when CAS fails. Both
 //! restrictions are acceptable for wCQ") actually hold of the construction.
+//!
+//! ORDERING: LL/SC backend: CAS2 loop must be a full barrier to honor the
+//! AtomicPair contract
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 
@@ -110,6 +113,9 @@ impl<P: SpuriousPolicy> LlScPair<P> {
     /// whole granule.
     #[inline]
     pub fn ll_value(&self) -> (u64, Reservation) {
+        // BOUND: wait-edge — seqlock read: retries only while a writer
+        // holds the odd sequence; writer critical sections are a few word
+        // stores
         loop {
             let s = self.seq.load(SeqCst);
             if s & 1 == 0 {
@@ -125,6 +131,7 @@ impl<P: SpuriousPolicy> LlScPair<P> {
     /// Load-linked on the `Note` word.
     #[inline]
     pub fn ll_note(&self) -> (u64, Reservation) {
+        // BOUND: wait-edge — same odd-sequence retry for the Note word
         loop {
             let s = self.seq.load(SeqCst);
             if s & 1 == 0 {
@@ -214,6 +221,8 @@ impl<P: SpuriousPolicy> LlScPair<P> {
     /// the slow path uses to read `{Value, Note}` together.
     #[inline]
     pub fn load2(&self) -> (u64, u64) {
+        // BOUND: wait-edge — snapshot retry: re-loops when a store
+        // intervened between the value and note reads
         loop {
             let (v, r) = self.ll_value();
             let n = self.load_note_plain();
@@ -284,6 +293,8 @@ mod tests {
         let p = LlScPair::with_policy(0, 0, EveryNth::new(2));
         let mut succeeded = 0;
         for i in 0..100u64 {
+            // BOUND: const — the EveryNth(2) spurious-failure policy
+            // guarantees success within 2 attempts
             loop {
                 let cur = p.load2();
                 if p.cas2_value((cur.0, cur.1), i + 1) {
@@ -312,6 +323,8 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut last_v = 0;
+                    // BOUND: wait-edge — test reader loops until the stop
+                    // flag
                     while !stop.load(SeqCst) {
                         let (v, n) = p.load2();
                         assert!(n == 42 || n == 43, "impossible note {n}");
@@ -327,6 +340,8 @@ mod tests {
                 let p = Arc::clone(&p);
                 std::thread::spawn(move || {
                     for _ in 0..INCS {
+                        // BOUND: wait-edge — test CAS retry until the
+                        // increment lands
                         loop {
                             let (v, n) = p.load2();
                             if p.cas2_value((v, n), v + 1) {
@@ -341,6 +356,8 @@ mod tests {
             let p = Arc::clone(&p);
             std::thread::spawn(move || {
                 for _ in 0..5_000 {
+                    // BOUND: wait-edge — test CAS retry flipping the note
+                    // word
                     loop {
                         let (v, n) = p.load2();
                         let next = if n == 42 { 43 } else { 42 };

@@ -25,6 +25,10 @@
 //! Not lock-free: a writer preempted inside a stripe stalls other writers on
 //! the same stripe. The wCQ paper's wait-freedom claims assume hardware CAS2
 //! or LL/SC; this backend is for portability and the substitution study only.
+//!
+//! ORDERING: portable DWCAS backend: striped seqlock's writer lock and
+//! version bumps must totally order with reader re-validation (DESIGN.md
+//! §3.5)
 
 use crate::AtomicPair;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +69,8 @@ struct Guard {
 
 #[inline]
 fn lock(stripe: &'static Stripe) -> Guard {
+    // BOUND: wait-edge — stripe lock spin: waits out the holder's critical
+    // section (two word stores plus seq bumps)
     loop {
         let v = stripe.seq.load(Ordering::Relaxed);
         if v & 1 == 0
@@ -94,6 +100,8 @@ impl Drop for Guard {
 #[inline]
 pub(crate) fn load2(p: &AtomicPair) -> (u64, u64) {
     let stripe = stripe_for(p);
+    // BOUND: wait-edge — seqlock read retry while a writer is mid-update on
+    // this stripe
     loop {
         let s1 = stripe.seq.load(Ordering::SeqCst);
         if s1 & 1 == 0 {

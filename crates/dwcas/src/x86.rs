@@ -12,6 +12,9 @@
 //! it), so we detect the feature once at runtime and, in the practically
 //! nonexistent case it is absent, route every operation through the portable
 //! stripe-lock backend so mixed-width coherence is preserved.
+//!
+//! ORDERING: cmpxchg16b backend: the instruction is a full barrier; SeqCst
+//! documents the exported contract
 
 use crate::portable;
 use crate::AtomicPair;

@@ -12,6 +12,9 @@
 //! #[global_allocator]
 //! static A: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc;
 //! ```
+//!
+//! ORDERING: counting-allocator diagnostics; ordering immaterial, SeqCst
+//! avoids arguing
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -28,6 +31,8 @@ fn note_alloc(size: usize) {
     let live = LIVE.fetch_add(size, Relaxed) + size;
     // Lock-free max update.
     let mut peak = PEAK.load(Relaxed);
+    // BOUND: threshold — monotone max update: every CAS failure raises the
+    // observed peak, so the gap live-peak strictly shrinks to zero
     while live > peak {
         match PEAK.compare_exchange_weak(peak, live, Relaxed, Relaxed) {
             Ok(_) => break,

@@ -147,6 +147,8 @@ pub fn process_cpu_time() -> Option<Duration> {
 /// # Panics
 /// Panics if any element is lost or duplicated (delivery count mismatch) —
 /// the driver doubles as the facade's lost-wakeup tripwire.
+// ORDERING: workload start/stop flags and progress counters; not on a
+// measured fast path
 pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
     assert!(cfg.producers >= 1 && cfg.consumers >= 1);
     let q: WcqQueue<u64> = WcqQueue::with_config(
@@ -206,6 +208,8 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
                     moved.fetch_add(1, Relaxed);
                 };
                 match cfg.mode {
+                    // BOUND: wait-edge — burst consumer: dequeue_blocking
+                    // until the queue closes
                     ConsumerMode::Block => loop {
                         match h.dequeue_blocking() {
                             Ok(stamp) => take(&mut local, stamp),
@@ -213,6 +217,9 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
                             Err(RecvError::Timeout) => unreachable!("no deadline"),
                         }
                     },
+                    // BOUND: wait-edge — spin-mode consumer: polls until
+                    // closed plus one final empty look (same drain
+                    // contract)
                     ConsumerMode::Spin => loop {
                         match h.dequeue() {
                             Some(stamp) => take(&mut local, stamp),
@@ -238,6 +245,8 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
             + cfg.gap * cfg.bursts as u32
             + Duration::from_millis(expected / 10) // ≥100 items/s floor
             + Duration::from_secs(60);
+        // BOUND: wait-edge — delivery wait with an explicit deadline;
+        // panics as a lost-wakeup tripwire instead of hanging
         while moved.load(Relaxed) < expected {
             if Instant::now() >= deadline {
                 // Release the parked workers first or the scope's implicit

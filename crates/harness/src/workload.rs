@@ -106,6 +106,8 @@ fn random_delay(rng: &mut XorShift, max_spins: u32) {
 }
 
 /// Runs one workload once and returns the aggregate result.
+// ORDERING: workload start/stop flags and progress counters; not on a
+// measured fast path
 pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
     // Prefill outside the measured region (Mixed only — Pairwise starts
     // empty by construction and EmptyDequeue must stay empty).
@@ -141,6 +143,8 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                 match wl {
                     Workload::Pairwise => {
                         let mut i = 0u64;
+                        // BOUND: const — ops_per_thread iterations of the
+                        // pairwise pattern
                         while done < cfg.ops_per_thread {
                             let v = (t as u64) << 32 | (i & 0xffff_ffff);
                             let _ = h.enqueue(v);
@@ -153,6 +157,8 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                     }
                     Workload::Mixed5050 => {
                         let mut i = 0u64;
+                        // BOUND: const — ops_per_thread iterations of the
+                        // 50/50 mix
                         while done < cfg.ops_per_thread {
                             if rng.next_u64() & 1 == 0 {
                                 let v = (t as u64) << 32 | (i & 0xffff_ffff);
@@ -166,6 +172,7 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                         }
                     }
                     Workload::EmptyDequeue => {
+                        // BOUND: const — ops_per_thread empty dequeues
                         while done < cfg.ops_per_thread {
                             let r = h.dequeue();
                             debug_assert!(r.is_none(), "empty-dequeue queue must stay empty");

@@ -17,6 +17,10 @@
 //!
 //! All pointer reclamation is `unsafe` at the retire site (the caller
 //! asserts the pointer is unlinked); everything else is safe.
+//!
+//! ORDERING: hazard-pointer protect/validate handshake: the protect store
+//! must order before the re-validation load (classic SeqCst HP; ROADMAP item
+//! 2 backlog)
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -191,6 +195,9 @@ impl<'d> HpHandle<'d> {
     pub fn protect<T>(&self, slot: usize, src: &AtomicPtr<T>) -> *mut T {
         let cell = &self.domain.slots[self.idx].hp[slot];
         let mut p = src.load(SeqCst);
+        // BOUND: wait-edge — publish-validate retry: re-loops only when
+        // `src` changed after the hazard publication; each retry implies a
+        // writer made progress
         loop {
             cell.store(p as usize, SeqCst);
             let q = src.load(SeqCst);
@@ -289,18 +296,22 @@ mod tests {
     use std::sync::atomic::AtomicUsize as Counter;
     use std::sync::Arc;
 
-    static LIVE: Counter = Counter::new(0);
+    /// Live-`Tracked` count. One per test, carried by every node the test
+    /// allocates: `cargo test` runs these tests on parallel threads, so a
+    /// shared static would let one test's allocations fail another's
+    /// exact-count assertions.
+    type Live = Arc<Counter>;
 
-    struct Tracked(#[allow(dead_code)] u64);
+    struct Tracked(#[allow(dead_code)] u64, Live);
     impl Tracked {
-        fn boxed(v: u64) -> *mut Tracked {
-            LIVE.fetch_add(1, SeqCst);
-            Box::into_raw(Box::new(Tracked(v)))
+        fn boxed(v: u64, live: &Live) -> *mut Tracked {
+            live.fetch_add(1, SeqCst);
+            Box::into_raw(Box::new(Tracked(v, Arc::clone(live))))
         }
     }
     impl Drop for Tracked {
         fn drop(&mut self) {
-            LIVE.fetch_sub(1, SeqCst);
+            self.1.fetch_sub(1, SeqCst);
         }
     }
 
@@ -337,56 +348,60 @@ mod tests {
         let d = Domain::new(2);
         let mut h1 = d.register().unwrap();
         let h2 = d.register().unwrap();
-        let p = Tracked::boxed(1);
+        let live = Live::default();
+        let p = Tracked::boxed(1, &live);
         let src = AtomicPtr::new(p);
         let got = h2.protect(0, &src);
         assert_eq!(got, p);
         // SAFETY: we "unlink" p (conceptually) and retire it.
         unsafe { h1.retire(p) };
         h1.flush();
-        assert_eq!(LIVE.load(SeqCst), 1, "protected node must not be freed");
+        assert_eq!(live.load(SeqCst), 1, "protected node must not be freed");
         h2.clear();
         h1.flush();
-        assert_eq!(LIVE.load(SeqCst), 0, "unprotected node is reclaimed");
+        assert_eq!(live.load(SeqCst), 0, "unprotected node is reclaimed");
     }
 
     #[test]
     fn orphans_reclaimed_on_domain_drop() {
+        let live = Live::default();
         {
             let d = Domain::new(2);
             let mut h1 = d.register().unwrap();
             let h2 = d.register().unwrap();
-            let p = Tracked::boxed(2);
+            let p = Tracked::boxed(2, &live);
             let src = AtomicPtr::new(p);
             h2.protect(1, &src);
             // SAFETY: `p` is boxed, unlinked from the test's view here,
             // and retired exactly once.
             unsafe { h1.retire(p) };
             drop(h1); // p still protected by h2 → goes to orphans
-            assert_eq!(LIVE.load(SeqCst), 1);
+            assert_eq!(live.load(SeqCst), 1);
             drop(h2);
         } // domain drop reclaims orphans
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.load(SeqCst), 0);
     }
 
     #[test]
     fn threshold_scan_reclaims_bulk() {
         let d = Domain::new(1);
         let mut h = d.register().unwrap();
+        let live = Live::default();
         for i in 0..200 {
-            let p = Tracked::boxed(i);
+            let p = Tracked::boxed(i, &live);
             // SAFETY: fresh box, never linked anywhere, retired once.
             unsafe { h.retire(p) };
         }
         h.flush();
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.load(SeqCst), 0);
         assert_eq!(h.pending(), 0);
     }
 
     #[test]
     fn concurrent_protect_retire_stress() {
         let d = Arc::new(Domain::new(4));
-        let src = Arc::new(AtomicPtr::new(Tracked::boxed(0)));
+        let live = Live::default();
+        let src = Arc::new(AtomicPtr::new(Tracked::boxed(0, &live)));
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers = Vec::new();
         for _ in 0..2 {
@@ -395,6 +410,7 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 let h = d.register().unwrap();
+                // BOUND: wait-edge — test reader loops until the stop flag
                 while !stop.load(SeqCst) {
                     let p = h.protect(0, &src);
                     // SAFETY: `p` is published in our hazard slot and was
@@ -407,31 +423,38 @@ mod tests {
                 }
             }));
         }
-        {
+        // The writer flushes only after every reader has exited: a reader
+        // still holding a hazard on a retired node would rightly keep it
+        // alive past the flush, and the exact count below would race.
+        let (readers_done, wait_for_readers) = std::sync::mpsc::channel::<()>();
+        let writer = {
             let d = Arc::clone(&d);
             let src = Arc::clone(&src);
-            let writer = std::thread::spawn(move || {
+            let live = Arc::clone(&live);
+            std::thread::spawn(move || {
                 let mut h = d.register().unwrap();
                 for i in 1..2000 {
-                    let fresh = Tracked::boxed(i);
+                    let fresh = Tracked::boxed(i, &live);
                     let old = src.swap(fresh, SeqCst);
                     // SAFETY: the swap unlinked `old`; the single writer
                     // retires each displaced box exactly once.
                     unsafe { h.retire(old) };
                 }
+                stop.store(true, SeqCst);
+                wait_for_readers.recv().unwrap();
                 h.flush();
-            });
-            writer.join().unwrap();
-        }
-        stop.store(true, SeqCst);
+            })
+        };
         for r in readers {
             r.join().unwrap();
         }
+        readers_done.send(()).unwrap();
+        writer.join().unwrap();
         // Last node still linked.
-        assert_eq!(LIVE.load(SeqCst), 1);
+        assert_eq!(live.load(SeqCst), 1);
         // SAFETY: all threads joined; the final node is owned solely by
         // `src`, and this is its unique reclamation.
         unsafe { drop(Box::from_raw(src.load(SeqCst))) };
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.load(SeqCst), 0);
     }
 }

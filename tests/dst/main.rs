@@ -283,7 +283,7 @@ fn dst_degraded_residue_inheritance() {
 
 // ===================================================================
 // Model 7: registration-slot handoff — the SeqCst→Acquire/Release
-// downgrade's proof obligation (ORDERINGS.md)
+// downgrade's proof obligation (argued at `acquire_slot`/`release_slot`)
 // ===================================================================
 
 /// Distilled `acquire_slot`/`release_slot` (wcq/queue.rs): the state a
@@ -351,7 +351,7 @@ fn dst_slot_handoff_relaxed_release_is_flagged() {
 
 // ===================================================================
 // Model 9: eventcount listen — the SeqCst→Relaxed downgrade's proof
-// obligation (ORDERINGS.md)
+// obligation (argued at `Eventcount::listen`)
 // ===================================================================
 
 /// Distilled `Eventcount` (sync.rs): epoch + waiter-count Dekker pair +
