@@ -170,7 +170,7 @@ fn ablate_batch(c: &mut Criterion) {
 }
 
 /// Registration-slot orderings (the SeqCst → Acquire/Release downgrade
-/// argued at `wcq::queue`'s `acquire_slot`/`release_slot`, weak-DST proven
+/// argued at `SlotTable::claim`/`release` in `wcq`'s `ringpair.rs`, weak-DST proven
 /// by `dst_slot_handoff_*`): the claim/release
 /// pair at both ordering levels — on x86-64 the release store compiles to
 /// a plain `mov` where the SeqCst store needs `xchg` — plus the real
@@ -239,7 +239,7 @@ fn ablate_backoff(c: &mut Criterion) {
             };
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let q = harness::queues::UnboundedWcqBench::new(&spec);
+                let q = harness::queues::UnboundedBench::<wcq::WcqRing>::new(&spec);
                 total += run(&q, Workload::Pairwise, &wl_cfg()).elapsed;
             }
             total

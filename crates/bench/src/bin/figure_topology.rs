@@ -14,9 +14,7 @@
 //! * `chan-spsc`      — SPSC-declared channel on its ring fast path.
 //! * `chan-spsc b=64` — same, batched 64-at-a-time (reservation path).
 //! * `chan-mpsc`      — MPSC-declared (4 rings), one sender operating.
-//! * `ring padded`    — raw `spsc::Ring<u64, Padded>` (no channel layer).
-//! * `ring compact`   — cache-layout ablation: same ring, indices packed
-//!   on one line (`Compact`), quantifying what the 128-byte padding buys.
+//! * `ring`           — raw `spsc::Ring<u64>` (no channel layer).
 //! * `spine upgraded` — the `chan-spsc` pair *after* a forced topology
 //!   upgrade: cost returns to wCQ rates, proving the slow path is the
 //!   spine and nothing worse.
@@ -29,7 +27,7 @@ use std::time::Instant;
 use bench::{print_env_banner, BenchOpts, LADDER_X86};
 use harness::stats::Stats;
 use wcq::channel;
-use wcq::spsc::{Compact, IndexLayout, Padded, Ring};
+use wcq::spsc::Ring;
 
 /// 2^12-slot rings: big enough that the pair never trips the full/empty
 /// edge, small enough to stay cache-resident like a real pipeline stage.
@@ -106,9 +104,9 @@ fn bench_mpsc(opts: &BenchOpts) -> Stats {
     })
 }
 
-fn bench_raw_ring<L: IndexLayout>(opts: &BenchOpts) -> Stats {
+fn bench_raw_ring(opts: &BenchOpts) -> Stats {
     stats(opts.reps, || {
-        let (mut p, mut c) = Ring::<u64, L>::with_layout(RING_ORDER).split();
+        let (mut p, mut c) = Ring::<u64>::new(RING_ORDER).split();
         timed(opts.ops, 2, |i| {
             p.push(i).expect("never full");
             assert_eq!(c.pop(), Some(i));
@@ -144,8 +142,7 @@ fn main() {
         ("chan-spsc", bench_spsc(&opts)),
         ("chan-spsc b=64", bench_spsc_batch(&opts)),
         ("chan-mpsc", bench_mpsc(&opts)),
-        ("ring padded", bench_raw_ring::<Padded>(&opts)),
-        ("ring compact", bench_raw_ring::<Compact>(&opts)),
+        ("ring", bench_raw_ring(&opts)),
         ("spine upgraded", bench_upgraded_spine(&opts)),
     ];
     let baseline = rows[0].1.mean;
@@ -172,12 +169,5 @@ fn main() {
         "\nspeedup vs wCQ-channel: chan-spsc {spsc_speedup:.1}x, chan-mpsc {mpsc_speedup:.1}x \
          (target >= 5x: {})",
         if spsc_speedup >= 5.0 { "PASS" } else { "FAIL" }
-    );
-    let pad = rows[4].1.mean;
-    let compact = rows[5].1.mean;
-    println!(
-        "layout ablation: padded {pad:.1} vs compact {compact:.1} Mops/s \
-         ({:.2}x; expect ~1x single-thread — padding pays off cross-core)",
-        pad / compact
     );
 }

@@ -13,10 +13,11 @@
 //! (respects the `WCQ_BENCH_*` knobs; see the bench crate docs.)
 
 use bench::{print_env_banner, BenchOpts, LADDER_X86};
-use harness::queues::{QueueSpec, UnboundedScqBench, UnboundedWcqBench, WcqBench};
+use harness::queues::{QueueSpec, UnboundedBench, WcqBench};
 use harness::stats::Stats;
 use harness::workload::{repeat, Workload, WorkloadCfg};
 use harness::BenchQueue;
+use wcq::{ScqRing, WcqRing};
 
 /// Node orders swept: 2^4 = 16 slots (list-dominated) up to 2^14 = 16k
 /// slots (ring-dominated).
@@ -58,8 +59,8 @@ fn main() {
             node_order: Some(order),
             ..base
         };
-        let wcq_u = measure(&UnboundedWcqBench::new(&spec), threads, &opts);
-        let lscq = measure(&UnboundedScqBench::new(&spec), threads, &opts);
+        let wcq_u = measure(&UnboundedBench::<WcqRing>::new(&spec), threads, &opts);
+        let lscq = measure(&UnboundedBench::<ScqRing>::new(&spec), threads, &opts);
         let slots = 1usize << spec.unbounded_order();
         eprintln!(
             "  threads={threads:<3} node=2^{:<2} ({:>6} slots) wCQ-unbounded {:>8.3} \

@@ -85,9 +85,9 @@ use crate::sync::{
     wait_for_slot, DequeueFuture, EnqueueFuture, RecvError, SendError, SyncQueue, SyncState,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
-use crate::unbounded::WcqInner;
 use crate::{
     ShardedHandle, ShardedWcq, UnboundedHandle, UnboundedWcq, WcqConfig, WcqHandle, WcqQueue,
+    WcqRing,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -552,7 +552,7 @@ impl<T: Send> Shared<T> {
 enum Endpoint<T: Send> {
     Bounded(WcqHandle<T, Arc<WcqQueue<T>>>),
     Sharded(ShardedHandle<T, Arc<ShardedWcq<T>>>),
-    Unbounded(UnboundedHandle<T, WcqInner<T>, Arc<UnboundedWcq<T>>>),
+    Unbounded(UnboundedHandle<T, WcqRing, Arc<UnboundedWcq<T>>>),
     Topo(TopoEndpoint<T>),
 }
 

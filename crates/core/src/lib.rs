@@ -29,9 +29,10 @@
 //! |------|----------|--------|---------------|
 //! | [`WcqQueue`] / [`WcqRing`] | wait-free | bounded | §3 (Figs. 4–7) |
 //! | [`ScqQueue`] / [`ScqRing`] | lock-free | bounded | §2 (Fig. 3) |
-//! | [`UnboundedScq`] | lock-free | unbounded (list of rings, hazard-pointer reclaimed) | §7, App. A |
-//! | [`UnboundedWcq`] | wait-free rings, lock-free list | unbounded, hazard-pointer reclaimed | App. A |
-//! | [`ShardedWcq`] | wait-free per shard | bounded | beyond the paper: splits the §6 `Head`/`Tail` hotspot over S rings |
+//! | `RingPair<T, R>` over an [`IndexRing`] (crate-private) | as `R`: [`ScqRing`] or [`WcqRing`] | bounded | Figs. 1–2: two index rings + a data array, written once; every family below (and both above) is a composition over it |
+//! | [`UnboundedScq`] = `Unbounded<T, ScqRing>` | lock-free | unbounded (list of ring pairs, hazard-pointer reclaimed) | §7, App. A |
+//! | [`UnboundedWcq`] = `Unbounded<T, WcqRing>` | wait-free rings, lock-free list | unbounded, hazard-pointer reclaimed | App. A |
+//! | [`ShardedWcq`] | wait-free per shard | bounded | beyond the paper: splits the §6 `Head`/`Tail` hotspot over S ring pairs |
 //! | [`spsc::Ring`] + [`topology`] | load/store fast path, wait-free spine | bounded | beyond the paper: topology-declared channels that only pay for wCQ when usage goes MPMC |
 //! | [`WcqHandle`] / [`ShardedHandle`] / [`UnboundedHandle`] | — | — | §3.4's one precondition (one exclusive driver per thread record), as a type: **one** handle struct per family, generic over how it holds the queue ([`Hold`]: `&Q` from `register()`, `Arc<Q>` from `register_owned()`) |
 //! | [`channel`] | as the queue under it | as the queue under it | beyond the paper: cloneable `Arc`-owning [`Sender`]/[`Receiver`]; one constructor path, [`channel::over`] |
@@ -57,6 +58,7 @@
 pub mod channel;
 mod hold;
 pub mod pack;
+mod ringpair;
 pub mod scq;
 pub mod shard;
 pub(crate) mod sim;
@@ -68,6 +70,7 @@ pub mod wcq;
 
 pub use channel::{Receiver, Sender};
 pub use hold::Hold;
+pub use ringpair::IndexRing;
 pub use scq::{ScqQueue, ScqRing};
 pub use shard::{ShardedHandle, ShardedWcq};
 pub use sync::{RecvError, SendError, SyncQueue};

@@ -3,9 +3,9 @@
 //! This is the substrate wCQ extends (paper §2, Fig. 3) and one of the
 //! evaluated baselines. [`ScqRing`] is the *index* queue: a bounded MPMC
 //! queue of integers in `0..n` that is livelock-free thanks to the
-//! *threshold* mechanism. [`ScqQueue`] composes two rings (`aq` of allocated
-//! indices, `fq` of free indices) with a data array to store arbitrary
-//! values (Fig. 2's indirection scheme).
+//! *threshold* mechanism. [`ScqQueue`] stores arbitrary values by putting
+//! two of them under the shared Fig. 2 indirection layer
+//! (`crate::ringpair`).
 //!
 //! Progress: operation-wise lock-free — at least one enqueuer and one
 //! dequeuer complete in a bounded number of steps. Memory usage is fixed at
@@ -16,10 +16,10 @@
 //! item 2
 
 use crate::pack::{pack_s, unpack_s, RingLayout, SEntry};
+use crate::ringpair::RingPair;
 use crate::WcqConfig;
 use crossbeam_utils::CachePadded;
-use std::mem::MaybeUninit;
-use crate::sim::{AtomicI64, AtomicU64, DataCell};
+use crate::sim::{AtomicI64, AtomicU64};
 use std::sync::atomic::Ordering::SeqCst;
 
 /// Lock-free bounded MPMC queue of indices in `0..n` (`n = 2^order`).
@@ -267,25 +267,12 @@ impl ScqRing {
     }
 }
 
-/// Lock-free bounded MPMC queue of `T` values, built from two [`ScqRing`]s
-/// and a data array (the paper's Fig. 2 indirection).
+/// Lock-free bounded MPMC queue of `T` values: the Fig. 2 indirection
+/// (`RingPair`, crate-private) over two [`ScqRing`]s.
 ///
 /// Capacity is `2^order` elements and all memory is allocated at
 /// construction: SCQ's headline property is exactly this bounded footprint.
-pub struct ScqQueue<T> {
-    aq: ScqRing,
-    fq: ScqRing,
-    data: Box<[DataCell<MaybeUninit<T>>]>,
-}
-
-// SAFETY: slots are transferred between threads with the index acting as an
-// exclusive token: a slot is written by exactly one enqueuer between its
-// dequeue from `fq` and its enqueue into `aq`, and read by exactly one
-// dequeuer between its dequeue from `aq` and its re-enqueue into `fq`. The
-// ring operations provide the necessary happens-before edges (SeqCst RMWs).
-unsafe impl<T: Send> Send for ScqQueue<T> {}
-// SAFETY: same argument — index-token exclusivity covers shared access.
-unsafe impl<T: Send> Sync for ScqQueue<T> {}
+pub struct ScqQueue<T>(RingPair<T, ScqRing>);
 
 impl<T> ScqQueue<T> {
     /// Creates a queue with capacity `2^order`.
@@ -295,58 +282,33 @@ impl<T> ScqQueue<T> {
 
     /// Creates a queue with explicit tuning knobs (remap/catchup ablations).
     pub fn with_config(order: u32, cfg: &WcqConfig) -> Self {
-        let n = 1usize << order;
-        ScqQueue {
-            aq: ScqRing::new_empty(order, cfg),
-            fq: ScqRing::new_full(order, cfg),
-            data: (0..n)
-                .map(|_| DataCell::new(MaybeUninit::uninit()))
-                .collect(),
-        }
+        ScqQueue(RingPair::new(order, 1, cfg))
     }
 
     /// Capacity in elements.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.0.capacity()
     }
 
     /// Attempts to enqueue; returns `Err(v)` when the queue is full.
     pub fn enqueue(&self, v: T) -> Result<(), T> {
-        let Some(i) = self.fq.dequeue() else {
-            return Err(v); // no free slot: full
-        };
-        // SAFETY: index `i` was dequeued from `fq`, granting exclusive write
-        // access to `data[i]` until it is published through `aq`.
-        self.data[i as usize].with_mut(|p| unsafe { (*p).write(v) });
-        self.aq.enqueue(i);
-        Ok(())
+        // SAFETY: `ScqRing` keeps no per-thread state and ignores the tid,
+        // so the tid-exclusivity contract is vacuous.
+        unsafe { self.0.enqueue(0, v) }
     }
 
     /// Attempts to dequeue; `None` when empty.
     pub fn dequeue(&self) -> Option<T> {
-        let i = self.aq.dequeue()?;
-        // SAFETY: index `i` was dequeued from `aq`; the matching enqueuer
-        // initialized the slot before publishing `i`. `with_mut`: the read
-        // un-initializes the slot.
-        let v = self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() });
-        self.fq.enqueue(i);
-        Some(v)
-    }
-}
-
-impl<T> Drop for ScqQueue<T> {
-    fn drop(&mut self) {
-        // Drain remaining elements so their destructors run.
-        // BOUND: capacity — drop drains at most n remaining elements
-        while self.dequeue().is_some() {}
+        // SAFETY: as in `enqueue`.
+        unsafe { self.0.dequeue(0) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ringpair::contract;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     #[test]
@@ -404,39 +366,43 @@ mod tests {
         assert!(r.threshold() < 0);
     }
 
+    // The `RingPair` contract (crate::ringpair::contract) over SCQ rings.
+    // The batch bodies exercise the `IndexRing` defaults: no contiguous
+    // run, so every item takes the singleton fallback.
+
     #[test]
     fn queue_full_and_empty_semantics() {
-        let q: ScqQueue<u64> = ScqQueue::new(3);
-        for i in 0..8 {
-            assert!(q.enqueue(i).is_ok());
-        }
-        assert_eq!(q.enqueue(99), Err(99), "9th element must report full");
-        for i in 0..8 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-        // Reusable after drain.
-        assert!(q.enqueue(42).is_ok());
-        assert_eq!(q.dequeue(), Some(42));
+        contract::fifo_full_and_empty::<ScqRing>(3);
     }
 
     #[test]
     fn queue_drops_remaining_elements() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, SeqCst);
-            }
-        }
-        {
-            let q: ScqQueue<D> = ScqQueue::new(3);
-            for _ in 0..5 {
-                assert!(q.enqueue(D).is_ok());
-            }
-            let _ = q.dequeue(); // 1 drop here
-        }
-        assert_eq!(DROPS.load(SeqCst), 5);
+        contract::drops_remaining::<ScqRing>(5);
+    }
+
+    #[test]
+    fn queue_wraps_many_cycles() {
+        contract::wrap_many_cycles::<ScqRing>();
+    }
+
+    #[test]
+    fn queue_batch_roundtrip_fifo_and_full() {
+        contract::batch_roundtrip_fifo_and_full::<ScqRing>();
+    }
+
+    #[test]
+    fn queue_batch_interleaves_with_singletons() {
+        contract::batch_interleaves_with_singletons::<ScqRing>();
+    }
+
+    #[test]
+    fn queue_batch_drops_run_destructors() {
+        contract::batch_drops_run_destructors::<ScqRing>();
+    }
+
+    #[test]
+    fn queue_empty_hint_tracks_state() {
+        contract::empty_hint_tracks_state::<ScqRing>();
     }
 
     #[test]

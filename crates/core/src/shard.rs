@@ -1,4 +1,4 @@
-//! Sharded front-end over multiple [`WcqQueue`] rings.
+//! Sharded front-end over multiple wCQ ring pairs.
 //!
 //! The paper's evaluation (§6) shows the single `Head`/`Tail` F&A pair is
 //! what saturates first as threads grow; memory never does. [`ShardedWcq`]
@@ -20,22 +20,24 @@
 //! * The empty check stays cheap: each shard answers through its own O(1)
 //!   threshold probe, so a full sweep is `S` constant-time probes.
 //!
-//! Thread slots are global: a registered handle drives the same thread id
-//! in every shard through the raw (`*_raw`) queue API, whose exclusivity
-//! contract the handle layer upholds across all shards at once — the same
-//! pattern the unbounded list-of-rings uses.
+//! A shard is a bare ring pair (`crate::ringpair`, the Fig. 2 layer): the
+//! rings and the data array, with no slot table or parking state of its
+//! own. Thread slots are global — one table, so a registered handle drives
+//! the same thread id in every shard and upholds the pairs' exclusivity
+//! contract across all of them at once, the same pattern the unbounded
+//! list-of-rings uses — and blocking consumers park on the one
+//! sharded-level state.
 
 use crate::hold::Hold;
+use crate::ringpair::{RingPair, SlotTable};
 use crate::sync::{SyncQueue, SyncState};
-use crate::wcq::queue::{acquire_slot, WcqQueue};
+use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
-use crate::sim::AtomicBool;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
-/// Sharded wait-free bounded MPMC queue: `S` independent [`WcqQueue`]
-/// sub-queues behind per-handle enqueue affinity and rotating dequeue.
+/// Sharded wait-free bounded MPMC queue: `S` independent wCQ ring pairs
+/// behind per-handle enqueue affinity and rotating dequeue.
 ///
 /// Capacity is `S · 2^order` elements, all allocated at construction.
 ///
@@ -49,10 +51,9 @@ use std::sync::Arc;
 /// assert_eq!(h.dequeue(), None);
 /// ```
 pub struct ShardedWcq<T> {
-    shards: Box<[WcqQueue<T>]>,
-    slots: Box<[AtomicBool]>,
-    /// Sharded-level parking state ([`crate::sync`]): blocking consumers
-    /// wait here, not on the per-shard states (which stay idle).
+    shards: Box<[RingPair<T, WcqRing>]>,
+    slots: SlotTable,
+    /// The one parking state ([`crate::sync`]) blocking consumers wait on.
     sync: SyncState,
 }
 
@@ -71,9 +72,9 @@ impl<T> ShardedWcq<T> {
         );
         ShardedWcq {
             shards: (0..shards)
-                .map(|_| WcqQueue::with_config(order, max_threads, cfg))
+                .map(|_| RingPair::new(order, max_threads, cfg))
                 .collect(),
-            slots: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
+            slots: SlotTable::new(max_threads),
             sync: SyncState::new(),
         }
     }
@@ -118,7 +119,7 @@ impl<T> ShardedWcq<T> {
     /// Registers the calling thread; its enqueue affinity is
     /// `tid mod shards`. `None` when all `max_threads` slots are taken.
     pub fn register(&self) -> Option<ShardedHandle<T, &Self>> {
-        let tid = self.claim_slot()?;
+        let tid = self.slots.claim(&self.shards)?;
         Some(ShardedHandle::pinned(self, tid))
     }
 
@@ -126,35 +127,8 @@ impl<T> ShardedWcq<T> {
     /// [`ShardedHandle`], holding the queue by `Arc` so it moves freely
     /// into `'static` spawned threads (see [`crate::Hold`]).
     pub fn register_owned(self: &Arc<Self>) -> Option<ShardedHandle<T, Arc<Self>>> {
-        let tid = self.claim_slot()?;
+        let tid = self.slots.claim(&self.shards)?;
         Some(ShardedHandle::pinned(Arc::clone(self), tid))
-    }
-
-    /// Claims a free global thread slot, asserting (debug builds) that the
-    /// per-shard records the registrant inherits are quiet — the invariant
-    /// [`Self::release_slot`]'s quiesce establishes.
-    fn claim_slot(&self) -> Option<usize> {
-        let tid = acquire_slot(&self.slots)?;
-        debug_assert!(
-            self.shards.iter().all(|s| s.records_are_quiet(tid)),
-            "acquired sharded thread slot {tid} while a helper is still driving a record"
-        );
-        for shard in self.shards.iter() {
-            shard.note_registration(tid);
-        }
-        Some(tid)
-    }
-
-    /// Releases global slot `tid`, quiescing its helping records in every
-    /// shard first (a helper in *any* shard may still be driving them —
-    /// the handle operates under the same tid everywhere).
-    fn release_slot(&self, tid: usize) {
-        for shard in self.shards.iter() {
-            shard.quiesce_records(tid);
-        }
-        // ORDERING: sharded front-end seat bookkeeping; cold registration
-        // path, kept SeqCst for simplicity
-        self.slots[tid].store(false, SeqCst);
     }
 }
 
@@ -174,12 +148,10 @@ pub struct ShardedHandle<T, H: Hold<ShardedWcq<T>>> {
     _item: PhantomData<fn() -> T>,
 }
 
-// Exclusivity contract behind every raw call below: `tid` came from
-// `claim_slot` and is driven by exactly one handle at a time (handles are
-// not `Clone` and take `&mut self`), which is what the shards' raw
-// thread-id API requires. Blocking consumers park on the sharded-level
-// state, so that is what gets notified; the raw path deliberately skips
-// each shard's own (always waiter-less) parking state.
+// Exclusivity contract behind every pair operation below: `tid` came from
+// the slot table and is driven by exactly one handle at a time (handles are
+// not `Clone` and take `&mut self`), which is the shards' tid-exclusivity
+// contract.
 impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
     fn pinned(q: H, tid: usize) -> Self {
         let affinity = tid & (q.shards.len() - 1);
@@ -198,7 +170,7 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
     #[inline]
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
         // SAFETY: exclusivity contract above.
-        let r = unsafe { self.q.shards[self.affinity].enqueue_raw(self.tid, v) };
+        let r = unsafe { self.q.shards[self.affinity].enqueue(self.tid, v) };
         if r.is_ok() {
             self.q.sync.notify_not_empty();
         }
@@ -209,7 +181,7 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
     /// [`crate::WcqHandle::enqueue_batch`].
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         // SAFETY: exclusivity contract above.
-        let n = unsafe { self.q.shards[self.affinity].enqueue_batch_raw(self.tid, items) };
+        let n = unsafe { self.q.shards[self.affinity].enqueue_batch(self.tid, items) };
         if n > 0 {
             self.q.sync.notify_not_empty();
         }
@@ -223,7 +195,7 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
         for i in 0..s {
             let shard = (self.cursor + i) & (s - 1);
             // SAFETY: exclusivity contract above.
-            if let Some(v) = unsafe { self.q.shards[shard].dequeue_raw(self.tid) } {
+            if let Some(v) = unsafe { self.q.shards[shard].dequeue(self.tid) } {
                 self.cursor = shard;
                 self.q.sync.notify_not_full();
                 return Some(v);
@@ -246,7 +218,7 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
             let shard = (start + i) & (s - 1);
             let q = &self.q.shards[shard];
             // SAFETY: exclusivity contract above.
-            let got = unsafe { q.dequeue_batch_raw(self.tid, out, max - total) };
+            let got = unsafe { q.dequeue_batch(self.tid, out, max - total) };
             if got > 0 {
                 self.cursor = shard;
                 total += got;
@@ -271,7 +243,7 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
 
 impl<T, H: Hold<ShardedWcq<T>>> Drop for ShardedHandle<T, H> {
     fn drop(&mut self) {
-        self.q.release_slot(self.tid);
+        self.q.slots.release(self.tid, &self.q.shards);
     }
 }
 
@@ -298,6 +270,7 @@ impl<T, H: Hold<ShardedWcq<T>>> SyncQueue for ShardedHandle<T, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering::SeqCst;
 
     #[test]
     fn rejects_non_power_of_two_shards() {

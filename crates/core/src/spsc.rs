@@ -12,10 +12,7 @@
 //!   producer's private snapshot of `head`) and the consumer block (`head`
 //!   plus its snapshot of `tail`) live on separate 128-byte-aligned lines,
 //!   so neither side's writes invalidate the other's hot line and the
-//!   adjacent-line prefetcher cannot pair them back together. The
-//!   [`IndexLayout`] parameter exists purely to measure this choice: the
-//!   [`Compact`] layout drops the padding and is the ablation row in
-//!   `figure_topology`.
+//!   adjacent-line prefetcher cannot pair them back together.
 //! * **Cached peer indices.** Each side re-reads the *other* side's index
 //!   only when its cached snapshot says the ring looks full (producer) or
 //!   empty (consumer) — the common case touches no shared-dirty line at
@@ -65,67 +62,9 @@
 
 use crossbeam_utils::CachePadded;
 use std::mem::MaybeUninit;
-use std::ops::Deref;
 use crate::sim::{AtomicUsize, DataCell};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::Arc;
-
-// ===================================================================
-// Layout selection (the padding ablation)
-// ===================================================================
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Padded {}
-    impl Sealed for super::Compact {}
-}
-
-/// How the ring's two index blocks are laid out in memory. Sealed: the
-/// only implementors are [`Padded`] (the production layout) and
-/// [`Compact`] (the false-sharing ablation).
-pub trait IndexLayout: sealed::Sealed + Send + Sync + 'static {
-    /// Wrapper applied to each index block.
-    type Of<B: Send + Sync>: Deref<Target = B> + From<B> + Send + Sync;
-    /// Display name for figure tables.
-    const NAME: &'static str;
-}
-
-/// Production layout: each index block on its own 128-byte-aligned slab
-/// (two lines on x86-64, isolating the adjacent-line prefetcher pair).
-pub struct Padded;
-
-impl IndexLayout for Padded {
-    type Of<B: Send + Sync> = CachePadded<B>;
-    const NAME: &'static str = "padded";
-}
-
-/// Ablation layout: index blocks packed back-to-back, so the producer's
-/// `tail` store dirties the line the consumer polls. Exists to put a
-/// number on the padding (the `figure_topology` ablation row); never used
-/// by the channel backends.
-pub struct Compact;
-
-/// Transparent no-padding wrapper for the [`Compact`] layout.
-#[repr(transparent)]
-pub struct Bare<B>(B);
-
-impl<B> Deref for Bare<B> {
-    type Target = B;
-    fn deref(&self) -> &B {
-        &self.0
-    }
-}
-
-impl<B> From<B> for Bare<B> {
-    fn from(b: B) -> Self {
-        Bare(b)
-    }
-}
-
-impl IndexLayout for Compact {
-    type Of<B: Send + Sync> = Bare<B>;
-    const NAME: &'static str = "compact";
-}
 
 // ===================================================================
 // The ring
@@ -151,11 +90,11 @@ struct ConsBlock {
 /// Indices are monotone (wrapping) `usize` counters masked into the
 /// buffer, so `tail - head` is the live element count and full/empty are
 /// never ambiguous without sacrificing a slot.
-pub struct Ring<T: Send, L: IndexLayout = Padded> {
+pub struct Ring<T: Send> {
     buf: Box<[DataCell<MaybeUninit<T>>]>,
     mask: usize,
-    prod: L::Of<ProdBlock>,
-    cons: L::Of<ConsBlock>,
+    prod: CachePadded<ProdBlock>,
+    cons: CachePadded<ConsBlock>,
 }
 
 // SAFETY: the raw-op exclusivity contract (one producer, one consumer at a
@@ -163,25 +102,16 @@ pub struct Ring<T: Send, L: IndexLayout = Padded> {
 // atomics, and under weak-model DST the `DataCell` shim's vector clocks
 // check exactly this claim. `T: Send` is required because elements cross
 // threads.
-unsafe impl<T: Send, L: IndexLayout> Send for Ring<T, L> {}
+unsafe impl<T: Send> Send for Ring<T> {}
 // SAFETY: same argument — the head/tail index protocol partitions the
 // slots between the two sides.
-unsafe impl<T: Send, L: IndexLayout> Sync for Ring<T, L> {}
-
-impl<T: Send> Ring<T> {
-    /// Creates a ring with `2^order` slots in the production ([`Padded`])
-    /// layout.
-    pub fn new(order: u32) -> Self {
-        Self::with_layout(order)
-    }
-}
+unsafe impl<T: Send> Sync for Ring<T> {}
 
 // ORDERING: own-side cursor or cached peer position; freshness re-checked
 // via the Acquire/Release pair before use — cover: dst models 4-5
-impl<T: Send, L: IndexLayout> Ring<T, L> {
-    /// Creates a ring with `2^order` slots in layout `L` — e.g.
-    /// `Ring::<u64, Compact>::with_layout(8)` for the ablation shape.
-    pub fn with_layout(order: u32) -> Self {
+impl<T: Send> Ring<T> {
+    /// Creates a ring with `2^order` slots.
+    pub fn new(order: u32) -> Self {
         assert!(order < usize::BITS - 1, "ring order out of range");
         let n = 1usize << order;
         Ring {
@@ -189,16 +119,14 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
                 .map(|_| DataCell::new(MaybeUninit::uninit()))
                 .collect(),
             mask: n - 1,
-            prod: ProdBlock {
+            prod: CachePadded::new(ProdBlock {
                 tail: AtomicUsize::new(0),
                 head_cache: AtomicUsize::new(0),
-            }
-            .into(),
-            cons: ConsBlock {
+            }),
+            cons: CachePadded::new(ConsBlock {
                 head: AtomicUsize::new(0),
                 tail_cache: AtomicUsize::new(0),
-            }
-            .into(),
+            }),
         }
     }
 
@@ -217,7 +145,7 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     }
 
     /// Consumes the ring into its unique endpoint pair — the safe API.
-    pub fn split(self) -> (Producer<T, L>, Consumer<T, L>) {
+    pub fn split(self) -> (Producer<T>, Consumer<T>) {
         let ring = Arc::new(self);
         (
             Producer {
@@ -279,7 +207,7 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     /// Same contract as [`Self::push`]; additionally the producer must not
     /// push again until the reservation is committed or dropped (the
     /// borrow enforces this in safe code).
-    pub(crate) unsafe fn reserve(&self, n: usize) -> Option<Reservation<'_, T, L>> {
+    pub(crate) unsafe fn reserve(&self, n: usize) -> Option<Reservation<'_, T>> {
         let tail = self.prod.tail.load(Relaxed);
         // SAFETY: forwarded producer-exclusivity contract.
         let window = unsafe { self.free_slots(tail, n) }.min(n);
@@ -360,7 +288,7 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     }
 }
 
-impl<T: Send, L: IndexLayout> Drop for Ring<T, L> {
+impl<T: Send> Drop for Ring<T> {
     // ORDERING: own-side cursor or cached peer position; freshness
     // re-checked via the Acquire/Release pair before use
     fn drop(&mut self) {
@@ -390,14 +318,14 @@ impl<T: Send, L: IndexLayout> Drop for Ring<T, L> {
 /// Dropping an uncommitted reservation drops the written values and
 /// publishes nothing — the ring state is as if the reservation never
 /// happened.
-pub struct Reservation<'a, T: Send, L: IndexLayout = Padded> {
-    ring: &'a Ring<T, L>,
+pub struct Reservation<'a, T: Send> {
+    ring: &'a Ring<T>,
     base: usize,
     cap: usize,
     written: usize,
 }
 
-impl<T: Send, L: IndexLayout> Reservation<'_, T, L> {
+impl<T: Send> Reservation<'_, T> {
     /// Number of slots reserved (`<=` the `n` asked for).
     pub fn capacity(&self) -> usize {
         self.cap
@@ -438,7 +366,7 @@ impl<T: Send, L: IndexLayout> Reservation<'_, T, L> {
     }
 }
 
-impl<T: Send, L: IndexLayout> Drop for Reservation<'_, T, L> {
+impl<T: Send> Drop for Reservation<'_, T> {
     fn drop(&mut self) {
         // Abandoned: the values were never published, so the consumer will
         // never free them — do it here. `tail` never moved.
@@ -456,11 +384,11 @@ impl<T: Send, L: IndexLayout> Drop for Reservation<'_, T, L> {
 
 /// The unique producing endpoint of a [`Ring`] (from [`Ring::split`]).
 /// Not cloneable — uniqueness is the safety argument.
-pub struct Producer<T: Send, L: IndexLayout = Padded> {
-    ring: Arc<Ring<T, L>>,
+pub struct Producer<T: Send> {
+    ring: Arc<Ring<T>>,
 }
 
-impl<T: Send, L: IndexLayout> Producer<T, L> {
+impl<T: Send> Producer<T> {
     /// Pushes a value; `Err(v)` hands it back when the ring is full.
     #[inline]
     pub fn push(&mut self, v: T) -> Result<(), T> {
@@ -471,7 +399,7 @@ impl<T: Send, L: IndexLayout> Producer<T, L> {
     /// Reserves up to `n` slots for in-place writes; `None` when the ring
     /// is full. The reservation mutably borrows the producer, so no push
     /// can interleave before [`Reservation::commit`] (or drop).
-    pub fn reserve(&mut self, n: usize) -> Option<Reservation<'_, T, L>> {
+    pub fn reserve(&mut self, n: usize) -> Option<Reservation<'_, T>> {
         // SAFETY: unique producer; the returned borrow freezes `self`.
         unsafe { self.ring.reserve(n) }
     }
@@ -483,11 +411,11 @@ impl<T: Send, L: IndexLayout> Producer<T, L> {
 }
 
 /// The unique consuming endpoint of a [`Ring`] (from [`Ring::split`]).
-pub struct Consumer<T: Send, L: IndexLayout = Padded> {
-    ring: Arc<Ring<T, L>>,
+pub struct Consumer<T: Send> {
+    ring: Arc<Ring<T>>,
 }
 
-impl<T: Send, L: IndexLayout> Consumer<T, L> {
+impl<T: Send> Consumer<T> {
     /// Pops the oldest value; `None` when the ring is observed empty.
     #[inline]
     pub fn pop(&mut self) -> Option<T> {
@@ -636,18 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_layout_is_behaviorally_identical() {
-        let (mut tx, mut rx) = Ring::<u32, Compact>::with_layout(2).split();
-        for i in 0..4 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(tx.push(9), Err(9));
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_batch(&mut out, 10), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn cross_thread_pair_conserves_elements() {
         let (mut tx, mut rx) = Ring::<u64>::new(6).split();
         let t = std::thread::spawn(move || {
@@ -682,8 +598,8 @@ mod tests {
 
     #[test]
     fn padded_blocks_are_line_separated() {
-        // The layout audit in one assertion: with the Padded layout the
-        // two index blocks must sit at least 128 bytes apart.
+        // The layout audit in one assertion: the two index blocks must sit
+        // at least 128 bytes apart.
         let r = Ring::<u64>::new(2);
         let p = &*r.prod as *const _ as usize;
         let c = &*r.cons as *const _ as usize;

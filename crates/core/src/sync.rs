@@ -585,8 +585,8 @@ impl Eventcount {
 /// the adjacent-line prefetcher pairs even neighboring lines), so each
 /// side's `notify_slow` stores would invalidate the other side's per-op
 /// check — false sharing on the one field the facade touches per element
-/// (the cache-layout audit of PR 6; `figure_topology` carries the
-/// companion padded-vs-compact ablation for the SPSC ring indices).
+/// (the cache-layout audit of PR 6; the SPSC ring pads its index blocks
+/// for the same reason).
 pub struct SyncState {
     not_empty: CachePadded<Eventcount>,
     not_full: CachePadded<Eventcount>,

@@ -97,9 +97,9 @@ pub struct TopoCore<T: Send> {
     spine_order: u32,
     spine_threads: usize,
     cfg: WcqConfig,
-    /// Channel-level parking state: every lane notifies this one (the
-    /// spine's private `SyncState` never has waiters, mirroring the
-    /// raw-tid callers' discipline documented on `WcqQueue::enqueue_raw`).
+    /// Channel-level parking state: every lane notifies this one. The
+    /// spine is a whole `WcqQueue`, so it keeps a private `SyncState` of
+    /// its own — the only one in the crate that never has waiters.
     sync: SyncState,
 }
 

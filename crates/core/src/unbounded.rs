@@ -62,113 +62,17 @@
 //! relies on the SeqCst total order; downgrade backlog ROADMAP item 2
 
 use crate::hold::Hold;
+use crate::ringpair::{IndexRing, RingPair};
+use crate::scq::ScqRing;
 use crate::sync::{SyncQueue, SyncState};
-use crate::{ScqQueue, WcqConfig, WcqQueue};
+use crate::wcq::ring::WcqRing;
+use crate::WcqConfig;
 use hazard::{Domain, HpHandle};
 use std::marker::PhantomData;
 use std::ptr;
 use crate::sim::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-
-/// A bounded MPMC ring usable as the node payload of the unbounded list.
-pub trait InnerRing<T>: Sized + Send + Sync {
-    /// Builds a ring with `2^order` slots for up to `max_threads` threads.
-    fn build(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self;
-    /// Enqueue under thread id `tid`; `Err(v)` when full.
-    fn ring_enqueue(&self, tid: usize, v: T) -> Result<(), T>;
-    /// Dequeue under thread id `tid`.
-    fn ring_dequeue(&self, tid: usize) -> Option<T>;
-
-    /// Batch enqueue: drains accepted items from the **front** of `items`
-    /// (preserving order) and returns how many were enqueued; items left
-    /// behind did not fit (ring full). The default loops the singleton op;
-    /// rings with a native batch path override it.
-    fn ring_enqueue_batch(&self, tid: usize, items: &mut Vec<T>) -> usize {
-        let mut it = std::mem::take(items).into_iter();
-        let mut n = 0;
-        // BOUND: finite-iter — consumes a finite moved-in Vec; stops early
-        // when the ring rejects
-        while let Some(v) = it.next() {
-            match self.ring_enqueue(tid, v) {
-                Ok(()) => n += 1,
-                Err(back) => {
-                    items.push(back);
-                    items.extend(it);
-                    return n;
-                }
-            }
-        }
-        n
-    }
-
-    /// Batch dequeue: appends up to `max` elements to `out` in ring order,
-    /// returning how many were appended (0 = observed empty).
-    fn ring_dequeue_batch(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        // BOUND: finite-iter — bounded by `max`; breaks as soon as the ring
-        // observes empty
-        while n < max {
-            match self.ring_dequeue(tid) {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// Waits until no helper is driving `tid`'s helping records in this
-    /// ring — called by the handle layer before `tid` (the hazard-domain
-    /// slot index) is released for reuse. Default no-op for rings without
-    /// helping machinery (SCQ).
-    fn ring_quiesce(&self, _tid: usize) {}
-}
-
-impl<T: Send> InnerRing<T> for ScqQueue<T> {
-    fn build(order: u32, _max_threads: usize, cfg: &WcqConfig) -> Self {
-        ScqQueue::with_config(order, cfg)
-    }
-    fn ring_enqueue(&self, _tid: usize, v: T) -> Result<(), T> {
-        self.enqueue(v)
-    }
-    fn ring_dequeue(&self, _tid: usize) -> Option<T> {
-        self.dequeue()
-    }
-}
-
-/// The wCQ inner ring drives [`WcqQueue`] through its raw thread-id API;
-/// the unbounded queue's handle layer guarantees tid exclusivity across
-/// *all* rings, which is exactly the raw API's contract.
-pub struct WcqInner<T>(WcqQueue<T>);
-
-impl<T: Send> InnerRing<T> for WcqInner<T> {
-    fn build(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
-        WcqInner(WcqQueue::with_config(order, max_threads, cfg))
-    }
-    fn ring_enqueue(&self, tid: usize, v: T) -> Result<(), T> {
-        // SAFETY: tids are handed out exclusively by `Unbounded::register`
-        // (one hazard-domain slot per handle).
-        unsafe { self.0.enqueue_raw(tid, v) }
-    }
-    fn ring_dequeue(&self, tid: usize) -> Option<T> {
-        // SAFETY: as above.
-        unsafe { self.0.dequeue_raw(tid) }
-    }
-    fn ring_enqueue_batch(&self, tid: usize, items: &mut Vec<T>) -> usize {
-        // SAFETY: as above.
-        unsafe { self.0.enqueue_batch_raw(tid, items) }
-    }
-    fn ring_dequeue_batch(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        // SAFETY: as above.
-        unsafe { self.0.dequeue_batch_raw(tid, out, max) }
-    }
-    fn ring_quiesce(&self, tid: usize) {
-        self.0.quiesce_records(tid);
-    }
-}
 
 /// Value of a live ring node's canary word.
 const CANARY_ALIVE: u64 = 0x5AFE_81C5_CAFE_F00D;
@@ -188,8 +92,16 @@ const HP_TAIL: usize = 1;
 // run at 4× cores, so that preemption is the common case, and burning the
 // full quantum in `spin_loop` would stall every dequeuer behind it).
 
-struct RingNode<T, R: InnerRing<T>> {
-    ring: R,
+/// A list node: the ring pair (the Fig. 2 layer — Appendix A links bare
+/// rings, so a node carries no slot table and no parking state) plus the
+/// close protocol's two words, the link and the canary.
+///
+/// Tid exclusivity for every pair operation in this module: a tid is the
+/// hazard-domain slot index of exactly one live [`UnboundedHandle`]
+/// (`UnboundedHandle::pin`), whose methods take `&mut self` — so one
+/// thread at a time drives it, on every ring of the list.
+struct RingNode<T, R: IndexRing> {
+    ring: RingPair<T, R>,
     closed: AtomicBool,
     inflight: AtomicUsize,
     next: AtomicPtr<RingNode<T, R>>,
@@ -199,24 +111,22 @@ struct RingNode<T, R: InnerRing<T>> {
     /// multiset checks cannot see — freed `Box` memory usually stays
     /// readable) into a deterministic panic (tests/unbounded_reclaim.rs).
     canary: AtomicU64,
-    _marker: std::marker::PhantomData<T>,
 }
 
-impl<T, R: InnerRing<T>> Drop for RingNode<T, R> {
+impl<T, R: IndexRing> Drop for RingNode<T, R> {
     fn drop(&mut self) {
         self.canary.store(CANARY_POISON, SeqCst);
     }
 }
 
-impl<T, R: InnerRing<T>> RingNode<T, R> {
+impl<T, R: IndexRing> RingNode<T, R> {
     fn boxed(order: u32, max_threads: usize, cfg: &WcqConfig) -> *mut Self {
         Box::into_raw(Box::new(RingNode {
-            ring: R::build(order, max_threads, cfg),
+            ring: RingPair::new(order, max_threads, cfg),
             closed: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
             canary: AtomicU64::new(CANARY_ALIVE),
-            _marker: std::marker::PhantomData,
         }))
     }
 
@@ -239,7 +149,8 @@ impl<T, R: InnerRing<T>> RingNode<T, R> {
             self.inflight.fetch_sub(1, SeqCst);
             return Err(v);
         }
-        let r = self.ring.ring_enqueue(tid, v);
+        // SAFETY: tid exclusivity (see the type).
+        let r = unsafe { self.ring.enqueue(tid, v) };
         if r.is_err() {
             // Full: close so no later enqueue starts, then bounce.
             self.closed.store(true, SeqCst);
@@ -258,7 +169,8 @@ impl<T, R: InnerRing<T>> RingNode<T, R> {
             self.inflight.fetch_sub(1, SeqCst);
             return 0;
         }
-        let n = self.ring.ring_enqueue_batch(tid, items);
+        // SAFETY: tid exclusivity (see the type).
+        let n = unsafe { self.ring.enqueue_batch(tid, items) };
         if !items.is_empty() {
             self.closed.store(true, SeqCst);
         }
@@ -276,9 +188,9 @@ impl<T, R: InnerRing<T>> RingNode<T, R> {
 /// Lock-free unbounded MPMC queue built from rings of `2^order` slots,
 /// reclaimed with hazard pointers (see the module docs).
 ///
-/// `Unbounded<T, ScqQueue<T>>` is LSCQ; `Unbounded<T, WcqInner<T>>` uses
-/// wait-free rings (the outer list stays lock-free; see module docs).
-pub struct Unbounded<T, R: InnerRing<T>> {
+/// `Unbounded<T, ScqRing>` is LSCQ; `Unbounded<T, WcqRing>` uses wait-free
+/// rings (the outer list stays lock-free; see module docs).
+pub struct Unbounded<T, R: IndexRing> {
     head: AtomicPtr<RingNode<T, R>>,
     tail: AtomicPtr<RingNode<T, R>>,
     order: u32,
@@ -295,18 +207,18 @@ pub struct Unbounded<T, R: InnerRing<T>> {
 // SAFETY: ring nodes are shared via atomics and reclaimed through the
 // hazard domain; values are only handed between threads through the rings'
 // own protocols, hence `T: Send`.
-unsafe impl<T: Send, R: InnerRing<T>> Send for Unbounded<T, R> {}
+unsafe impl<T: Send, R: IndexRing> Send for Unbounded<T, R> {}
 // SAFETY: same argument — shared access goes through the rings'
 // protocols and the hazard domain.
-unsafe impl<T: Send, R: InnerRing<T>> Sync for Unbounded<T, R> {}
+unsafe impl<T: Send, R: IndexRing> Sync for Unbounded<T, R> {}
 
 /// Unbounded queue over lock-free SCQ rings (LSCQ).
-pub type UnboundedScq<T> = Unbounded<T, ScqQueue<T>>;
+pub type UnboundedScq<T> = Unbounded<T, ScqRing>;
 /// Unbounded queue over wait-free wCQ rings (the paper's Appendix A shape
 /// with a lock-free outer list).
-pub type UnboundedWcq<T> = Unbounded<T, WcqInner<T>>;
+pub type UnboundedWcq<T> = Unbounded<T, WcqRing>;
 
-impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
+impl<T: Send, R: IndexRing> Unbounded<T, R> {
     /// Creates a queue whose rings hold `2^order` elements each.
     pub fn new(order: u32, max_threads: usize) -> Self {
         Self::with_config(order, max_threads, &WcqConfig::default())
@@ -394,12 +306,12 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
         v: T,
     ) -> Result<(), T> {
         let fresh = RingNode::<T, R>::boxed(self.order, self.max_threads, &self.cfg);
-        // SAFETY: we own `fresh` until it is linked. Seeding an unpublished
-        // ring needs no close protocol. A fresh ring rejecting its first
-        // element is a geometry bug that must not silently drop the value
-        // in release builds, hence the hard expect.
-        unsafe { &(*fresh).ring }
-            .ring_enqueue(tid, v)
+        // SAFETY: we own `fresh` until it is linked, and tid exclusivity
+        // holds as on any ring. Seeding an unpublished ring needs no close
+        // protocol. A fresh ring rejecting its first element is a geometry
+        // bug that must not silently drop the value in release builds,
+        // hence the hard expect.
+        unsafe { (*fresh).ring.enqueue(tid, v) }
             .map_err(|_| "full")
             .expect("fresh ring rejected its first element");
         if node
@@ -424,9 +336,8 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
             // ring and retry on the winner's ring.
             // SAFETY: `fresh` never became visible to other threads.
             let boxed = unsafe { Box::from_raw(fresh) };
-            let v = boxed
-                .ring
-                .ring_dequeue(tid)
+            // SAFETY: tid exclusivity (see `RingNode`).
+            let v = unsafe { boxed.ring.dequeue(tid) }
                 .expect("unpublished ring holds exactly our element");
             Err(v)
         }
@@ -516,7 +427,7 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
     /// empty.
     fn dequeue_walk<F>(&self, hp: &mut HpHandle<'_>, mut drain: F) -> usize
     where
-        F: FnMut(&R) -> usize,
+        F: FnMut(&RingPair<T, R>) -> usize,
     {
         let mut backoff = crate::sync::Backoff::new();
         // BOUND: wait-edge — re-loops when the drained head ring still has
@@ -558,7 +469,8 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
 
     fn dequeue_tid(&self, tid: usize, hp: &mut HpHandle<'_>) -> Option<T> {
         let mut out = None;
-        self.dequeue_walk(hp, |ring| match ring.ring_dequeue(tid) {
+        // SAFETY: tid exclusivity (see `RingNode`).
+        self.dequeue_walk(hp, |ring| match unsafe { ring.dequeue(tid) } {
             Some(v) => {
                 out = Some(v);
                 1
@@ -628,7 +540,8 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
         // yields nothing
         while total < max {
             let want = max - total;
-            let got = self.dequeue_walk(hp, |ring| ring.ring_dequeue_batch(tid, out, want));
+            // SAFETY: tid exclusivity (see `RingNode`).
+            let got = self.dequeue_walk(hp, |ring| unsafe { ring.dequeue_batch(tid, out, want) });
             if got == 0 {
                 break; // observed empty
             }
@@ -638,7 +551,7 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
     }
 }
 
-impl<T, R: InnerRing<T>> Unbounded<T, R> {
+impl<T, R: IndexRing> Unbounded<T, R> {
     /// Quiesces `tid`'s helping records in the rings a departing handle can
     /// still safely reach — the published `head` and `tail`, protected
     /// through the handle's own hazard slots. Called on handle drop,
@@ -658,16 +571,16 @@ impl<T, R: InnerRing<T>> Unbounded<T, R> {
         let lhead = hp.protect(HP_HEAD, &self.head);
         // SAFETY: validated against `head` post-publication, as in
         // `dequeue_walk` — the standing hazard blocks reclamation.
-        unsafe { &*lhead }.ring.ring_quiesce(tid);
+        unsafe { &*lhead }.ring.quiesce(tid);
         hp.clear_slot(HP_HEAD);
         let ltail = hp.protect(HP_TAIL, &self.tail);
         // SAFETY: as in `enqueue_tid`.
-        unsafe { &*ltail }.ring.ring_quiesce(tid);
+        unsafe { &*ltail }.ring.quiesce(tid);
         hp.clear_slot(HP_TAIL);
     }
 }
 
-impl<T, R: InnerRing<T>> Drop for Unbounded<T, R> {
+impl<T, R: IndexRing> Drop for Unbounded<T, R> {
     fn drop(&mut self) {
         // Retired rings are owned by the hazard domain (freed when the
         // `domain` field drops, right after this); here we free the list
@@ -690,7 +603,7 @@ impl<T, R: InnerRing<T>> Drop for Unbounded<T, R> {
 /// records (see [`Unbounded`]'s module docs), releases both the hazard
 /// slots and the ring thread id, and hands any still-protected retired
 /// rings to the domain's orphan list.
-pub struct UnboundedHandle<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> {
+pub struct UnboundedHandle<T, R: IndexRing, H: Hold<Unbounded<T, R>>> {
     /// Lifetime-erased hazard handle; its true borrow is of `q`'s domain.
     /// MUST stay declared before `q`: fields drop in declaration order, so
     /// the hazard handle (which touches the domain in its destructor)
@@ -701,7 +614,7 @@ pub struct UnboundedHandle<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> {
     _item: PhantomData<fn() -> (T, R)>,
 }
 
-impl<T: Send, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> UnboundedHandle<T, R, H> {
+impl<T: Send, R: IndexRing, H: Hold<Unbounded<T, R>>> UnboundedHandle<T, R, H> {
     fn pin(q: H) -> Option<Self> {
         let hp = q.domain.register()?;
         let tid = hp.idx();
@@ -762,7 +675,7 @@ impl<T: Send, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> UnboundedHandle<T, R, H
     }
 }
 
-impl<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> Drop for UnboundedHandle<T, R, H> {
+impl<T, R: IndexRing, H: Hold<Unbounded<T, R>>> Drop for UnboundedHandle<T, R, H> {
     fn drop(&mut self) {
         // Quiesce before the hazard handle (dropped right after this body)
         // releases the domain slot: the slot index doubles as the ring
@@ -775,7 +688,7 @@ impl<T, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> Drop for UnboundedHandle<T, R
 /// Blocking/async facade: only the dequeue side ever parks — `try_enqueue`
 /// cannot fail (the list grows), so a blocking enqueue completes on its
 /// first attempt unless the queue is closed.
-impl<T: Send, R: InnerRing<T>, H: Hold<Unbounded<T, R>>> SyncQueue for UnboundedHandle<T, R, H> {
+impl<T: Send, R: IndexRing, H: Hold<Unbounded<T, R>>> SyncQueue for UnboundedHandle<T, R, H> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {
@@ -798,7 +711,7 @@ mod tests {
     use std::sync::atomic::AtomicBool as Flag;
     use std::sync::{Arc, Mutex};
 
-    fn fifo_single<R: InnerRing<u64>>() {
+    fn fifo_single<R: IndexRing>() {
         let q: Unbounded<u64, R> = Unbounded::new(3, 2); // 8-slot rings
         let mut h = q.register().unwrap();
         assert_eq!(h.dequeue(), None);
@@ -813,12 +726,12 @@ mod tests {
 
     #[test]
     fn fifo_across_rings_scq() {
-        fifo_single::<ScqQueue<u64>>();
+        fifo_single::<ScqRing>();
     }
 
     #[test]
     fn fifo_across_rings_wcq() {
-        fifo_single::<WcqInner<u64>>();
+        fifo_single::<WcqRing>();
     }
 
     #[test]
@@ -852,7 +765,7 @@ mod tests {
         assert_eq!(next_out, 2000);
     }
 
-    fn batch_roundtrip<R: InnerRing<u64>>() {
+    fn batch_roundtrip<R: IndexRing>() {
         let q: Unbounded<u64, R> = Unbounded::new(2, 2); // 4-slot rings
         let mut h = q.register().unwrap();
         let mut items: Vec<u64> = (0..23).collect();
@@ -868,12 +781,12 @@ mod tests {
 
     #[test]
     fn batch_roundtrip_across_rings_scq() {
-        batch_roundtrip::<ScqQueue<u64>>();
+        batch_roundtrip::<ScqRing>();
     }
 
     #[test]
     fn batch_roundtrip_across_rings_wcq() {
-        batch_roundtrip::<WcqInner<u64>>();
+        batch_roundtrip::<WcqRing>();
     }
 
     #[test]
@@ -909,7 +822,7 @@ mod tests {
         }
     }
 
-    fn mpmc<R: InnerRing<u64> + 'static>() {
+    fn mpmc<R: IndexRing + 'static>() {
         let q: Arc<Unbounded<u64, R>> = Arc::new(Unbounded::new(4, 8));
         let done = Arc::new(Flag::new(false));
         let sink = Arc::new(Mutex::new(Vec::new()));
@@ -960,12 +873,12 @@ mod tests {
 
     #[test]
     fn mpmc_exact_delivery_scq_rings() {
-        mpmc::<ScqQueue<u64>>();
+        mpmc::<ScqRing>();
     }
 
     #[test]
     fn mpmc_exact_delivery_wcq_rings() {
-        mpmc::<WcqInner<u64>>();
+        mpmc::<WcqRing>();
     }
 
     #[test]

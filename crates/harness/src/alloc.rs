@@ -13,8 +13,12 @@
 //! static A: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc;
 //! ```
 //!
-//! ORDERING: counting-allocator diagnostics; ordering immaterial, SeqCst
-//! avoids arguing
+//! ORDERING: `LIVE` (a running sum) and `PEAK` (a max, monotone between
+//! resets) are independent counters — every site is a `Relaxed` RMW or
+//! load of one variable, whose modification order alone makes the sum
+//! exact and the max monotone; no reader infers one variable's value from
+//! the other's, so there is no cross-variable invariant for a stronger
+//! ordering to protect
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};

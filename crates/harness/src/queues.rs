@@ -8,8 +8,8 @@
 use baselines::{CcQueue, CrTurnQueue, FaaQueue, Lcrq, MsQueue, YmcQueue};
 use wcq::channel::{self, Receiver, Sender};
 use wcq::topology::TopoCore;
-use wcq::unbounded::{InnerRing, Unbounded, UnboundedHandle, WcqInner};
-use wcq::{ScqQueue, UnboundedScq, UnboundedWcq, WcqConfig, WcqQueue};
+use wcq::unbounded::{Unbounded, UnboundedHandle};
+use wcq::{IndexRing, ScqQueue, ScqRing, WcqConfig, WcqQueue, WcqRing};
 
 /// A queue that can run the paper's workloads.
 pub trait BenchQueue: Sync {
@@ -43,8 +43,8 @@ pub struct QueueSpec {
     /// Total capacity stays `2^ring_order`: each shard gets
     /// `ring_order - log2(shards)`, floored so `max_threads` still fits.
     pub shards: usize,
-    /// Per-node ring order for the unbounded adapters
-    /// ([`UnboundedWcqBench`]/[`UnboundedScqBench`]): each list node holds
+    /// Per-node ring order for the unbounded adapter
+    /// ([`UnboundedBench`]): each list node holds
     /// `2^node_order` slots. `None` reuses `ring_order`. Sweeping this is
     /// the Appendix-A cost trade (bigger nodes amortize list traffic,
     /// smaller nodes bound idle memory) — see the `figure_unbounded`
@@ -224,17 +224,33 @@ impl QueueHandle for ScqHandle<'_> {
     }
 }
 
-// ----------------------------------------------------- unbounded wCQ ------
+// ---------------------------------------------------------- unbounded -----
 
-/// Adapter: the unbounded wCQ (Appendix A list of wait-free rings behind a
-/// lock-free outer list, hazard-pointer reclamation). Never reports full.
-pub struct UnboundedWcqBench(pub UnboundedWcq<u64>);
+/// The figure label of the unbounded list over each ring type.
+pub trait ListLabel: IndexRing {
+    /// Display name used in the figure tables.
+    const LABEL: &'static str;
+}
 
-impl UnboundedWcqBench {
+/// Appendix A list of wait-free rings behind a lock-free outer list.
+impl ListLabel for WcqRing {
+    const LABEL: &'static str = "wCQ-unbounded";
+}
+
+/// LSCQ: the list of lock-free SCQ rings, the paper's §6 baseline shape.
+impl ListLabel for ScqRing {
+    const LABEL: &'static str = "LSCQ";
+}
+
+/// Adapter: the unbounded list of rings (`wcq::unbounded`), hazard-pointer
+/// reclaimed, over either ring type. Never reports full.
+pub struct UnboundedBench<R: ListLabel>(pub Unbounded<u64, R>);
+
+impl<R: ListLabel> UnboundedBench<R> {
     /// Builds from a [`QueueSpec`]; each list node holds
     /// `2^spec.unbounded_order()` slots.
     pub fn new(spec: &QueueSpec) -> Self {
-        UnboundedWcqBench(Unbounded::with_config(
+        UnboundedBench(Unbounded::with_config(
             spec.unbounded_order(),
             spec.max_threads,
             &spec.cfg,
@@ -242,47 +258,20 @@ impl UnboundedWcqBench {
     }
 }
 
-impl BenchQueue for UnboundedWcqBench {
-    type Handle<'a> = UnboundedHandle<u64, WcqInner<u64>, &'a UnboundedWcq<u64>>;
+impl<R: ListLabel> BenchQueue for UnboundedBench<R> {
+    type Handle<'a>
+        = UnboundedHandle<u64, R, &'a Unbounded<u64, R>>
+    where
+        R: 'a;
     fn name(&self) -> &'static str {
-        "wCQ-unbounded"
+        R::LABEL
     }
     fn handle(&self) -> Self::Handle<'_> {
-        self.0
-            .register()
-            .expect("unbounded wCQ thread slots exhausted")
+        self.0.register().expect("unbounded thread slots exhausted")
     }
 }
 
-// ----------------------------------------------------------- LSCQ ---------
-
-/// Adapter: LSCQ (unbounded list of lock-free SCQ rings, the paper's §6
-/// baseline shape), hazard-pointer reclamation.
-pub struct UnboundedScqBench(pub UnboundedScq<u64>);
-
-impl UnboundedScqBench {
-    /// Builds from a [`QueueSpec`]; each list node holds
-    /// `2^spec.unbounded_order()` slots.
-    pub fn new(spec: &QueueSpec) -> Self {
-        UnboundedScqBench(Unbounded::with_config(
-            spec.unbounded_order(),
-            spec.max_threads,
-            &spec.cfg,
-        ))
-    }
-}
-
-impl BenchQueue for UnboundedScqBench {
-    type Handle<'a> = UnboundedHandle<u64, ScqQueue<u64>, &'a UnboundedScq<u64>>;
-    fn name(&self) -> &'static str {
-        "LSCQ"
-    }
-    fn handle(&self) -> Self::Handle<'_> {
-        self.0.register().expect("LSCQ thread slots exhausted")
-    }
-}
-
-impl<R: InnerRing<u64>> QueueHandle for UnboundedHandle<u64, R, &Unbounded<u64, R>> {
+impl<R: IndexRing> QueueHandle for UnboundedHandle<u64, R, &Unbounded<u64, R>> {
     #[inline]
     fn enqueue(&mut self, v: u64) -> bool {
         UnboundedHandle::enqueue(self, v);
@@ -623,8 +612,8 @@ mod tests {
         roundtrip(&WcqBench::new(&spec));
         roundtrip(&ShardedWcqBench::new(&spec));
         roundtrip(&ScqBench::new(&spec));
-        roundtrip(&UnboundedWcqBench::new(&spec));
-        roundtrip(&UnboundedScqBench::new(&spec));
+        roundtrip(&UnboundedBench::<WcqRing>::new(&spec));
+        roundtrip(&UnboundedBench::<ScqRing>::new(&spec));
         roundtrip(&MsBench::new(&spec));
         roundtrip(&LcrqBench::new(&spec));
         roundtrip(&YmcBench::new(&spec));
@@ -646,8 +635,11 @@ mod tests {
         assert_eq!(WcqBench::new(&spec).name(), "wCQ");
         assert_eq!(YmcBench::new(&spec).name(), "YMC (bug)");
         assert_eq!(ShardedWcqBench::new(&spec).name(), "wCQ-sharded");
-        assert_eq!(UnboundedWcqBench::new(&spec).name(), "wCQ-unbounded");
-        assert_eq!(UnboundedScqBench::new(&spec).name(), "LSCQ");
+        assert_eq!(
+            UnboundedBench::<WcqRing>::new(&spec).name(),
+            "wCQ-unbounded"
+        );
+        assert_eq!(UnboundedBench::<ScqRing>::new(&spec).name(), "LSCQ");
         assert_eq!(ChannelBench::new(&spec).name(), "wCQ-channel");
         assert_eq!(ChannelBench::spsc(&spec).name(), "chan-spsc");
         assert_eq!(ChannelBench::mpsc(&spec).name(), "chan-mpsc");

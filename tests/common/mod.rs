@@ -3,8 +3,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-use wcq::unbounded::{InnerRing, Unbounded};
-use wcq::WcqConfig;
+use wcq::unbounded::Unbounded;
+use wcq::{IndexRing, WcqConfig};
 
 /// Knobs for [`churn`]: how the producer/consumer crowd behaves on top of
 /// the shared exact-delivery skeleton.
@@ -27,7 +27,7 @@ pub struct ChurnCfg {
 /// Producers and consumers hammer tiny stressed rings
 /// (`WcqConfig::stress()`): every value must be delivered exactly once
 /// across constant ring hand-offs, optionally in per-producer FIFO order.
-pub fn churn<R: InnerRing<u64> + 'static>(cfg: ChurnCfg) {
+pub fn churn<R: IndexRing + 'static>(cfg: ChurnCfg) {
     let q: Arc<Unbounded<u64, R>> = Arc::new(Unbounded::with_config(
         cfg.order,
         cfg.producers + cfg.consumers,

@@ -283,10 +283,10 @@ fn dst_degraded_residue_inheritance() {
 
 // ===================================================================
 // Model 7: registration-slot handoff — the SeqCst→Acquire/Release
-// downgrade's proof obligation (argued at `acquire_slot`/`release_slot`)
+// downgrade's proof obligation (argued at `SlotTable::claim`/`release`)
 // ===================================================================
 
-/// Distilled `acquire_slot`/`release_slot` (wcq/queue.rs): the state a
+/// Distilled `SlotTable::claim`/`release` (ringpair.rs): the state a
 /// thread slot hands between owners, reduced to one tracked cell. The
 /// owner mutates the record state and releases the slot flag; the
 /// claimant CASes the flag back (one attempt, exactly the registration
@@ -337,7 +337,7 @@ fn dst_slot_handoff_release_acquire_is_sufficient() {
 }
 
 /// And nothing weaker is: relaxing the release store (one notch below
-/// what `release_slot` uses) must be flagged as a data race. This is the
+/// what `SlotTable::release` uses) must be flagged as a data race. This is the
 /// executable revert-verification for the downgrade — if the weak engine
 /// ever stops seeing this, the downgrade's evidence is void.
 #[test]

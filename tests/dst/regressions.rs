@@ -18,7 +18,7 @@ fn degraded_residue_minimized_schedule() {
 }
 
 /// The slot-handoff ordering downgrade (`SeqCst` → `Acquire`/`Release` in
-/// `wcq::queue`'s `acquire_slot`/`release_slot`, argued there), revert-
+/// `wcq`'s `SlotTable::claim`/`release`, argued there), revert-
 /// verified both ways under the weak memory model:
 ///
 /// * the wrong-by-construction variant (release store `Relaxed`, one

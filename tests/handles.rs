@@ -8,9 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use wcq::sync::{RecvError, SendError, SyncQueue};
-use wcq::unbounded::{InnerRing, Unbounded};
+use wcq::unbounded::Unbounded;
 use wcq::{
-    Hold, ShardedHandle, ShardedWcq, UnboundedHandle, UnboundedWcq, WcqHandle, WcqQueue,
+    Hold, IndexRing, ShardedHandle, ShardedWcq, UnboundedHandle, UnboundedWcq, WcqHandle,
+    WcqQueue,
 };
 
 /// The surface the three handle types share by name but not by trait:
@@ -42,7 +43,7 @@ impl<H: Hold<WcqQueue<u64>>> Handle for WcqHandle<u64, H> {
 impl<H: Hold<ShardedWcq<u64>>> Handle for ShardedHandle<u64, H> {
     forward_handle!();
 }
-impl<R: InnerRing<u64>, H: Hold<Unbounded<u64, R>>> Handle for UnboundedHandle<u64, R, H> {
+impl<R: IndexRing, H: Hold<Unbounded<u64, R>>> Handle for UnboundedHandle<u64, R, H> {
     forward_handle!();
 }
 

@@ -6,10 +6,11 @@
 use harness::model::{check_delivery, tag, DeliveryLog};
 use harness::queues::{
     BenchQueue, CcBench, ChannelBench, CrTurnBench, LcrqBench, MsBench, QueueHandle, QueueSpec,
-    ScqBench, ShardedWcqBench, UnboundedScqBench, UnboundedWcqBench, WcqBench, YmcBench,
+    ScqBench, ShardedWcqBench, UnboundedBench, WcqBench, YmcBench,
 };
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Mutex;
+use wcq::{ScqRing, WcqRing};
 
 fn spec(threads: usize, order: u32) -> QueueSpec {
     QueueSpec {
@@ -174,7 +175,7 @@ fn unbounded_wcq_delivers_exactly() {
         node_order: Some(5),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedWcqBench::new(&s), workers / 2, workers / 2, 2_000);
+    mpmc_check(&UnboundedBench::<WcqRing>::new(&s), workers / 2, workers / 2, 2_000);
 }
 
 #[test]
@@ -185,7 +186,7 @@ fn unbounded_scq_delivers_exactly() {
         node_order: Some(4),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedScqBench::new(&s), workers / 2, workers / 2, 2_000);
+    mpmc_check(&UnboundedBench::<ScqRing>::new(&s), workers / 2, workers / 2, 2_000);
 }
 
 #[test]
@@ -197,7 +198,7 @@ fn unbounded_wcq_stress_config_delivers_exactly() {
         cfg: wcq::WcqConfig::stress(),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedWcqBench::new(&s), workers / 2, workers / 2, 1_000);
+    mpmc_check(&UnboundedBench::<WcqRing>::new(&s), workers / 2, workers / 2, 1_000);
 }
 
 #[test]

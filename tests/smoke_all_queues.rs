@@ -8,10 +8,10 @@
 use harness::model::{check_delivery, tag, DeliveryLog};
 use harness::queues::{
     BenchQueue, CcBench, ChannelBench, CrTurnBench, FaaBench, LcrqBench, MsBench, QueueHandle,
-    QueueSpec, ScqBench, ShardedWcqBench, UnboundedScqBench, UnboundedWcqBench, WcqBench,
-    YmcBench,
+    QueueSpec, ScqBench, ShardedWcqBench, UnboundedBench, WcqBench, YmcBench,
 };
 use std::sync::{Barrier, Mutex};
+use wcq::{ScqRing, WcqRing};
 
 const THREADS: usize = 4;
 const PER: u64 = 2_000;
@@ -120,7 +120,7 @@ fn unbounded_wcq_smoke() {
         node_order: Some(3),
         ..spec()
     };
-    smoke(&UnboundedWcqBench::new(&s));
+    smoke(&UnboundedBench::<WcqRing>::new(&s));
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn unbounded_scq_smoke() {
         node_order: Some(3),
         ..spec()
     };
-    smoke(&UnboundedScqBench::new(&s));
+    smoke(&UnboundedBench::<ScqRing>::new(&s));
 }
 
 #[test]

@@ -10,8 +10,8 @@ mod common;
 
 use common::{churn, ChurnCfg};
 use std::sync::Arc;
-use wcq::unbounded::{Unbounded, WcqInner};
-use wcq::{ScqQueue, WcqConfig};
+use wcq::unbounded::Unbounded;
+use wcq::{ScqRing, WcqConfig, WcqRing};
 
 /// Exact delivery in per-producer FIFO order across constant hand-offs.
 ///
@@ -32,22 +32,22 @@ fn fifo_churn(order: u32, per: u64, producers: usize, consumers: usize) -> Churn
 
 #[test]
 fn unbounded_wcq_churn_2_slot_rings() {
-    churn::<WcqInner<u64>>(fifo_churn(1, 6_000, 1, 1));
+    churn::<WcqRing>(fifo_churn(1, 6_000, 1, 1));
 }
 
 #[test]
 fn unbounded_wcq_churn_4_slot_rings() {
-    churn::<WcqInner<u64>>(fifo_churn(2, 4_000, 2, 2));
+    churn::<WcqRing>(fifo_churn(2, 4_000, 2, 2));
 }
 
 #[test]
 fn unbounded_scq_churn_2_slot_rings() {
-    churn::<ScqQueue<u64>>(fifo_churn(1, 4_000, 3, 3));
+    churn::<ScqRing>(fifo_churn(1, 4_000, 3, 3));
 }
 
 #[test]
 fn unbounded_scq_churn_4_slot_rings() {
-    churn::<ScqQueue<u64>>(fifo_churn(2, 4_000, 3, 3));
+    churn::<ScqRing>(fifo_churn(2, 4_000, 3, 3));
 }
 
 /// Mixed workers (every thread both inserts and drains) on 4-slot stressed
@@ -59,7 +59,7 @@ fn unbounded_scq_churn_4_slot_rings() {
 fn unbounded_wcq_mixed_churn_conserves_elements() {
     const WORKERS: usize = 4;
     const PER: u64 = 3_000;
-    let q: Arc<Unbounded<u64, WcqInner<u64>>> =
+    let q: Arc<Unbounded<u64, WcqRing>> =
         Arc::new(Unbounded::with_config(2, WORKERS, &WcqConfig::stress()));
     let handles: Vec<_> = (0..WORKERS as u64)
         .map(|t| {

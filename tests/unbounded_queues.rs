@@ -4,13 +4,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-use wcq::unbounded::{InnerRing, Unbounded, UnboundedScq, UnboundedWcq, WcqInner};
-use wcq::ScqQueue;
+use wcq::unbounded::{Unbounded, UnboundedScq, UnboundedWcq};
+use wcq::{IndexRing, ScqRing, WcqRing};
 
 /// Total FIFO with one consumer: because a single consumer's view is the
 /// linearization order, interleavings across ring boundaries would show up
 /// as out-of-order sequence numbers per producer.
-fn single_consumer_fifo<R: InnerRing<u64> + 'static>() {
+fn single_consumer_fifo<R: IndexRing + 'static>() {
     let q: Arc<Unbounded<u64, R>> = Arc::new(Unbounded::new(2, 4)); // 4-slot rings!
     let done = Arc::new(AtomicBool::new(false));
     let producers: Vec<_> = (0..3u64)
@@ -67,12 +67,12 @@ fn single_consumer_fifo<R: InnerRing<u64> + 'static>() {
 
 #[test]
 fn unbounded_scq_single_consumer_fifo() {
-    single_consumer_fifo::<ScqQueue<u64>>();
+    single_consumer_fifo::<ScqRing>();
 }
 
 #[test]
 fn unbounded_wcq_single_consumer_fifo() {
-    single_consumer_fifo::<WcqInner<u64>>();
+    single_consumer_fifo::<WcqRing>();
 }
 
 #[test]

@@ -45,14 +45,14 @@ mod common;
 
 use common::{churn, ChurnCfg};
 use std::sync::atomic::Ordering::SeqCst;
-use wcq::unbounded::{Unbounded, UnboundedWcq, WcqInner};
-use wcq::{ScqQueue, WcqConfig};
+use wcq::unbounded::{Unbounded, UnboundedWcq};
+use wcq::{ScqRing, WcqConfig, WcqRing};
 
 /// SCQ rings carry no `k <= n` thread bound, so tiny 2-slot rings can be
 /// hammered by a full crowd: maximum ring turnover, maximum retire rate.
 #[test]
 fn tail_lag_uaf_scq_2_slot_rings() {
-    churn::<ScqQueue<u64>>(ChurnCfg {
+    churn::<ScqRing>(ChurnCfg {
         order: 1,
         per: 8_000,
         producers: 2,
@@ -66,7 +66,7 @@ fn tail_lag_uaf_scq_2_slot_rings() {
 /// `k <= n` assumption), so the 4-slot variant runs the 2+2 split.
 #[test]
 fn tail_lag_uaf_wcq_4_slot_rings() {
-    churn::<WcqInner<u64>>(ChurnCfg {
+    churn::<WcqRing>(ChurnCfg {
         order: 2,
         per: 6_000,
         producers: 2,
@@ -81,7 +81,7 @@ fn tail_lag_uaf_wcq_4_slot_rings() {
 /// preemption) against a pack of dequeuers retiring rings at full speed.
 #[test]
 fn tail_lag_uaf_single_lagging_enqueuer() {
-    churn::<ScqQueue<u64>>(ChurnCfg {
+    churn::<ScqRing>(ChurnCfg {
         order: 1,
         per: 12_000,
         producers: 1,

@@ -47,14 +47,17 @@ fn checked_in_tree_is_clean() {
         report.errors.join("\n\n")
     );
     // Scanner-regression floors: a pass that silently stops finding
-    // sites would otherwise read as "clean".
+    // sites would otherwise read as "clean". Pinned ~5% under the
+    // inventory (429 atomic / 102 loops / 152 unsafe at PR 15); when a
+    // simplification shrinks the inventory, re-pin — never keep code to
+    // satisfy a floor.
     assert!(
         count(&report, Pass::Ordering) >= 400,
         "{:?}",
         report.summary()
     );
     assert!(
-        count(&report, Pass::Progress) >= 100,
+        count(&report, Pass::Progress) >= 95,
         "{:?}",
         report.summary()
     );
