@@ -60,10 +60,12 @@ pub struct CollectorConfig {
     pub shards: usize,
     /// Per-producer ring capacity in each lane is `2^lane_order` slots.
     pub lane_order: u32,
-    /// Declared concurrently-submitting [`SpanSender`] clones per lane.
+    /// Declared concurrently-submitting [`SpanSender`] clones: each gets
+    /// a private ring in every lane and a private row of ingest counters.
     /// More than this still works — the lane grafts its wait-free spine,
-    /// exactly as `channel::mpsc` documents — but seated producers are
-    /// faster, so declare the real number.
+    /// exactly as `channel::mpsc` documents, and the extra senders share
+    /// one counter row — but seated producers are faster, so declare the
+    /// real number.
     pub producers: usize,
     /// Batching worker threads. Lanes are distributed round-robin;
     /// clamped to `1..=shards` (a lane has exactly one sweeper).
@@ -113,6 +115,10 @@ pub struct SpanSender {
     lanes: Vec<Sender<Span>>,
     metrics: Arc<Metrics>,
     shed: ShedPolicy,
+    /// Ingest counter row this sender writes: claimed on the first
+    /// `submit` (so a template that only ever gets cloned takes no seat),
+    /// given back on drop.
+    row: Option<usize>,
 }
 
 impl SpanSender {
@@ -137,10 +143,12 @@ impl SpanSender {
         // Counted after the send lands: a span is "accepted" only once a
         // worker can actually see it. The totals are read post-join, so
         // the gap is invisible to the conservation check.
+        let metrics = &self.metrics;
+        let row = *self.row.get_or_insert_with(|| metrics.claim_seat());
         if accepted {
-            self.metrics.on_accept(shard, &span);
+            metrics.on_accept(row, shard, &span);
         } else {
-            self.metrics.on_shed(shard);
+            metrics.on_shed(row, shard);
         }
         accepted
     }
@@ -157,6 +165,15 @@ impl Clone for SpanSender {
             lanes: self.lanes.clone(),
             metrics: Arc::clone(&self.metrics),
             shed: self.shed,
+            row: None,
+        }
+    }
+}
+
+impl Drop for SpanSender {
+    fn drop(&mut self) {
+        if let Some(row) = self.row {
+            self.metrics.release_seat(row);
         }
     }
 }
@@ -206,7 +223,7 @@ impl<E: Exporter + 'static> Collector<E> {
         assert!(cfg.shards > 0, "collector needs at least one shard");
         assert!(cfg.batch_max > 0, "batch_max of zero can never flush");
         let workers = cfg.workers.clamp(1, cfg.shards);
-        let metrics = Arc::new(Metrics::new(cfg.shards));
+        let metrics = Arc::new(Metrics::new(cfg.shards, cfg.producers));
 
         // Export queue: workers (+ the soon-dropped template) in, one
         // exporter out.
@@ -235,7 +252,6 @@ impl<E: Exporter + 'static> Collector<E> {
                     metrics: Arc::clone(&metrics),
                     batch_max: cfg.batch_max,
                     flush_after: cfg.flush_after,
-                    shards: cfg.shards,
                 };
                 sim::spawn(move || w.run())
             })
@@ -251,7 +267,7 @@ impl<E: Exporter + 'static> Collector<E> {
             retry: cfg.retry,
             overflow: cfg.overflow,
             metrics: Arc::clone(&metrics),
-            shards: cfg.shards,
+            counts: vec![0; cfg.shards],
             latency: Reservoir::new(cfg.latency_reservoir.max(1)),
         };
         let export = sim::spawn(move || stage.run());
@@ -260,6 +276,7 @@ impl<E: Exporter + 'static> Collector<E> {
             lanes: lane_txs,
             metrics: Arc::clone(&metrics),
             shed: cfg.shed,
+            row: None,
         };
         (
             Collector {
@@ -307,13 +324,16 @@ struct Worker {
     metrics: Arc<Metrics>,
     batch_max: usize,
     flush_after: Duration,
-    shards: usize,
 }
 
 impl Worker {
     fn run(mut self) {
         let mut buf: Vec<Span> = Vec::with_capacity(self.batch_max);
         let mut opened: Option<Instant> = None;
+        // How long the last size-triggered batch took from open to flush:
+        // the arrival-rate estimate the sweep is paced by. `None` until a
+        // batch has filled, and again whenever the flow pauses.
+        let mut fill: Option<Duration> = None;
         // BOUND: wait-edge — worker service loop: sweeps lanes until
         // recv_any reports every lane Closed, then flushes and exits
         loop {
@@ -332,21 +352,37 @@ impl Worker {
                 opened = Some(Instant::now());
             }
             if buf.len() >= self.batch_max {
+                fill = opened.map(|o| o.elapsed());
                 self.flush(&mut buf, &mut opened, false);
                 continue;
             }
             if let Some(o) = opened {
-                if o.elapsed() >= self.flush_after {
+                let open_for = o.elapsed();
+                if open_for >= self.flush_after {
+                    fill = None;
                     self.flush(&mut buf, &mut opened, true);
                     continue;
                 }
+                if got > 0 {
+                    // Spans are flowing and the batch has room. At a known
+                    // rate, come back when the room should have filled,
+                    // not at once: sweeping a near-empty lane back to back
+                    // keeps this CPU reading the slot and tail lines the
+                    // producer is writing, which costs the producer more
+                    // than the sweep gains (DESIGN.md §14). With no rate
+                    // yet, sweep again at once; the batch that fills
+                    // gives the rate.
+                    if let Some(fill) = fill {
+                        let room = (self.batch_max - buf.len()) as f64;
+                        let wait = fill.mul_f64(room / self.batch_max as f64);
+                        sim::pace(o + self.flush_after.min(open_for + wait));
+                    }
+                    continue;
+                }
             }
-            if got > 0 {
-                // Data is flowing; keep sweeping rather than parking.
-                continue;
-            }
-            // Idle. Park across all lanes; a pending deadline bounds the
-            // wait so a lone buffered span still ships on time.
+            // The flow paused. Park across all lanes; a pending deadline
+            // bounds the wait so a lone buffered span still ships on time.
+            fill = None;
             let timeout = opened.map(|o| self.flush_after.saturating_sub(o.elapsed()));
             match channel::recv_any(&mut self.lanes, timeout) {
                 Ok((_, span)) => {
@@ -383,9 +419,8 @@ impl Worker {
                 // and Timeout cannot come from an untimed send, but if
                 // either ever surfaces the spans must still be accounted,
                 // not lost.
-                for s in &batch.spans {
-                    self.metrics.on_drop(shard_of(s.trace, self.shards), s);
-                }
+                self.metrics
+                    .on_drop_batch(&batch.spans, &mut vec![0; self.metrics.shards()]);
             }
         }
     }
@@ -402,7 +437,8 @@ struct ExportStage<E: Exporter> {
     retry: RetryPolicy,
     overflow: OverflowPolicy,
     metrics: Arc<Metrics>,
-    shards: usize,
+    /// Per-shard scratch for the batch accounting, zero between batches.
+    counts: Vec<u64>,
     latency: Reservoir,
 }
 
@@ -431,9 +467,7 @@ impl<E: Exporter> ExportStage<E> {
             };
             match outcome {
                 Ok(()) => {
-                    for s in &batch.spans {
-                        self.metrics.on_export(shard_of(s.trace, self.shards), s);
-                    }
+                    self.metrics.on_export_batch(&batch.spans, &mut self.counts);
                     self.latency
                         .push(batch.opened.elapsed().as_nanos().min(u64::MAX as u128) as u64);
                     return;
@@ -450,11 +484,7 @@ impl<E: Exporter> ExportStage<E> {
         // Retries exhausted: the overflow policy decides, and every span
         // stays accounted either way.
         match self.overflow {
-            OverflowPolicy::Drop => {
-                for s in &batch.spans {
-                    self.metrics.on_drop(shard_of(s.trace, self.shards), s);
-                }
-            }
+            OverflowPolicy::Drop => self.metrics.on_drop_batch(&batch.spans, &mut self.counts),
         }
     }
 }

@@ -28,3 +28,23 @@ pub(crate) fn sleep(d: std::time::Duration) {
     }
     std::thread::sleep(d);
 }
+
+/// Busy-waits until `until`. Not `sleep`: timer slack is tens of
+/// microseconds, the waits are often shorter. Not `yield_now` either: on
+/// a host whose CPUs are all busy a yield costs the caller a whole
+/// scheduler slice, milliseconds in which the lanes it should be
+/// sweeping overflow (DESIGN.md §14 has the measurement). Under DST one
+/// cooperative yield and no clock read.
+pub(crate) fn pace(until: std::time::Instant) {
+    #[cfg(wcq_dst)]
+    if shuttle_lite::in_sim() {
+        yield_now();
+        return;
+    }
+    // BOUND: wait-edge — wall-clock wait: the caller caps `until` at its
+    // batch's flush deadline, so at most `flush_after` from the batch's
+    // first span
+    while std::time::Instant::now() < until {
+        std::hint::spin_loop();
+    }
+}

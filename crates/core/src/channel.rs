@@ -284,8 +284,8 @@ pub fn recv_any<T: Send>(
         }
     };
     // BOUND: wait-edge — recv_any listen/probe rounds: re-loops only after
-    // a lane's epoch moved (progress elsewhere) or a park woke; deadline
-    // exits via Timeout
+    // a lane's epoch moved (progress elsewhere), a lane closed (once per
+    // lane) or a park woke; deadline exits via Timeout
     loop {
         // Phase 1: snapshot each lane's epoch, then probe it. The order
         // (listen before probe) is the usual eventcount discipline: a
@@ -347,12 +347,22 @@ pub fn recv_any<T: Send>(
         }
         // Phase 3: post-registration re-probe (the Dekker step — a
         // producer whose no-waiter fast path missed us must now be
-        // visible to this sweep).
+        // visible to this sweep). The same holds for a closer: `close`
+        // notifies registered waiters only, so a close that landed
+        // between phase 1 and our registration moved no epoch, and this
+        // is the last look before the park. Phase 1 re-classifies the
+        // lane (closed, or closed over residue).
+        let mut closed_since = false;
         for i in 0..rxs.len() {
             if let Ok(v) = rxs[i].try_recv() {
                 cancel_all(rxs, &mut tokens);
                 return Ok((i, v));
             }
+            closed_since |= !dead[i] && rxs[i].shared.is_closed();
+        }
+        if closed_since {
+            cancel_all(rxs, &mut tokens);
+            continue;
         }
         // Phase 4: park until any registered epoch moves or the deadline
         // passes. Each lane's notify wakes this thread (thread parking is

@@ -1,14 +1,15 @@
 //! Collector pipeline semantics end to end: conservation under
 //! oversubscription, load shedding, fault injection (FailEvery /
 //! StallFor), retry exhaustion and the overflow drop policy, deadline
-//! flushes, and the refcount-ripple shutdown drain.
+//! flushes, the refcount-ripple shutdown drain, seated vs overflow
+//! senders, and the freshness bound under the paced sweep.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use collector::{
-    Collector, CollectorConfig, FailEvery, NoFaults, RetryPolicy, ShedPolicy, Span, SpanSender,
-    StallFor, VecExporter,
+    Collector, CollectorConfig, ExportError, Exporter, FailEvery, NoFaults, RetryPolicy,
+    ShedPolicy, Span, SpanSender, StallFor, VecExporter,
 };
 
 fn oversubscribed(n: usize) -> usize {
@@ -220,4 +221,174 @@ fn flush_latency_report_is_populated() {
     let l = &report.flush_latency;
     assert!(l.n > 0, "at least one batch latency sample");
     assert!(l.p50_ns <= l.p99_ns && l.p99_ns <= l.max_ns);
+}
+
+#[test]
+fn seated_and_overflow_senders_conserve_and_never_buffer() {
+    // Three seats, six senders on six threads: threads 0–2 submit first
+    // and take the seats, threads 3–5 count through the shared overflow
+    // row. (`producers: 3`, not 2: a lane admits `producers + 1` overflow
+    // senders at a time and parks the next one until a slot frees, so six
+    // live senders need three declared.) Mid-run threads 1, 2 and 3 drop
+    // their sender and carry on with a fresh clone; thread 3's clone
+    // submits once both seats are free and before the other two do, so a
+    // seat released by one thread is re-claimed by another, and one of
+    // the two former seat holders continues on the overflow row.
+    const THREADS: usize = 6;
+    const RECLONING: std::ops::Range<usize> = 1..4;
+    const PER_PHASE: u64 = 3_000;
+    let cfg = CollectorConfig {
+        shards: 2,
+        producers: 3,
+        workers: 1,
+        shed: ShedPolicy::Shed,
+        ..CollectorConfig::default()
+    };
+    let (col, template) = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
+    let all = Arc::new(Barrier::new(THREADS));
+    let recloning = Arc::new(Barrier::new(RECLONING.len()));
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let mut tx = template.clone();
+            let (all, recloning) = (Arc::clone(&all), Arc::clone(&recloning));
+            std::thread::spawn(move || {
+                let (mut taken, mut refused, mut seq) = (0u64, 0u64, 0u64);
+                let mut submit = |tx: &mut SpanSender, n: u64| {
+                    for _ in 0..n {
+                        let id = t as u64 * 1_000_000 + seq;
+                        seq += 1;
+                        if tx.submit(Span::new(id, id)) {
+                            taken += 1;
+                        } else {
+                            refused += 1;
+                        }
+                    }
+                };
+                if t < 3 {
+                    submit(&mut tx, 1); // first come, first seated
+                }
+                all.wait();
+                submit(&mut tx, PER_PHASE);
+                all.wait();
+                if RECLONING.contains(&t) {
+                    let fresh = tx.clone();
+                    drop(tx); // gives the seat back, if it held one
+                    tx = fresh;
+                    recloning.wait(); // both seats are free
+                    if t == 3 {
+                        submit(&mut tx, 1);
+                    }
+                    recloning.wait(); // thread 3 sits where 1 or 2 sat
+                }
+                submit(&mut tx, PER_PHASE);
+                (tx, taken, refused)
+            })
+        })
+        .collect();
+    let mut senders = vec![template];
+    let (mut taken, mut refused) = (0, 0);
+    for t in threads {
+        let (tx, a, r) = t.join().unwrap();
+        senders.push(tx);
+        taken += a;
+        refused += r;
+    }
+    // Every submitting thread is joined but every sender is still alive:
+    // a seat's cells are the counters, not a buffer in front of them.
+    let live = col.snapshot();
+    assert_eq!(live.accepted, taken, "seats must not buffer counts");
+    assert_eq!(live.shed, refused);
+    drop(senders);
+    let (report, exporter) = col.shutdown();
+    let m = &report.metrics;
+    assert_eq!(m.accepted, taken, "accepted == number of submit() == true");
+    assert_eq!(m.shed, refused);
+    assert_eq!(m.per_shard.iter().map(|s| s.accepted).sum::<u64>(), taken);
+    assert_eq!(m.per_shard.iter().map(|s| s.shed).sum::<u64>(), refused);
+    assert_eq!(m.dropped, 0);
+    assert!(m.conserved(), "count+checksum identity: {m:?}");
+    assert_eq!(exporter.spans.len() as u64, taken);
+}
+
+/// Records when each span reached the sink.
+#[derive(Default)]
+struct StampingExporter {
+    exported_at: Vec<(u64, Instant)>,
+}
+
+impl Exporter for StampingExporter {
+    fn export(&mut self, spans: &[Span]) -> Result<(), ExportError> {
+        let now = Instant::now();
+        self.exported_at.extend(spans.iter().map(|s| (s.id, now)));
+        Ok(())
+    }
+}
+
+#[test]
+fn paced_sweep_keeps_the_freshness_bound_under_a_trickle() {
+    // A burst fills batches, which hands the worker the arrival-rate
+    // estimate it paces its sweeps by; the trickle that follows never
+    // fills one. Pacing must not hold a span past the flush deadline: the
+    // trickle keeps shipping by deadline flush, every span within twice
+    // `flush_after` of its submit (once for the batch to close, slack for
+    // the export). Wall-clock bound on a shared host: one clean attempt
+    // in three passes.
+    const FLUSH_AFTER: Duration = Duration::from_millis(5);
+    const BURST: u64 = 4 * 1_024;
+    const TRICKLE_MS: u64 = 40;
+    let attempt = || -> Result<(), String> {
+        let cfg = CollectorConfig {
+            shards: 1,
+            lane_order: 13,
+            producers: 1,
+            workers: 1,
+            batch_max: 1_024,
+            flush_after: FLUSH_AFTER,
+            shed: ShedPolicy::Block,
+            ..CollectorConfig::default()
+        };
+        let (col, mut tx) = Collector::spawn(cfg, StampingExporter::default(), Arc::new(NoFaults));
+        let mut submitted_at = Vec::new();
+        let mut submit = |tx: &mut SpanSender| {
+            let id = submitted_at.len() as u64;
+            submitted_at.push(Instant::now());
+            assert!(tx.submit(Span::new(0, id)), "Block policy accepts");
+        };
+        for _ in 0..BURST {
+            submit(&mut tx);
+        }
+        let before_trickle = col.snapshot().deadline_flushes;
+        for _ in 0..TRICKLE_MS {
+            std::thread::sleep(Duration::from_millis(1));
+            submit(&mut tx);
+        }
+        let deadline_flushes = col.snapshot().deadline_flushes - before_trickle;
+        drop(tx);
+        let (report, exporter) = col.shutdown();
+        assert!(report.metrics.conserved());
+        assert_eq!(report.metrics.exported, BURST + TRICKLE_MS);
+        if deadline_flushes < TRICKLE_MS / 10 {
+            return Err(format!(
+                "{deadline_flushes} deadline flushes in {TRICKLE_MS} ms of trickle"
+            ));
+        }
+        let stale = exporter
+            .exported_at
+            .iter()
+            .map(|&(id, at)| at.saturating_duration_since(submitted_at[id as usize]))
+            .max()
+            .expect("spans were exported");
+        if stale > 2 * FLUSH_AFTER {
+            return Err(format!("a span waited {stale:?} for export"));
+        }
+        Ok(())
+    };
+    let mut misses = Vec::new();
+    for _ in 0..3 {
+        match attempt() {
+            Ok(()) => return,
+            Err(miss) => misses.push(miss),
+        }
+    }
+    panic!("freshness bound missed on every attempt: {misses:?}");
 }

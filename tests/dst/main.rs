@@ -580,3 +580,32 @@ fn dst_collector_shutdown_drain_ships_partial_batch() {
     Explorer::new("collector-drain-hold")
         .check(|| collector_drain_model(std::time::Duration::from_secs(3_600), 2));
 }
+
+// ===================================================================
+// Model 10: recv_any vs the close ripple
+// ===================================================================
+
+/// A receiver parked in `recv_any` with no deadline over two idle lanes
+/// while their senders drop. `close` notifies only registered waiters,
+/// so a close that lands between `recv_any`'s probe and its registration
+/// bumps no epoch: the post-registration re-probe is the only place the
+/// receiver can still learn of it. Missing that parks the thread forever
+/// — the collector's idle worker at shutdown — which the explorer
+/// reports as a deadlock.
+fn recv_any_close_model() {
+    use wcq::sync::RecvError;
+    let (tx_a, rx_a) = channel::spsc::<u64>(1, 2);
+    let (tx_b, rx_b) = channel::spsc::<u64>(1, 2);
+    let receiver = thread::spawn(move || {
+        let mut lanes = [rx_a, rx_b];
+        channel::recv_any(&mut lanes, None)
+    });
+    drop(tx_a);
+    drop(tx_b);
+    assert_eq!(receiver.join().unwrap(), Err(RecvError::Closed));
+}
+
+#[test]
+fn dst_recv_any_vs_close() {
+    Explorer::new("recv-any-close").check(recv_any_close_model);
+}
