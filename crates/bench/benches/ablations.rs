@@ -254,8 +254,10 @@ fn ablate_backoff(c: &mut Criterion) {
 /// listen-then-probe pair at both orderings — on x86-64 both loads compile
 /// to `mov`, so any delta is compiler reordering freedom; the row
 /// documents that the downgrade is *free*, the DST model that it is
-/// *sound* — plus the real adopted path, a blocking dequeue that never
-/// parks (one `listen` + `try_dequeue` per call).
+/// *sound* — plus the facade's fast path, a blocking pair that never
+/// parks: since the wait became one round it is the bare attempt (no
+/// `listen` at all; the snapshot is first taken after a probe missed), so
+/// this row now prices the facade over `try_enqueue`/`try_dequeue`.
 fn ablate_eventcount_listen(c: &mut Criterion) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use wcq::sync::SyncQueue;

@@ -82,7 +82,8 @@
 //! ```
 
 use crate::sync::{
-    wait_for_slot, DequeueFuture, EnqueueFuture, RecvError, SendError, SyncQueue, SyncState,
+    block, wait_for_slot, Dequeue, DequeueFuture, EnqueueFuture, Eventcount, Probe, RecvError,
+    SendError, Slot, SyncQueue, SyncState, Waitable,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
 use crate::{
@@ -95,7 +96,7 @@ use crate::sim::AtomicUsize;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ===================================================================
 // Constructors
@@ -222,26 +223,30 @@ pub fn mpsc<T: Send>(
 /// Receives from whichever of `rxs` has a value first — the minimal
 /// `select`-style multi-queue wait the facade otherwise lacks (flushed out
 /// by the span-collector pipeline, which sweeps one MPSC lane per shard
-/// and must park when *all* of them are empty; DESIGN.md §14).
+/// and must park when *all* of them are empty; DESIGN.md §14). It is the
+/// N-lane instance of the one wait protocol in [`crate::sync`].
 ///
 /// Semantics:
 ///
 /// * Probes every receiver in index order; the first value found returns
 ///   immediately as `Ok((lane, value))` — lower indices therefore win
-///   ties, which keeps the call deterministic under light load.
+///   ties, which keeps the call deterministic under light load. A value
+///   that is already there costs one sweep and no allocation.
 /// * If every lane is observed empty, the calling thread registers on
 ///   **all** of their not-empty eventcounts and parks, so one `send` on
 ///   any lane wakes it — no polling loop, no per-lane timeout ladder.
 /// * `timeout = None` waits indefinitely (until a value or every lane
 ///   closes); `Some(d)` bounds the wait and reports
 ///   [`RecvError::Timeout`] after one final sweep, exactly like
-///   [`Receiver::recv_timeout`].
+///   [`Receiver::recv_timeout`] — `Some(Duration::ZERO)` only sweeps,
+///   it never registers or sleeps, and a `d` too large to add to the
+///   clock (`Duration::MAX`) waits without a deadline.
 /// * [`RecvError::Closed`] means every lane is closed **and** drained —
 ///   the collective analogue of a single receiver's `Closed`.
 ///
 /// A lane holding stranded ring residue (closed, but the values sit
 /// behind a consumer seat held elsewhere — DESIGN.md §11) is treated as
-/// "empty for now": `recv_any` stays awake (yield-spin, as
+/// "empty for now": `recv_any` stays awake (spin-then-yield, as
 /// `dequeue_blocking` does) rather than parking past the residue or
 /// reporting `Closed` over values that still exist.
 ///
@@ -271,131 +276,45 @@ pub fn recv_any<T: Send>(
     timeout: Option<Duration>,
 ) -> Result<(usize, T), RecvError> {
     assert!(!rxs.is_empty(), "recv_any over zero receivers");
-    let deadline = timeout.map(|t| Instant::now() + t);
-    // One registration token per lane, reused across rounds.
-    let mut tokens: Vec<Option<u64>> = (0..rxs.len()).map(|_| None).collect();
-    let mut keys: Vec<u64> = vec![0; rxs.len()];
-    let mut dead: Vec<bool> = vec![false; rxs.len()];
-    let cancel_all = |rxs: &[Receiver<T>], tokens: &mut [Option<u64>]| {
-        for (rx, t) in rxs.iter().zip(tokens.iter_mut()) {
-            if let Some(token) = t.take() {
-                rx.shared.backend.sync_state().not_empty().cancel(token);
+    block(AnyOf(rxs), timeout)
+}
+
+/// Waitable: take a value from any of N receivers, one lane each (its
+/// channel's `not_empty`).
+struct AnyOf<'a, T: Send>(&'a mut [Receiver<T>]);
+
+impl<T: Send> Waitable for AnyOf<'_, T> {
+    type Output = Result<(usize, T), RecvError>;
+    type Slots = Vec<Slot>;
+
+    fn slots(&self) -> Vec<Slot> {
+        vec![Slot::default(); self.0.len()]
+    }
+
+    fn lane(&self, i: usize) -> &Eventcount {
+        self.0[i].shared.backend.sync_state().not_empty()
+    }
+
+    #[inline]
+    fn probe(&mut self) -> Probe<Self::Output> {
+        // `Closed` stands only if no lane objects: every one of them
+        // closed and drained.
+        let mut verdict = Probe::Ready(Err(RecvError::Closed));
+        for (i, rx) in self.0.iter_mut().enumerate() {
+            match Dequeue(rx.endpoint()).probe() {
+                Probe::Ready(Ok(v)) => return Probe::Ready(Ok((i, v))),
+                Probe::Ready(Err(_)) => {}
+                // One lane in limbo keeps the whole wait awake.
+                Probe::Limbo => verdict = Probe::Limbo,
+                Probe::Wait if matches!(verdict, Probe::Limbo) => {}
+                Probe::Wait => verdict = Probe::Wait,
             }
         }
-    };
-    // BOUND: wait-edge — recv_any listen/probe rounds: re-loops only after
-    // a lane's epoch moved (progress elsewhere), a lane closed (once per
-    // lane) or a park woke; deadline exits via Timeout
-    loop {
-        // Phase 1: snapshot each lane's epoch, then probe it. The order
-        // (listen before probe) is the usual eventcount discipline: a
-        // value that lands after the probe bumps the epoch past our key,
-        // so registration below refuses and we re-probe.
-        let mut open = 0usize;
-        let mut limbo = false;
-        for i in 0..rxs.len() {
-            keys[i] = rxs[i].shared.backend.sync_state().not_empty().listen();
-            match rxs[i].try_recv() {
-                Ok(v) => return Ok((i, v)),
-                Err(TryRecvError::Empty) => {
-                    dead[i] = false;
-                    open += 1;
-                    // Closed but `Empty`: stranded residue (see try_recv).
-                    // Parking would race the seat holder's final pop —
-                    // stay awake until the residue surfaces or drains.
-                    limbo |= rxs[i].shared.is_closed();
-                }
-                Err(TryRecvError::Closed) => dead[i] = true,
-            }
-        }
-        if open == 0 {
-            return Err(RecvError::Closed);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(RecvError::Timeout);
-        }
-        if limbo {
-            crate::sim::yield_now();
-            continue;
-        }
-        // Phase 2: register on every open lane. A refusal means that
-        // lane was notified since phase 1 — new data may be sweepable,
-        // so drop all registrations and start over.
-        let mut refused = false;
-        for i in 0..rxs.len() {
-            if dead[i] {
-                // Lane reported Closed in phase 1; nothing to wait for.
-                continue;
-            }
-            match rxs[i]
-                .shared
-                .backend
-                .sync_state()
-                .not_empty()
-                .register_thread(keys[i])
-            {
-                Some(token) => tokens[i] = Some(token),
-                None => {
-                    refused = true;
-                    break;
-                }
-            }
-        }
-        if refused {
-            cancel_all(rxs, &mut tokens);
-            continue;
-        }
-        // Phase 3: post-registration re-probe (the Dekker step — a
-        // producer whose no-waiter fast path missed us must now be
-        // visible to this sweep). The same holds for a closer: `close`
-        // notifies registered waiters only, so a close that landed
-        // between phase 1 and our registration moved no epoch, and this
-        // is the last look before the park. Phase 1 re-classifies the
-        // lane (closed, or closed over residue).
-        let mut closed_since = false;
-        for i in 0..rxs.len() {
-            if let Ok(v) = rxs[i].try_recv() {
-                cancel_all(rxs, &mut tokens);
-                return Ok((i, v));
-            }
-            closed_since |= !dead[i] && rxs[i].shared.is_closed();
-        }
-        if closed_since {
-            cancel_all(rxs, &mut tokens);
-            continue;
-        }
-        // Phase 4: park until any registered epoch moves or the deadline
-        // passes. Each lane's notify wakes this thread (thread parking is
-        // process-global), and the moved epoch tells us which.
-        // BOUND: wait-edge — parks until a registered lane epoch moves or
-        // the deadline passes; spurious unparks re-check every lane
-        loop {
-            let moved = (0..rxs.len()).any(|i| {
-                tokens[i].is_some()
-                    && rxs[i].shared.backend.sync_state().not_empty().listen() != keys[i]
-            });
-            if moved {
-                break;
-            }
-            match deadline {
-                None => crate::sim::park(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        cancel_all(rxs, &mut tokens);
-                        // One final sweep keeps the result honest.
-                        for (i, rx) in rxs.iter_mut().enumerate() {
-                            if let Ok(v) = rx.try_recv() {
-                                return Ok((i, v));
-                            }
-                        }
-                        return Err(RecvError::Timeout);
-                    }
-                    crate::sim::park_timeout(d - now);
-                }
-            }
-        }
-        cancel_all(rxs, &mut tokens);
+        verdict
+    }
+
+    fn timeout(&mut self) -> Self::Output {
+        Err(RecvError::Timeout)
     }
 }
 
@@ -670,7 +589,9 @@ impl<T: Send> Sender<T> {
     }
 
     /// Like [`Self::send`] with a deadline; a timeout is
-    /// element-conserving ([`SendError::Timeout`] carries the value).
+    /// element-conserving ([`SendError::Timeout`] carries the value). A
+    /// `timeout` too large to add to the clock (`Duration::MAX`) waits
+    /// without a deadline, like [`Self::send`].
     pub fn send_timeout(&mut self, v: T, timeout: Duration) -> Result<(), SendError<T>> {
         if self.shared.is_closed() {
             return Err(SendError::Closed(v));
@@ -769,22 +690,13 @@ impl<T: Send> Receiver<T> {
     /// slot and waits while all `max_threads` are taken (see [`bounded`]);
     /// once registered, `try_recv` never waits.
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-        match self.endpoint().try_dequeue() {
-            Some(v) => Ok(v),
-            None if self.shared.is_closed() => {
-                // Drain race: an insert may have landed between the probe
-                // and the close check.
-                match self.endpoint().try_dequeue() {
-                    Some(v) => Ok(v),
-                    // Ring residue stranded behind another endpoint's
-                    // consumer seat (DESIGN.md §11) is "empty for now",
-                    // not `Closed` — the values will surface once the
-                    // holder drains or drops.
-                    None if self.endpoint().residue_hint() => Err(TryRecvError::Empty),
-                    None => Err(TryRecvError::Closed),
-                }
-            }
-            None => Err(TryRecvError::Empty),
+        match Dequeue(self.endpoint()).probe() {
+            Probe::Ready(Ok(v)) => Ok(v),
+            Probe::Ready(Err(_)) => Err(TryRecvError::Closed),
+            // Limbo — values stranded behind another endpoint's consumer
+            // seat (DESIGN.md §11) — is "empty for now" here: they will
+            // surface once the holder drains or drops.
+            Probe::Wait | Probe::Limbo => Err(TryRecvError::Empty),
         }
     }
 
@@ -796,7 +708,9 @@ impl<T: Send> Receiver<T> {
     }
 
     /// Like [`Self::recv`] with a deadline; takes one last look before
-    /// reporting [`RecvError::Timeout`].
+    /// reporting [`RecvError::Timeout`]. A `timeout` too large to add to
+    /// the clock (`Duration::MAX`) waits without a deadline, like
+    /// [`Self::recv`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvError> {
         self.endpoint().dequeue_timeout(timeout)
     }

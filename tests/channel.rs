@@ -195,6 +195,49 @@ fn timeout_is_element_conserving() {
     );
 }
 
+// `Instant::now() + Duration::MAX` overflows; an unrepresentable deadline
+// is no deadline, on each of the three entry points that take one. The
+// value arrives from another thread after the waiter had time to park.
+
+fn after_a_pause(f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        f()
+    })
+}
+
+#[test]
+fn recv_timeout_max_waits_without_a_deadline() {
+    let (mut tx, mut rx) = channel::bounded::<u32>(1, 2);
+    let t = after_a_pause(move || tx.send(1).unwrap());
+    assert_eq!(rx.recv_timeout(Duration::MAX), Ok(1));
+    t.join().unwrap();
+}
+
+#[test]
+fn send_timeout_max_waits_without_a_deadline() {
+    let (mut tx, mut rx) = channel::bounded::<u32>(1, 2); // 2 slots
+    tx.send(1).unwrap();
+    tx.send(2).unwrap();
+    let t =
+        after_a_pause(move || assert_eq!([rx.recv(), rx.recv(), rx.recv()], [Ok(1), Ok(2), Ok(3)]));
+    assert_eq!(tx.send_timeout(3, Duration::MAX), Ok(()));
+    t.join().unwrap();
+}
+
+#[test]
+fn recv_any_max_waits_without_a_deadline() {
+    let (_tx_a, rx_a) = channel::spsc::<u32>(2, 2);
+    let (mut tx_b, rx_b) = channel::spsc::<u32>(2, 2);
+    let t = after_a_pause(move || tx_b.send(4).unwrap());
+    let mut lanes = [rx_a, rx_b];
+    assert_eq!(
+        channel::recv_any(&mut lanes, Some(Duration::MAX)),
+        Ok((1, 4))
+    );
+    t.join().unwrap();
+}
+
 #[test]
 fn batch_surface_roundtrips() {
     let (mut tx, mut rx) = channel::bounded::<u64>(3, 2); // 8 slots

@@ -10,6 +10,13 @@
 //! `shuttle_lite::replay`. The `regressions` module pins minimized
 //! schedules from defects the explorer has found.
 //!
+//! Models, by number: 1 helper drive vs quiesce-on-release, 2 TAG wrap,
+//! 3 slot recycle, 4 graft transition, 5 eventcount park vs fenced notify
+//! (the wait protocol's thread driver), 6 degraded-mode residue, 7 slot
+//! handoff orderings, 8 collector drain, 9 eventcount `listen` orderings,
+//! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
+//! driver (`Waker` registration through the futures).
+//!
 //! Model-size discipline: 2–3 threads, 2–6 operations, ring order ≤ 2,
 //! `WcqConfig::stress()` where the helping slow path is under test —
 //! the protocols' state machines are small-bounds-reachable (TAG_BITS is
@@ -369,7 +376,8 @@ fn dst_slot_handoff_relaxed_release_is_flagged() {
 /// (`exit_o`) is the acquire edge that carries the notifier's payload into
 /// the waiter's view. Running the snapshot `Relaxed` must be clean over
 /// ≥10k weak schedules; running the *exit* load `Relaxed` (one notch below
-/// the `SeqCst` that `park_registered` uses) must be flagged as a data
+/// the `SeqCst` of `Eventcount::moved_past`, which the thread driver's one
+/// park site sleeps on) must be flagged as a data
 /// race on the payload — the executable revert-verification that the
 /// right load was downgraded.
 fn ec_listen_model(listen_o: Ordering, exit_o: Ordering) {
@@ -608,4 +616,38 @@ fn recv_any_close_model() {
 #[test]
 fn dst_recv_any_vs_close() {
     Explorer::new("recv-any-close").check(recv_any_close_model);
+}
+
+// ===================================================================
+// Model 11: the task driver — Waker registration vs fenced notify
+// ===================================================================
+
+/// Model 5's rendezvous driven through the futures instead of the
+/// blocking calls: each side is a task on `block_on`, so what the round
+/// enrolls is a `Waker` (kept across polls, refreshed in place on a
+/// re-poll, cancelled on completion) rather than a thread handle, and a
+/// wake is `Waker::wake` → unpark of the executor thread. Same ring
+/// (capacity 2, three values: both edges park), same oracle: exact
+/// in-order delivery, and a lost wake is a deadlock the explorer reports.
+fn task_driver_model() {
+    use wcq::sync::block_on;
+    let (mut tx, mut rx) = channel::spsc::<u64>(1, 2);
+    let consumer = thread::spawn(move || {
+        let mut got = Vec::new();
+        while let Ok(v) = block_on(rx.recv_async()) {
+            got.push(v);
+        }
+        got
+    });
+    for v in 0..3u64 {
+        block_on(tx.send_async(v)).unwrap(); // capacity 2: may pend on full
+    }
+    drop(tx); // close: the pending recv must be woken, drain, see Closed
+    let got = consumer.join().unwrap();
+    assert_eq!(got, vec![0, 1, 2], "exact delivery, no lost wake");
+}
+
+#[test]
+fn dst_task_driver_waker_vs_fenced_notify() {
+    Explorer::new("task-driver").check(task_driver_model);
 }

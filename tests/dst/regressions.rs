@@ -5,16 +5,25 @@
 //! failure report (`minimized schedule: "..."`).
 
 /// Degraded-mode residue loss (DESIGN.md §11), found by the explorer on
-/// schedule #2 of `dst_degraded_residue_inheritance`'s default run (seed
-/// `0x5eedcafe`) and minimized to 3 runs: the seat holder takes one value
-/// off the closed channel, the excess receiver is scheduled before the
-/// holder's drop, maps "closed + nothing reachable" to `Closed`, and the
-/// ring residue is never delivered (`[1] != [1, 2]`). Fixed by
-/// `residue_hint` + the seat-release notify; reverting either makes this
-/// replay panic again.
+/// `dst_degraded_residue_inheritance`'s default run (seed `0x5eedcafe`)
+/// and minimized to 3 runs: the seat holder takes one value off the
+/// closed channel, the excess receiver is scheduled before the holder's
+/// drop, maps "closed + nothing reachable" to `Closed`, and the ring
+/// residue is never delivered (`[1] != [1, 2]`). Fixed by `residue_hint`
+/// — today the `Limbo` arm of the dequeue probe in `sync.rs`; deleting
+/// that arm makes this replay panic again. (The seat-release notify that
+/// came with the fix serves receivers parked on an *open* channel, which
+/// this closed-channel model never has.)
+///
+/// Tapes are positional — one decision per scheduling point — so a tape
+/// is only evidence for the atomics the model executed when it was cut.
+/// This one was re-cut when the five wait loops became one round (the old
+/// `"0*26,1*9,0*5"` replayed green even with the `Limbo` arm deleted):
+/// schedule #4 of the default run with that arm removed. Any change to
+/// the operations a replayed model performs owes the same re-validation.
 #[test]
 fn degraded_residue_minimized_schedule() {
-    shuttle_lite::replay("0*26,1*9,0*5", super::degraded_residue_model);
+    shuttle_lite::replay("0*20,1*8,0*6", super::degraded_residue_model);
 }
 
 /// The slot-handoff ordering downgrade (`SeqCst` → `Acquire`/`Release` in
