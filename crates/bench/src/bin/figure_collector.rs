@@ -1,6 +1,7 @@
 //! Collector oversubscription sweep — beyond the paper: the span-collector
-//! service pipeline (sharded ingest → deadline batcher → resilient
-//! exporter, all on `wcq::channel`) driven at 1×–4× core oversubscription.
+//! service pipeline (sharded ingest → batcher that ships on a pause in the
+//! flow, a full batch or a deadline → resilient exporter, all on
+//! `wcq::channel`) driven at 1×–4× core oversubscription.
 //!
 //! The paper's Figures stress a queue; this figure stresses the *service
 //! built from the queues*: at each point the producer count is a multiple

@@ -151,8 +151,14 @@ fn main() -> ExitCode {
         m.inflight()
     );
     println!(
-        "flushes={} deadline_flushes={} export_failures={} retries={}",
-        m.flushes, m.deadline_flushes, m.export_failures, m.retries
+        "flushes={} deadline_flushes={} pause_flushes={} spans_per_flush={:.1} \
+         export_failures={} retries={}",
+        m.flushes,
+        m.deadline_flushes,
+        m.pause_flushes,
+        m.spans_per_flush(),
+        m.export_failures,
+        m.retries
     );
     let l = &report.flush_latency;
     println!(

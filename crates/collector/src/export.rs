@@ -68,7 +68,8 @@ pub enum FaultAction {
     Fail,
     /// Stall the exporter thread for the duration, then run the attempt.
     /// Models a slow backend: upstream keeps batching, the export queue
-    /// absorbs the bubble, and deadline flushes keep firing.
+    /// absorbs the bubble, and once it is full the spans wait in the
+    /// lanes, so batches grow.
     Stall(Duration),
 }
 

@@ -5,8 +5,9 @@
 //! The shape (DESIGN.md §14): producers [`SpanSender::submit`] spans into
 //! per-shard `channel::mpsc` lanes (shard = trace id mod shards, so a
 //! trace's spans stay FIFO through one lane); batching workers sweep
-//! disjoint lane subsets with `recv_batch`, flush on size or deadline,
-//! and park across all their lanes with `channel::recv_any` when idle;
+//! disjoint lane subsets with `recv_batch`, flush on size, deadline or
+//! a pause in the flow, and park across all their lanes with
+//! `channel::recv_any` once nothing is buffered;
 //! a single exporter stage applies a bounded [`RetryPolicy`] around a
 //! pluggable [`Exporter`] sink, with a [`FaultInjector`] seam
 //! ([`FailEvery`], [`StallFor`]) shared by the tests, the DST model, and
@@ -14,7 +15,7 @@
 //!
 //! The crate's contract is **conservation**: every accepted span is
 //! exported exactly once or explicitly counted dropped — by count and by
-//! content checksum ([`MetricsSnapshot::conserved`]) — across deadline
+//! content checksum ([`MetricsSnapshot::conserved`]) — across partial
 //! flushes, injected faults, and the refcount-ripple shutdown. Overload
 //! sheds at the ingest edge under an explicit [`ShedPolicy`]; shed spans
 //! are counted, never accepted, so shedding is load management, not loss.

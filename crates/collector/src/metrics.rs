@@ -14,7 +14,7 @@
 //! | `IngestBlock`, row 0 | shard | `accepted`, `shed`, `accepted_ck` | unseated producers (RMW) | `snapshot` |
 //! | `IngestBlock`, row `1 + seat` | seat × shard | same | the one [`crate::SpanSender`] holding the seat (`load`+`store`) | `snapshot` |
 //! | `EgressBlock` | shard | `exported`, `dropped` | exporter, once per batch | `snapshot` |
-//! | `FlushBlock` | pipeline | `flushes`, `deadline_flushes` | workers, once per batch | `snapshot` |
+//! | `FlushBlock` | pipeline | `flushes`, `deadline_flushes`, `pause_flushes` | workers, once per batch (full, deadline, pause or drain) | `snapshot` |
 //! | `ExportBlock` | pipeline | `exported_ck`, `dropped_ck`, `export_failures`, `retries` | exporter, once per batch / attempt | `snapshot` |
 //!
 //! `snapshot` sums the ingest rows per shard and XOR-folds their
@@ -55,9 +55,23 @@ struct EgressBlock {
 struct FlushBlock {
     /// Batches handed to the exporter stage.
     flushes: AtomicU64,
-    /// The subset of `flushes` forced by the flush deadline (vs. a full
-    /// batch or the shutdown drain).
+    /// The subset of `flushes` forced by the flush deadline.
     deadline_flushes: AtomicU64,
+    /// The subset of `flushes` shipped because the flow paused.
+    pause_flushes: AtomicU64,
+}
+
+/// Why a worker shipped a batch.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FlushCause {
+    /// The batch reached `batch_max`.
+    Full,
+    /// The batch had been open `flush_after`.
+    Deadline,
+    /// Two sweeps a grace wait apart found every lane empty.
+    Pause,
+    /// As `Pause`, with every lane closed: the shutdown ripple.
+    Drain,
 }
 
 /// Pipeline-wide export-side counters; only the exporter stage writes
@@ -219,11 +233,14 @@ impl Metrics {
         self.export.retries.fetch_add(1, Relaxed);
     }
 
-    pub(crate) fn on_flush(&self, deadline: bool) {
+    pub(crate) fn on_flush(&self, cause: FlushCause) {
         self.flush.flushes.fetch_add(1, Relaxed);
-        if deadline {
-            self.flush.deadline_flushes.fetch_add(1, Relaxed);
-        }
+        let subset = match cause {
+            FlushCause::Deadline => &self.flush.deadline_flushes,
+            FlushCause::Pause => &self.flush.pause_flushes,
+            FlushCause::Full | FlushCause::Drain => return,
+        };
+        subset.fetch_add(1, Relaxed);
     }
 
     /// Point-in-time relaxed snapshot. Mid-flight the identities may lag
@@ -257,6 +274,7 @@ impl Metrics {
         s.retries = self.export.retries.load(Relaxed);
         s.flushes = self.flush.flushes.load(Relaxed);
         s.deadline_flushes = self.flush.deadline_flushes.load(Relaxed);
+        s.pause_flushes = self.flush.pause_flushes.load(Relaxed);
         s.exported_ck = self.export.exported_ck.load(Relaxed);
         s.dropped_ck = self.export.dropped_ck.load(Relaxed);
         s
@@ -297,6 +315,9 @@ pub struct MetricsSnapshot {
     pub flushes: u64,
     /// Flushes forced by the deadline.
     pub deadline_flushes: u64,
+    /// Flushes shipped because the flow paused (not counting the
+    /// shutdown drain).
+    pub pause_flushes: u64,
     /// XOR checksum over accepted spans.
     pub accepted_ck: u64,
     /// XOR checksum over exported spans.
@@ -315,6 +336,12 @@ impl MetricsSnapshot {
         self.accepted
             .saturating_sub(self.exported)
             .saturating_sub(self.dropped)
+    }
+
+    /// Mean batch size: spans out of the pipeline (exported or dropped)
+    /// per flush; 0 before the first flush.
+    pub fn spans_per_flush(&self) -> f64 {
+        (self.exported + self.dropped) as f64 / self.flushes.max(1) as f64
     }
 
     /// The conservation identity the pipeline promises after shutdown:
@@ -465,6 +492,7 @@ mod tests {
         let workers = [
             block_of(&m.flush.flushes),
             block_of(&m.flush.deadline_flushes),
+            block_of(&m.flush.pause_flushes),
         ];
         for (i, row) in rows.iter().enumerate() {
             for b in row {

@@ -8,27 +8,33 @@
 //!  SpanSender ──try_send──► lane S-1               ─┴─ worker W-1┘   queue ─► exporter
 //! ```
 //!
+//! A worker ships a batch when it is full, when it has been open
+//! `flush_after`, or when the flow pauses: two sweeps a short grace wait
+//! apart both find every lane empty. It parks only with nothing
+//! buffered, so a span never waits on somebody else's next span.
+//!
 //! Shutdown is a refcount ripple, not a flag: dropping the last
 //! [`SpanSender`] closes every lane (last-sender-out close in
-//! `wcq::channel`); each worker drains its lanes to `Closed`, flushes the
-//! final partial batch, and drops its export-queue sender; the last
-//! worker out closes the export queue; the exporter drains it to `Closed`
-//! and returns. No span accepted before the ripple can be lost — that is
-//! the conservation identity [`crate::MetricsSnapshot::conserved`]
-//! asserts, and DST model 8 explores the deadline-flush/shutdown-drain
-//! race at schedule granularity.
+//! `wcq::channel`); each worker sweeps its lanes dry, ships the final
+//! partial batch, sees `Closed` from its park and drops its export-queue
+//! sender; the last worker out closes the export queue; the exporter
+//! drains it to `Closed` and returns. No span accepted before the ripple
+//! can be lost — that is the conservation identity
+//! [`crate::MetricsSnapshot::conserved`] asserts, and DST model 8
+//! explores the deadline, pause and drain flushes against the close
+//! ripple at schedule granularity.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use harness::stats::{LatencyStats, Reservoir};
 use wcq::channel::{self, Receiver, Sender, TrySendError};
-use wcq::sync::{RecvError, SendError};
+use wcq::sync::SendError;
 
 use crate::export::{
     ExportError, Exporter, FaultAction, FaultInjector, OverflowPolicy, RetryPolicy,
 };
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{FlushCause, Metrics, MetricsSnapshot};
 use crate::sim;
 use crate::span::Span;
 
@@ -70,10 +76,16 @@ pub struct CollectorConfig {
     /// Batching worker threads. Lanes are distributed round-robin;
     /// clamped to `1..=shards` (a lane has exactly one sweeper).
     pub workers: usize,
-    /// Flush a batch when it reaches this many spans.
+    /// Flush a batch when it reaches this many spans. The cap on a
+    /// batch, not a target: a batch also ships as soon as the flow
+    /// pauses, so under a trickle batches stay small, and they grow back
+    /// toward this when the exporter falls behind and spans pile up in
+    /// the lanes.
     pub batch_max: usize,
     /// Flush a non-empty batch this long after its first span arrived,
-    /// full or not — the freshness bound on exported telemetry.
+    /// full or not — the freshness bound on exported telemetry. Only a
+    /// flow that never pauses reaches it; any pause ships the batch
+    /// sooner.
     pub flush_after: Duration,
     /// Ingest overload response.
     pub shed: ShedPolicy,
@@ -315,7 +327,7 @@ impl<E: Exporter + 'static> Collector<E> {
 }
 
 // ===================================================================
-// Worker: sweep lanes, batch, flush on size or deadline
+// Worker: sweep lanes, batch, flush on size, deadline or pause
 // ===================================================================
 
 struct Worker {
@@ -326,6 +338,11 @@ struct Worker {
     flush_after: Duration,
 }
 
+/// How many of the open batch's mean inter-arrival gaps a worker waits,
+/// after a sweep finds every lane empty, before it looks again and calls
+/// the flow paused.
+const GRACE_GAPS: f64 = 4.0;
+
 impl Worker {
     fn run(mut self) {
         let mut buf: Vec<Span> = Vec::with_capacity(self.batch_max);
@@ -334,8 +351,11 @@ impl Worker {
         // the arrival-rate estimate the sweep is paced by. `None` until a
         // batch has filled, and again whenever the flow pauses.
         let mut fill: Option<Duration> = None;
+        // The previous sweep found every lane empty and the grace wait
+        // since has run: one more empty sweep means the flow paused.
+        let mut looked = false;
         // BOUND: wait-edge — worker service loop: sweeps lanes until
-        // recv_any reports every lane Closed, then flushes and exits
+        // recv_any reports every lane Closed, then exits
         loop {
             // Sweep every lane while there is room in the batch. A lane
             // that closed mid-sweep just yields nothing here; recv_any
@@ -353,17 +373,18 @@ impl Worker {
             }
             if buf.len() >= self.batch_max {
                 fill = opened.map(|o| o.elapsed());
-                self.flush(&mut buf, &mut opened, false);
+                self.flush(&mut buf, &mut opened, FlushCause::Full);
                 continue;
             }
             if let Some(o) = opened {
                 let open_for = o.elapsed();
                 if open_for >= self.flush_after {
                     fill = None;
-                    self.flush(&mut buf, &mut opened, true);
+                    self.flush(&mut buf, &mut opened, FlushCause::Deadline);
                     continue;
                 }
                 if got > 0 {
+                    looked = false;
                     // Spans are flowing and the batch has room. At a known
                     // rate, come back when the room should have filled,
                     // not at once: sweeping a near-empty lane back to back
@@ -379,35 +400,46 @@ impl Worker {
                     }
                     continue;
                 }
+                if !looked {
+                    // Every lane was empty. Overtaking a producer looks
+                    // the same as a pause, so wait a few of this batch's
+                    // mean gaps and look again before shipping: a worker
+                    // that ships at the first empty sweep also drops the
+                    // pacing estimate each time, and flips to sweeping
+                    // near-empty lanes (DESIGN.md §14).
+                    looked = true;
+                    let grace = open_for.mul_f64(GRACE_GAPS / buf.len() as f64);
+                    sim::pace(o + self.flush_after.min(open_for + grace));
+                    continue;
+                }
+                // Empty again: the flow paused. Ship rather than hold the
+                // spans for whoever sends next.
+                let cause = if self.lanes.iter().all(|rx| rx.is_closed()) {
+                    FlushCause::Drain
+                } else {
+                    FlushCause::Pause
+                };
+                self.flush(&mut buf, &mut opened, cause);
             }
-            // The flow paused. Park across all lanes; a pending deadline
-            // bounds the wait so a lone buffered span still ships on time.
+            // Nothing buffered: park across all lanes, with no deadline to
+            // keep because the worker never parks holding spans.
+            debug_assert!(buf.is_empty());
+            looked = false;
             fill = None;
-            let timeout = opened.map(|o| self.flush_after.saturating_sub(o.elapsed()));
-            match channel::recv_any(&mut self.lanes, timeout) {
-                Ok((_, span)) => {
-                    if opened.is_none() {
-                        opened = Some(Instant::now());
-                    }
-                    buf.push(span);
-                }
-                Err(RecvError::Timeout) => self.flush(&mut buf, &mut opened, true),
-                Err(RecvError::Closed) => {
-                    // Every lane closed *and* drained: the shutdown
-                    // ripple. Ship what is buffered and retire.
-                    self.flush(&mut buf, &mut opened, false);
-                    return;
-                }
-            }
+            // Untimed, so the only error is Closed: every lane closed
+            // *and* drained, the shutdown ripple. Nothing to ship; retire.
+            let Ok((_, span)) = channel::recv_any(&mut self.lanes, None) else {
+                return;
+            };
+            opened = Some(Instant::now());
+            buf.push(span);
         }
     }
 
-    fn flush(&mut self, buf: &mut Vec<Span>, opened: &mut Option<Instant>, deadline: bool) {
-        let Some(opened_at) = opened.take() else {
-            return; // empty batch, nothing to ship
-        };
+    fn flush(&mut self, buf: &mut Vec<Span>, opened: &mut Option<Instant>, cause: FlushCause) {
+        let opened_at = opened.take().expect("only an open batch is flushed");
         let spans = std::mem::replace(buf, Vec::with_capacity(self.batch_max));
-        self.metrics.on_flush(deadline);
+        self.metrics.on_flush(cause);
         match self.batch_tx.send(Batch {
             spans,
             opened: opened_at,

@@ -59,7 +59,8 @@
 //! (see DESIGN.md §8).
 //!
 //! ORDERING: unbounded list-of-rings: node append/retire/seal linearization
-//! relies on the SeqCst total order; downgrade backlog ROADMAP item 2
+//! relies on the SeqCst total order; downgrade backlog: the ROADMAP
+//! `SeqCst` shave-down
 
 use crate::hold::Hold;
 use crate::ringpair::{IndexRing, RingPair};

@@ -11,8 +11,8 @@
 //! Comments reference figure/line numbers of the SPAA '22 paper.
 //!
 //! ORDERING: wCQ ring protocol (threshold, seqlock phase 2, helping): the
-//! paper's §3 argument is SC; shaving is the ROADMAP item 2 backlog, one
-//! proven edge at a time — cover: dst models 1-3
+//! paper's §3 argument is SC; shaving is the ROADMAP `SeqCst` shave-down
+//! backlog, one proven edge at a time — cover: dst models 1-3
 
 use crate::pack::{enq_bit, pack_w, unpack_w, RingLayout, WEntry};
 use crate::wcq::record::{cnt_of, tag_from_seq, tag_of, ThreadRec, CNT_MASK, FIN, INC};

@@ -19,8 +19,8 @@
 //! asserts the pointer is unlinked); everything else is safe.
 //!
 //! ORDERING: hazard-pointer protect/validate handshake: the protect store
-//! must order before the re-validation load (classic SeqCst HP; ROADMAP item
-//! 2 backlog)
+//! must order before the re-validation load (classic SeqCst HP; ROADMAP
+//! `SeqCst` shave-down backlog)
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -82,8 +82,13 @@ fn main() {
         m.accepted, m.exported, m.shed, m.dropped
     );
     println!(
-        "flushes {} (deadline {}), export failures {} (all retried: {})",
-        m.flushes, m.deadline_flushes, m.export_failures, m.retries
+        "flushes {} (deadline {}, pause {}; {:.1} spans each), export failures {} (all retried: {})",
+        m.flushes,
+        m.deadline_flushes,
+        m.pause_flushes,
+        m.spans_per_flush(),
+        m.export_failures,
+        m.retries
     );
     println!(
         "flush latency p50 {}ns p99 {}ns over {} sampled batches",

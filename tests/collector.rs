@@ -1,8 +1,9 @@
 //! Collector pipeline semantics end to end: conservation under
 //! oversubscription, load shedding, fault injection (FailEvery /
-//! StallFor), retry exhaustion and the overflow drop policy, deadline
-//! flushes, the refcount-ripple shutdown drain, seated vs overflow
-//! senders, and the freshness bound under the paced sweep.
+//! StallFor), retry exhaustion and the overflow drop policy, deadline and
+//! pause flushes, batches that grow behind a slow exporter, the
+//! refcount-ripple shutdown drain, seated vs overflow senders, and the
+//! freshness bound under the paced sweep.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -145,44 +146,141 @@ fn retry_exhaustion_invokes_drop_policy_and_stays_accounted() {
     assert_eq!(m.retries, m.flushes);
 }
 
+/// Submits one span per `every` for `run`, then drops `tx`; returns how
+/// many it submitted. Spins between spans: a sleep's timer slack would
+/// turn the steady flow into bursts and pauses.
+fn paced(mut tx: SpanSender, every: Duration, run: Duration) -> u64 {
+    let start = Instant::now();
+    let mut n = 0u64;
+    while start.elapsed() < run {
+        let due = start + every * n as u32;
+        while Instant::now() < due {
+            std::hint::spin_loop();
+        }
+        assert!(tx.submit(Span::new(0, n)), "Block policy accepts");
+        n += 1;
+    }
+    n
+}
+
 #[test]
 fn deadline_flush_ships_a_partial_batch() {
-    // Three spans against batch_max 128: only the flush deadline can ship
-    // them before shutdown; verify it does, promptly.
+    // A flow that keeps coming and never fills a batch (one span every
+    // 2 µs against batch_max 65 536): a batch it holds open must ship at
+    // the deadline. The deadline is 100 µs rather than milliseconds
+    // because a lone producer's flow does pause at the worker's
+    // timescale — each time the worker parks, its wake costs the
+    // producer a syscall, and on a 2-vCPU host the three pipeline threads
+    // trade CPUs — so batches rarely stay open 5 ms, while hundreds stay
+    // open 100 µs in each 30 ms run. Wall-clock on a shared host: best
+    // of three.
+    let attempt = || -> Result<(), String> {
+        let cfg = CollectorConfig {
+            shards: 1,
+            lane_order: 14,
+            producers: 1,
+            workers: 1,
+            batch_max: 65_536,
+            flush_after: Duration::from_micros(100),
+            shed: ShedPolicy::Block,
+            ..CollectorConfig::default()
+        };
+        let (col, tx) = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
+        let submitted = paced(tx, Duration::from_micros(2), Duration::from_millis(30));
+        let (report, exporter) = col.shutdown();
+        let m = &report.metrics;
+        assert_eq!(m.exported, submitted);
+        assert!(m.conserved());
+        assert_eq!(exporter.spans.len() as u64, submitted);
+        if m.deadline_flushes == 0 {
+            return Err(format!(
+                "{} flushes, {} on pause",
+                m.flushes, m.pause_flushes
+            ));
+        }
+        Ok(())
+    };
+    let mut misses = Vec::new();
+    for _ in 0..3 {
+        match attempt() {
+            Ok(()) => return,
+            Err(miss) => misses.push(miss),
+        }
+    }
+    panic!("the deadline never fired on a steady flow: {misses:?}");
+}
+
+#[test]
+fn pause_ships_a_partial_batch_before_the_deadline() {
+    // 100 spans against batch_max 1 024 and an hour-long deadline, the
+    // sender kept alive: neither size, deadline nor shutdown can ship
+    // them, so the pause after the last one must.
     let cfg = CollectorConfig {
         shards: 1,
         producers: 1,
         workers: 1,
-        flush_after: Duration::from_millis(5),
+        batch_max: 1_024,
+        flush_after: Duration::from_secs(3_600),
         ..CollectorConfig::default()
     };
-    let (col, tx) = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
-    let mut tx = tx;
-    for i in 0..3 {
+    let (col, mut tx) = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
+    for i in 0..100 {
         assert!(tx.submit(Span::new(0, i)));
     }
     // Poll the live snapshot rather than sleeping a fixed guess.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while col.snapshot().exported < 3 {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while col.snapshot().exported < 100 {
         assert!(
-            std::time::Instant::now() < deadline,
-            "deadline flush never shipped the partial batch: {:?}",
+            Instant::now() < deadline,
+            "the pause never shipped the partial batch: {:?}",
             col.snapshot()
         );
         std::thread::yield_now();
     }
-    assert!(col.snapshot().deadline_flushes >= 1);
+    let live = col.snapshot();
+    assert!(live.pause_flushes >= 1, "{live:?}");
+    assert_eq!(live.deadline_flushes, 0);
     drop(tx);
     let (report, exporter) = col.shutdown();
-    assert_eq!(report.metrics.exported, 3);
+    assert_eq!(report.metrics.exported, 100);
     assert!(report.metrics.conserved());
-    assert_eq!(exporter.spans.len(), 3);
+    assert_eq!(exporter.spans.len(), 100);
+}
+
+#[test]
+fn slow_exporter_grows_batches() {
+    // Every export attempt stalls 1 ms against ~100 k spans/s: shipping
+    // on every pause would mean one-span batches, but once the export
+    // queue is full the worker waits in `flush` while spans pile up in
+    // the lanes, so the next sweep takes them as one batch.
+    let cfg = CollectorConfig {
+        shards: 1,
+        producers: 1,
+        workers: 1,
+        batch_max: 1_024,
+        shed: ShedPolicy::Block,
+        export_order: 2,
+        ..CollectorConfig::default()
+    };
+    let faults = Arc::new(StallFor::new(1, Duration::from_millis(1)));
+    let (col, tx) = Collector::spawn(cfg, VecExporter::default(), faults);
+    let submitted = paced(tx, Duration::from_micros(10), Duration::from_millis(50));
+    let (report, _) = col.shutdown();
+    let m = &report.metrics;
+    assert_eq!(m.exported, submitted);
+    assert!(m.conserved(), "{m:?}");
+    assert!(
+        m.spans_per_flush() >= 10.0,
+        "{:.1} spans per flush: {m:?}",
+        m.spans_per_flush()
+    );
 }
 
 #[test]
 fn shutdown_drains_buffered_spans_without_waiting_for_the_deadline() {
-    // An hour-long flush deadline: only the shutdown drain can ship the
-    // partial batch. Submit, ripple, join — everything must come out.
+    // An hour-long flush deadline: only a pause flush or the shutdown
+    // drain can ship the partial batch. Submit, ripple, join — everything
+    // must come out.
     let cfg = CollectorConfig {
         shards: 2,
         producers: 1,
@@ -329,10 +427,10 @@ fn paced_sweep_keeps_the_freshness_bound_under_a_trickle() {
     // A burst fills batches, which hands the worker the arrival-rate
     // estimate it paces its sweeps by; the trickle that follows never
     // fills one. Pacing must not hold a span past the flush deadline: the
-    // trickle keeps shipping by deadline flush, every span within twice
-    // `flush_after` of its submit (once for the batch to close, slack for
-    // the export). Wall-clock bound on a shared host: one clean attempt
-    // in three passes.
+    // trickle keeps shipping (each pause ships its span), every span
+    // within twice `flush_after` of its submit (once for the batch to
+    // close, slack for the export). Wall-clock bound on a shared host:
+    // one clean attempt in three passes.
     const FLUSH_AFTER: Duration = Duration::from_millis(5);
     const BURST: u64 = 4 * 1_024;
     const TRICKLE_MS: u64 = 40;
@@ -357,20 +455,18 @@ fn paced_sweep_keeps_the_freshness_bound_under_a_trickle() {
         for _ in 0..BURST {
             submit(&mut tx);
         }
-        let before_trickle = col.snapshot().deadline_flushes;
+        let before_trickle = col.snapshot().flushes;
         for _ in 0..TRICKLE_MS {
             std::thread::sleep(Duration::from_millis(1));
             submit(&mut tx);
         }
-        let deadline_flushes = col.snapshot().deadline_flushes - before_trickle;
+        let flushes = col.snapshot().flushes - before_trickle;
         drop(tx);
         let (report, exporter) = col.shutdown();
         assert!(report.metrics.conserved());
         assert_eq!(report.metrics.exported, BURST + TRICKLE_MS);
-        if deadline_flushes < TRICKLE_MS / 10 {
-            return Err(format!(
-                "{deadline_flushes} deadline flushes in {TRICKLE_MS} ms of trickle"
-            ));
+        if flushes < TRICKLE_MS / 10 {
+            return Err(format!("{flushes} flushes in {TRICKLE_MS} ms of trickle"));
         }
         let stale = exporter
             .exported_at

@@ -511,7 +511,7 @@ fn dst_seed_replay_is_deterministic() {
 }
 
 // ===================================================================
-// Model 8: collector drain — deadline flush vs shutdown-drain race
+// Model 8: collector drain — deadline and pause flushes vs the close
 // ===================================================================
 
 /// The span-collector drain path (DESIGN.md §14) at DST scale: one
@@ -527,7 +527,10 @@ fn dst_seed_replay_is_deterministic() {
 /// branch structure is a pure function of the schedule: `ZERO` forces
 /// the deadline-flush path on every pass (a flush can interleave with
 /// the close between any two submits), `HOLD` (an hour) disables it so
-/// only the shutdown drain can ship the final partial batch.
+/// a partial batch ships by pause — two empty sweeps around the grace
+/// wait, which is one yield under DST — with the close landing before,
+/// between or after those sweeps (a pause flush, or the drain flush once
+/// every lane is closed).
 /// `fail_every` is chosen against a 2-attempt budget such that every
 /// failed batch's retry lands: faults reorder work but must not drop it.
 fn collector_drain_model(flush_after: std::time::Duration, fail_every: u64) {
@@ -580,9 +583,9 @@ fn dst_collector_deadline_flush_vs_drain() {
         .check(|| collector_drain_model(std::time::Duration::ZERO, 2));
 }
 
-/// Deadline disabled: only the shutdown drain can ship the buffered
-/// partial batch; a fault on the final drain's export must still retry
-/// through, not leak the batch.
+/// Deadline disabled: a pause flush or the shutdown drain ships the
+/// buffered partial batch, racing the close ripple; a fault on that
+/// export must still retry through, not leak the batch.
 #[test]
 fn dst_collector_shutdown_drain_ships_partial_batch() {
     Explorer::new("collector-drain-hold")

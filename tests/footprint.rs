@@ -1,7 +1,7 @@
-//! Bounded memory as an assertion (ROADMAP item 4(c) foothold): what one
-//! more shard and one more unbounded list node cost, and what an unbounded
-//! queue under drain holds on to — counted by `harness::alloc::CountingAlloc`,
-//! which is why this is its own test binary.
+//! Bounded memory as an assertion (a foothold for the ROADMAP bounded-memory
+//! oracle): what one more shard and one more unbounded list node cost, and
+//! what an unbounded queue under drain holds on to — counted by
+//! `harness::alloc::CountingAlloc`, which is why this is its own test binary.
 //!
 //! Both tests read the process-wide live/peak counters, so they take turns
 //! ([`measuring`]); nothing else in this binary allocates while one measures.
