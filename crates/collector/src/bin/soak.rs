@@ -15,6 +15,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use collector::{run_soak, FaultProfile, ShedPolicy, SoakCfg};
+use harness::blocking::process_cpu_time;
 use harness::stats::fmt_ns;
 
 const USAGE: &str = "\
@@ -139,7 +140,9 @@ fn main() -> ExitCode {
         if cfg!(feature = "portable") { "portable" } else { "hardware" },
     );
 
+    let cpu_before = process_cpu_time();
     let report = run_soak(&cfg);
+    let cpu = cpu_before.zip(process_cpu_time()).map(|(a, b)| b.saturating_sub(a));
     let m = &report.metrics;
     println!(
         "submitted={} accepted={} shed={} exported={} dropped={} inflight={}",
@@ -171,6 +174,16 @@ fn main() -> ExitCode {
         fmt_ns(l.max_ns as f64),
         l.n
     );
+    // Whole-process CPU (producers, workers, exporter) over the run: what
+    // the pipeline's waiting costs beside its latency.
+    match cpu {
+        Some(cpu) => println!(
+            "cpu_s={:.3} cpu_ns_per_span={:.1}",
+            cpu.as_secs_f64(),
+            cpu.as_nanos() as f64 / m.accepted.max(1) as f64
+        ),
+        None => println!("cpu_s=n/a cpu_ns_per_span=n/a"),
+    }
 
     if !report.conserved() {
         eprintln!(

@@ -11,7 +11,10 @@
 //! A worker ships a batch when it is full, when it has been open
 //! `flush_after`, or when the flow pauses: two sweeps a short grace wait
 //! apart both find every lane empty. It parks only with nothing
-//! buffered, so a span never waits on somebody else's next span.
+//! buffered, so a span never waits on somebody else's next span, and
+//! after a pause flush it first yields its CPU once, so an exporter the
+//! flush woke on the same CPU ships the batch before the worker pays for
+//! its park.
 //!
 //! Shutdown is a refcount ripple, not a flag: dropping the last
 //! [`SpanSender`] closes every lane (last-sender-out close in
@@ -414,12 +417,15 @@ impl Worker {
                 }
                 // Empty again: the flow paused. Ship rather than hold the
                 // spans for whoever sends next.
-                let cause = if self.lanes.iter().all(|rx| rx.is_closed()) {
-                    FlushCause::Drain
+                if self.lanes.iter().all(|rx| rx.is_closed()) {
+                    self.flush(&mut buf, &mut opened, FlushCause::Drain);
                 } else {
-                    FlushCause::Pause
-                };
-                self.flush(&mut buf, &mut opened, cause);
+                    self.flush(&mut buf, &mut opened, FlushCause::Pause);
+                    // The flush woke the exporter, perhaps onto this CPU:
+                    // let it export before this thread pays for its own
+                    // registrations and park (DESIGN.md §14).
+                    sim::hand_off();
+                }
             }
             // Nothing buffered: park across all lanes, with no deadline to
             // keep because the worker never parks holding spans.

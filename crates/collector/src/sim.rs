@@ -11,6 +11,8 @@
 //! space the size of the *protocol*, not the bookkeeping.
 
 #[cfg(not(wcq_dst))]
+use std::thread::yield_now;
+#[cfg(not(wcq_dst))]
 pub(crate) use std::thread::{spawn, JoinHandle};
 
 #[cfg(wcq_dst)]
@@ -29,12 +31,23 @@ pub(crate) fn sleep(d: std::time::Duration) {
     std::thread::sleep(d);
 }
 
+/// Offers this CPU, once, to a runnable thread that wants it. The worker
+/// calls it right after a pause flush, buffer empty, on its way to a park
+/// that gives the CPU away anyway: an exporter the flush just woke on the
+/// same CPU exports now instead of after the worker's registrations and
+/// park (DESIGN.md §14, "Hand off at the pause"). With nothing else
+/// runnable it returns at once. Under DST one cooperative yield.
+pub(crate) fn hand_off() {
+    yield_now();
+}
+
 /// Busy-waits until `until`. Not `sleep`: timer slack is tens of
 /// microseconds, the waits are often shorter. Not `yield_now` either: on
 /// a host whose CPUs are all busy a yield costs the caller a whole
 /// scheduler slice, milliseconds in which the lanes it should be
-/// sweeping overflow (DESIGN.md §14 has the measurement). Under DST one
-/// cooperative yield and no clock read.
+/// sweeping overflow (DESIGN.md §14 has the measurement). The one yield
+/// the collector makes is [`hand_off`], with nothing buffered. Under DST
+/// one cooperative yield and no clock read.
 pub(crate) fn pace(until: std::time::Instant) {
     #[cfg(wcq_dst)]
     if shuttle_lite::in_sim() {

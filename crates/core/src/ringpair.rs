@@ -244,12 +244,13 @@ impl<T, R: IndexRing> RingPair<T, R> {
     /// # Safety
     /// The tid-exclusivity contract.
     pub(crate) unsafe fn enqueue_batch(&self, tid: usize, items: &mut Vec<T>) -> usize {
-        // Consume by iterator, not repeated front-drains: keeps the whole
-        // batch O(len) while still leaving rejects behind in order.
-        let mut it = std::mem::take(items).into_iter();
+        // Consume by one draining iterator, not repeated front-drains: the
+        // whole batch stays O(len), and `items` keeps its allocation for
+        // the caller's next batch. Rejects are appended back in order.
+        let mut it = items.drain(..);
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
-        // BOUND: finite-iter — batch enqueue: the moved-in iterator shrinks
+        // BOUND: finite-iter — batch enqueue: the draining iterator shrinks
         // every pass; a pass that claims zero free slots exits
         while it.len() > 0 {
             // Claim a run of free slots from `fq` with one F&A...
@@ -278,7 +279,10 @@ impl<T, R: IndexRing> RingPair<T, R> {
             self.aq.enqueue_batch(tid, &idxs[..got]);
             total += got;
         }
-        *items = it.collect();
+        // Empty unless the queue filled; collecting nothing allocates
+        // nothing.
+        let mut rejects: Vec<T> = it.collect();
+        items.append(&mut rejects);
         total
     }
 

@@ -241,9 +241,10 @@ pub(crate) fn wait_for_slot<H>(mut register: impl FnMut() -> Option<H>) -> H {
 /// the waiter's post-registration re-check (sequenced after the syscall)
 /// must observe it. The notifier then needs **no** fence at all: its count
 /// load can be `Relaxed`, because the only stale value it can read is one
-/// whose waiter the membarrier already ordered against. Waiters are about
-/// to park (mutex + syscall territory), so a ~1 µs IPI broadcast is noise
-/// there, while the notify fast path drops to a single plain load.
+/// whose waiter the membarrier already ordered against, and the notify
+/// fast path drops to a single plain load. The waiter pays: with the
+/// notifier's CPU busy, one call averaged 2.0–2.1 µs on a 2-vCPU x86
+/// guest (see `waiter_fence` for how often it is paid).
 ///
 /// Availability is probed once (`CMD_QUERY` + registration); kernels or
 /// sandboxes without it fall back to the symmetric `SeqCst`-fence notify.
@@ -332,6 +333,21 @@ mod asymfence {
     }
 
     pub fn heavy() {}
+}
+
+/// Waiter half of the asymmetric fence: orders every waiter-count store
+/// the caller made before it against the caller's next look at the
+/// condition, and drains any notifier's in-flight state store so that
+/// look cannot miss it. One call covers any number of registrations, so a
+/// round over several lanes pays one IPI broadcast, not one per lane.
+///
+/// It cannot be paid once per *thread*: the argument is "this count store,
+/// then a barrier, then this re-probe", so each registration round needs
+/// a barrier of its own, after its stores.
+fn waiter_fence() {
+    if asymfence::enabled() {
+        asymfence::heavy();
+    }
 }
 
 // ===================================================================
@@ -488,10 +504,14 @@ impl Eventcount {
 
     /// Registers the calling thread as a waiter, or returns `None` if the
     /// epoch already moved past `key` (a notification slipped in — retry
-    /// the condition instead of parking).
+    /// the condition instead of parking). A registration pays its own
+    /// waiter fence, so the caller's next look at its condition is the
+    /// Dekker re-check.
     pub fn register_thread(&self, key: u64) -> Option<u64> {
         let mut token = None;
-        self.register(key, None, &mut token);
+        if self.register(key, None, &mut token) {
+            waiter_fence();
+        }
         token
     }
 
@@ -499,6 +519,10 @@ impl Eventcount {
     /// calling thread — under `slot`'s token (drawing one if the slot is
     /// empty), or returns `false` if the epoch already moved past `key`.
     /// A refusal leaves the slot alone; the round cancels what it holds.
+    ///
+    /// Issues no fence: the caller owes one [`waiter_fence`] after its
+    /// last registration and before it re-checks the condition, outside
+    /// the waiter mutex.
     fn register(&self, key: u64, waker: Option<&Waker>, slot: &mut Option<u64>) -> bool {
         let mut l = self.waiters.lock().unwrap();
         if self.moved_past(key) {
@@ -520,12 +544,6 @@ impl Eventcount {
             None => l.entries.push((token, waiter)),
         }
         self.nwaiters.store(l.entries.len(), SeqCst);
-        // Waiter half of the asymmetric fence: order the count store above
-        // against this waiter's coming re-probe, and drain any notifier's
-        // in-flight state store so that re-probe cannot miss it.
-        if asymfence::enabled() {
-            asymfence::heavy();
-        }
         true
     }
 
@@ -921,12 +939,13 @@ fn cancel_all<W: Waitable>(w: &W, slots: &mut [Slot]) {
 }
 
 /// The eventcount wait, written once: snapshot every lane's epoch → probe
-/// → register on every lane → **re-probe**. The re-probe is the Dekker
-/// step — a notifier whose no-waiter fast path missed the registration
-/// made its state change before that, so this look must see it — and it
-/// is the last look before a sleep, so it has to classify everything the
-/// first one does: `close` notifies registered waiters only, and one that
-/// lands between the first probe and the registration moves no epoch.
+/// → register on every lane → one [`waiter_fence`] → **re-probe**. The
+/// re-probe is the Dekker step — a notifier whose no-waiter fast path
+/// missed the registration made its state change before that, so this
+/// look must see it — and it is the last look before a sleep, so it has
+/// to classify everything the first one does: `close` notifies registered
+/// waiters only, and one that lands between the first probe and the
+/// registration moves no epoch.
 ///
 /// `waker` is who to enroll (`None`: the calling thread). Slots may carry
 /// tokens in from an earlier round or poll; every exit except
@@ -960,6 +979,8 @@ fn round<W: Waitable>(
             cancel_all(w, slots);
             continue;
         }
+        // One barrier for every lane's count store, outside their mutexes.
+        waiter_fence();
         match w.probe() {
             Probe::Ready(r) => break Round::Ready(r),
             Probe::Limbo => break Round::Limbo,
@@ -1312,12 +1333,18 @@ mod tests {
     fn register_then_notify_wakes_and_drains() {
         let ec = lanes(1);
         let hits = Count::new(0);
+        let reprobed = Count::new(0);
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
                     // Resolved by nothing but the broadcast's epoch bump.
-                    let mut w = Scripted::new(&ec, |_, l| match l[0].listen() {
-                        0 => Probe::Wait,
+                    let mut w = Scripted::new(&ec, |n, l| match l[0].listen() {
+                        0 => {
+                            if n == 1 {
+                                reprobed.fetch_add(1, SeqCst);
+                            }
+                            Probe::Wait
+                        }
                         _ => Probe::Ready(Ok(1)),
                     });
                     assert_eq!(park_on(&mut w, None), Ok(1));
@@ -1326,8 +1353,9 @@ mod tests {
                 });
             }
             // BOUND: wait-edge — test waits for all three waiters to
-            // register before the broadcast
-            while ec[0].waiters() < 3 {
+            // register and re-probe before the broadcast (one landing
+            // before a re-probe would resolve that look instead)
+            while reprobed.load(SeqCst) < 3 {
                 std::thread::yield_now();
             }
             ec[0].notify_all();

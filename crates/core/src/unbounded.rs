@@ -485,21 +485,18 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
         let total = items.len();
         // Feed the rings one ring-sized chunk at a time. A ring crossing
         // costs O(chunk) (front shifts and the inner batch path's remainder
-        // rebuild both touch only the chunk), so the whole call stays
-        // O(total) instead of O(crossings × remaining). `rest` is reversed
-        // once so each chunk splits off its own tail in O(chunk).
+        // touch only the chunk), so the whole call stays O(total) instead
+        // of O(crossings × remaining). `items` is drained in place, so the
+        // caller's allocation survives for its next batch.
         let chunk_cap = 1usize << self.order;
-        let mut rest = std::mem::take(items);
-        rest.reverse();
-        let mut chunk: Vec<T> = Vec::new();
+        let mut rest = items.drain(..);
+        let mut chunk: Vec<T> = Vec::with_capacity(total.min(chunk_cap));
         // BOUND: finite-iter — chunked graft: `rest` strictly shrinks; a
         // chunk rejected by a closed ring is re-offered to the freshly
         // appended ring
-        while !rest.is_empty() || !chunk.is_empty() {
+        while rest.len() > 0 || !chunk.is_empty() {
             if chunk.is_empty() {
-                let take = rest.len().min(chunk_cap);
-                chunk = rest.split_off(rest.len() - take);
-                chunk.reverse();
+                chunk.extend(rest.by_ref().take(chunk_cap));
             }
             let ltail = hp.protect(HP_TAIL, &self.tail);
             // SAFETY: as in `enqueue_tid`.

@@ -10,8 +10,8 @@
 //! * **Wakeup latency** — nanoseconds from an element's enqueue to its
 //!   dequeue (each value *is* its enqueue timestamp), summarized as
 //!   [`LatencyStats`] because the parking cost lives in the tail;
-//! * **CPU time** — process CPU (utime + stime from `/proc/self/stat`)
-//!   consumed over the run, the quantity parked consumers save.
+//! * **CPU time** — process CPU ([`process_cpu_time`]) consumed over the
+//!   run, the quantity parked consumers save.
 //!
 //! The `figure_wakeup` binary sweeps this driver over consumer mode ×
 //! oversubscription; `tests/blocking_facade.rs` reuses the same shape as a
@@ -112,24 +112,18 @@ impl BurstResult {
 
 /// Process CPU time (user + system) so far; `None` where unsupported.
 ///
-/// Reads `/proc/self/stat` on Linux — fields 14/15 (`utime`/`stime`) in
-/// `_SC_CLK_TCK` ticks, parsed after the last `)` so executable names with
-/// spaces cannot shift the fields.
+/// Reads the process CPU clock (`CLOCK_PROCESS_CPUTIME_ID`) on Linux: every
+/// thread's time, to the nanosecond. `/proc/self/stat`'s `utime`/`stime`
+/// count in 10 ms ticks, too coarse for a run of a few hundred ms.
 pub fn process_cpu_time() -> Option<Duration> {
     #[cfg(target_os = "linux")]
     {
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-        let rest = &stat[stat.rfind(')')? + 1..];
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        // `rest` starts at field 3 (state); utime/stime are fields 14/15.
-        let utime: u64 = fields.get(11)?.parse().ok()?;
-        let stime: u64 = fields.get(12)?.parse().ok()?;
-        // SAFETY: `sysconf` takes no pointers; invalid names return -1.
-        let tck = unsafe { libc::sysconf(libc::_SC_CLK_TCK) };
-        if tck <= 0 {
+        let mut ts = libc::timespec::default();
+        // SAFETY: `ts` is a valid, writable `timespec` for the call.
+        if unsafe { libc::clock_gettime(libc::CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
             return None;
         }
-        Some(Duration::from_secs_f64((utime + stime) as f64 / tck as f64))
+        Some(Duration::new(ts.tv_sec.try_into().ok()?, ts.tv_nsec.try_into().ok()?))
     }
     #[cfg(not(target_os = "linux"))]
     {

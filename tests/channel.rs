@@ -250,6 +250,42 @@ fn batch_surface_roundtrips() {
     assert_eq!(rx.recv_batch(&mut out, 1), 0, "observed empty");
 }
 
+/// `send_batch` drains the caller's buffer in place: a send that takes
+/// everything leaves it empty with its allocation intact, so a batching
+/// loop reuses one inbox instead of freeing and re-allocating it every
+/// round, and a partial send leaves the rejects at the front, in order.
+#[test]
+fn send_batch_keeps_the_callers_buffer() {
+    keeps_the_buffer("bounded", channel::bounded(3, 2), 8, Some(8));
+    keeps_the_buffer("sharded", channel::sharded(2, 3, 2), 8, Some(8));
+    // 20 values span three list nodes of 8: the ring-crossing path.
+    keeps_the_buffer("unbounded", channel::unbounded(3, 2), 20, None);
+}
+
+/// Sends `whole` values the channel takes entirely, then — when the
+/// channel has a `room` — `room + 2` values it can take only in part.
+fn keeps_the_buffer(
+    name: &str,
+    (mut tx, mut rx): (Sender<u64>, Receiver<u64>),
+    whole: u64,
+    room: Option<u64>,
+) {
+    let mut items: Vec<u64> = Vec::with_capacity(64);
+    items.extend(0..whole);
+    assert_eq!(tx.send_batch(&mut items), whole as usize, "{name}");
+    assert!(items.is_empty(), "{name}");
+    assert!(items.capacity() >= 64, "{name}: a full send keeps the allocation");
+    let mut out = Vec::new();
+    while rx.recv_batch(&mut out, 64) > 0 {}
+    assert_eq!(out, (0..whole).collect::<Vec<_>>(), "{name}");
+    if let Some(room) = room {
+        items.extend(0..room + 2);
+        assert_eq!(tx.send_batch(&mut items), room as usize, "{name}");
+        assert_eq!(items, [room, room + 1], "{name}: rejects stay behind in order");
+        assert!(items.capacity() >= 64, "{name}: a partial send keeps it too");
+    }
+}
+
 #[test]
 fn async_pipeline_via_block_on() {
     let (tx, mut rx) = channel::unbounded::<u64>(4, 3);

@@ -15,7 +15,8 @@
 //! (the wait protocol's thread driver), 6 degraded-mode residue, 7 slot
 //! handoff orderings, 8 collector drain, 9 eventcount `listen` orderings,
 //! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
-//! driver (`Waker` registration through the futures).
+//! driver (`Waker` registration through the futures), 12 `recv_any` data
+//! vs fenced notify (one waiter fence per round over two lanes).
 //!
 //! Model-size discipline: 2–3 threads, 2–6 operations, ring order ≤ 2,
 //! `WcqConfig::stress()` where the helping slow path is under test —
@@ -653,4 +654,55 @@ fn task_driver_model() {
 #[test]
 fn dst_task_driver_waker_vs_fenced_notify() {
     Explorer::new("task-driver").check(task_driver_model);
+}
+
+// ===================================================================
+// Model 12: recv_any data vs fenced notify over two lanes
+// ===================================================================
+
+/// A receiver loops `recv_any` with no deadline over two SPSC lanes while
+/// each lane's sender sends one value from its own thread and drops. The
+/// lanes publish by plain stores and notify through the fence-free
+/// `notify_all_fenced`, so every data wake rests on the asymmetric fence,
+/// and one round over two lanes issues that fence once, after both
+/// registrations: under `WCQ_DST_WEAK=1` this checks that one barrier
+/// covers both lanes' count stores. A lost data wake parks the receiver
+/// forever, which the explorer reports as a deadlock.
+///
+/// Idle clones hold both lanes open until both values are in. Without
+/// them each sender's drop would close its lane, and `close` reaches
+/// registered waiters through a `SeqCst` pair that needs no asymmetric
+/// fence — it would wake the receiver anyway and hide the lost wake (with
+/// the round's fence deleted, the model then stays green).
+fn recv_any_data_model() {
+    use wcq::sync::RecvError;
+    let (tx_a, rx_a) = channel::spsc::<u64>(1, 2);
+    let (tx_b, rx_b) = channel::spsc::<u64>(1, 2);
+    let mut open = Some((tx_a.clone(), tx_b.clone()));
+    let senders: Vec<_> = [(tx_a, 10u64), (tx_b, 20)]
+        .into_iter()
+        .map(|(mut tx, v)| thread::spawn(move || tx.send(v).unwrap()))
+        .collect();
+    let mut lanes = [rx_a, rx_b];
+    let mut got = Vec::new();
+    let end = loop {
+        match channel::recv_any(&mut lanes, None) {
+            Ok(lane_and_value) => got.push(lane_and_value),
+            Err(e) => break e,
+        }
+        if got.len() == 2 {
+            drop(open.take()); // the last senders: both lanes close
+        }
+    };
+    for s in senders {
+        s.join().unwrap();
+    }
+    assert_eq!(end, RecvError::Closed);
+    got.sort_unstable();
+    assert_eq!(got, vec![(0, 10), (1, 20)], "both values, each from its lane");
+}
+
+#[test]
+fn dst_recv_any_data_vs_fenced_notify() {
+    Explorer::new("recv-any-data").check(recv_any_data_model);
 }
