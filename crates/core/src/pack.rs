@@ -35,6 +35,10 @@ pub const fn botc(ring_size: u64) -> u64 {
     ring_size - 1
 }
 
+/// Largest ring order: the 48-bit ticket-counter budget of the slow path
+/// (see `record`).
+pub const MAX_ORDER: u32 = 48;
+
 /// Geometry of one ring: sizes, masks and the cache-remap permutation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RingLayout {
@@ -54,12 +58,11 @@ pub struct RingLayout {
 impl RingLayout {
     /// Builds a layout for `n = 2^order` usable entries.
     ///
-    /// `order` must be in `1..=48` (the 48-bit ticket-counter budget of the
-    /// slow path; see `record`).
+    /// `order` must be in `1..=`[`MAX_ORDER`].
     pub fn new(order: u32, line_shift: u32, remap_enabled: bool) -> Self {
         assert!(
-            (1..=48).contains(&order),
-            "ring order must be in 1..=48, got {order}"
+            (1..=MAX_ORDER).contains(&order),
+            "ring order must be in 1..={MAX_ORDER}, got {order}"
         );
         RingLayout {
             order,

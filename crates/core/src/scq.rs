@@ -12,8 +12,8 @@
 //! construction time.
 //!
 //! ORDERING: SCQ ring (paper §2): cycle/threshold invariants assume one
-//! total order over entry RMWs and head/tail F&As; downgrade backlog ROADMAP
-//! item 2
+//! total order over entry RMWs and head/tail F&As; shaving is the ROADMAP
+//! `SeqCst` shave-down
 
 use crate::pack::{pack_s, unpack_s, RingLayout, SEntry};
 use crate::ringpair::RingPair;
@@ -66,28 +66,27 @@ impl ScqRing {
     }
 
     /// Creates a ring pre-filled with the indices `0..n` (in order). Used for
-    /// the free-index queue `fq` of a freshly constructed data queue.
+    /// the free-index queue `fq` of a freshly constructed data queue. Plain
+    /// stores through `&mut`, as in [`crate::WcqRing::new_full`]: the ring
+    /// is not shared until it is moved into place.
     pub fn new_full(order: u32, cfg: &WcqConfig) -> Self {
-        let ring = Self::new_empty(order, cfg);
-        let l = &ring.layout;
+        let mut ring = Self::new_empty(order, cfg);
+        let l = ring.layout;
         let n = l.n();
         // Tickets 2n .. 3n hold indices 0..n at cycle 1.
         for i in 0..n {
             let ticket = l.ring_size + i;
-            ring.entries[l.slot(ticket)].store(
-                pack_s(
-                    l,
-                    SEntry {
-                        cycle: l.cycle(ticket),
-                        is_safe: true,
-                        index: i,
-                    },
-                ),
-                SeqCst,
-            );
+            ring.entries[l.slot(ticket)] = AtomicU64::new(pack_s(
+                &l,
+                SEntry {
+                    cycle: l.cycle(ticket),
+                    is_safe: true,
+                    index: i,
+                },
+            ));
         }
-        ring.tail.store(l.ring_size + n, SeqCst);
-        ring.threshold.store(l.threshold_reset(), SeqCst);
+        *ring.tail = AtomicU64::new(l.ring_size + n);
+        *ring.threshold = AtomicI64::new(l.threshold_reset());
         ring
     }
 
@@ -324,6 +323,47 @@ mod tests {
         let got: Vec<u64> = std::iter::from_fn(|| r.dequeue()).collect();
         assert_eq!(got, (0..16).collect::<Vec<_>>());
         assert_eq!(r.dequeue(), None);
+    }
+
+    /// Every word of a ring: entries, `head`, `tail`, `threshold`.
+    fn state(r: &mut ScqRing) -> (Vec<u64>, u64, u64, i64) {
+        let entries = r.entries.iter_mut().map(|e| *e.get_mut()).collect();
+        (
+            entries,
+            *r.head.get_mut(),
+            *r.tail.get_mut(),
+            *r.threshold.get_mut(),
+        )
+    }
+
+    /// `new_full` writes its state with plain stores; it must be exactly
+    /// the state `new_empty` reaches by enqueuing `0..n`, in every entry,
+    /// `head`, `tail` and `threshold`, and then run as a FIFO ring. Orders
+    /// 1–2 are the `idx_bits <= line_shift` no-remap edge.
+    #[test]
+    fn full_construction_equals_enqueued_fill() {
+        for remap in [true, false] {
+            let cfg = WcqConfig {
+                remap,
+                ..WcqConfig::default()
+            };
+            for order in 1..=10 {
+                let ctx = format!("order {order}, remap {remap}");
+                let mut built = ScqRing::new_full(order, &cfg);
+                let mut filled = ScqRing::new_empty(order, &cfg);
+                let n = filled.capacity();
+                for i in 0..n {
+                    filled.enqueue(i);
+                }
+                assert_eq!(state(&mut built), state(&mut filled), "{ctx}");
+                for i in 0..n {
+                    assert_eq!(built.dequeue(), Some(i), "round {i}, {ctx}");
+                    built.enqueue(i);
+                }
+                let got: Vec<u64> = std::iter::from_fn(|| built.dequeue()).collect();
+                assert_eq!(got, (0..n).collect::<Vec<_>>(), "{ctx}");
+            }
+        }
     }
 
     #[test]

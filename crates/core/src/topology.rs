@@ -65,6 +65,7 @@
 //! This module is the backend; the public face is
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
 
+use crate::pack::MAX_ORDER;
 use crate::spsc::Ring;
 use crate::sync::{wait_for_slot, SyncState};
 use crate::{WcqConfig, WcqHandle, WcqQueue};
@@ -115,14 +116,20 @@ impl<T: Send> TopoCore<T> {
     }
 
     /// `rings` producer rings of `2^order` slots; the spine (if ever
-    /// built) gets `order + ceil(log2(rings))` bits — at least the
-    /// declared fast-lane capacity again — and `max_threads` thread slots
-    /// (the post-upgrade analogue of [`crate::channel::bounded`]'s
-    /// `max_threads` contract).
+    /// built) gets `max(1, order + ceil(log2(rings)))` bits — at least the
+    /// declared fast-lane capacity again, and never below a wCQ ring's
+    /// smallest order — and `max_threads` thread slots (the post-upgrade
+    /// analogue of [`crate::channel::bounded`]'s `max_threads` contract).
+    /// A spine order no ring can take is rejected here, not inside the
+    /// grafting `send`.
     fn with_rings(rings: usize, order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
         assert!(rings >= 1, "at least one producer seat");
         assert!(max_threads >= 1, "at least one thread slot");
-        let spine_order = order + rings.next_power_of_two().trailing_zeros();
+        let spine_order = (order + rings.next_power_of_two().trailing_zeros()).max(1);
+        assert!(
+            spine_order <= MAX_ORDER,
+            "spine order {spine_order} exceeds the ring limit {MAX_ORDER}"
+        );
         assert!(
             max_threads <= 1usize << spine_order,
             "max_threads must not exceed spine capacity (k <= n)"

@@ -110,15 +110,20 @@ impl WcqRing {
         }
     }
 
-    /// Creates a ring pre-filled with indices `0..n` (for `fq`).
+    /// Creates a ring pre-filled with indices `0..n` (for `fq`): the state
+    /// `new_empty` reaches after enqueuing `0..n`, written with plain stores
+    /// through `&mut`. The ring is owned by value until it is moved into an
+    /// `Arc` or a spawned thread, and that move happens-before any other
+    /// thread's access, so construction needs no atomic read-modify-write
+    /// (DESIGN.md §2, "Construction").
     pub fn new_full(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
-        let ring = Self::new_empty(order, max_threads, cfg);
-        let l = &ring.layout;
+        let mut ring = Self::new_empty(order, max_threads, cfg);
+        let l = ring.layout;
         let n = l.n();
         for i in 0..n {
             let ticket = l.ring_size + i;
             let v = pack_w(
-                l,
+                &l,
                 WEntry {
                     cycle: l.cycle(ticket),
                     is_safe: true,
@@ -126,13 +131,10 @@ impl WcqRing {
                     index: i,
                 },
             );
-            // Single-threaded init: plain CAS2 from the known init value.
-            let cur = ring.entries[l.slot(ticket)].load2();
-            let ok = ring.entries[l.slot(ticket)].compare_exchange2(cur, (v, NOTE_NONE));
-            debug_assert!(ok);
+            ring.entries[l.slot(ticket)] = AtomicPair::new(v, NOTE_NONE);
         }
-        ring.tail.fetch_add_lo(n);
-        ring.threshold.store(l.threshold_reset(), SeqCst);
+        *ring.tail = AtomicPair::new(l.ring_size + n, 0);
+        *ring.threshold = AtomicI64::new(l.threshold_reset());
         ring
     }
 
@@ -931,6 +933,46 @@ mod tests {
         let r = WcqRing::new_full(4, 2, &cfg_default());
         let got: Vec<u64> = std::iter::from_fn(|| r.dequeue(0)).collect();
         assert_eq!(got, (0..16).collect::<Vec<_>>());
+    }
+
+    /// An `AtomicPair`'s `(lo, hi)` words.
+    type Pair = (u64, u64);
+
+    /// Every word of a ring: both halves of each entry, `head`, `tail`,
+    /// `threshold`.
+    fn state(r: &WcqRing) -> (Vec<Pair>, Pair, Pair, i64) {
+        let entries = r.entries.iter().map(|e| e.load2()).collect();
+        (entries, r.head.load2(), r.tail.load2(), r.threshold())
+    }
+
+    /// `new_full` writes its state with plain stores; it must be exactly
+    /// the state `new_empty` reaches by enqueuing `0..n`, in both halves of
+    /// every entry, `head`, `tail` and `threshold`, and then run as a FIFO
+    /// ring. Order 1 is the `idx_bits <= line_shift` no-remap edge.
+    #[test]
+    fn full_construction_equals_enqueued_fill() {
+        for remap in [true, false] {
+            let cfg = WcqConfig {
+                remap,
+                ..cfg_default()
+            };
+            for order in 1..=10 {
+                let ctx = format!("order {order}, remap {remap}");
+                let built = WcqRing::new_full(order, 1, &cfg);
+                let filled = WcqRing::new_empty(order, 1, &cfg);
+                let n = filled.capacity();
+                for i in 0..n {
+                    filled.enqueue(0, i);
+                }
+                assert_eq!(state(&built), state(&filled), "{ctx}");
+                for i in 0..n {
+                    assert_eq!(built.dequeue(0), Some(i), "round {i}, {ctx}");
+                    built.enqueue(0, i);
+                }
+                let got: Vec<u64> = std::iter::from_fn(|| built.dequeue(0)).collect();
+                assert_eq!(got, (0..n).collect::<Vec<_>>(), "{ctx}");
+            }
+        }
     }
 
     #[test]

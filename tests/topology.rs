@@ -155,6 +155,29 @@ fn clone_past_topology_grafts_spine_and_conserves() {
 }
 
 #[test]
+fn order_zero_graft_conserves() {
+    // One ring slot, so `order + log2(rings)` is 0, which no wCQ ring can
+    // take: the spine order is clamped to 1 at construction, and the
+    // excess sender's `send` grafts instead of panicking.
+    let (mut tx, mut rx) = channel::spsc::<u64>(0, 1);
+    tx.try_send(1).unwrap();
+    let mut tx2 = tx.clone();
+    tx2.try_send(2).unwrap();
+    assert_eq!(tx2.backend(), "wcq-spine");
+    drop(tx2); // frees the spine's only thread slot for the receiver
+    let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+    assert_eq!(got, [1, 2]);
+}
+
+#[test]
+#[should_panic(expected = "spine order 49")]
+fn oversized_spine_rejected_at_construction() {
+    // 4 rings of 2^47 slots need a 2^49 spine; the constructor refuses
+    // before allocating anything.
+    let _ = channel::mpsc::<u64>(47, 4, 1);
+}
+
+#[test]
 fn closed_edges_survive_the_graft() {
     let (mut tx, rx) = channel::spsc::<u64>(4, 6);
     tx.try_send(1).unwrap();
