@@ -7,7 +7,7 @@
 //! drives the threads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use harness::queues::{QueueSpec, ScqBench, WcqBench};
+use harness::queues::{BenchQueue, QueueSpec};
 use harness::workload::{run, Workload, WorkloadCfg};
 use std::time::Duration;
 use wcq::WcqConfig;
@@ -36,7 +36,7 @@ fn pairwise_elapsed(cfg: &WcqConfig, iters: u64) -> Duration {
     };
     let mut total = Duration::ZERO;
     for _ in 0..iters {
-        let q = WcqBench::new(&spec);
+        let q = wcq::WcqQueue::<u64>::build(&spec);
         total += run(&q, Workload::Pairwise, &wl_cfg()).elapsed;
     }
     total
@@ -122,7 +122,7 @@ fn ablate_remap(c: &mut Criterion) {
                 };
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
-                    let q = ScqBench::new(&spec);
+                    let q = wcq::ScqQueue::<u64>::build(&spec);
                     total += run(&q, Workload::Pairwise, &wl_cfg()).elapsed;
                 }
                 total
@@ -239,7 +239,7 @@ fn ablate_backoff(c: &mut Criterion) {
             };
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let q = harness::queues::UnboundedBench::<wcq::WcqRing>::new(&spec);
+                let q = wcq::unbounded::Unbounded::<u64, wcq::WcqRing>::build(&spec);
                 total += run(&q, Workload::Pairwise, &wl_cfg()).elapsed;
             }
             total

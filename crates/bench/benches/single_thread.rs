@@ -2,12 +2,12 @@
 //! floor each design pays (corresponds to the `threads = 1` points of the
 //! paper's throughput figures).
 
+use baselines::{CcQueue, CrTurnQueue, FaaQueue, Lcrq, MsQueue, YmcQueue};
+use bench::Queue;
 use criterion::{criterion_group, criterion_main, Criterion};
+use harness::queues::{BenchQueue, QueueHandle, QueueSpec};
 use std::time::Duration;
-use harness::queues::{
-    BenchQueue, CcBench, CrTurnBench, FaaBench, LcrqBench, MsBench, QueueHandle, QueueSpec,
-    ScqBench, WcqBench, YmcBench,
-};
+use wcq::{ScqQueue, WcqQueue};
 
 fn spec() -> QueueSpec {
     QueueSpec {
@@ -19,9 +19,11 @@ fn spec() -> QueueSpec {
     }
 }
 
-fn bench_queue<Q: BenchQueue>(c: &mut Criterion, q: &Q) {
+/// Benchmarks `Q` under the label of its figure column.
+fn bench_queue<Q: BenchQueue>(c: &mut Criterion, column: Queue) {
+    let q = Q::build(&spec());
     let mut h = q.handle();
-    c.bench_function(&format!("pair1t/{}", q.name()), |b| {
+    c.bench_function(&format!("pair1t/{}", column.label), |b| {
         b.iter(|| {
             let _ = std::hint::black_box(h.enqueue(7));
             std::hint::black_box(h.dequeue())
@@ -30,15 +32,14 @@ fn bench_queue<Q: BenchQueue>(c: &mut Criterion, q: &Q) {
 }
 
 fn single_thread(c: &mut Criterion) {
-    let s = spec();
-    bench_queue(c, &FaaBench::new(&s));
-    bench_queue(c, &WcqBench::new(&s));
-    bench_queue(c, &ScqBench::new(&s));
-    bench_queue(c, &LcrqBench::new(&s));
-    bench_queue(c, &YmcBench::new(&s));
-    bench_queue(c, &MsBench::new(&s));
-    bench_queue(c, &CcBench::new(&s));
-    bench_queue(c, &CrTurnBench::new(&s));
+    bench_queue::<FaaQueue>(c, bench::FAA);
+    bench_queue::<WcqQueue<u64>>(c, bench::WCQ);
+    bench_queue::<ScqQueue<u64>>(c, bench::SCQ);
+    bench_queue::<Lcrq>(c, bench::LCRQ);
+    bench_queue::<YmcQueue>(c, bench::YMC);
+    bench_queue::<MsQueue>(c, bench::MSQUEUE);
+    bench_queue::<CcQueue>(c, bench::CCQUEUE);
+    bench_queue::<CrTurnQueue>(c, bench::CRTURN);
 }
 
 criterion_group! {

@@ -10,27 +10,30 @@
 //!   stay flat at ring size (wCQ ≈ 2× SCQ: 16-byte entry pairs).
 //! * Panel (b): throughput of the same runs.
 //!
-//! Usage: `cargo run --release -p bench --bin figure10 [-- --panel mem|tput]`
+//! This is the only binary that installs the counting allocator: it costs
+//! two shared atomic RMWs per allocation, so every other figure runs in
+//! the `figures` binary on the system allocator (DESIGN.md §5).
+//!
+//! Usage: `cargo run --release -p bench --bin figure10 [-- --panel mem|tput|both]`
 
-use bench::{print_env_banner, run_figure, BenchOpts, QueueSet, LADDER_X86};
+use bench::{ladder, parse_panel, print_env_banner, reject, run_figure, BenchOpts};
+use bench::{LADDER_X86, PAPER};
 use harness::workload::Workload;
 
 #[global_allocator]
 static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc;
 
 fn main() {
-    let panel = std::env::args()
-        .skip_while(|a| a != "--panel")
-        .nth(1)
-        .unwrap_or_else(|| "both".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let panel = parse_panel(&args, &["mem", "tput", "both"]).unwrap_or_else(|e| reject(&e));
     let mut opts = BenchOpts::from_env(LADDER_X86);
     opts.delay = 64; // the paper's "tiny random delays"
     print_env_banner("Figure 10: memory test (random 50/50 ops, tiny random delays)");
-    let series = run_figure(Workload::Mixed5050, QueueSet::Full, &opts, true);
-    if panel == "mem" || panel == "both" {
-        series.print_mem("Figure 10a: Memory usage");
+    let series = run_figure(Workload::Mixed5050, PAPER, &ladder(&opts), &opts, true);
+    if panel != "tput" {
+        series.print_mem("Figure 10a: Memory usage (MB, peak during run)");
     }
-    if panel == "tput" || panel == "both" {
-        series.print_tput("Figure 10b: Throughput");
+    if panel != "mem" {
+        series.print_tput("Figure 10b: Throughput (Mops/s, mean of reps)");
     }
 }

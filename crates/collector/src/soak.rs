@@ -3,7 +3,7 @@
 //! sustained throughput, drop rate, and flush-latency percentiles.
 //!
 //! One implementation, three consumers: the `collector-soak` binary, the
-//! `figure_collector` oversubscription sweep, and the CI smoke tests —
+//! `figures collector` oversubscription sweep, and the CI smoke tests —
 //! so the numbers CI gates on come from exactly the code a human runs by
 //! hand.
 

@@ -6,12 +6,18 @@
 //! allocator wrapper that tracks live bytes and a resettable high-water
 //! mark.
 //!
-//! Figure binaries opt in with:
+//! Only the `figure10` binary opts in, with:
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static A: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc;
 //! ```
+//!
+//! The global allocator is fixed per binary, and the counter costs two
+//! shared atomic RMWs per allocation, which slows the baselines that
+//! allocate on every operation (MSQueue, CRTurn). So the throughput-only
+//! figures (`figures 11`, `figures 12`, …) run on the system allocator in
+//! a binary of their own.
 //!
 //! ORDERING: `LIVE` (a running sum) and `PEAK` (a max, monotone between
 //! resets) are independent counters — every site is a `Relaxed` RMW or

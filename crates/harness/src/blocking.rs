@@ -13,7 +13,7 @@
 //! * **CPU time** — process CPU ([`process_cpu_time`]) consumed over the
 //!   run, the quantity parked consumers save.
 //!
-//! The `figure_wakeup` binary sweeps this driver over consumer mode ×
+//! `figures wakeup` sweeps this driver over consumer mode ×
 //! oversubscription; `tests/blocking_facade.rs` reuses the same shape as a
 //! lost-wakeup stress.
 
@@ -70,11 +70,10 @@ impl Default for BurstCfg {
 }
 
 impl BurstCfg {
-    /// The canonical "figure W" shape used by `figure_wakeup` and the
-    /// `all_figures` smoke point: 64-item bursts with a 500 µs gap on a
-    /// 2^12-slot queue, `workers` split evenly between the roles, and
-    /// `ops` items per producer rounded **up** to a whole burst. One
-    /// definition so the two binaries cannot drift apart.
+    /// The canonical "figure W" shape used by `figures wakeup`: 64-item
+    /// bursts with a 500 µs gap on a 2^12-slot queue, `workers` split
+    /// evenly between the roles, and `ops` items per producer rounded
+    /// **up** to a whole burst.
     pub fn figure_shape(mode: ConsumerMode, workers: usize, ops: u64, pin: bool) -> BurstCfg {
         let producers = (workers / 2).max(1);
         BurstCfg {

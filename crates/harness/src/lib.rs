@@ -3,9 +3,10 @@
 //! This crate provides everything the figure-regeneration binaries and the
 //! integration tests share:
 //!
-//! * [`queues`] — a uniform [`BenchQueue`] trait with
-//!   adapters for every queue in the evaluation (wCQ, SCQ, LCRQ, YMC,
-//!   CRTurn, CCQueue, MSQueue, FAA);
+//! * [`queues`] — a uniform [`BenchQueue`] trait, implemented on every
+//!   queue in the evaluation (wCQ, SCQ, LCRQ, YMC, CRTurn, CCQueue,
+//!   MSQueue, FAA, and the sharded, unbounded and channel surfaces), each
+//!   with one builder from a [`queues::QueueSpec`];
 //! * [`workload`] — the paper's three workloads (§6): pairwise
 //!   enqueue–dequeue, 50%/50% random, and empty-queue dequeue, plus the
 //!   memory-test variant with tiny random inter-operation delays;

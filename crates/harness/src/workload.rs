@@ -199,7 +199,8 @@ pub fn repeat<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg, reps: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queues::{QueueSpec, ScqBench, WcqBench};
+    use crate::queues::QueueSpec;
+    use wcq::{ScqQueue, WcqQueue};
 
     #[test]
     fn xorshift_is_deterministic_and_spread() {
@@ -222,7 +223,7 @@ mod tests {
             ring_order: 8,
             ..Default::default()
         };
-        let q = WcqBench::new(&spec);
+        let q = WcqQueue::<u64>::build(&spec);
         let cfg = WorkloadCfg {
             threads: 2,
             ops_per_thread: 1000,
@@ -241,7 +242,7 @@ mod tests {
             ring_order: 8,
             ..Default::default()
         };
-        let q = ScqBench::new(&spec);
+        let q = ScqQueue::<u64>::build(&spec);
         let cfg = WorkloadCfg {
             threads: 2,
             ops_per_thread: 5000,
@@ -249,8 +250,7 @@ mod tests {
         };
         let r = run(&q, Workload::EmptyDequeue, &cfg);
         assert_eq!(r.ops, 10_000);
-        let mut h = q.handle();
-        assert_eq!(h.dequeue(), None);
+        assert_eq!(QueueHandle::dequeue(&mut q.handle()), None);
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
             ring_order: 10,
             ..Default::default()
         };
-        let q = WcqBench::new(&spec);
+        let q = WcqQueue::<u64>::build(&spec);
         let cfg = WorkloadCfg {
             threads: 3,
             ops_per_thread: 2000,

@@ -3,14 +3,13 @@
 //! under producer/consumer parallelism (heavily preempted on small hosts,
 //! which widens race windows).
 
+use baselines::{CcQueue, CrTurnQueue, Lcrq, MsQueue, YmcQueue};
 use harness::model::{check_delivery, tag, DeliveryLog};
-use harness::queues::{
-    BenchQueue, CcBench, ChannelBench, CrTurnBench, LcrqBench, MsBench, QueueHandle, QueueSpec,
-    ScqBench, ShardedWcqBench, UnboundedBench, WcqBench, YmcBench,
-};
+use harness::queues::{BenchQueue, ChannelBench, QueueHandle, QueueSpec};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Mutex;
-use wcq::{ScqRing, WcqRing};
+use wcq::unbounded::Unbounded;
+use wcq::{ScqQueue, ScqRing, ShardedWcq, WcqQueue, WcqRing};
 
 fn spec(threads: usize, order: u32) -> QueueSpec {
     QueueSpec {
@@ -75,14 +74,14 @@ const PER: u64 = 6_000;
 #[test]
 fn wcq_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&WcqBench::new(&s), 3, 3, PER);
+    mpmc_check(&WcqQueue::<u64>::build(&s), 3, 3, PER);
 }
 
 #[test]
 fn wcq_small_ring_delivers_exactly() {
     // Tiny ring: constant wrap-around and full/empty boundary churn.
     let s = spec(8, 4);
-    mpmc_check(&WcqBench::new(&s), 4, 4, 3_000);
+    mpmc_check(&WcqQueue::<u64>::build(&s), 4, 4, 3_000);
 }
 
 #[test]
@@ -94,7 +93,7 @@ fn wcq_stress_config_delivers_exactly() {
         node_order: None,
         cfg: wcq::WcqConfig::stress(),
     };
-    mpmc_check(&WcqBench::new(&s), 4, 4, 2_000);
+    mpmc_check(&WcqQueue::<u64>::build(&s), 4, 4, 2_000);
 }
 
 /// Worker count for the sharded tests: 4× the available cores (the ISSUE's
@@ -118,7 +117,7 @@ fn sharded_wcq_delivers_exactly() {
         node_order: None,
         cfg: wcq::WcqConfig::default(),
     };
-    mpmc_check(&ShardedWcqBench::new(&s), workers / 2, workers / 2, 3_000);
+    mpmc_check(&ShardedWcq::<u64>::build(&s), workers / 2, workers / 2, 3_000);
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn sharded_wcq_stress_config_delivers_exactly() {
         node_order: None,
         cfg: wcq::WcqConfig::stress(),
     };
-    mpmc_check(&ShardedWcqBench::new(&s), workers / 2, workers / 2, 1_500);
+    mpmc_check(&ShardedWcq::<u64>::build(&s), workers / 2, workers / 2, 1_500);
 }
 
 #[test]
@@ -142,7 +141,7 @@ fn channel_delivers_exactly() {
     // worker's pair registers only the half it uses (lazy acquisition).
     let workers = oversubscribed_workers();
     let s = spec(workers, 8);
-    mpmc_check(&ChannelBench::new(&s), workers / 2, workers / 2, 3_000);
+    mpmc_check(&ChannelBench::build(&s), workers / 2, workers / 2, 3_000);
 }
 
 #[test]
@@ -155,13 +154,13 @@ fn channel_stress_config_delivers_exactly() {
         cfg: wcq::WcqConfig::stress(),
         ..spec(workers, 5)
     };
-    mpmc_check(&ChannelBench::new(&s), workers / 2, workers / 2, 1_500);
+    mpmc_check(&ChannelBench::build(&s), workers / 2, workers / 2, 1_500);
 }
 
 #[test]
 fn scq_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&ScqBench::new(&s), 3, 3, PER);
+    mpmc_check(&ScqQueue::<u64>::build(&s), 3, 3, PER);
 }
 
 #[test]
@@ -175,7 +174,7 @@ fn unbounded_wcq_delivers_exactly() {
         node_order: Some(5),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedBench::<WcqRing>::new(&s), workers / 2, workers / 2, 2_000);
+    mpmc_check(&Unbounded::<u64, WcqRing>::build(&s), workers / 2, workers / 2, 2_000);
 }
 
 #[test]
@@ -186,7 +185,7 @@ fn unbounded_scq_delivers_exactly() {
         node_order: Some(4),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedBench::<ScqRing>::new(&s), workers / 2, workers / 2, 2_000);
+    mpmc_check(&Unbounded::<u64, ScqRing>::build(&s), workers / 2, workers / 2, 2_000);
 }
 
 #[test]
@@ -198,37 +197,37 @@ fn unbounded_wcq_stress_config_delivers_exactly() {
         cfg: wcq::WcqConfig::stress(),
         ..spec(workers, 8)
     };
-    mpmc_check(&UnboundedBench::<WcqRing>::new(&s), workers / 2, workers / 2, 1_000);
+    mpmc_check(&Unbounded::<u64, WcqRing>::build(&s), workers / 2, workers / 2, 1_000);
 }
 
 #[test]
 fn lcrq_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&LcrqBench::new(&s), 3, 3, PER);
+    mpmc_check(&Lcrq::build(&s), 3, 3, PER);
 }
 
 #[test]
 fn ymc_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&YmcBench::new(&s), 3, 3, PER);
+    mpmc_check(&YmcQueue::build(&s), 3, 3, PER);
 }
 
 #[test]
 fn msqueue_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&MsBench::new(&s), 3, 3, PER);
+    mpmc_check(&MsQueue::build(&s), 3, 3, PER);
 }
 
 #[test]
 fn ccqueue_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&CcBench::new(&s), 3, 3, PER);
+    mpmc_check(&CcQueue::build(&s), 3, 3, PER);
 }
 
 #[test]
 fn crturn_delivers_exactly() {
     let s = spec(6, 8);
-    mpmc_check(&CrTurnBench::new(&s), 3, 3, PER);
+    mpmc_check(&CrTurnQueue::build(&s), 3, 3, PER);
 }
 
 #[test]
@@ -236,7 +235,7 @@ fn asymmetric_producer_consumer_ratios() {
     // 1:N and N:1 shapes hit different contention patterns (Head-only vs
     // Tail-only hot spots).
     let s = spec(8, 7);
-    mpmc_check(&WcqBench::new(&s), 1, 5, 10_000);
+    mpmc_check(&WcqQueue::<u64>::build(&s), 1, 5, 10_000);
     let s = spec(8, 7);
-    mpmc_check(&WcqBench::new(&s), 5, 1, 4_000);
+    mpmc_check(&WcqQueue::<u64>::build(&s), 5, 1, 4_000);
 }

@@ -95,6 +95,7 @@ fn spsc_async_smoke() {
 #[test]
 fn mpsc_per_sender_fifo() {
     let (tx, mut rx) = channel::mpsc::<u64>(8, 3, 8);
+    assert_eq!(tx.backend(), "mpsc-rings");
     let threads: Vec<_> = (0..3u64)
         .map(|t| {
             let mut tx = tx.clone();
@@ -114,6 +115,9 @@ fn mpsc_per_sender_fifo() {
         t.join().unwrap();
     }
     assert_eq!(got.len(), 3 * 500);
+    // Three senders on three declared lanes never exceed the topology, so
+    // every message rode the per-sender rings, not an upgraded spine.
+    assert_eq!(rx.backend(), "mpsc-rings");
     for t in 0..3u64 {
         let lane: Vec<u64> = got.iter().copied().filter(|v| v >> 32 == t).map(|v| v & 0xffff_ffff).collect();
         assert_eq!(lane, (0..500).collect::<Vec<_>>(), "sender {t} lost FIFO");
