@@ -254,13 +254,10 @@ fn ablate_backoff(c: &mut Criterion) {
 /// listen-then-probe pair at both orderings — on x86-64 both loads compile
 /// to `mov`, so any delta is compiler reordering freedom; the row
 /// documents that the downgrade is *free*, the DST model that it is
-/// *sound* — plus the facade's fast path, a blocking pair that never
-/// parks: since the wait became one round it is the bare attempt (no
-/// `listen` at all; the snapshot is first taken after a probe missed), so
-/// this row now prices the facade over `try_enqueue`/`try_dequeue`.
+/// *sound*. (The blocking fast path, a send/recv pair that never parks,
+/// is the benchmark ladder's `channel.blocking_pair_ns` rung.)
 fn ablate_eventcount_listen(c: &mut Criterion) {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use wcq::sync::SyncQueue;
     let mut g = c.benchmark_group("eventcount_listen");
     for (label, o) in [("relaxed", Ordering::Relaxed), ("seqcst", Ordering::SeqCst)] {
         let epoch = AtomicU64::new(0);
@@ -273,14 +270,6 @@ fn ablate_eventcount_listen(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("dequeue_blocking_nonempty", |b| {
-        let q: wcq::WcqQueue<u64> = wcq::WcqQueue::new(12, 2);
-        let mut h = q.register().unwrap();
-        b.iter(|| {
-            h.enqueue_blocking(1).unwrap();
-            std::hint::black_box(h.dequeue_blocking().unwrap())
-        })
-    });
     g.finish();
 }
 

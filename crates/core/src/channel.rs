@@ -50,9 +50,13 @@
 //! [`Sender::backend`]/[`Receiver::backend`] to observe which engine is
 //! serving.
 //!
-//! Every endpoint forwards the full facade surface: spinning `try_*`,
-//! parking `send`/`recv`, deadline variants, `Future`-returning
-//! `send_async`/`recv_async`, and the batch operations.
+//! Every endpoint carries the whole surface: spinning `try_*`, parking
+//! `send`/`recv`, deadline variants, `Future`-returning
+//! `send_async`/`recv_async`, and the batch operations. The queues under
+//! a channel are spin-only, so this is the one place parking lives: the
+//! channel's shared state owns its [`SyncState`], and the endpoints
+//! notify it after every operation that frees a slot or lands a value
+//! (DESIGN.md §9).
 //!
 //! # Example
 //!
@@ -82,8 +86,8 @@
 //! ```
 
 use crate::sync::{
-    block, wait_for_slot, Dequeue, DequeueFuture, EnqueueFuture, Eventcount, Probe, RecvError,
-    SendError, Slot, SyncQueue, SyncState, Waitable,
+    block, cancel_all, poll_on, wait_for_slot, Eventcount, Probe, RecvError, SendError, Slot,
+    SyncState, Waitable,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
 use crate::{
@@ -123,6 +127,7 @@ use std::time::Duration;
 pub fn over<T: Send>(queue: impl Into<Backend<T>>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         backend: queue.into(),
+        sync: SyncState::new(),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
     });
@@ -247,7 +252,7 @@ pub fn mpsc<T: Send>(
 /// A lane holding stranded ring residue (closed, but the values sit
 /// behind a consumer seat held elsewhere — DESIGN.md §11) is treated as
 /// "empty for now": `recv_any` stays awake (spin-then-yield, as
-/// `dequeue_blocking` does) rather than parking past the residue or
+/// [`Receiver::recv`] does) rather than parking past the residue or
 /// reporting `Closed` over values that still exist.
 ///
 /// Each receiver's **first** operation still lazily acquires its thread
@@ -292,7 +297,7 @@ impl<T: Send> Waitable for AnyOf<'_, T> {
     }
 
     fn lane(&self, i: usize) -> &Eventcount {
-        self.0[i].shared.backend.sync_state().not_empty()
+        self.0[i].shared.sync.not_empty()
     }
 
     #[inline]
@@ -301,7 +306,7 @@ impl<T: Send> Waitable for AnyOf<'_, T> {
         // closed and drained.
         let mut verdict = Probe::Ready(Err(RecvError::Closed));
         for (i, rx) in self.0.iter_mut().enumerate() {
-            match Dequeue(rx.endpoint()).probe() {
+            match rx.dequeue().probe() {
                 Probe::Ready(Ok(v)) => return Probe::Ready(Ok((i, v))),
                 Probe::Ready(Err(_)) => {}
                 // One lane in limbo keeps the whole wait awake.
@@ -417,15 +422,6 @@ impl<T: Send> From<TopoCore<T>> for Backend<T> {
 }
 
 impl<T: Send> Backend<T> {
-    fn sync_state(&self) -> &SyncState {
-        match self {
-            Backend::Bounded(q) => q.sync_state(),
-            Backend::Sharded(q) => q.sync_state(),
-            Backend::Unbounded(q) => q.sync_state(),
-            Backend::Topo(c) => c.sync_state(),
-        }
-    }
-
     fn register(&self) -> Option<Endpoint<T>> {
         match self {
             Backend::Bounded(q) => q.register_owned().map(Endpoint::Bounded),
@@ -449,10 +445,12 @@ impl<T: Send> Backend<T> {
     }
 }
 
-/// Channel state shared by every endpoint: the queue plus the endpoint
-/// refcounts that drive auto-close.
+/// Channel state shared by every endpoint: the queue, its parking state
+/// (the only [`SyncState`] in the stack: the queues are spin-only), and
+/// the endpoint refcounts that drive auto-close.
 struct Shared<T: Send> {
     backend: Backend<T>,
+    sync: SyncState,
     senders: AtomicUsize,
     receivers: AtomicUsize,
 }
@@ -463,14 +461,6 @@ impl<T: Send> Shared<T> {
     /// of line: it runs once per endpoint, next to a per-operation check.
     fn acquire(&self) -> Endpoint<T> {
         wait_for_slot(|| self.backend.register())
-    }
-
-    fn is_closed(&self) -> bool {
-        self.backend.sync_state().is_closed()
-    }
-
-    fn close(&self) {
-        self.backend.sync_state().close();
     }
 }
 
@@ -486,62 +476,172 @@ enum Endpoint<T: Send> {
 }
 
 impl<T: Send> Endpoint<T> {
-    fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
+    /// Announces a state change on `ec`, one of the channel's two lanes.
+    /// A topology op needs the fenced notify: its rings publish with plain
+    /// stores, which can sit in the store buffer past a plain waiter-count
+    /// load (DESIGN.md §11). The other backends' ops end in a lock-prefixed
+    /// RMW, which orders the plain notify for free.
+    #[inline]
+    fn notify(&self, ec: &Eventcount) {
         match self {
+            Endpoint::Topo(_) => ec.notify_all_fenced(),
+            _ => ec.notify_all(),
+        }
+    }
+
+    /// One non-blocking enqueue attempt; `Err(v)` hands the value back
+    /// when this endpoint's lane is full.
+    #[inline]
+    fn try_enqueue(&mut self, sync: &SyncState, v: T) -> Result<(), T> {
+        let r = match self {
+            Endpoint::Bounded(h) => h.enqueue(v),
+            Endpoint::Sharded(h) => h.enqueue(v),
+            Endpoint::Unbounded(h) => {
+                h.enqueue(v);
+                Ok(())
+            }
+            Endpoint::Topo(h) => h.try_enqueue(v),
+        };
+        if r.is_ok() {
+            self.notify(sync.not_empty());
+        }
+        r
+    }
+
+    /// One non-blocking dequeue attempt; `None` when observed empty.
+    #[inline]
+    fn try_dequeue(&mut self, sync: &SyncState) -> Option<T> {
+        let v = match self {
+            Endpoint::Bounded(h) => h.dequeue(),
+            Endpoint::Sharded(h) => h.dequeue(),
+            // Nobody waits for room in a list that grows.
+            Endpoint::Unbounded(h) => return h.dequeue(),
+            Endpoint::Topo(h) => h.try_dequeue(),
+        }?;
+        self.notify(sync.not_full());
+        Some(v)
+    }
+
+    fn enqueue_batch(&mut self, sync: &SyncState, items: &mut Vec<T>) -> usize {
+        let n = match self {
             Endpoint::Bounded(h) => h.enqueue_batch(items),
             Endpoint::Sharded(h) => h.enqueue_batch(items),
             Endpoint::Unbounded(h) => h.enqueue_batch(items),
             Endpoint::Topo(h) => h.enqueue_batch(items),
+        };
+        if n > 0 {
+            self.notify(sync.not_empty()); // whole batch visible: wake once
         }
+        n
     }
 
-    fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
+    fn dequeue_batch(&mut self, sync: &SyncState, out: &mut Vec<T>, max: usize) -> usize {
+        let n = match self {
             Endpoint::Bounded(h) => h.dequeue_batch(out, max),
             Endpoint::Sharded(h) => h.dequeue_batch(out, max),
-            Endpoint::Unbounded(h) => h.dequeue_batch(out, max),
+            Endpoint::Unbounded(h) => return h.dequeue_batch(out, max),
             Endpoint::Topo(h) => h.dequeue_batch(out, max),
+        };
+        if n > 0 {
+            self.notify(sync.not_full()); // slots recycled: wake once
         }
+        n
+    }
+
+    /// `true` while the channel holds values this endpoint cannot reach
+    /// *right now* but will once another endpoint acts: ring residue
+    /// stranded behind a consumer seat held elsewhere (DESIGN.md §11).
+    /// Only the topology backend has per-endpoint reachability; the
+    /// others see everything.
+    fn residue_hint(&self) -> bool {
+        matches!(self, Endpoint::Topo(h) if h.residue_hint())
     }
 }
 
-impl<T: Send> SyncQueue for Endpoint<T> {
-    type Item = T;
+/// Waitable: put `v` into the channel. One lane, `not_full`. `Closed`
+/// wins over an attempt, and the value rides back in every error.
+struct Enqueue<'a, T: Send> {
+    ep: &'a mut Endpoint<T>,
+    sync: &'a SyncState,
+    v: Option<T>,
+}
 
-    fn sync_state(&self) -> &SyncState {
-        match self {
-            Endpoint::Bounded(h) => h.sync_state(),
-            Endpoint::Sharded(h) => h.sync_state(),
-            Endpoint::Unbounded(h) => h.sync_state(),
-            Endpoint::Topo(h) => h.sync_state(),
+impl<T: Send> Waitable for Enqueue<'_, T> {
+    type Output = Result<(), SendError<T>>;
+    type Slots = [Slot; 1];
+
+    fn slots(&self) -> [Slot; 1] {
+        Default::default()
+    }
+
+    fn lane(&self, _: usize) -> &Eventcount {
+        self.sync.not_full()
+    }
+
+    #[inline]
+    fn probe(&mut self) -> Probe<Self::Output> {
+        let v = self.v.take().expect("polled after completion");
+        if self.sync.is_closed() {
+            return Probe::Ready(Err(SendError::Closed(v)));
+        }
+        match self.ep.try_enqueue(self.sync, v) {
+            Ok(()) => Probe::Ready(Ok(())),
+            Err(back) => {
+                self.v = Some(back);
+                Probe::Wait
+            }
         }
     }
 
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        match self {
-            Endpoint::Bounded(h) => h.try_enqueue(v),
-            Endpoint::Sharded(h) => h.try_enqueue(v),
-            Endpoint::Unbounded(h) => h.try_enqueue(v),
-            Endpoint::Topo(h) => h.try_enqueue(v),
+    fn timeout(&mut self) -> Self::Output {
+        Err(SendError::Timeout(
+            self.v.take().expect("a miss keeps the value"),
+        ))
+    }
+}
+
+/// Waitable: take a value from the channel. One lane, `not_empty`.
+/// Drains after close; [`Receiver::try_recv`] and each lane of
+/// [`recv_any`] read this same verdict.
+struct Dequeue<'a, T: Send> {
+    ep: &'a mut Endpoint<T>,
+    sync: &'a SyncState,
+}
+
+impl<T: Send> Waitable for Dequeue<'_, T> {
+    type Output = Result<T, RecvError>;
+    type Slots = [Slot; 1];
+
+    fn slots(&self) -> [Slot; 1] {
+        Default::default()
+    }
+
+    fn lane(&self, _: usize) -> &Eventcount {
+        self.sync.not_empty()
+    }
+
+    #[inline]
+    fn probe(&mut self) -> Probe<Self::Output> {
+        if let Some(v) = self.ep.try_dequeue(self.sync) {
+            return Probe::Ready(Ok(v));
+        }
+        if !self.sync.is_closed() {
+            return Probe::Wait;
+        }
+        // Drain race: an insert may have landed between the attempt and
+        // the close check.
+        match self.ep.try_dequeue(self.sync) {
+            Some(v) => Probe::Ready(Ok(v)),
+            // Closed and observed empty, but the values still exist and
+            // close promised to drain them: not `Closed` yet. The window
+            // ends when the seat holder drains the residue or drops.
+            None if self.ep.residue_hint() => Probe::Limbo,
+            None => Probe::Ready(Err(RecvError::Closed)),
         }
     }
 
-    fn try_dequeue(&mut self) -> Option<T> {
-        match self {
-            Endpoint::Bounded(h) => h.try_dequeue(),
-            Endpoint::Sharded(h) => h.try_dequeue(),
-            Endpoint::Unbounded(h) => h.try_dequeue(),
-            Endpoint::Topo(h) => h.try_dequeue(),
-        }
-    }
-
-    fn residue_hint(&self) -> bool {
-        // Only the topology backend has per-endpoint reachability (ring
-        // sweeps require the consumer seat); the others see everything.
-        match self {
-            Endpoint::Topo(h) => h.residue_hint(),
-            _ => false,
-        }
+    fn timeout(&mut self) -> Self::Output {
+        Err(RecvError::Timeout)
     }
 }
 
@@ -558,11 +658,23 @@ pub struct Sender<T: Send> {
 }
 
 impl<T: Send> Sender<T> {
-    fn endpoint(&mut self) -> &mut Endpoint<T> {
-        if self.cache.is_none() {
-            self.cache = Some(self.shared.acquire());
+    /// This endpoint's handle (registered on first use) and the channel's
+    /// parking state.
+    fn endpoint(&mut self) -> (&mut Endpoint<T>, &SyncState) {
+        let shared = &*self.shared;
+        (
+            self.cache.get_or_insert_with(|| shared.acquire()),
+            &shared.sync,
+        )
+    }
+
+    fn enqueue(&mut self, v: T) -> Enqueue<'_, T> {
+        let (ep, sync) = self.endpoint();
+        Enqueue {
+            ep,
+            sync,
+            v: Some(v),
         }
-        self.cache.as_mut().expect("just filled")
     }
 
     /// Non-blocking send. [`TrySendError::Full`] hands the value back when
@@ -573,30 +685,47 @@ impl<T: Send> Sender<T> {
     /// slot and waits while all `max_threads` are taken (see [`bounded`]);
     /// once registered, `try_send` never waits.
     pub fn try_send(&mut self, v: T) -> Result<(), TrySendError<T>> {
-        if self.shared.is_closed() {
+        if self.shared.sync.is_closed() {
             return Err(TrySendError::Closed(v));
         }
-        self.endpoint().try_enqueue(v).map_err(TrySendError::Full)
+        let (ep, sync) = self.endpoint();
+        ep.try_enqueue(sync, v).map_err(TrySendError::Full)
     }
 
     /// Sends, parking while the queue is full. Fails only when every
     /// receiver is gone (the value rides back in [`SendError::Closed`]).
+    ///
+    /// ```
+    /// let (mut tx, mut rx) = wcq::channel::bounded::<u32>(4, 2);
+    /// tx.send(1).unwrap(); // space available: no parking
+    /// assert_eq!(rx.recv(), Ok(1));
+    /// ```
     pub fn send(&mut self, v: T) -> Result<(), SendError<T>> {
-        if self.shared.is_closed() {
+        if self.shared.sync.is_closed() {
             return Err(SendError::Closed(v));
         }
-        self.endpoint().enqueue_blocking(v)
+        block(self.enqueue(v), None)
     }
 
     /// Like [`Self::send`] with a deadline; a timeout is
     /// element-conserving ([`SendError::Timeout`] carries the value). A
+    /// zero timeout is a pure try-op — it never registers or sleeps; a
     /// `timeout` too large to add to the clock (`Duration::MAX`) waits
     /// without a deadline, like [`Self::send`].
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use wcq::sync::SendError;
+    /// let (mut tx, _rx) = wcq::channel::bounded::<u32>(2, 2); // 4 slots
+    /// for i in 0..4 { tx.send(i).unwrap(); }
+    /// let r = tx.send_timeout(99, Duration::from_millis(1));
+    /// assert_eq!(r, Err(SendError::Timeout(99))); // value handed back
+    /// ```
     pub fn send_timeout(&mut self, v: T, timeout: Duration) -> Result<(), SendError<T>> {
-        if self.shared.is_closed() {
+        if self.shared.sync.is_closed() {
             return Err(SendError::Closed(v));
         }
-        self.endpoint().enqueue_timeout(v, timeout)
+        block(self.enqueue(v), Some(timeout))
     }
 
     /// Async send: resolves when the value is in, or with
@@ -605,7 +734,10 @@ impl<T: Send> Sender<T> {
     /// without ever parking the task). Drive it with any executor, e.g.
     /// [`crate::sync::block_on`].
     pub fn send_async(&mut self, v: T) -> SendFuture<'_, T> {
-        SendFuture(self.endpoint().enqueue_async(v))
+        SendFuture {
+            w: self.enqueue(v),
+            slots: Default::default(),
+        }
     }
 
     /// Batch send: drains as many items as fit from the **front** of
@@ -613,16 +745,17 @@ impl<T: Send> Sender<T> {
     /// left behind did not fit (queue full) or the channel is closed
     /// (check [`Self::is_closed`] to distinguish).
     pub fn send_batch(&mut self, items: &mut Vec<T>) -> usize {
-        if self.shared.is_closed() {
+        if self.shared.sync.is_closed() {
             return 0;
         }
-        self.endpoint().enqueue_batch(items)
+        let (ep, sync) = self.endpoint();
+        ep.enqueue_batch(sync, items)
     }
 
     /// `true` once every [`Receiver`] has been dropped (sends can no
     /// longer succeed).
     pub fn is_closed(&self) -> bool {
-        self.shared.is_closed()
+        self.shared.sync.is_closed()
     }
 
     /// The engine currently serving this channel: `"wcq"`,
@@ -657,7 +790,7 @@ impl<T: Send> Drop for Sender<T> {
         // ORDERING: endpoint refcount for close-on-last-drop; the ==1
         // observation must totally order with the peer's count ops
         if self.shared.senders.fetch_sub(1, SeqCst) == 1 {
-            self.shared.close();
+            self.shared.sync.close();
         }
     }
 }
@@ -675,11 +808,19 @@ pub struct Receiver<T: Send> {
 }
 
 impl<T: Send> Receiver<T> {
-    fn endpoint(&mut self) -> &mut Endpoint<T> {
-        if self.cache.is_none() {
-            self.cache = Some(self.shared.acquire());
-        }
-        self.cache.as_mut().expect("just filled")
+    /// This endpoint's handle (registered on first use) and the channel's
+    /// parking state.
+    fn endpoint(&mut self) -> (&mut Endpoint<T>, &SyncState) {
+        let shared = &*self.shared;
+        (
+            self.cache.get_or_insert_with(|| shared.acquire()),
+            &shared.sync,
+        )
+    }
+
+    fn dequeue(&mut self) -> Dequeue<'_, T> {
+        let (ep, sync) = self.endpoint();
+        Dequeue { ep, sync }
     }
 
     /// Non-blocking receive. Drains the backlog even after close:
@@ -690,7 +831,7 @@ impl<T: Send> Receiver<T> {
     /// slot and waits while all `max_threads` are taken (see [`bounded`]);
     /// once registered, `try_recv` never waits.
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-        match Dequeue(self.endpoint()).probe() {
+        match self.dequeue().probe() {
             Probe::Ready(Ok(v)) => Ok(v),
             Probe::Ready(Err(_)) => Err(TryRecvError::Closed),
             // Limbo — values stranded behind another endpoint's consumer
@@ -704,34 +845,47 @@ impl<T: Send> Receiver<T> {
     /// [`Sender`] drops, drains the backlog and then reports
     /// [`RecvError::Closed`].
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        self.endpoint().dequeue_blocking()
+        block(self.dequeue(), None)
     }
 
     /// Like [`Self::recv`] with a deadline; takes one last look before
-    /// reporting [`RecvError::Timeout`]. A `timeout` too large to add to
-    /// the clock (`Duration::MAX`) waits without a deadline, like
+    /// reporting [`RecvError::Timeout`]. A zero timeout is a pure try-op —
+    /// it never registers or sleeps; a `timeout` too large to add to the
+    /// clock (`Duration::MAX`) waits without a deadline, like
     /// [`Self::recv`].
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use wcq::sync::RecvError;
+    /// let (_tx, mut rx) = wcq::channel::bounded::<u32>(4, 2);
+    /// let r = rx.recv_timeout(Duration::from_millis(1));
+    /// assert_eq!(r, Err(RecvError::Timeout));
+    /// ```
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvError> {
-        self.endpoint().dequeue_timeout(timeout)
+        block(self.dequeue(), Some(timeout))
     }
 
     /// Async receive: resolves with a value, or [`RecvError::Closed`] once
     /// the channel is closed and drained.
     pub fn recv_async(&mut self) -> RecvFuture<'_, T> {
-        RecvFuture(self.endpoint().dequeue_async())
+        RecvFuture {
+            w: self.dequeue(),
+            slots: Default::default(),
+        }
     }
 
     /// Batch receive: appends up to `max` elements to `out` in queue order
     /// and returns how many were appended (0 means observed empty —
     /// check [`Self::is_closed`] to distinguish "for now" from "forever").
     pub fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.endpoint().dequeue_batch(out, max)
+        let (ep, sync) = self.endpoint();
+        ep.dequeue_batch(sync, out, max)
     }
 
     /// `true` once every [`Sender`] has been dropped. The backlog may
     /// still hold values; [`Self::try_recv`]/[`Self::recv`] drain it.
     pub fn is_closed(&self) -> bool {
-        self.shared.is_closed()
+        self.shared.sync.is_closed()
     }
 
     /// The engine currently serving this channel; see [`Sender::backend`].
@@ -754,13 +908,20 @@ impl<T: Send> Clone for Receiver<T> {
 
 impl<T: Send> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.cache = None;
+        // Dropping a topology endpoint releases any consumer seat it held,
+        // which may surface ring residue to receivers parked on
+        // `not_empty` (their pre-park sweep failed while the seat was
+        // held). Fenced: the seat release is a plain store.
+        if let Some(Endpoint::Topo(ep)) = self.cache.take() {
+            drop(ep);
+            self.shared.sync.notify_not_empty_fenced();
+        }
         // ORDERING: endpoint refcount for close-on-last-drop; the ==1
         // observation must totally order with the peer's count ops
         if self.shared.receivers.fetch_sub(1, SeqCst) == 1 {
             // Last reader gone: fail senders fast instead of letting them
             // fill (or grow) a queue nobody will drain.
-            self.shared.close();
+            self.shared.sync.close();
         }
     }
 }
@@ -769,26 +930,61 @@ impl<T: Send> Drop for Receiver<T> {
 // Futures
 // ===================================================================
 
-/// Future returned by [`Sender::send_async`]; wraps the facade's
-/// [`EnqueueFuture`] (waker registration, deregister-on-drop).
-pub struct SendFuture<'a, T: Send>(EnqueueFuture<'a, Endpoint<T>>);
+/// Future returned by [`Sender::send_async`]. Registers the task's
+/// [`Waker`](std::task::Waker) on the channel's not-full eventcount and
+/// deregisters on completion or drop, so an abandoned future leaves no
+/// stale waiter behind.
+pub struct SendFuture<'a, T: Send> {
+    w: Enqueue<'a, T>,
+    slots: [Slot; 1],
+}
+
+// The futures never hold self-references; all fields are used by value.
+impl<T: Send> Unpin for SendFuture<'_, T> {}
 
 impl<T: Send> Future for SendFuture<'_, T> {
     type Output = Result<(), SendError<T>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.0).poll(cx)
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        poll_on(&mut this.w, &mut this.slots, cx)
     }
 }
 
-/// Future returned by [`Receiver::recv_async`]; wraps the facade's
-/// [`DequeueFuture`].
-pub struct RecvFuture<'a, T: Send>(DequeueFuture<'a, Endpoint<T>>);
+impl<T: Send> Drop for SendFuture<'_, T> {
+    fn drop(&mut self) {
+        cancel_all(&self.w, &mut self.slots);
+    }
+}
+
+/// Future returned by [`Receiver::recv_async`]; waker bookkeeping as in
+/// [`SendFuture`], on the not-empty eventcount.
+pub struct RecvFuture<'a, T: Send> {
+    w: Dequeue<'a, T>,
+    slots: [Slot; 1],
+}
+
+impl<T: Send> Unpin for RecvFuture<'_, T> {}
 
 impl<T: Send> Future for RecvFuture<'_, T> {
     type Output = Result<T, RecvError>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.0).poll(cx)
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        poll_on(&mut this.w, &mut this.slots, cx)
+    }
+}
+
+impl<T: Send> Drop for RecvFuture<'_, T> {
+    fn drop(&mut self) {
+        cancel_all(&self.w, &mut self.slots);
+    }
+}
+
+#[cfg(test)]
+impl<T: Send> Receiver<T> {
+    /// The channel's parking state, for tests that count its waiters.
+    pub(crate) fn sync_state(&self) -> &SyncState {
+        &self.shared.sync
     }
 }

@@ -34,19 +34,20 @@
 //! | [`UnboundedWcq`] = `Unbounded<T, WcqRing>` | wait-free rings, lock-free list | unbounded, hazard-pointer reclaimed | App. A |
 //! | [`ShardedWcq`] | wait-free per shard | bounded | beyond the paper: splits the §6 `Head`/`Tail` hotspot over S ring pairs |
 //! | [`spsc::Ring`] + [`topology`] | load/store fast path, wait-free spine | bounded | beyond the paper: topology-declared channels that only pay for wCQ when usage goes MPMC |
-//! | [`WcqHandle`] / [`ShardedHandle`] / [`UnboundedHandle`] | — | — | §3.4's one precondition (one exclusive driver per thread record), as a type: **one** handle struct per family, generic over how it holds the queue ([`Hold`]: `&Q` from `register()`, `Arc<Q>` from `register_owned()`) |
-//! | [`channel`] | as the queue under it | as the queue under it | beyond the paper: cloneable `Arc`-owning [`Sender`]/[`Receiver`]; one constructor path, [`channel::over`] |
+//! | [`WcqHandle`] / [`ShardedHandle`] / [`UnboundedHandle`] | — | — | §3.4's one precondition (one exclusive driver per thread record), as a type: **one** handle struct per family, generic over how it holds the queue ([`Hold`]: `&Q` from `register()`, `Arc<Q>` from `register_owned()`); spin and batch ops only, as in the paper |
+//! | [`channel`] + [`sync`] | as the queue under it | as the queue under it | beyond the paper: cloneable `Arc`-owning [`Sender`]/[`Receiver`]; one constructor path, [`channel::over`]; the only blocking/async surface, parking on the channel's one [`sync::SyncState`] |
 //!
 //! Wait-freedom of the slow path relies on hardware double-width CAS; see
 //! [`dwcas::HARDWARE_CAS2`] and `DESIGN.md` §3.5 for the portable fallback
 //! semantics.
 //!
-//! Every handle also exposes a **blocking/async facade** through the
-//! [`sync::SyncQueue`] trait (parking on the empty/full edge only — the
-//! wait-free fast path is untouched; see [`sync`] and `DESIGN.md` §9).
-//! The **channel API** ([`channel`]) adds lazy thread-slot acquisition and
-//! refcount-driven close on top — the surface to reach for first when
-//! threads are spawned rather than scoped (`DESIGN.md` §10).
+//! The handles are spin-only, as the paper's operations are: they return
+//! on full and empty. Waiting lives one layer up, in the **channel API**
+//! ([`channel`]): lazy thread-slot acquisition, refcount-driven close, and
+//! the **blocking/async** `send`/`recv` family, which parks on the
+//! empty/full edge only — the wait-free fast path is untouched (see
+//! [`sync`] and `DESIGN.md` §9–10). It is the surface to reach for first
+//! when threads are spawned rather than scoped.
 //!
 //! The paper-to-code map — which figure/algorithm lives in which module —
 //! is `PAPER_MAP.md` at the repository root.
@@ -73,7 +74,7 @@ pub use hold::Hold;
 pub use ringpair::IndexRing;
 pub use scq::{ScqQueue, ScqRing};
 pub use shard::{ShardedHandle, ShardedWcq};
-pub use sync::{RecvError, SendError, SyncQueue};
+pub use sync::{RecvError, SendError};
 pub use unbounded::{UnboundedHandle, UnboundedScq, UnboundedWcq};
 pub use wcq::{WcqHandle, WcqQueue, WcqRing};
 

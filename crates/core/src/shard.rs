@@ -25,12 +25,10 @@
 //! own. Thread slots are global — one table, so a registered handle drives
 //! the same thread id in every shard and upholds the pairs' exclusivity
 //! contract across all of them at once, the same pattern the unbounded
-//! list-of-rings uses — and blocking consumers park on the one
-//! sharded-level state.
+//! list-of-rings uses.
 
 use crate::hold::Hold;
 use crate::ringpair::{RingPair, SlotTable};
-use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
 use std::marker::PhantomData;
@@ -53,8 +51,6 @@ use std::sync::Arc;
 pub struct ShardedWcq<T> {
     shards: Box<[RingPair<T, WcqRing>]>,
     slots: SlotTable,
-    /// The one parking state ([`crate::sync`]) blocking consumers wait on.
-    sync: SyncState,
 }
 
 impl<T> ShardedWcq<T> {
@@ -75,7 +71,6 @@ impl<T> ShardedWcq<T> {
                 .map(|_| RingPair::new(order, max_threads, cfg))
                 .collect(),
             slots: SlotTable::new(max_threads),
-            sync: SyncState::new(),
         }
     }
 
@@ -98,22 +93,6 @@ impl<T> ShardedWcq<T> {
     /// per-shard O(1) threshold probes. Advisory, like any concurrent probe.
     pub fn is_empty_hint(&self) -> bool {
         self.shards.iter().all(|s| s.is_empty_hint())
-    }
-
-    /// Closes the blocking/async facade (see [`crate::WcqQueue::close`]);
-    /// the spin API is unaffected.
-    pub fn close(&self) {
-        self.sync.close();
-    }
-
-    /// `true` once [`Self::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.sync.is_closed()
-    }
-
-    /// The queue's parking state (see [`crate::sync`]).
-    pub fn sync_state(&self) -> &SyncState {
-        &self.sync
     }
 
     /// Registers the calling thread; its enqueue affinity is
@@ -170,22 +149,14 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
     #[inline]
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
         // SAFETY: exclusivity contract above.
-        let r = unsafe { self.q.shards[self.affinity].enqueue(self.tid, v) };
-        if r.is_ok() {
-            self.q.sync.notify_not_empty();
-        }
-        r
+        unsafe { self.q.shards[self.affinity].enqueue(self.tid, v) }
     }
 
     /// Batch enqueue into the affinity shard; semantics of
     /// [`crate::WcqHandle::enqueue_batch`].
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         // SAFETY: exclusivity contract above.
-        let n = unsafe { self.q.shards[self.affinity].enqueue_batch(self.tid, items) };
-        if n > 0 {
-            self.q.sync.notify_not_empty();
-        }
-        n
+        unsafe { self.q.shards[self.affinity].enqueue_batch(self.tid, items) }
     }
 
     /// Dequeue, visiting every shard (starting at the sticky cursor) before
@@ -197,7 +168,6 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
             // SAFETY: exclusivity contract above.
             if let Some(v) = unsafe { self.q.shards[shard].dequeue(self.tid) } {
                 self.cursor = shard;
-                self.q.sync.notify_not_full();
                 return Some(v);
             }
         }
@@ -224,9 +194,6 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
                 total += got;
             }
         }
-        if total > 0 {
-            self.q.sync.notify_not_full();
-        }
         total
     }
 
@@ -244,25 +211,6 @@ impl<T, H: Hold<ShardedWcq<T>>> ShardedHandle<T, H> {
 impl<T, H: Hold<ShardedWcq<T>>> Drop for ShardedHandle<T, H> {
     fn drop(&mut self) {
         self.q.slots.release(self.tid, &self.q.shards);
-    }
-}
-
-/// Blocking/async facade over the sharded queue: parked enqueuers wake on
-/// any shard's dequeue (then retry their own affinity shard), parked
-/// dequeuers wake on any enqueue (their sweep visits every shard).
-impl<T, H: Hold<ShardedWcq<T>>> SyncQueue for ShardedHandle<T, H> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
     }
 }
 

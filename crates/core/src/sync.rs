@@ -1,29 +1,28 @@
-//! Blocking and async facade over the spin-only queues (DESIGN.md §9).
+//! Parking for the channel endpoints, over the spin-only queues (DESIGN.md
+//! §9).
 //!
-//! Every queue in the suite is non-blocking by construction: `dequeue` on an
-//! empty queue returns immediately, so a consumer that wants to *wait* for
-//! data must spin. Under oversubscription — exactly the regime wait-freedom
-//! is for — a spinning consumer burns its whole scheduler quantum polling.
-//! This module adds the standard remedy, an **eventcount** (futex-style
-//! parking built on [`std::thread::park`], zero dependencies): consumers and
-//! producers park on the empty/full *edge* only, while every successful
-//! queue operation stays the untouched wait-free fast path plus one
-//! `SeqCst` load to check for sleepers.
+//! Every queue in the suite is non-blocking by construction, as the paper's
+//! operations are: `dequeue` on an empty queue returns immediately, so a
+//! consumer that wants to *wait* for data must spin. Under
+//! oversubscription — exactly the regime wait-freedom is for — a spinning
+//! consumer burns its whole scheduler quantum polling. This module holds
+//! the standard remedy, an **eventcount** (futex-style parking built on
+//! [`std::thread::park`], zero dependencies): consumers and producers park
+//! on the empty/full *edge* only, while every successful operation stays
+//! the untouched wait-free fast path plus one load to check for sleepers.
 //!
-//! The entry points live on the [`SyncQueue`] trait, implemented once per
-//! queue family — [`crate::WcqHandle`], [`crate::ShardedHandle`],
-//! [`crate::UnboundedHandle`], each over either holder ([`crate::Hold`]) —
-//! and by the [`crate::channel`] endpoints built on them (there the
-//! `close()` below is driven automatically by sender/receiver refcounts):
+//! The raw handles ([`crate::WcqHandle`] & co.) stay spin-only. The one
+//! blocking and async surface is the [`crate::channel`] endpoints, whose
+//! shared state owns the channel's one [`SyncState`] and whose refcounts
+//! drive its close:
 //!
-//! * [`SyncQueue::enqueue_blocking`] / [`SyncQueue::dequeue_blocking`] —
-//!   park until space/data or [`close`](crate::WcqQueue::close);
-//! * [`SyncQueue::enqueue_timeout`] / [`SyncQueue::dequeue_timeout`] —
-//!   the same with a deadline; timeouts are element-conserving (a timed-out
-//!   enqueue hands the value back, a timed-out dequeue takes one last look);
-//! * [`SyncQueue::enqueue_async`] / [`SyncQueue::dequeue_async`] —
-//!   `Future`s registering a [`Waker`] instead of a thread, driven by any
-//!   executor; [`block_on`] is a minimal vendored one for examples/tests.
+//! * `send` / `recv` park until space/data or close;
+//! * `send_timeout` / `recv_timeout` do the same with a deadline;
+//!   timeouts are element-conserving (a timed-out send hands the value
+//!   back, a timed-out receive takes one last look);
+//! * `send_async` / `recv_async` are `Future`s registering a [`Waker`]
+//!   instead of a thread, driven by any executor; [`block_on`] is a
+//!   minimal vendored one for examples/tests.
 //!
 //! # One wait protocol
 //!
@@ -43,46 +42,40 @@
 //! # Blocking example
 //!
 //! ```
-//! use wcq::sync::{RecvError, SyncQueue};
-//! use wcq::WcqQueue;
+//! use wcq::channel;
+//! use wcq::sync::RecvError;
 //!
-//! let q: WcqQueue<u64> = WcqQueue::new(4, 2);
-//! std::thread::scope(|s| {
-//!     s.spawn(|| {
-//!         let mut h = q.register().unwrap();
-//!         h.enqueue_blocking(7).unwrap();
-//!         q.close(); // wakes everyone; dequeuers drain, then see Closed
-//!     });
-//!     let mut h = q.register().unwrap();
-//!     assert_eq!(h.dequeue_blocking(), Ok(7)); // parks until the send
-//!     assert_eq!(h.dequeue_blocking(), Err(RecvError::Closed));
+//! let (mut tx, mut rx) = channel::bounded::<u64>(4, 2);
+//! let producer = std::thread::spawn(move || {
+//!     tx.send(7).unwrap();
+//!     // `tx` drops here: the channel closes, receivers drain, then see Closed
 //! });
+//! assert_eq!(rx.recv(), Ok(7)); // parks until the send
+//! assert_eq!(rx.recv(), Err(RecvError::Closed));
+//! producer.join().unwrap();
 //! ```
 //!
 //! # Async example
 //!
 //! ```
-//! use wcq::sync::{block_on, SyncQueue};
-//! use wcq::UnboundedWcq;
+//! use wcq::channel;
+//! use wcq::sync::block_on;
 //!
-//! let q: UnboundedWcq<String> = UnboundedWcq::new(4, 2);
-//! std::thread::scope(|s| {
-//!     s.spawn(|| {
-//!         let mut h = q.register().unwrap();
-//!         block_on(async { h.enqueue_async("ping".to_string()).await }).unwrap();
-//!     });
-//!     let mut h = q.register().unwrap();
-//!     let got = block_on(async { h.dequeue_async().await });
-//!     assert_eq!(got.as_deref(), Ok("ping"));
+//! let (mut tx, mut rx) = channel::unbounded::<String>(4, 2);
+//! let producer = std::thread::spawn(move || {
+//!     block_on(async { tx.send_async("ping".to_string()).await }).unwrap();
 //! });
+//! let got = block_on(async { rx.recv_async().await });
+//! assert_eq!(got.as_deref(), Ok("ping"));
+//! producer.join().unwrap();
 //! ```
 //!
 //! # Why wait-freedom survives
 //!
 //! The queue operations themselves are untouched: an element is enqueued by
 //! the same bounded-step ring protocol as before, and only *after* it is
-//! visible does the producer glance at the waiter counter (one `SeqCst`
-//! load; no RMW, no lock when nobody sleeps). Parking happens strictly on
+//! visible does the channel glance at the waiter counter (one load; no
+//! RMW, no lock when nobody sleeps). Parking happens strictly on
 //! the empty/full edge, where the caller has — by definition — no work to
 //! do; a parked thread holds no queue state, so it can never wedge another
 //! thread's operation. The waiter list's mutex is touched only by threads
@@ -97,7 +90,6 @@
 
 use crossbeam_utils::CachePadded;
 use std::future::Future;
-use std::pin::Pin;
 use crate::sim::{AtomicBool, AtomicU64, AtomicUsize, Mutex};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
@@ -576,26 +568,33 @@ impl Eventcount {
 }
 
 // ===================================================================
-// Per-queue parking state
+// Per-channel parking state
 // ===================================================================
 
-/// The parking state a queue embeds to support the blocking/async facade:
-/// one [`Eventcount`] per edge (empty and full) plus the shutdown flag.
+/// A channel's parking state: one [`Eventcount`] per edge (empty and
+/// full) plus the shutdown flag.
 ///
-/// Constructed by the queues themselves; users only see it through
-/// [`SyncQueue::sync_state`].
+/// Each channel's shared state owns exactly one; the queues under it are
+/// spin-only and carry none.
 ///
 /// Layout: the two eventcounts are cache-padded apart. Every successful
-/// enqueue loads `not_empty.nwaiters` and every successful dequeue loads
+/// send loads `not_empty.nwaiters` and every successful receive loads
 /// `not_full.nwaiters`; unpadded, those two hot words share a line (and
 /// the adjacent-line prefetcher pairs even neighboring lines), so each
 /// side's `notify_slow` stores would invalidate the other side's per-op
 /// check — false sharing on the one field the facade touches per element
 /// (the cache-layout audit of PR 6; the SPSC ring pads its index blocks
-/// for the same reason).
+/// for the same reason). The closed flag shares `not_empty`'s line: a
+/// sender reads both on every send, and the flag is written once.
 pub struct SyncState {
-    not_empty: CachePadded<Eventcount>,
+    send: CachePadded<SendLine>,
     not_full: CachePadded<Eventcount>,
+}
+
+/// The words a send reads: the closed flag before its attempt, and
+/// `not_empty`'s waiter count after it.
+struct SendLine {
+    not_empty: Eventcount,
     closed: AtomicBool,
 }
 
@@ -609,16 +608,18 @@ impl SyncState {
     /// Fresh state: open, no waiters.
     pub fn new() -> Self {
         SyncState {
-            not_empty: CachePadded::new(Eventcount::new()),
+            send: CachePadded::new(SendLine {
+                not_empty: Eventcount::new(),
+                closed: AtomicBool::new(false),
+            }),
             not_full: CachePadded::new(Eventcount::new()),
-            closed: AtomicBool::new(false),
         }
     }
 
     /// The eventcount dequeuers park on (producers notify it).
     #[inline]
     pub fn not_empty(&self) -> &Eventcount {
-        &self.not_empty
+        &self.send.not_empty
     }
 
     /// The eventcount enqueuers park on (consumers notify it).
@@ -630,7 +631,7 @@ impl SyncState {
     /// Advertise "an element was enqueued" to parked dequeuers.
     #[inline]
     pub fn notify_not_empty(&self) {
-        self.not_empty.notify_all();
+        self.send.not_empty.notify_all();
     }
 
     /// Advertise "a slot was freed" to parked enqueuers.
@@ -643,7 +644,7 @@ impl SyncState {
     /// [`Eventcount::notify_all_fenced`].
     #[inline]
     pub fn notify_not_empty_fenced(&self) {
-        self.not_empty.notify_all_fenced();
+        self.send.not_empty.notify_all_fenced();
     }
 
     /// [`Self::notify_not_full`] for plain-store publication paths — see
@@ -653,19 +654,19 @@ impl SyncState {
         self.not_full.notify_all_fenced();
     }
 
-    /// Closes the facade: blocking/async enqueues fail with `Closed`,
-    /// dequeues drain the backlog and then fail with `Closed`, and every
-    /// parked waiter is woken. Idempotent. The spin API is unaffected.
+    /// Closes the channel: sends fail with `Closed`, receives drain the
+    /// backlog and then fail with `Closed`, and every parked waiter is
+    /// woken. Idempotent. The queue under the channel is untouched.
     pub fn close(&self) {
-        self.closed.store(true, SeqCst);
-        self.not_empty.notify_all();
+        self.send.closed.store(true, SeqCst);
+        self.send.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     /// `true` once [`Self::close`] has run.
     #[inline]
     pub fn is_closed(&self) -> bool {
-        self.closed.load(SeqCst)
+        self.send.closed.load(SeqCst)
     }
 }
 
@@ -673,8 +674,8 @@ impl SyncState {
 // Errors
 // ===================================================================
 
-/// Why a blocking/async enqueue did not take the value. Both variants hand
-/// the value back — the facade never drops an element.
+/// Why a blocking/async send did not take the value. Both variants hand
+/// the value back — a channel never drops an element.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SendError<T> {
     /// The deadline passed while the queue stayed full.
@@ -703,7 +704,7 @@ impl<T> std::fmt::Display for SendError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for SendError<T> {}
 
-/// Why a blocking/async dequeue returned no value.
+/// Why a blocking/async receive returned no value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
     /// The deadline passed while the queue stayed empty.
@@ -722,148 +723,6 @@ impl std::fmt::Display for RecvError {
 }
 
 impl std::error::Error for RecvError {}
-
-// ===================================================================
-// The facade trait
-// ===================================================================
-
-/// Blocking and async operations over a queue handle.
-///
-/// Implementors supply the non-blocking attempts plus access to the
-/// queue's [`SyncState`]; the blocking, timeout, and async entry points
-/// are provided methods sharing one parking protocol (module docs).
-///
-/// Four implementors: the three per-family handles — [`crate::WcqHandle`],
-/// [`crate::ShardedHandle`], and [`crate::UnboundedHandle`] (whose
-/// `try_enqueue` never fails — the list grows instead, so its blocking
-/// enqueue never parks), each generic over how it holds the queue — and
-/// the [`crate::channel`] module's internal endpoint, which dispatches to
-/// one of them or to a [`crate::topology::TopoEndpoint`].
-pub trait SyncQueue {
-    /// Element type.
-    type Item;
-
-    /// The queue's parking state (eventcounts + closed flag).
-    fn sync_state(&self) -> &SyncState;
-
-    /// One non-blocking enqueue attempt; `Err(v)` hands the value back
-    /// when the queue is full.
-    fn try_enqueue(&mut self, v: Self::Item) -> Result<(), Self::Item>;
-
-    /// One non-blocking dequeue attempt; `None` when observed empty.
-    fn try_dequeue(&mut self) -> Option<Self::Item>;
-
-    /// `true` while the queue holds elements this endpoint cannot reach
-    /// *right now* but will be able to once another endpoint acts — ring
-    /// residue stranded behind a consumer seat held elsewhere (see
-    /// `topology`, DESIGN.md §11). Dequeue paths treat `closed` plus a
-    /// residue hint as "empty for now", never `Closed`: the values still
-    /// exist and close's drain guarantee covers them. Plain queues have
-    /// no unreachable elements, hence the `false` default. Advisory, like
-    /// any concurrent emptiness probe — may flicker `true` momentarily
-    /// after the residue is drained, never `false` while it exists.
-    fn residue_hint(&self) -> bool {
-        false
-    }
-
-    /// Enqueues, parking while the queue is full. Fails only when the
-    /// queue is [closed](SyncState::close) (the value comes back).
-    ///
-    /// ```
-    /// use wcq::sync::SyncQueue;
-    /// let q: wcq::WcqQueue<u32> = wcq::WcqQueue::new(4, 1);
-    /// let mut h = q.register().unwrap();
-    /// h.enqueue_blocking(1).unwrap(); // space available: no parking
-    /// assert_eq!(h.dequeue_blocking(), Ok(1));
-    /// ```
-    fn enqueue_blocking(&mut self, v: Self::Item) -> Result<(), SendError<Self::Item>>
-    where
-        Self: Sized,
-    {
-        block(Enqueue::new(self, v), None)
-    }
-
-    /// Like [`Self::enqueue_blocking`] with a deadline. A timeout is
-    /// element-conserving: the value rides back in
-    /// [`SendError::Timeout`]. A zero timeout is a pure try-op — it never
-    /// registers or sleeps; a `timeout` too large to add to the clock
-    /// (`Duration::MAX`) waits without a deadline.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use wcq::sync::{SendError, SyncQueue};
-    /// let q: wcq::WcqQueue<u32> = wcq::WcqQueue::new(2, 1); // 4 slots
-    /// let mut h = q.register().unwrap();
-    /// for i in 0..4 { h.enqueue_blocking(i).unwrap(); }
-    /// let r = h.enqueue_timeout(99, Duration::from_millis(1));
-    /// assert_eq!(r, Err(SendError::Timeout(99))); // value handed back
-    /// ```
-    fn enqueue_timeout(
-        &mut self,
-        v: Self::Item,
-        timeout: Duration,
-    ) -> Result<(), SendError<Self::Item>>
-    where
-        Self: Sized,
-    {
-        block(Enqueue::new(self, v), Some(timeout))
-    }
-
-    /// Dequeues, parking while the queue is empty. After
-    /// [`close`](SyncState::close), drains the backlog and then reports
-    /// [`RecvError::Closed`].
-    fn dequeue_blocking(&mut self) -> Result<Self::Item, RecvError>
-    where
-        Self: Sized,
-    {
-        block(Dequeue(self), None)
-    }
-
-    /// Like [`Self::dequeue_blocking`] with a deadline; takes one last
-    /// look at the queue before reporting [`RecvError::Timeout`]. A zero
-    /// timeout is a pure try-op — it never registers or sleeps; a
-    /// `timeout` too large to add to the clock (`Duration::MAX`) waits
-    /// without a deadline.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use wcq::sync::{RecvError, SyncQueue};
-    /// let q: wcq::WcqQueue<u32> = wcq::WcqQueue::new(4, 1);
-    /// let mut h = q.register().unwrap();
-    /// let r = h.dequeue_timeout(Duration::from_millis(1));
-    /// assert_eq!(r, Err(RecvError::Timeout));
-    /// ```
-    fn dequeue_timeout(&mut self, timeout: Duration) -> Result<Self::Item, RecvError>
-    where
-        Self: Sized,
-    {
-        block(Dequeue(self), Some(timeout))
-    }
-
-    /// Async enqueue: resolves when the value is in (or the queue closed).
-    /// Drive it with any executor, e.g. [`block_on`].
-    fn enqueue_async(&mut self, v: Self::Item) -> EnqueueFuture<'_, Self>
-    where
-        Self: Sized,
-    {
-        EnqueueFuture {
-            w: Enqueue::new(self, v),
-            slots: Default::default(),
-        }
-    }
-
-    /// Async dequeue: resolves with a value, or [`RecvError::Closed`] once
-    /// the queue is closed and drained. Never times out on its own.
-    fn dequeue_async(&mut self) -> DequeueFuture<'_, Self>
-    where
-        Self: Sized,
-    {
-        DequeueFuture {
-            w: Dequeue(self),
-            slots: Default::default(),
-        }
-    }
-}
 
 // ===================================================================
 // The wait protocol: one round, two drivers, three waitables
@@ -930,7 +789,9 @@ enum Round<R> {
     Limbo,
 }
 
-fn cancel_all<W: Waitable>(w: &W, slots: &mut [Slot]) {
+/// Cancels every registration `slots` still holds: the exit of a round
+/// that does not sleep, and the drop of a pending future.
+pub(crate) fn cancel_all<W: Waitable>(w: &W, slots: &mut [Slot]) {
     for (i, s) in slots.iter_mut().enumerate() {
         if let Some(token) = s.token.take() {
             w.lane(i).cancel(token);
@@ -1053,7 +914,11 @@ fn park_on<W: Waitable>(w: &mut W, timeout: Option<Duration>) -> W::Output {
 
 /// Task driver: one round per poll. Tokens ride in `slots` across polls,
 /// so a re-poll refreshes its waker in place; the futures cancel on drop.
-fn poll_on<W: Waitable>(w: &mut W, slots: &mut [Slot], cx: &mut Context<'_>) -> Poll<W::Output> {
+pub(crate) fn poll_on<W: Waitable>(
+    w: &mut W,
+    slots: &mut [Slot],
+    cx: &mut Context<'_>,
+) -> Poll<W::Output> {
     match round(w, slots, Some(cx.waker()), None) {
         Round::Ready(r) => Poll::Ready(r),
         Round::Registered => Poll::Pending,
@@ -1061,151 +926,6 @@ fn poll_on<W: Waitable>(w: &mut W, slots: &mut [Slot], cx: &mut Context<'_>) -> 
             cx.waker().wake_by_ref(); // the task twin of the snooze
             Poll::Pending
         }
-    }
-}
-
-/// Waitable: put `v` into `q`. One lane, `not_full`. `Closed` wins over
-/// an attempt, and the value rides back in every error.
-struct Enqueue<'a, Q: SyncQueue> {
-    q: &'a mut Q,
-    v: Option<Q::Item>,
-}
-
-impl<'a, Q: SyncQueue> Enqueue<'a, Q> {
-    fn new(q: &'a mut Q, v: Q::Item) -> Self {
-        Enqueue { q, v: Some(v) }
-    }
-}
-
-impl<Q: SyncQueue> Waitable for Enqueue<'_, Q> {
-    type Output = Result<(), SendError<Q::Item>>;
-    type Slots = [Slot; 1];
-
-    fn slots(&self) -> [Slot; 1] {
-        Default::default()
-    }
-
-    fn lane(&self, _: usize) -> &Eventcount {
-        self.q.sync_state().not_full()
-    }
-
-    #[inline]
-    fn probe(&mut self) -> Probe<Self::Output> {
-        let v = self.v.take().expect("polled after completion");
-        if self.q.sync_state().is_closed() {
-            return Probe::Ready(Err(SendError::Closed(v)));
-        }
-        match self.q.try_enqueue(v) {
-            Ok(()) => Probe::Ready(Ok(())),
-            Err(back) => {
-                self.v = Some(back);
-                Probe::Wait
-            }
-        }
-    }
-
-    fn timeout(&mut self) -> Self::Output {
-        Err(SendError::Timeout(
-            self.v.take().expect("a miss keeps the value"),
-        ))
-    }
-}
-
-/// Waitable: take a value from `q`. One lane, `not_empty`. Drains after
-/// close; [`Receiver::try_recv`](crate::channel::Receiver::try_recv) and
-/// each lane of `recv_any` read this same verdict.
-pub(crate) struct Dequeue<'a, Q: SyncQueue>(pub(crate) &'a mut Q);
-
-impl<Q: SyncQueue> Waitable for Dequeue<'_, Q> {
-    type Output = Result<Q::Item, RecvError>;
-    type Slots = [Slot; 1];
-
-    fn slots(&self) -> [Slot; 1] {
-        Default::default()
-    }
-
-    fn lane(&self, _: usize) -> &Eventcount {
-        self.0.sync_state().not_empty()
-    }
-
-    #[inline]
-    fn probe(&mut self) -> Probe<Self::Output> {
-        if let Some(v) = self.0.try_dequeue() {
-            return Probe::Ready(Ok(v));
-        }
-        if !self.0.sync_state().is_closed() {
-            return Probe::Wait;
-        }
-        // Drain race: an insert may have landed between the attempt and
-        // the close check.
-        match self.0.try_dequeue() {
-            Some(v) => Probe::Ready(Ok(v)),
-            // Closed and observed empty, but the values still exist and
-            // close promised to drain them: not `Closed` yet. The window
-            // ends when the seat holder drains the residue or drops.
-            None if self.0.residue_hint() => Probe::Limbo,
-            None => Probe::Ready(Err(RecvError::Closed)),
-        }
-    }
-
-    fn timeout(&mut self) -> Self::Output {
-        Err(RecvError::Timeout)
-    }
-}
-
-// ===================================================================
-// Futures
-// ===================================================================
-
-/// Future returned by [`SyncQueue::enqueue_async`].
-///
-/// Registers the task's [`Waker`] on the queue's not-full eventcount and
-/// deregisters on completion or drop, so abandoned futures leave no stale
-/// waiters behind.
-pub struct EnqueueFuture<'a, Q: SyncQueue> {
-    w: Enqueue<'a, Q>,
-    slots: [Slot; 1],
-}
-
-// The futures never hold self-references; all fields are used by value.
-impl<Q: SyncQueue> Unpin for EnqueueFuture<'_, Q> {}
-
-impl<Q: SyncQueue> Future for EnqueueFuture<'_, Q> {
-    type Output = Result<(), SendError<Q::Item>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        poll_on(&mut this.w, &mut this.slots, cx)
-    }
-}
-
-impl<Q: SyncQueue> Drop for EnqueueFuture<'_, Q> {
-    fn drop(&mut self) {
-        cancel_all(&self.w, &mut self.slots);
-    }
-}
-
-/// Future returned by [`SyncQueue::dequeue_async`]; waker bookkeeping as
-/// in [`EnqueueFuture`].
-pub struct DequeueFuture<'a, Q: SyncQueue> {
-    w: Dequeue<'a, Q>,
-    slots: [Slot; 1],
-}
-
-impl<Q: SyncQueue> Unpin for DequeueFuture<'_, Q> {}
-
-impl<Q: SyncQueue> Future for DequeueFuture<'_, Q> {
-    type Output = Result<Q::Item, RecvError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        poll_on(&mut this.w, &mut this.slots, cx)
-    }
-}
-
-impl<Q: SyncQueue> Drop for DequeueFuture<'_, Q> {
-    fn drop(&mut self) {
-        cancel_all(&self.w, &mut self.slots);
     }
 }
 
@@ -1253,6 +973,7 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::pin::Pin;
     use std::sync::atomic::AtomicUsize as Count;
 
     /// A waitable whose looks play a script: `script(n, lanes)` is the
@@ -1394,19 +1115,20 @@ mod tests {
     }
 
     /// A zero timeout is a pure try-op: no waiter mutex, no list push, no
-    /// membarrier — on both edges of a real queue.
+    /// membarrier — on both edges of a real channel.
     #[test]
     fn expired_deadline_never_registers() {
-        let q: crate::WcqQueue<u32> = crate::WcqQueue::new(1, 1); // 2 slots
-        let mut h = q.register().unwrap();
-        assert_eq!(h.dequeue_timeout(Duration::ZERO), Err(RecvError::Timeout));
-        h.enqueue_blocking(1).unwrap();
-        h.enqueue_blocking(2).unwrap();
+        // 2 elements; one thread slot per endpoint.
+        let (mut tx, mut rx) = crate::channel::over(crate::WcqQueue::<u32>::new(1, 2));
+        assert_eq!(rx.recv_timeout(Duration::ZERO), Err(RecvError::Timeout));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
         assert_eq!(
-            h.enqueue_timeout(3, Duration::ZERO),
+            tx.send_timeout(3, Duration::ZERO),
             Err(SendError::Timeout(3))
         );
-        for ec in [q.sync_state().not_empty(), q.sync_state().not_full()] {
+        let state = rx.sync_state();
+        for ec in [state.not_empty(), state.not_full()] {
             assert_eq!(tokens_drawn(ec), 0, "an expired deadline registered");
             assert_eq!(ec.waiters(), 0);
         }
@@ -1486,23 +1208,29 @@ mod tests {
         assert!(no_waiters(&ec));
 
         // A task that polled to Pending holds a registration; dropping
-        // the future gives it back — on the enqueue edge too.
-        let q: crate::WcqQueue<u32> = crate::WcqQueue::new(1, 1); // 2 slots
-        let mut h = q.register().unwrap();
-        h.enqueue_blocking(1).unwrap();
-        h.enqueue_blocking(2).unwrap();
+        // the future gives it back — on both edges of a real channel.
+        let (mut tx, mut rx) = crate::channel::over(crate::WcqQueue::<u32>::new(1, 2));
+        let watch = rx.clone(); // never operates, so it takes no slot
+        let state = watch.sync_state();
         let waker = Waker::from(Arc::new(ThreadWaker(crate::sim::current())));
-        let mut fut = h.enqueue_async(3);
+        let mut cx = Context::from_waker(&waker);
+        let mut fut = rx.recv_async();
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        assert_eq!(state.not_empty().waiters(), 1);
+        drop(fut);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let mut fut = tx.send_async(3);
         for _ in 0..2 {
             // The re-poll refreshes its entry in place.
-            assert!(Pin::new(&mut fut)
-                .poll(&mut Context::from_waker(&waker))
-                .is_pending());
-            assert_eq!(q.sync_state().not_full().waiters(), 1);
+            assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+            assert_eq!(state.not_full().waiters(), 1);
         }
         drop(fut);
-        assert_eq!(q.sync_state().not_full().waiters(), 0);
-        assert_eq!(tokens_drawn(q.sync_state().not_full()), 1);
+        for ec in [state.not_empty(), state.not_full()] {
+            assert_eq!(ec.waiters(), 0);
+            assert_eq!(tokens_drawn(ec), 1);
+        }
     }
 
     #[test]

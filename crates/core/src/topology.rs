@@ -39,12 +39,12 @@
 //!
 //! # Parking and the fenced notify
 //!
-//! The channel-level [`SyncState`] is notified on every successful
-//! operation. Ring operations publish with plain `Release` stores, so
-//! their notifications use the fenced variant
-//! ([`SyncState::notify_not_empty_fenced`]) — the store→load barrier that
-//! keeps a concurrently registering waiter from missing the element (the
-//! spine's own CAS-based operations order the plain check for free).
+//! A core carries no parking state: the channel that owns it notifies its
+//! own [`crate::sync::SyncState`] after every successful operation. Ring
+//! operations publish with plain `Release` stores, so the channel uses the
+//! fenced variant ([`crate::sync::SyncState::notify_not_empty_fenced`])
+//! after a topology operation — the store→load barrier that keeps a
+//! concurrently registering waiter from missing the element.
 //!
 //! # Out-of-declaration receivers
 //!
@@ -55,19 +55,19 @@
 //! whoever inherits its seat after a drop) always drains the rings, and
 //! [`TopoEndpoint::residue_hint`] keeps the blocking/async/`try` dequeue
 //! paths honest about it: a closed channel with residue stranded behind
-//! a held seat reports *empty*, never `Closed`, and the seat release
-//! notifies `not_empty` so parked excess receivers contest the seat the
-//! moment it frees (DESIGN.md §11). Still, declare the real consumer
-//! count (use [`crate::channel::bounded`] for MPMC) rather than leaning
-//! on this degraded mode — excess receivers wait out the holder's whole
-//! tenure.
+//! a held seat reports *empty*, never `Closed`, and the channel notifies
+//! `not_empty` when a receiver's drop releases the seat, so parked excess
+//! receivers contest it the moment it frees (DESIGN.md §11). Still,
+//! declare the real consumer count (use [`crate::channel::bounded`] for
+//! MPMC) rather than leaning on this degraded mode — excess receivers
+//! wait out the holder's whole tenure.
 //!
 //! This module is the backend; the public face is
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
 
 use crate::pack::MAX_ORDER;
 use crate::spsc::Ring;
-use crate::sync::{wait_for_slot, SyncState};
+use crate::sync::wait_for_slot;
 use crate::{WcqConfig, WcqHandle, WcqQueue};
 use crate::sim::{AtomicBool, AtomicU8, OnceLock};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
@@ -98,10 +98,6 @@ pub struct TopoCore<T: Send> {
     spine_order: u32,
     spine_threads: usize,
     cfg: WcqConfig,
-    /// Channel-level parking state: every lane notifies this one. The
-    /// spine is a whole `WcqQueue`, so it keeps a private `SyncState` of
-    /// its own — the only one in the crate that never has waiters.
-    sync: SyncState,
 }
 
 impl<T: Send> TopoCore<T> {
@@ -143,7 +139,6 @@ impl<T: Send> TopoCore<T> {
             spine_order,
             spine_threads: max_threads,
             cfg: *cfg,
-            sync: SyncState::new(),
         }
     }
 
@@ -152,14 +147,9 @@ impl<T: Send> TopoCore<T> {
         self.rings.len()
     }
 
-    /// Channel-level parking state (what the endpoints' facade uses).
-    pub fn sync_state(&self) -> &SyncState {
-        &self.sync
-    }
-
-    /// Current backend label, for diagnostics and the `figure_topology`
-    /// rows: `"spsc-ring"`, `"mpsc-rings"`, or — once the overflow lane
-    /// exists — `"wcq-spine"`.
+    /// Current backend label, for diagnostics (the channel's `backend()`):
+    /// `"spsc-ring"`, `"mpsc-rings"`, or — once the overflow lane exists —
+    /// `"wcq-spine"`.
     pub fn backend_name(&self) -> &'static str {
         // ORDERING: seat-table read: observes the seat holder's
         // publication; pairs with the SeqCst seat claim/store — cover: dst
@@ -238,9 +228,6 @@ impl<T: Send> TopoCore<T> {
             // latch; cold path, kept SeqCst until a weak-DST model argues
             // otherwise
             self.mode.store(SPINE, SeqCst);
-            // Parked waiters should re-poll with the new lane in view.
-            self.sync.notify_not_empty();
-            self.sync.notify_not_full();
         }
         spine
     }
@@ -278,11 +265,6 @@ pub struct TopoEndpoint<T: Send> {
 }
 
 impl<T: Send> TopoEndpoint<T> {
-    /// The channel-level parking state.
-    pub fn sync_state(&self) -> &SyncState {
-        &self.core.sync
-    }
-
     /// Decides (once) and returns this producer's lane.
     fn prod_seat(&mut self) -> Option<usize> {
         match self.prod_path {
@@ -331,20 +313,9 @@ impl<T: Send> TopoEndpoint<T> {
             Some(seat) => {
                 // SAFETY: the claimed seat makes this endpoint the unique
                 // producer of `rings[seat]` until it drops.
-                let r = unsafe { self.core.rings[seat].push(v) };
-                if r.is_ok() {
-                    // Fenced: the push published with a plain Release store.
-                    self.core.sync.notify_not_empty_fenced();
-                }
-                r
+                unsafe { self.core.rings[seat].push(v) }
             }
-            None => {
-                let r = self.spine_handle().enqueue(v);
-                if r.is_ok() {
-                    self.core.sync.notify_not_empty();
-                }
-                r
-            }
+            None => self.spine_handle().enqueue(v),
         }
     }
 
@@ -360,7 +331,6 @@ impl<T: Send> TopoEndpoint<T> {
                 // ring consumer until it drops.
                 if let Some(v) = unsafe { self.core.rings[r].pop() } {
                     self.cursor = r; // sticky: drain this producer in runs
-                    self.core.sync.notify_not_full_fenced();
                     return Some(v);
                 }
                 r += 1;
@@ -372,11 +342,7 @@ impl<T: Send> TopoEndpoint<T> {
         // ORDERING: seat-table read: observes the seat holder's
         // publication; pairs with the SeqCst seat claim/store
         if self.core.mode.load(Acquire) == SPINE {
-            let v = self.spine_handle().dequeue();
-            if v.is_some() {
-                self.core.sync.notify_not_full();
-            }
-            return v;
+            return self.spine_handle().dequeue();
         }
         None
     }
@@ -395,8 +361,8 @@ impl<T: Send> TopoEndpoint<T> {
 
     /// Batch enqueue: drains as many items as fit from the front of
     /// `items`; on the ring lane through one zero-copy reservation (a
-    /// single Release publication and a single fenced notify for the whole
-    /// run). Returns how many items were taken.
+    /// single Release publication for the whole run). Returns how many
+    /// items were taken.
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         if items.is_empty() {
             return 0;
@@ -404,7 +370,7 @@ impl<T: Send> TopoEndpoint<T> {
         match self.prod_seat() {
             Some(seat) => {
                 // SAFETY: claimed seat, as in `try_enqueue`.
-                let sent = match unsafe { self.core.rings[seat].reserve(items.len()) } {
+                match unsafe { self.core.rings[seat].reserve(items.len()) } {
                     Some(mut res) => {
                         let n = res.capacity();
                         for v in items.drain(..n) {
@@ -416,19 +382,9 @@ impl<T: Send> TopoEndpoint<T> {
                         n
                     }
                     None => 0,
-                };
-                if sent > 0 {
-                    self.core.sync.notify_not_empty_fenced();
                 }
-                sent
             }
-            None => {
-                let sent = self.spine_handle().enqueue_batch(items);
-                if sent > 0 {
-                    self.core.sync.notify_not_empty();
-                }
-                sent
-            }
+            None => self.spine_handle().enqueue_batch(items),
         }
     }
 
@@ -464,11 +420,6 @@ impl<T: Send> TopoEndpoint<T> {
         if got < max && self.core.mode.load(Acquire) == SPINE {
             got += self.spine_handle().dequeue_batch(out, max - got);
         }
-        if got > 0 {
-            // Fenced covers the ring pops; the spine pops would not need
-            // it, but this path runs once per batch, not per element.
-            self.core.sync.notify_not_full_fenced();
-        }
         got
     }
 }
@@ -486,13 +437,9 @@ impl<T: Send> Drop for TopoEndpoint<T> {
             self.core.prod_seats[seat].store(false, SeqCst);
         }
         if self.has_cons_seat {
+            // The channel's receiver notifies `not_empty` after this drop:
+            // the release may surface ring residue to parked receivers.
             self.core.cons_seat.store(false, SeqCst);
-            // The seat release may surface ring residue to receivers
-            // parked on `not_empty` (their pre-park sweep failed while we
-            // held the seat). Fenced: the release is a plain store, so
-            // the Dekker pairing with a parker's registration needs the
-            // symmetric fence (see `Eventcount::notify_all_fenced`).
-            self.core.sync.notify_not_empty_fenced();
         }
         // `self.spine` (if any) drops after: quiesced slot release.
     }

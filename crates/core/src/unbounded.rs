@@ -65,7 +65,6 @@
 use crate::hold::Hold;
 use crate::ringpair::{IndexRing, RingPair};
 use crate::scq::ScqRing;
-use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
 use hazard::{Domain, HpHandle};
@@ -199,10 +198,6 @@ pub struct Unbounded<T, R: IndexRing> {
     max_threads: usize,
     /// Hazard-pointer domain; its slot indices double as ring thread ids.
     domain: Domain,
-    /// Parking state for the blocking/async facade ([`crate::sync`]).
-    /// Only the not-empty side is ever waited on: enqueue never reports
-    /// full (the list grows instead).
-    sync: SyncState,
 }
 
 // SAFETY: ring nodes are shared via atomics and reclaimed through the
@@ -242,24 +237,7 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
                 max_threads,
                 (2 * hazard::HP_PER_THREAD).max(max_threads / 2),
             ),
-            sync: SyncState::new(),
         }
-    }
-
-    /// Closes the blocking/async facade (see [`crate::WcqQueue::close`]);
-    /// the spin API is unaffected.
-    pub fn close(&self) {
-        self.sync.close();
-    }
-
-    /// `true` once [`Self::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.sync.is_closed()
-    }
-
-    /// The queue's parking state (see [`crate::sync`]).
-    pub fn sync_state(&self) -> &SyncState {
-        &self.sync
     }
 
     /// Per-node ring order (`2^order` slots per ring).
@@ -414,9 +392,6 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
             }
         }
         hp.clear_slot(HP_TAIL);
-        // The element is visible; wake any parked dequeuer (one load when
-        // nobody sleeps).
-        self.sync.notify_not_empty();
     }
 
     /// The dequeuer's ring walk, shared by the singleton and batch paths:
@@ -520,9 +495,6 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
             }
         }
         hp.clear_slot(HP_TAIL);
-        if total > 0 {
-            self.sync.notify_not_empty(); // whole batch visible: wake once
-        }
         total
     }
 
@@ -680,26 +652,6 @@ impl<T, R: IndexRing, H: Hold<Unbounded<T, R>>> Drop for UnboundedHandle<T, R, H
         // thread id, so releasing it un-quiesced would hand a new
         // registrant records a helper may still be driving.
         self.q.quiesce_tid(self.tid, &self.hp);
-    }
-}
-
-/// Blocking/async facade: only the dequeue side ever parks — `try_enqueue`
-/// cannot fail (the list grows), so a blocking enqueue completes on its
-/// first attempt unless the queue is closed.
-impl<T: Send, R: IndexRing, H: Hold<Unbounded<T, R>>> SyncQueue for UnboundedHandle<T, R, H> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v);
-        Ok(())
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
     }
 }
 

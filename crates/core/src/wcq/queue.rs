@@ -1,11 +1,10 @@
 //! The safe, typed wait-free queue: the Fig. 2 indirection
 //! (`crate::ringpair`) over two [`WcqRing`]s, plus the thread-slot table
 //! and per-thread handles enforcing the thread-id discipline the rings
-//! require, plus the parking state of the blocking facade.
+//! require.
 
 use crate::hold::Hold;
 use crate::ringpair::{RingPair, SlotTable};
-use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
 use std::marker::PhantomData;
@@ -34,9 +33,6 @@ use std::sync::Arc;
 pub struct WcqQueue<T> {
     pair: RingPair<T, WcqRing>,
     slots: SlotTable,
-    /// Parking state for the blocking/async facade ([`crate::sync`]).
-    /// Pure spin users pay one `SeqCst` load per op to check for sleepers.
-    sync: SyncState,
 }
 
 impl<T> WcqQueue<T> {
@@ -54,7 +50,6 @@ impl<T> WcqQueue<T> {
         WcqQueue {
             pair: RingPair::new(order, max_threads, cfg),
             slots: SlotTable::new(max_threads),
-            sync: SyncState::new(),
         }
     }
 
@@ -115,24 +110,6 @@ impl<T> WcqQueue<T> {
     pub fn is_empty_hint(&self) -> bool {
         self.pair.is_empty_hint()
     }
-
-    /// Closes the blocking/async facade: parked waiters wake, blocking
-    /// enqueues fail with [`crate::sync::SendError::Closed`], blocking
-    /// dequeues drain the backlog and then fail with
-    /// [`crate::sync::RecvError::Closed`]. The spin API is unaffected.
-    pub fn close(&self) {
-        self.sync.close();
-    }
-
-    /// `true` once [`Self::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.sync.is_closed()
-    }
-
-    /// The queue's parking state (see [`crate::sync`]).
-    pub fn sync_state(&self) -> &SyncState {
-        &self.sync
-    }
 }
 
 /// A per-thread handle to a [`WcqQueue`], holding it as `H`: `&WcqQueue`
@@ -145,10 +122,10 @@ impl<T> WcqQueue<T> {
 /// time, which is the precondition of the helping protocol. Dropping the
 /// handle quiesces its record and frees its slot for another thread.
 ///
-/// Besides the wait-free [`enqueue`](Self::enqueue)/[`dequeue`](Self::dequeue)
-/// pair and the batch API, handles implement [`crate::sync::SyncQueue`],
-/// which adds blocking, timeout, and async variants that park on the
-/// empty/full edge instead of spinning.
+/// A handle is spin-only, as the paper's operations are: the wait-free
+/// [`enqueue`](Self::enqueue)/[`dequeue`](Self::dequeue) pair returns on
+/// full and empty, and so does the batch API. Parking on those edges is
+/// the [`crate::channel`] endpoints' job.
 ///
 /// # Example
 /// ```
@@ -176,23 +153,14 @@ impl<T, H: Hold<WcqQueue<T>>> WcqHandle<T, H> {
     #[inline]
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
         // SAFETY: exclusivity contract above.
-        let r = unsafe { self.q.pair.enqueue(self.tid, v) };
-        if r.is_ok() {
-            // The element is visible; wake any parked dequeuer (one load
-            // when nobody sleeps).
-            self.q.sync.notify_not_empty();
-        }
-        r
+        unsafe { self.q.pair.enqueue(self.tid, v) }
     }
 
     /// Wait-free dequeue; `None` when empty.
     #[inline]
     pub fn dequeue(&mut self) -> Option<T> {
         // SAFETY: exclusivity contract above.
-        let v = unsafe { self.q.pair.dequeue(self.tid) }?;
-        // The slot is recycled; wake any parked enqueuer.
-        self.q.sync.notify_not_full();
-        Some(v)
+        unsafe { self.q.pair.dequeue(self.tid) }
     }
 
     /// Batch enqueue: drains as many items as fit from the **front** of
@@ -218,11 +186,7 @@ impl<T, H: Hold<WcqQueue<T>>> WcqHandle<T, H> {
     /// ```
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         // SAFETY: exclusivity contract above.
-        let n = unsafe { self.q.pair.enqueue_batch(self.tid, items) };
-        if n > 0 {
-            self.q.sync.notify_not_empty(); // whole batch visible: wake once
-        }
-        n
+        unsafe { self.q.pair.enqueue_batch(self.tid, items) }
     }
 
     /// Batch dequeue: appends up to `max` elements to `out` in queue order
@@ -232,11 +196,7 @@ impl<T, H: Hold<WcqQueue<T>>> WcqHandle<T, H> {
     /// contiguous runs where the ring state allows.
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         // SAFETY: exclusivity contract above.
-        let n = unsafe { self.q.pair.dequeue_batch(self.tid, out, max) };
-        if n > 0 {
-            self.q.sync.notify_not_full(); // slots recycled: wake once
-        }
-        n
+        unsafe { self.q.pair.dequeue_batch(self.tid, out, max) }
     }
 
     /// The thread slot this handle occupies (diagnostics).
@@ -248,24 +208,6 @@ impl<T, H: Hold<WcqQueue<T>>> WcqHandle<T, H> {
 impl<T, H: Hold<WcqQueue<T>>> Drop for WcqHandle<T, H> {
     fn drop(&mut self) {
         self.q.slots.release(self.tid, std::slice::from_ref(&self.q.pair));
-    }
-}
-
-/// Blocking/async facade: parks on the empty/full edge only; the wait-free
-/// spin operations above are the fast path (see [`crate::sync`]).
-impl<T, H: Hold<WcqQueue<T>>> SyncQueue for WcqHandle<T, H> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
     }
 }
 

@@ -19,17 +19,16 @@
 
 use crate::stats::LatencyStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use wcq::sync::{RecvError, SyncQueue};
-use wcq::{WcqConfig, WcqQueue};
+use wcq::channel::{self, TryRecvError};
 
 /// How consumers behave while the queue is empty.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsumerMode {
-    /// Poll `dequeue` in a spin loop (the pre-facade behaviour).
+    /// Poll `try_recv` in a spin loop (the pre-facade behaviour).
     Spin,
-    /// Park on the queue's eventcount via `dequeue_blocking`.
+    /// Park on the channel's eventcount via `recv`.
     Block,
 }
 
@@ -132,10 +131,12 @@ pub fn process_cpu_time() -> Option<Duration> {
 
 /// Runs one burst workload and returns its measurements.
 ///
-/// Values circulating through the queue are enqueue timestamps (nanoseconds
-/// since the run epoch), so every dequeue yields one latency sample for
-/// free. Producers use the blocking enqueue in both modes — the comparison
-/// under test is the *consumer* idle strategy.
+/// The workload runs on a [`channel::bounded`] channel, the one blocking
+/// surface. Values circulating through it are send timestamps
+/// (nanoseconds since the run epoch), so every receive yields one latency
+/// sample for free. Producers use the blocking `send` in both modes — the
+/// comparison under test is the *consumer* idle strategy — and the last
+/// producer to drop its sender closes the channel.
 ///
 /// # Panics
 /// Panics if any element is lost or duplicated (delivery count mismatch) —
@@ -144,33 +145,27 @@ pub fn process_cpu_time() -> Option<Duration> {
 // measured fast path
 pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
     assert!(cfg.producers >= 1 && cfg.consumers >= 1);
-    let q: WcqQueue<u64> = WcqQueue::with_config(
-        cfg.ring_order,
-        cfg.producers + cfg.consumers,
-        &WcqConfig::default(),
-    );
+    let (tx, rx) = channel::bounded::<u64>(cfg.ring_order, cfg.producers + cfg.consumers);
     let expected = cfg.producers as u64 * cfg.bursts * cfg.burst_len;
-    let barrier = Barrier::new(cfg.producers + cfg.consumers + 1);
-    let moved = AtomicU64::new(0);
-    let samples = Mutex::new(Vec::<u64>::new());
+    let barrier = Arc::new(Barrier::new(cfg.producers + cfg.consumers + 1));
+    let moved = Arc::new(AtomicU64::new(0));
     let epoch = Instant::now();
     let cpu_before = process_cpu_time();
     let started = Instant::now();
-    std::thread::scope(|s| {
-        for p in 0..cfg.producers {
-            let q = &q;
-            let barrier = &barrier;
-            let cfg = *cfg;
-            s.spawn(move || {
+    // Plain spawned threads, not a scope: the tripwire below must be able
+    // to panic while a worker is still parked.
+    let producers: Vec<_> = (0..cfg.producers)
+        .map(|p| {
+            let (mut tx, barrier, cfg) = (tx.clone(), Arc::clone(&barrier), *cfg);
+            std::thread::spawn(move || {
                 if cfg.pin {
                     crate::pin::pin_to_core(p);
                 }
-                let mut h = q.register().expect("producer slot");
                 barrier.wait();
                 for burst in 0..cfg.bursts {
                     for _ in 0..cfg.burst_len {
                         let stamp = epoch.elapsed().as_nanos() as u64;
-                        h.enqueue_blocking(stamp).expect("queue closed early");
+                        tx.send(stamp).expect("channel closed early");
                     }
                     // No trailing sleep after the final burst: it would pad
                     // every run's wall clock (and throughput) by one gap.
@@ -178,83 +173,75 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
                         std::thread::sleep(cfg.gap);
                     }
                 }
-            });
-        }
-        for c in 0..cfg.consumers {
-            let q = &q;
-            let barrier = &barrier;
-            let moved = &moved;
-            let samples = &samples;
-            let cfg = *cfg;
-            s.spawn(move || {
+            })
+        })
+        .collect();
+    drop(tx); // the producers' clones hold the channel open
+    let consumers: Vec<_> = (0..cfg.consumers)
+        .map(|c| {
+            let (mut rx, barrier, cfg) = (rx.clone(), Arc::clone(&barrier), *cfg);
+            let moved = Arc::clone(&moved);
+            std::thread::spawn(move || {
                 if cfg.pin {
                     crate::pin::pin_to_core(cfg.producers + c);
                 }
-                let mut h = q.register().expect("consumer slot");
                 let mut local = Vec::new();
                 barrier.wait();
-                // `moved` is bumped per item (not at exit): the main thread
-                // closes the queue only once `moved` reaches the expected
-                // total, and consumers only exit on close.
-                let take = |local: &mut Vec<u64>, stamp: u64| {
+                // `moved` is bumped per item (not at exit) so the tripwire
+                // below can watch delivery progress.
+                let mut take = |stamp: u64| {
                     local.push(epoch.elapsed().as_nanos() as u64 - stamp);
                     moved.fetch_add(1, Relaxed);
                 };
                 match cfg.mode {
-                    // BOUND: wait-edge — burst consumer: dequeue_blocking
-                    // until the queue closes
-                    ConsumerMode::Block => loop {
-                        match h.dequeue_blocking() {
-                            Ok(stamp) => take(&mut local, stamp),
-                            Err(RecvError::Closed) => break,
-                            Err(RecvError::Timeout) => unreachable!("no deadline"),
+                    ConsumerMode::Block => {
+                        // BOUND: wait-edge — burst consumer: recv until the
+                        // last sender drops and the backlog is drained
+                        while let Ok(stamp) = rx.recv() {
+                            take(stamp)
                         }
-                    },
+                    }
                     // BOUND: wait-edge — spin-mode consumer: polls until
-                    // closed plus one final empty look (same drain
-                    // contract)
+                    // try_recv reports closed and drained
                     ConsumerMode::Spin => loop {
-                        match h.dequeue() {
-                            Some(stamp) => take(&mut local, stamp),
-                            // Same drain contract as dequeue_blocking: only
-                            // closed + one more empty look means done.
-                            None if q.is_closed() => match h.dequeue() {
-                                Some(stamp) => take(&mut local, stamp),
-                                None => break,
-                            },
-                            None => std::hint::spin_loop(),
+                        match rx.try_recv() {
+                            Ok(stamp) => take(stamp),
+                            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                            Err(TryRecvError::Closed) => break,
                         }
                     },
                 }
-                samples.lock().unwrap().extend(local);
-            });
-        }
-        barrier.wait(); // start line: all workers ready
-        // The scope joins producers implicitly, but consumers only exit on
-        // close — so wait for full delivery, then close. The wait is
-        // deadline-bounded so a lost element panics with a diagnostic
-        // instead of hanging the run (the tripwire must be able to fire).
-        let deadline = Instant::now()
-            + cfg.gap * cfg.bursts as u32
-            + Duration::from_millis(expected / 10) // ≥100 items/s floor
-            + Duration::from_secs(60);
-        // BOUND: wait-edge — delivery wait with an explicit deadline;
-        // panics as a lost-wakeup tripwire instead of hanging
-        while moved.load(Relaxed) < expected {
-            if Instant::now() >= deadline {
-                // Release the parked workers first or the scope's implicit
-                // join would hang on them during the unwind.
-                q.close();
-                panic!(
-                    "burst run stalled: {}/{} items delivered (lost wakeup?)",
-                    moved.load(Relaxed),
-                    expected
-                );
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        q.close();
-    });
+                local
+            })
+        })
+        .collect();
+    drop(rx);
+    barrier.wait(); // start line: all workers ready
+    // Wait for full delivery before joining anyone. The wait is
+    // deadline-bounded so a lost element panics with a diagnostic instead
+    // of hanging the run (the tripwire must be able to fire).
+    let deadline = Instant::now()
+        + cfg.gap * cfg.bursts as u32
+        + Duration::from_millis(expected / 10) // ≥100 items/s floor
+        + Duration::from_secs(60);
+    // BOUND: wait-edge — delivery wait with an explicit deadline;
+    // panics as a lost-wakeup tripwire instead of hanging
+    while moved.load(Relaxed) < expected {
+        assert!(
+            Instant::now() < deadline,
+            "burst run stalled: {}/{} items delivered (lost wakeup?)",
+            moved.load(Relaxed),
+            expected
+        );
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    for p in producers {
+        p.join().unwrap();
+    }
+    let samples: Vec<u64> = consumers
+        .into_iter()
+        .flat_map(|c| c.join().unwrap())
+        .collect();
     let elapsed = started.elapsed();
     let cpu = match (cpu_before, process_cpu_time()) {
         (Some(a), Some(b)) => b.saturating_sub(a),
@@ -265,7 +252,7 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
     BurstResult {
         moved: got,
         elapsed,
-        wakeup: LatencyStats::from_ns_samples(samples.into_inner().unwrap()),
+        wakeup: LatencyStats::from_ns_samples(samples),
         cpu,
     }
 }

@@ -1,4 +1,5 @@
-//! Stress suite for the blocking/async facade (`wcq::sync`, DESIGN.md §9).
+//! Stress suite for the blocking/async channel surface (`wcq::sync`,
+//! DESIGN.md §9), over each queue family through `channel::over`.
 //!
 //! The claims under test, at 4× core oversubscription (the regime the
 //! facade exists for — parked threads give their quantum away, preempted
@@ -6,18 +7,21 @@
 //!
 //! * **No lost wakeups**: every element a producer blocks in is delivered
 //!   exactly once to a blocking consumer, across full *and* empty edges,
-//!   for all three queue families behind the facade.
-//! * **Shutdown drains cleanly**: `close` wakes every parked thread;
-//!   producers get their values back, consumers drain the backlog before
-//!   seeing `Closed`.
-//! * **Timeouts are element-conserving**: a timed-out enqueue returns the
-//!   value, a timed-out dequeue leaves the queue intact — the global count
+//!   for all three queue families behind the channel.
+//! * **Shutdown drains cleanly**: the close that dropping the last
+//!   endpoint of one side triggers wakes every parked thread; producers get
+//!   their values back, consumers drain the backlog before seeing `Closed`.
+//! * **Timeouts are element-conserving**: a timed-out send returns the
+//!   value, a timed-out receive leaves the queue intact — the global count
 //!   balances exactly.
 
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
+use std::task::{Context, Wake, Waker};
 use std::time::Duration;
-use wcq::sync::{block_on, RecvError, SendError, SyncQueue};
+use wcq::channel::{self, TryRecvError, TrySendError};
+use wcq::sync::{block_on, RecvError, SendError};
 use wcq::{ShardedWcq, UnboundedWcq, WcqQueue};
 
 /// 4× the host's cores, at least 4, split evenly between the two roles.
@@ -30,40 +34,40 @@ fn oversubscribed_split() -> (usize, usize) {
 }
 
 /// Exact-delivery blocking stress shared by the three queue families: all
-/// producers `enqueue_blocking` tagged values, consumers `dequeue_blocking`
-/// until `Closed`, and the result must be the exact multiset in
-/// per-producer FIFO order (each family preserves it per consumer).
+/// producers `send` tagged values, consumers `recv` until `Closed`, and
+/// the result must be the exact multiset in per-producer FIFO order (each
+/// family preserves it per consumer).
 macro_rules! blocking_stress_test {
     ($name:ident, $mk:expr) => {
         #[test]
         fn $name() {
             let (producers, consumers) = oversubscribed_split();
             let per: u64 = 30_000;
-            let q = $mk(producers + consumers);
+            let (tx, rx) = channel::over($mk(producers + consumers));
             let delivered = AtomicU64::new(0);
             std::thread::scope(|s| {
-                let q = &q;
-                let handles: Vec<_> = (0..producers as u64)
-                    .map(|p| {
-                        s.spawn(move || {
-                            let mut h = q.register().expect("producer slot");
-                            for i in 0..per {
-                                h.enqueue_blocking((p << 32) | i)
-                                    .expect("queue closed under producer");
-                            }
-                        })
-                    })
-                    .collect();
+                for p in 0..producers as u64 {
+                    let mut tx = tx.clone();
+                    s.spawn(move || {
+                        for i in 0..per {
+                            tx.send((p << 32) | i)
+                                .expect("channel closed under producer");
+                        }
+                    });
+                }
+                // The last producer to finish closes the channel, which
+                // wakes the consumers once the backlog drains.
+                drop(tx);
                 for _ in 0..consumers {
+                    let mut rx = rx.clone();
                     let delivered = &delivered;
                     s.spawn(move || {
-                        let mut h = q.register().expect("consumer slot");
                         // Per-producer FIFO: sequence numbers from any one
                         // producer must arrive in order at this consumer.
                         let mut last = vec![None::<u64>; producers];
                         let mut n = 0u64;
                         loop {
-                            match h.dequeue_blocking() {
+                            match rx.recv() {
                                 Ok(v) => {
                                     let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
                                     if let Some(prev) = last[p] {
@@ -79,10 +83,6 @@ macro_rules! blocking_stress_test {
                         delivered.fetch_add(n, SeqCst);
                     });
                 }
-                for h in handles {
-                    h.join().unwrap();
-                }
-                q.close(); // wakes the consumers once the backlog drains
             });
             assert_eq!(
                 delivered.load(SeqCst),
@@ -108,22 +108,21 @@ blocking_stress_test!(
     |threads| UnboundedWcq::<u64>::new(4, threads)
 );
 
-/// Spin producers (plain wait-free `enqueue`) must still wake blocking
-/// consumers: the notify hook rides the plain path, not just the facade.
+/// Spin producers (`try_send`, never parking) must still wake blocking
+/// consumers: the notify rides every successful send, not just `send`.
 #[test]
 fn spin_producer_wakes_blocking_consumer() {
-    let q: WcqQueue<u64> = WcqQueue::new(6, 4);
+    let (mut tx, rx) = channel::over(WcqQueue::<u64>::new(6, 4));
     let delivered = AtomicU64::new(0);
     const PER: u64 = 20_000;
     std::thread::scope(|s| {
-        let q = &q;
         for _ in 0..2 {
+            let mut rx = rx.clone();
             let delivered = &delivered;
             s.spawn(move || {
-                let mut h = q.register().unwrap();
                 let mut n = 0u64;
                 loop {
-                    match h.dequeue_blocking() {
+                    match rx.recv() {
                         Ok(_) => n += 1,
                         Err(RecvError::Closed) => break,
                         Err(RecvError::Timeout) => unreachable!(),
@@ -132,45 +131,56 @@ fn spin_producer_wakes_blocking_consumer() {
                 delivered.fetch_add(n, SeqCst);
             });
         }
-        let producer = s.spawn(move || {
-            let mut h = q.register().unwrap();
+        s.spawn(move || {
             for i in 0..PER {
                 let mut v = i;
                 // The spin API: retry on full, never park.
-                while let Err(back) = h.enqueue(v) {
+                while let Err(TrySendError::Full(back)) = tx.try_send(v) {
                     v = back;
                     std::thread::yield_now();
                 }
             }
+            // `tx` drops here: the channel closes.
         });
-        producer.join().unwrap();
-        q.close();
     });
     assert_eq!(delivered.load(SeqCst), PER);
 }
 
-/// `close` must wake producers parked on a full queue and hand their
-/// values back; nothing in flight may be lost.
+static DROPPED: AtomicU64 = AtomicU64::new(0);
+
+/// A value that counts its own drop, so the values a closed channel still
+/// holds can be seen to be freed with it, exactly once.
+#[derive(Debug)]
+struct Tally(u64);
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        DROPPED.fetch_add(1, SeqCst);
+    }
+}
+
+/// Dropping the last receiver must wake senders parked on a full channel
+/// and hand their values back; nothing in flight may be lost.
 #[test]
 fn shutdown_returns_values_to_blocked_producers() {
-    let q: WcqQueue<u64> = WcqQueue::new(2, 3); // 4 slots
+    let (tx, rx) = channel::over(WcqQueue::<Tally>::new(2, 3)); // 4 slots
     let accepted = AtomicU64::new(0);
     let returned = AtomicU64::new(0);
+    let attempts = AtomicU64::new(0);
     const ATTEMPTS: u64 = 100;
     std::thread::scope(|s| {
-        let q = &q;
         for p in 0..2u64 {
-            let accepted = &accepted;
-            let returned = &returned;
+            let mut tx = tx.clone();
+            let (accepted, returned, attempts) = (&accepted, &returned, &attempts);
             s.spawn(move || {
-                let mut h = q.register().unwrap();
                 for i in 0..ATTEMPTS {
-                    match h.enqueue_blocking((p << 32) | i) {
+                    attempts.fetch_add(1, SeqCst);
+                    match tx.send(Tally((p << 32) | i)) {
                         Ok(()) => {
                             accepted.fetch_add(1, SeqCst);
                         }
                         Err(SendError::Closed(v)) => {
-                            assert_eq!(v, (p << 32) | i, "wrong value handed back");
+                            assert_eq!(v.0, (p << 32) | i, "wrong value handed back");
                             returned.fetch_add(1, SeqCst);
                         }
                         Err(SendError::Timeout(_)) => unreachable!("no deadline"),
@@ -178,41 +188,44 @@ fn shutdown_returns_values_to_blocked_producers() {
                 }
             });
         }
-        // Wait until both producers are parked on the full queue, then pull
-        // the plug.
-        while q.sync_state().not_full().waiters() < 2 {
+        // Wait until the channel is full and both producers are inside a
+        // `send` it cannot take, give them time to park, then pull the
+        // plug.
+        while accepted.load(SeqCst) < 4 || attempts.load(SeqCst) < 6 {
             std::thread::yield_now();
         }
-        q.close();
+        std::thread::sleep(Duration::from_millis(20));
+        drop(rx);
     });
     assert_eq!(
         accepted.load(SeqCst) + returned.load(SeqCst),
         2 * ATTEMPTS,
         "every attempt must either enqueue or come back"
     );
-    // Everything accepted is still in the queue (spin API ignores close).
-    let mut h = q.register().unwrap();
-    let mut drained = 0;
-    while h.dequeue().is_some() {
-        drained += 1;
-    }
-    assert_eq!(drained, accepted.load(SeqCst), "accepted values retained");
+    // Only the handed-back values are gone; the accepted ones are still in
+    // the queue, and go with the channel's last endpoint.
+    assert_eq!(DROPPED.load(SeqCst), returned.load(SeqCst));
+    drop(tx);
+    assert_eq!(
+        DROPPED.load(SeqCst),
+        2 * ATTEMPTS,
+        "accepted values retained"
+    );
 }
 
-/// Consumers parked on an empty queue must wake on `close` and report
-/// `Closed` — after draining any backlog that raced in.
+/// Consumers parked on an empty channel must wake when the last sender
+/// drops and report `Closed` — after draining any backlog that raced in.
 #[test]
 fn shutdown_wakes_parked_consumers_after_drain() {
-    let q: WcqQueue<u64> = WcqQueue::new(4, 3);
+    let (mut tx, rx) = channel::over(WcqQueue::<u64>::new(4, 3));
     std::thread::scope(|s| {
-        let q = &q;
         let consumers: Vec<_> = (0..2)
             .map(|_| {
+                let mut rx = rx.clone();
                 s.spawn(move || {
-                    let mut h = q.register().unwrap();
                     let mut got = Vec::new();
                     loop {
-                        match h.dequeue_blocking() {
+                        match rx.recv() {
                             Ok(v) => got.push(v),
                             Err(RecvError::Closed) => break,
                             Err(RecvError::Timeout) => unreachable!(),
@@ -222,15 +235,13 @@ fn shutdown_wakes_parked_consumers_after_drain() {
                 })
             })
             .collect();
-        while q.sync_state().not_empty().waiters() < 2 {
-            std::thread::yield_now();
-        }
+        // Give both consumers time to find the channel empty and park.
+        std::thread::sleep(Duration::from_millis(20));
         // Land a backlog *before* the close: it must all be delivered.
-        let mut h = q.register().unwrap();
         for i in 0..8 {
-            h.enqueue(i).unwrap();
+            tx.try_send(i).unwrap();
         }
-        q.close();
+        drop(tx);
         let got: Vec<u64> = consumers
             .into_iter()
             .flat_map(|c| c.join().unwrap())
@@ -239,22 +250,23 @@ fn shutdown_wakes_parked_consumers_after_drain() {
     });
 }
 
-/// Concurrent timeout churn balances exactly: successful enqueues equal
-/// successful dequeues plus what is left in the queue, and every timed-out
-/// enqueue handed its value back.
+/// Concurrent timeout churn balances exactly: successful sends equal
+/// successful receives plus what is left in the queue, and every timed-out
+/// send handed its value back.
 #[test]
 fn timeouts_are_element_conserving() {
-    let q: WcqQueue<u64> = WcqQueue::new(3, 4); // 8 slots: both edges hit
+    // 8 slots: both edges hit. This thread keeps `tx` and `rx` alive, so
+    // the channel never closes.
+    let (tx, mut rx) = channel::over(WcqQueue::<u64>::new(3, 4));
     let enq_ok = AtomicU64::new(0);
     let deq_ok = AtomicU64::new(0);
     std::thread::scope(|s| {
-        let q = &q;
         for p in 0..2u64 {
+            let mut tx = tx.clone();
             let enq_ok = &enq_ok;
             s.spawn(move || {
-                let mut h = q.register().unwrap();
                 for i in 0..4_000u64 {
-                    match h.enqueue_timeout((p << 32) | i, Duration::from_micros(50)) {
+                    match tx.send_timeout((p << 32) | i, Duration::from_micros(50)) {
                         Ok(()) => {
                             enq_ok.fetch_add(1, SeqCst);
                         }
@@ -267,12 +279,12 @@ fn timeouts_are_element_conserving() {
             });
         }
         for _ in 0..2 {
+            let mut rx = rx.clone();
             let deq_ok = &deq_ok;
             s.spawn(move || {
-                let mut h = q.register().unwrap();
                 let mut idle = 0;
                 while idle < 200 {
-                    match h.dequeue_timeout(Duration::from_micros(50)) {
+                    match rx.recv_timeout(Duration::from_micros(50)) {
                         Ok(_) => {
                             deq_ok.fetch_add(1, SeqCst);
                             idle = 0;
@@ -284,48 +296,47 @@ fn timeouts_are_element_conserving() {
             });
         }
     });
-    let mut h = q.register().unwrap();
     let mut leftover = 0;
-    while h.dequeue().is_some() {
+    while rx.try_recv().is_ok() {
         leftover += 1;
     }
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "still open");
     assert_eq!(
         enq_ok.load(SeqCst),
         deq_ok.load(SeqCst) + leftover,
         "timeout paths leaked or duplicated elements"
     );
+    drop(tx);
 }
 
-/// The async facade under thread parallelism: every future-driven element
+/// The async surface under thread parallelism: every future-driven element
 /// is delivered exactly once, with bounded-queue backpressure (pending
-/// enqueue futures) in the loop.
+/// send futures) in the loop.
 #[test]
 fn async_exact_delivery_with_backpressure() {
-    let q: WcqQueue<u64> = WcqQueue::new(3, 4); // 8 slots
+    let (tx, rx) = channel::over(WcqQueue::<u64>::new(3, 4)); // 8 slots
     let delivered = AtomicU64::new(0);
     const PER: u64 = 10_000;
     std::thread::scope(|s| {
-        let q = &q;
-        let producers: Vec<_> = (0..2u64)
-            .map(|p| {
-                s.spawn(move || {
-                    let mut h = q.register().unwrap();
-                    block_on(async move {
-                        for i in 0..PER {
-                            h.enqueue_async((p << 32) | i).await.expect("not closed");
-                        }
-                    });
-                })
-            })
-            .collect();
+        for p in 0..2u64 {
+            let mut tx = tx.clone();
+            s.spawn(move || {
+                block_on(async move {
+                    for i in 0..PER {
+                        tx.send_async((p << 32) | i).await.expect("not closed");
+                    }
+                });
+            });
+        }
+        drop(tx); // consumers drain the backlog, then exit on Closed
         for _ in 0..2 {
+            let mut rx = rx.clone();
             let delivered = &delivered;
             s.spawn(move || {
-                let mut h = q.register().unwrap();
                 block_on(async move {
                     let mut last = [None::<u64>; 2];
                     loop {
-                        match h.dequeue_async().await {
+                        match rx.recv_async().await {
                             Ok(v) => {
                                 let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
                                 if let Some(prev) = last[p] {
@@ -341,46 +352,53 @@ fn async_exact_delivery_with_backpressure() {
                 });
             });
         }
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close(); // consumers drain the backlog, then exit on Closed
     });
     assert_eq!(delivered.load(SeqCst), 2 * PER);
 }
 
-/// A dropped pending future must deregister its waker: later traffic may
-/// not wake a dead task, and the waiter list may not grow.
-#[test]
-fn dropped_future_leaves_no_stale_waiter() {
-    let q: WcqQueue<u64> = WcqQueue::new(4, 2);
-    let mut h = q.register().unwrap();
-    {
-        let fut = h.dequeue_async();
-        // Poll once manually so the future registers, then drop it.
-        let waker = futures_noop_waker();
-        let mut cx = std::task::Context::from_waker(&waker);
-        let mut fut = std::pin::pin!(fut);
-        assert!(fut.as_mut().poll(&mut cx).is_pending());
-        assert_eq!(q.sync_state().not_empty().waiters(), 1);
-    } // dropped here
-    assert_eq!(
-        q.sync_state().not_empty().waiters(),
-        0,
-        "dropped future must deregister"
-    );
-    // And the queue still works.
-    h.enqueue(5).unwrap();
-    assert_eq!(h.dequeue_blocking(), Ok(5));
+/// A waker that counts its wakes, for driving futures by hand.
+#[derive(Default)]
+struct Wakes(AtomicU64);
+
+impl Wake for Wakes {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, SeqCst);
+    }
 }
 
-/// A no-op waker for driving futures manually in tests.
-fn futures_noop_waker() -> std::task::Waker {
-    use std::sync::Arc;
-    use std::task::Wake;
-    struct Noop;
-    impl Wake for Noop {
-        fn wake(self: Arc<Self>) {}
-    }
-    std::task::Waker::from(Arc::new(Noop))
+/// A dropped pending future must deregister its waker: later traffic may
+/// not wake a dead task. (`sync`'s `every_exit_leaves_no_waiter_behind`
+/// counts the waiter list itself.)
+#[test]
+fn dropped_future_leaves_no_stale_waiter() {
+    let (mut tx, mut rx) = channel::over(WcqQueue::<u64>::new(4, 2));
+    let stale = Arc::new(Wakes::default());
+    {
+        // Poll once manually so the future registers, then drop it.
+        let mut fut = std::pin::pin!(rx.recv_async());
+        let waker = Waker::from(Arc::clone(&stale));
+        assert!(fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+    } // dropped here
+    tx.send(5).unwrap();
+    assert_eq!(stale.0.load(SeqCst), 0, "dropped future must deregister");
+    // And the channel still works.
+    assert_eq!(rx.recv(), Ok(5));
+    // A live pending future, by contrast, is registered: the next send
+    // wakes it, and it resolves with that value.
+    let live = Arc::new(Wakes::default());
+    let waker = Waker::from(Arc::clone(&live));
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = std::pin::pin!(rx.recv_async());
+    assert!(fut.as_mut().poll(&mut cx).is_pending());
+    tx.send(6).unwrap();
+    assert_eq!(
+        live.0.load(SeqCst),
+        1,
+        "a pending future is woken by a send"
+    );
+    assert_eq!(fut.as_mut().poll(&mut cx), std::task::Poll::Ready(Ok(6)));
+    assert_eq!(stale.0.load(SeqCst), 0);
 }

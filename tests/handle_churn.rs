@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-use wcq::sync::SyncQueue;
+use wcq::channel;
 use wcq::{Hold, ShardedWcq, UnboundedWcq, WcqConfig, WcqHandle, WcqQueue};
 
 /// 4×-core oversubscription, floored so small CI hosts still get enough
@@ -253,47 +253,36 @@ fn unbounded_register_op_drop_churn() {
 
 #[test]
 fn blocking_facade_survives_handle_churn() {
-    // Producers use fresh blocking handles per burst while consumers churn
-    // theirs too: the eventcount waiter bookkeeping must survive handles
-    // coming and going (a stale waiter would deadlock the test).
-    let q: Arc<WcqQueue<u64>> = Arc::new(WcqQueue::with_config(4, 4, &WcqConfig::stress()));
+    // The producer sends through a fresh endpoint clone per burst while
+    // consumers churn theirs too: each clone takes a thread slot on its
+    // first operation and releases it on drop, and the eventcount waiter
+    // bookkeeping must survive endpoints coming and going (a stale waiter
+    // would deadlock the test).
+    let (tx, rx) = channel::over(WcqQueue::<u64>::with_config(4, 4, &WcqConfig::stress()));
     const PER: u64 = 2_000;
-    let producer = {
-        let q = Arc::clone(&q);
-        std::thread::spawn(move || {
-            let mut sent = 0;
-            while sent < PER {
-                let mut h = loop {
-                    match q.register_owned() {
-                        Some(h) => break h,
-                        None => std::thread::yield_now(),
-                    }
-                };
-                for _ in 0..50 {
-                    if sent == PER {
-                        break;
-                    }
-                    h.enqueue_blocking(sent).unwrap();
-                    sent += 1;
+    let producer = std::thread::spawn(move || {
+        let mut sent = 0;
+        while sent < PER {
+            let mut burst = tx.clone();
+            for _ in 0..50 {
+                if sent == PER {
+                    break;
                 }
+                burst.send(sent).unwrap();
+                sent += 1;
             }
-            q.close();
-        })
-    };
+        }
+        // `tx` drops here, the last sender: the channel closes.
+    });
     let consumers: Vec<_> = (0..2)
         .map(|_| {
-            let q = Arc::clone(&q);
+            let rx = rx.clone();
             std::thread::spawn(move || {
                 let mut got = Vec::new();
                 'outer: loop {
-                    let mut h = loop {
-                        match q.register_owned() {
-                            Some(h) => break h,
-                            None => std::thread::yield_now(),
-                        }
-                    };
+                    let mut round = rx.clone();
                     for _ in 0..50 {
-                        match h.dequeue_blocking() {
+                        match round.recv() {
                             Ok(v) => got.push(v),
                             Err(_) => break 'outer,
                         }
@@ -303,6 +292,7 @@ fn blocking_facade_survives_handle_churn() {
             })
         })
         .collect();
+    drop(rx);
     producer.join().unwrap();
     let mut all: Vec<u64> = consumers
         .into_iter()

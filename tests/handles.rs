@@ -3,21 +3,25 @@
 //! `register_owned()`) × the three queue families. The handles are one
 //! struct per family generic over the holder (`wcq::Hold`), so one body
 //! must pass for all six — and the `Arc` flavour must additionally move
-//! into `std::thread::spawn`.
+//! into `std::thread::spawn`. Handles are spin-only; the timed half of the
+//! contract runs on a channel over the same queue constructor.
 
 use std::sync::Arc;
 use std::time::Duration;
-use wcq::sync::{RecvError, SendError, SyncQueue};
+use wcq::channel::{self, Receiver, Sender};
+use wcq::sync::{RecvError, SendError};
 use wcq::unbounded::Unbounded;
 use wcq::{
     Hold, IndexRing, ShardedHandle, ShardedWcq, UnboundedHandle, UnboundedWcq, WcqHandle,
     WcqQueue,
 };
 
-/// The surface the three handle types share by name but not by trait:
-/// `SyncQueue` covers the singleton and timed operations, this adds the
-/// inherent batch pair and the slot id.
-trait Handle: SyncQueue<Item = u64> {
+/// The surface the three handle types share by name but not by trait: the
+/// singleton pair (the unbounded `enqueue`, which cannot fail, lifted to a
+/// `Result`), the batch pair and the slot id.
+trait Handle {
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64>;
+    fn try_dequeue(&mut self) -> Option<u64>;
     fn enqueue_batch(&mut self, items: &mut Vec<u64>) -> usize;
     fn dequeue_batch(&mut self, out: &mut Vec<u64>, max: usize) -> usize;
     fn tid(&self) -> usize;
@@ -25,6 +29,9 @@ trait Handle: SyncQueue<Item = u64> {
 
 macro_rules! forward_handle {
     () => {
+        fn try_dequeue(&mut self) -> Option<u64> {
+            Self::dequeue(self)
+        }
         fn enqueue_batch(&mut self, items: &mut Vec<u64>) -> usize {
             Self::enqueue_batch(self, items)
         }
@@ -38,12 +45,22 @@ macro_rules! forward_handle {
 }
 
 impl<H: Hold<WcqQueue<u64>>> Handle for WcqHandle<u64, H> {
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
+        self.enqueue(v)
+    }
     forward_handle!();
 }
 impl<H: Hold<ShardedWcq<u64>>> Handle for ShardedHandle<u64, H> {
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
+        self.enqueue(v)
+    }
     forward_handle!();
 }
 impl<R: IndexRing, H: Hold<Unbounded<u64, R>>> Handle for UnboundedHandle<u64, R, H> {
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
+        self.enqueue(v);
+        Ok(())
+    }
     forward_handle!();
 }
 
@@ -63,24 +80,22 @@ fn handle_contract<H: Handle>(capacity: Option<usize>, register: impl Fn() -> Op
     for i in 0..n {
         assert_eq!(h.try_enqueue(i), Ok(()));
     }
-    // The full edge hands the value back, spinning or timed.
+    // The full edge hands the value back.
     if capacity.is_some() {
         assert_eq!(h.try_enqueue(99), Err(99), "full at capacity");
-        assert_eq!(h.enqueue_timeout(99, SHORT), Err(SendError::Timeout(99)));
     } else {
-        assert_eq!(h.enqueue_timeout(n, SHORT), Ok(()), "never full");
+        assert_eq!(h.try_enqueue(n), Ok(()), "never full");
         assert_eq!(h.try_dequeue(), Some(0));
         assert_eq!(h.try_enqueue(n + 1), Ok(()));
     }
     let base = if capacity.is_some() { 0 } else { 1 };
     for i in base..base + n {
-        assert_eq!(h.dequeue_timeout(SHORT), Ok(i), "FIFO");
+        assert_eq!(h.try_dequeue(), Some(i), "FIFO");
     }
     if capacity.is_none() {
         assert_eq!(h.try_dequeue(), Some(n + 1));
     }
     assert_eq!(h.try_dequeue(), None, "drained");
-    assert_eq!(h.dequeue_timeout(SHORT), Err(RecvError::Timeout));
 
     // Batch round trip: accepted items leave the front of the vector,
     // rejects stay behind in order.
@@ -114,6 +129,28 @@ fn handle_contract<H: Handle>(capacity: Option<usize>, register: impl Fn() -> Op
     assert!(register().is_none());
 }
 
+/// The timed half of the contract, on a channel over the family's queue
+/// (one thread slot per endpoint): the full edge times out and hands the
+/// value back (never, on the unbounded family), timed receives keep FIFO,
+/// and the empty edge times out.
+fn timed_contract(capacity: Option<usize>, (mut tx, mut rx): (Sender<u64>, Receiver<u64>)) {
+    let n = capacity.unwrap_or(40) as u64;
+    for i in 0..n {
+        assert_eq!(tx.send_timeout(i, SHORT), Ok(()));
+    }
+    let end = if capacity.is_some() {
+        assert_eq!(tx.send_timeout(99, SHORT), Err(SendError::Timeout(99)));
+        n
+    } else {
+        assert_eq!(tx.send_timeout(n, SHORT), Ok(()), "never full");
+        n + 1
+    };
+    for i in 0..end {
+        assert_eq!(rx.recv_timeout(SHORT), Ok(i), "FIFO");
+    }
+    assert_eq!(rx.recv_timeout(SHORT), Err(RecvError::Timeout));
+}
+
 /// What only the `Arc` flavour can do: leave the scope that created it.
 fn moves_into_spawned_thread<H: Handle + Send + 'static>(register: impl Fn() -> Option<H>) {
     let mut h = register().expect("a free slot");
@@ -142,6 +179,7 @@ fn wcq_shared() {
     assert!(q.records_are_quiet(0) && q.records_are_quiet(1));
     moves_into_spawned_thread(|| q.register_owned());
     assert_eq!(Arc::strong_count(&q), 1, "dropped handles let go of the queue");
+    timed_contract(Some(8), channel::over(WcqQueue::new(3, SLOTS)));
 }
 
 #[test]
@@ -157,6 +195,8 @@ fn sharded_shared() {
     handle_contract(Some(8), || q.register_owned());
     moves_into_spawned_thread(|| q.register_owned());
     assert_eq!(Arc::strong_count(&q), 1);
+    // The sender registers first, so slot 0's affinity shard takes its 2^3.
+    timed_contract(Some(8), channel::over(ShardedWcq::new(2, 3, SLOTS)));
 }
 
 #[test]
@@ -171,4 +211,5 @@ fn unbounded_shared() {
     handle_contract(None, || q.register_owned());
     moves_into_spawned_thread(|| q.register_owned());
     assert_eq!(Arc::strong_count(&q), 1);
+    timed_contract(None, channel::over(UnboundedWcq::new(3, SLOTS)));
 }

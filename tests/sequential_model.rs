@@ -6,7 +6,7 @@
 use harness::model::SeqModel;
 use proptest::prelude::*;
 use std::time::Duration;
-use wcq::sync::{RecvError, SendError, SyncQueue};
+use wcq::sync::{RecvError, SendError};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -280,18 +280,20 @@ proptest! {
 
     #[test]
     fn wcq_zero_timeout_facade_matches_model(ops in ops(400), order in 2u32..7) {
-        // Single-threaded, a zero deadline makes the blocking facade a
-        // pure try-op with the full registration/cancel machinery in the
-        // loop: enqueue_timeout(v, 0) must agree with the oracle's full
-        // answer (returning the value), dequeue_timeout(0) with its empty
-        // answer — the sequential half of the element-conservation claim.
-        let q: wcq::WcqQueue<u64> = wcq::WcqQueue::new(order, 1);
-        let mut h = q.register().unwrap();
+        // Single-threaded, a zero deadline makes the blocking surface a
+        // pure try-op with the round's first look and timeout path in the
+        // loop: send_timeout(v, 0) must agree with the oracle's full answer
+        // (returning the value), recv_timeout(0) with its empty answer —
+        // the sequential half of the element-conservation claim. That an
+        // expired deadline never registers a waiter is pinned by `sync`'s
+        // `expired_deadline_never_registers`. Two thread slots: one per
+        // endpoint.
+        let (mut tx, mut rx) = wcq::channel::over(wcq::WcqQueue::<u64>::new(order, 2));
         let mut model = SeqModel::bounded(1 << order);
         for op in ops {
             match op {
                 Op::Enq(v) => {
-                    let got = h.enqueue_timeout(v, Duration::ZERO);
+                    let got = tx.send_timeout(v, Duration::ZERO);
                     if model.enqueue(v) {
                         prop_assert_eq!(got, Ok(()));
                     } else {
@@ -300,19 +302,16 @@ proptest! {
                     }
                 }
                 Op::Deq => {
-                    match h.dequeue_timeout(Duration::ZERO) {
+                    match rx.recv_timeout(Duration::ZERO) {
                         Ok(v) => prop_assert_eq!(Some(v), model.dequeue()),
                         Err(e) => {
-                            prop_assert_eq!(e, RecvError::Timeout, "open queue: only Timeout");
+                            prop_assert_eq!(e, RecvError::Timeout, "open channel: only Timeout");
                             prop_assert_eq!(model.dequeue(), None, "timed out with data present");
                         }
                     }
                 }
             }
         }
-        // No waiter bookkeeping may survive the op string.
-        prop_assert_eq!(q.sync_state().not_empty().waiters(), 0);
-        prop_assert_eq!(q.sync_state().not_full().waiters(), 0);
     }
 
     #[test]

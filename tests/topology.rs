@@ -5,7 +5,7 @@
 //! survive a clone past the declared topology by grafting the wait-free
 //! wCQ spine without losing or duplicating a single element.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wcq::channel::{self, TryRecvError, TrySendError};
 use wcq::sync::{block_on, RecvError};
 
@@ -228,6 +228,35 @@ fn excess_receiver_waits_out_stranded_residue() {
     drop(rx); // seat released with the residue still in the ring
     assert_eq!(rx2.recv(), Ok(2), "residue inherited, not dropped");
     assert_eq!(rx2.recv(), Err(RecvError::Closed));
+}
+
+/// The open-channel twin, where the seat release is the only wake source:
+/// with the sender alive, the excess receiver's probe says "wait" (not
+/// "limbo"), so it parks; no further send ever comes, and only the
+/// `not_empty` notify of the holder's drop can hand it the residue before
+/// its own deadline.
+#[test]
+fn parked_excess_receiver_wakes_on_seat_release() {
+    const DEADLINE: Duration = Duration::from_secs(1);
+    let (mut tx, mut rx) = channel::spsc::<u64>(2, 4);
+    let mut rx2 = rx.clone();
+    tx.try_send(1).unwrap();
+    tx.try_send(2).unwrap();
+    assert_eq!(rx.recv(), Ok(1)); // `rx` holds the seat; 2 stays behind it
+    let waiter = std::thread::spawn(move || {
+        let start = Instant::now();
+        (rx2.recv_timeout(DEADLINE), start.elapsed())
+    });
+    // Give the waiter time to find nothing reachable and park.
+    std::thread::sleep(Duration::from_millis(20));
+    drop(rx); // seat released, channel still open
+    let (got, waited) = waiter.join().unwrap();
+    assert_eq!(got, Ok(2), "residue delivered to the parked receiver");
+    assert!(
+        waited < DEADLINE,
+        "woken by its own deadline ({waited:?}), not by the seat release"
+    );
+    drop(tx);
 }
 
 /// The blocking twin: a parked/spinning excess receiver outlives the seat
