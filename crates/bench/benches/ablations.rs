@@ -200,12 +200,13 @@ fn ablate_slot_orderings(c: &mut Criterion) {
     g.finish();
 }
 
-/// Adaptive backoff (the `wait-edge` pacing shared by the
-/// `!drained()` residue spin, the endpoint-slot wait, and the
-/// stranded-residue hint): the full `Backoff` ladder against the
-/// constant-yield loop it replaced, plus the adopted path at queue level —
-/// the unbounded queue's pairwise workload, where `dequeue_walk`
-/// constructs a `Backoff` per call and the residue window can strike.
+/// Adaptive backoff (the `wait-edge` pacing of its one site, the
+/// unbounded queue's `!drained()` residue spin; the channel's slot and
+/// seat waits park on an eventcount instead): the full `Backoff` ladder
+/// against the constant-yield loop it replaced, plus the adopted path at
+/// queue level — the unbounded queue's pairwise workload, where
+/// `dequeue_walk` constructs a `Backoff` per call and the residue window
+/// can strike.
 fn ablate_backoff(c: &mut Criterion) {
     let mut g = c.benchmark_group("backoff");
     // One full ladder: 7 escalating spin phases then 4 yields (step 0..=10).

@@ -74,7 +74,10 @@ pub struct CollectorConfig {
     /// More than this still works — the lane grafts its wait-free spine,
     /// exactly as `channel::mpsc` documents, and the extra senders share
     /// one counter row — but seated producers are faster, so declare the
-    /// real number.
+    /// real number. The spine has thread slots for `producers + 1` extra
+    /// senders at a time; a sender beyond that sheds under
+    /// [`ShedPolicy::Shed`] and parks under [`ShedPolicy::Block`] until
+    /// one drops.
     pub producers: usize,
     /// Batching worker threads. Lanes are distributed round-robin;
     /// clamped to `1..=shards` (a lane has exactly one sweeper).

@@ -15,9 +15,10 @@
 //!   ([`crate::WcqQueue::register_owned`] & co.) cached inside the
 //!   endpoint for its lifetime. Dropping the endpoint
 //!   quiesces and releases the slot (the `Drop` protocol in
-//!   `wcq/queue.rs`). At most `max_threads` endpoints can therefore be
-//!   *operating* concurrently; an operation on an endpoint beyond that
-//!   waits until another endpoint drops — see [`bounded`].
+//!   `wcq/queue.rs`) and notifies both wait lanes. At most `max_threads`
+//!   endpoints can therefore be *operating* concurrently; an operation on
+//!   an endpoint beyond that misses as if the queue were full (or empty)
+//!   until another endpoint drops — see [`bounded`].
 //! * **Refcount-driven close.** The channel counts live senders and
 //!   receivers. When the last [`Sender`] drops, the queue closes:
 //!   receivers drain the backlog and then see [`RecvError::Closed`]. When
@@ -86,8 +87,7 @@
 //! ```
 
 use crate::sync::{
-    block, cancel_all, poll_on, wait_for_slot, Eventcount, Probe, RecvError, SendError, Slot,
-    SyncState, Waitable,
+    block, cancel_all, poll_on, Eventcount, Probe, RecvError, SendError, Slot, SyncState, Waitable,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
 use crate::{
@@ -149,11 +149,14 @@ pub fn over<T: Send>(queue: impl Into<Backend<T>>) -> (Sender<T>, Receiver<T>) {
 /// `max_threads` bounds live thread slots, not clones: endpoints register
 /// lazily on first use and release on drop, so any number of idle clones
 /// is free. An operation that needs a slot while all `max_threads` are
-/// taken **waits** (yielding) until another endpoint drops — size
-/// `max_threads` to the peak number of threads concurrently touching the
-/// channel. Undersizing it is not detected: if `max_threads` endpoints
-/// are held live and never dropped, a further endpoint's first operation
-/// waits forever. `max_threads` must be at least 1 (and at most
+/// taken misses as it would on a full (or empty) queue: `try_send`
+/// returns [`TrySendError::Full`], `try_recv` [`TryRecvError::Empty`], the
+/// batch calls 0, and the blocking, deadline and async forms park until
+/// another endpoint drops — size `max_threads` to the peak number of
+/// threads concurrently touching the channel. Undersizing it is not
+/// detected: if `max_threads` endpoints are held live and never dropped,
+/// a further endpoint's `send`/`recv` waits forever. `max_threads` must
+/// be at least 1 (and at most
 /// `2^order`, the paper's `k <= n` assumption); violations panic here,
 /// at construction.
 pub fn bounded<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
@@ -197,8 +200,8 @@ pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Re
 ///
 /// `max_threads` is the post-upgrade analogue of [`bounded`]'s parameter:
 /// the spine, if ever built, gets that many thread slots, with the same
-/// lazy-acquisition/wait semantics. Before any upgrade it is unused (the
-/// ring needs no slots).
+/// lazy-acquisition semantics. Before any upgrade it is unused (the ring
+/// needs no slots).
 pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(TopoCore::spsc(order, max_threads, &WcqConfig::default()))
 }
@@ -250,14 +253,13 @@ pub fn mpsc<T: Send>(
 ///   the collective analogue of a single receiver's `Closed`.
 ///
 /// A lane holding stranded ring residue (closed, but the values sit
-/// behind a consumer seat held elsewhere — DESIGN.md §11) is treated as
-/// "empty for now": `recv_any` stays awake (spin-then-yield, as
-/// [`Receiver::recv`] does) rather than parking past the residue or
-/// reporting `Closed` over values that still exist.
-///
-/// Each receiver's **first** operation still lazily acquires its thread
-/// slot (see [`bounded`]); call sites that sweep many lanes should hold
-/// the receivers for the thread's lifetime, as the collector does.
+/// behind a consumer seat held elsewhere — DESIGN.md §11), or a receiver
+/// that finds no free thread slot (see [`bounded`]), is "empty for now":
+/// `recv_any` parks on it as on an empty lane, woken when the holder
+/// drops or drains the residue, and never reports `Closed` over values
+/// that still exist. Call sites that sweep many lanes should hold the
+/// receivers for the thread's lifetime, as the collector does: each
+/// receiver takes its thread slot lazily, on its first operation.
 ///
 /// # Example
 ///
@@ -302,20 +304,25 @@ impl<T: Send> Waitable for AnyOf<'_, T> {
 
     #[inline]
     fn probe(&mut self) -> Probe<Self::Output> {
-        // `Closed` stands only if no lane objects: every one of them
-        // closed and drained.
-        let mut verdict = Probe::Ready(Err(RecvError::Closed));
+        let mut waiting = false;
         for (i, rx) in self.0.iter_mut().enumerate() {
-            match rx.dequeue().probe() {
+            match rx.dequeue().look() {
                 Probe::Ready(Ok(v)) => return Probe::Ready(Ok((i, v))),
                 Probe::Ready(Err(_)) => {}
-                // One lane in limbo keeps the whole wait awake.
-                Probe::Limbo => verdict = Probe::Limbo,
-                Probe::Wait if matches!(verdict, Probe::Limbo) => {}
-                Probe::Wait => verdict = Probe::Wait,
+                Probe::Wait => waiting = true,
             }
         }
-        verdict
+        if waiting {
+            return Probe::Wait;
+        }
+        // `Closed` stands only if no lane objects: every one of them
+        // closed and drained. Only now does each lane announce it — a
+        // lane that did so while the wait went on would wake this very
+        // registration, round after round.
+        for rx in self.0.iter() {
+            rx.shared.sync.notify_not_empty_fenced();
+        }
+        Probe::Ready(Err(RecvError::Closed))
     }
 
     fn timeout(&mut self) -> Self::Output {
@@ -428,8 +435,9 @@ impl<T: Send> Backend<T> {
             Backend::Sharded(q) => q.register_owned().map(Endpoint::Sharded),
             Backend::Unbounded(q) => q.register_owned().map(Endpoint::Unbounded),
             // Topology endpoints need no slot up front: seats are claimed
-            // by the first operation (and their exhaustion upgrades rather
-            // than waits), so registration always succeeds.
+            // by the first operation (and their exhaustion upgrades), spine
+            // slots by the first spine operation, so registration always
+            // succeeds.
             Backend::Topo(c) => Some(Endpoint::Topo(c.register())),
         }
     }
@@ -456,11 +464,38 @@ struct Shared<T: Send> {
 }
 
 impl<T: Send> Shared<T> {
-    /// Registers an `Arc`-holding handle, waiting while all `max_threads`
-    /// slots are taken (see [`wait_for_slot`] and [`bounded`]). Kept out
-    /// of line: it runs once per endpoint, next to a per-operation check.
-    fn acquire(&self) -> Endpoint<T> {
-        wait_for_slot(|| self.backend.register())
+    /// An endpoint's handle: the one in its `cache`, else a thread slot
+    /// registered now. `None` while all `max_threads` slots are taken (see
+    /// [`bounded`]): the operation misses, and a blocking one parks on its
+    /// usual lane until an endpoint drop frees a slot and notifies.
+    #[inline]
+    fn endpoint<'a>(&self, cache: &'a mut Option<Endpoint<T>>) -> Option<&'a mut Endpoint<T>> {
+        if cache.is_none() {
+            *cache = self.backend.register();
+        }
+        cache.as_mut()
+    }
+
+    /// One non-blocking enqueue through `cache`'s endpoint; `Err(v)` hands
+    /// the value back when its lane is full or no thread slot is free.
+    #[inline]
+    fn try_enqueue(&self, cache: &mut Option<Endpoint<T>>, v: T) -> Result<(), T> {
+        match self.endpoint(cache) {
+            Some(ep) => ep.try_enqueue(&self.sync, v),
+            None => Err(v),
+        }
+    }
+
+    /// Drops an endpoint's handle, if it took one, and announces what that
+    /// freed — a thread slot, a consumer seat — on both lanes: endpoints
+    /// of either side park on their own lane while waiting for one.
+    /// Fenced: the slot and seat releases are plain `Release` stores.
+    fn release(&self, cache: &mut Option<Endpoint<T>>) {
+        if let Some(ep) = cache.take() {
+            drop(ep); // quiesces, then releases
+            self.sync.notify_not_full_fenced();
+            self.sync.notify_not_empty_fenced();
+        }
     }
 }
 
@@ -548,10 +583,9 @@ impl<T: Send> Endpoint<T> {
         n
     }
 
-    /// `true` while the channel holds values this endpoint cannot reach
-    /// *right now* but will once another endpoint acts: ring residue
-    /// stranded behind a consumer seat held elsewhere (DESIGN.md §11).
-    /// Only the topology backend has per-endpoint reachability; the
+    /// `true` while the channel may hold values this endpoint cannot
+    /// reach *right now* but will once another endpoint acts (DESIGN.md
+    /// §11). Only the topology backend has per-endpoint reachability; the
     /// others see everything.
     fn residue_hint(&self) -> bool {
         matches!(self, Endpoint::Topo(h) if h.residue_hint())
@@ -561,8 +595,8 @@ impl<T: Send> Endpoint<T> {
 /// Waitable: put `v` into the channel. One lane, `not_full`. `Closed`
 /// wins over an attempt, and the value rides back in every error.
 struct Enqueue<'a, T: Send> {
-    ep: &'a mut Endpoint<T>,
-    sync: &'a SyncState,
+    ep: &'a mut Option<Endpoint<T>>,
+    shared: &'a Shared<T>,
     v: Option<T>,
 }
 
@@ -575,16 +609,16 @@ impl<T: Send> Waitable for Enqueue<'_, T> {
     }
 
     fn lane(&self, _: usize) -> &Eventcount {
-        self.sync.not_full()
+        self.shared.sync.not_full()
     }
 
     #[inline]
     fn probe(&mut self) -> Probe<Self::Output> {
         let v = self.v.take().expect("polled after completion");
-        if self.sync.is_closed() {
+        if self.shared.sync.is_closed() {
             return Probe::Ready(Err(SendError::Closed(v)));
         }
-        match self.ep.try_enqueue(self.sync, v) {
+        match self.shared.try_enqueue(self.ep, v) {
             Ok(()) => Probe::Ready(Ok(())),
             Err(back) => {
                 self.v = Some(back);
@@ -604,8 +638,38 @@ impl<T: Send> Waitable for Enqueue<'_, T> {
 /// Drains after close; [`Receiver::try_recv`] and each lane of
 /// [`recv_any`] read this same verdict.
 struct Dequeue<'a, T: Send> {
-    ep: &'a mut Endpoint<T>,
-    sync: &'a SyncState,
+    ep: &'a mut Option<Endpoint<T>>,
+    shared: &'a Shared<T>,
+}
+
+impl<T: Send> Dequeue<'_, T> {
+    /// The dequeue verdict, without the announcement a `Closed` owes (see
+    /// [`Waitable::probe`] below); [`recv_any`] reads it lane by lane.
+    #[inline]
+    fn look(&mut self) -> Probe<Result<T, RecvError>> {
+        let sync = &self.shared.sync;
+        // No thread slot: even a closed channel may still hold values.
+        let Some(ep) = self.shared.endpoint(self.ep) else {
+            return Probe::Wait;
+        };
+        if let Some(v) = ep.try_dequeue(sync) {
+            return Probe::Ready(Ok(v));
+        }
+        if !sync.is_closed() {
+            return Probe::Wait;
+        }
+        // Drain race: an insert may have landed between the attempt and
+        // the close check.
+        match ep.try_dequeue(sync) {
+            Some(v) => Probe::Ready(Ok(v)),
+            // Closed and observed empty, but values this endpoint cannot
+            // reach yet still exist, and close promised to drain them. The
+            // holder of the seat or slot they sit behind notifies
+            // `not_empty` when it drops or drains them to `Closed`.
+            None if ep.residue_hint() => Probe::Wait,
+            None => Probe::Ready(Err(RecvError::Closed)),
+        }
+    }
 }
 
 impl<T: Send> Waitable for Dequeue<'_, T> {
@@ -617,27 +681,19 @@ impl<T: Send> Waitable for Dequeue<'_, T> {
     }
 
     fn lane(&self, _: usize) -> &Eventcount {
-        self.sync.not_empty()
+        self.shared.sync.not_empty()
     }
 
     #[inline]
     fn probe(&mut self) -> Probe<Self::Output> {
-        if let Some(v) = self.ep.try_dequeue(self.sync) {
-            return Probe::Ready(Ok(v));
+        let verdict = self.look();
+        if let Probe::Ready(Err(_)) = verdict {
+            // This receiver may just have drained residue that excess
+            // receivers wait on: let them see `Closed` too. Fenced: the
+            // ring pops are plain stores.
+            self.shared.sync.notify_not_empty_fenced();
         }
-        if !self.sync.is_closed() {
-            return Probe::Wait;
-        }
-        // Drain race: an insert may have landed between the attempt and
-        // the close check.
-        match self.ep.try_dequeue(self.sync) {
-            Some(v) => Probe::Ready(Ok(v)),
-            // Closed and observed empty, but the values still exist and
-            // close promised to drain them: not `Closed` yet. The window
-            // ends when the seat holder drains the residue or drops.
-            None if self.ep.residue_hint() => Probe::Limbo,
-            None => Probe::Ready(Err(RecvError::Closed)),
-        }
+        verdict
     }
 
     fn timeout(&mut self) -> Self::Output {
@@ -658,38 +714,25 @@ pub struct Sender<T: Send> {
 }
 
 impl<T: Send> Sender<T> {
-    /// This endpoint's handle (registered on first use) and the channel's
-    /// parking state.
-    fn endpoint(&mut self) -> (&mut Endpoint<T>, &SyncState) {
-        let shared = &*self.shared;
-        (
-            self.cache.get_or_insert_with(|| shared.acquire()),
-            &shared.sync,
-        )
-    }
-
     fn enqueue(&mut self, v: T) -> Enqueue<'_, T> {
-        let (ep, sync) = self.endpoint();
         Enqueue {
-            ep,
-            sync,
+            ep: &mut self.cache,
+            shared: &self.shared,
             v: Some(v),
         }
     }
 
     /// Non-blocking send. [`TrySendError::Full`] hands the value back when
-    /// the queue is full (never on [`unbounded`] channels);
-    /// [`TrySendError::Closed`] when every receiver is gone.
-    ///
-    /// Caveat: this endpoint's **first** operation acquires its thread
-    /// slot and waits while all `max_threads` are taken (see [`bounded`]);
-    /// once registered, `try_send` never waits.
+    /// the queue is full (never on [`unbounded`] channels) or this endpoint
+    /// finds no free thread slot (see [`bounded`]);
+    /// [`TrySendError::Closed`] when every receiver is gone. Never waits.
     pub fn try_send(&mut self, v: T) -> Result<(), TrySendError<T>> {
         if self.shared.sync.is_closed() {
             return Err(TrySendError::Closed(v));
         }
-        let (ep, sync) = self.endpoint();
-        ep.try_enqueue(sync, v).map_err(TrySendError::Full)
+        self.shared
+            .try_enqueue(&mut self.cache, v)
+            .map_err(TrySendError::Full)
     }
 
     /// Sends, parking while the queue is full. Fails only when every
@@ -742,14 +785,15 @@ impl<T: Send> Sender<T> {
 
     /// Batch send: drains as many items as fit from the **front** of
     /// `items` (preserving order) and returns how many were sent; items
-    /// left behind did not fit (queue full) or the channel is closed
-    /// (check [`Self::is_closed`] to distinguish).
+    /// left behind did not fit (queue full, or no free thread slot) or the
+    /// channel is closed (check [`Self::is_closed`] to distinguish).
     pub fn send_batch(&mut self, items: &mut Vec<T>) -> usize {
         if self.shared.sync.is_closed() {
             return 0;
         }
-        let (ep, sync) = self.endpoint();
-        ep.enqueue_batch(sync, items)
+        self.shared
+            .endpoint(&mut self.cache)
+            .map_or(0, |ep| ep.enqueue_batch(&self.shared.sync, items))
     }
 
     /// `true` once every [`Receiver`] has been dropped (sends can no
@@ -784,9 +828,9 @@ impl<T: Send> Clone for Sender<T> {
 impl<T: Send> Drop for Sender<T> {
     fn drop(&mut self) {
         // Release the thread slot first (quiesced, via the cached handle's
-        // drop), then retire from the refcount; last sender out closes the
-        // channel so receivers drain and see `Closed`.
-        self.cache = None;
+        // drop) and announce it, then retire from the refcount; last sender
+        // out closes the channel so receivers drain and see `Closed`.
+        self.shared.release(&mut self.cache);
         // ORDERING: endpoint refcount for close-on-last-drop; the ==1
         // observation must totally order with the peer's count ops
         if self.shared.senders.fetch_sub(1, SeqCst) == 1 {
@@ -808,36 +852,23 @@ pub struct Receiver<T: Send> {
 }
 
 impl<T: Send> Receiver<T> {
-    /// This endpoint's handle (registered on first use) and the channel's
-    /// parking state.
-    fn endpoint(&mut self) -> (&mut Endpoint<T>, &SyncState) {
-        let shared = &*self.shared;
-        (
-            self.cache.get_or_insert_with(|| shared.acquire()),
-            &shared.sync,
-        )
-    }
-
     fn dequeue(&mut self) -> Dequeue<'_, T> {
-        let (ep, sync) = self.endpoint();
-        Dequeue { ep, sync }
+        Dequeue {
+            ep: &mut self.cache,
+            shared: &self.shared,
+        }
     }
 
     /// Non-blocking receive. Drains the backlog even after close:
     /// [`TryRecvError::Closed`] is reported only once the channel is both
-    /// closed and empty.
-    ///
-    /// Caveat: this endpoint's **first** operation acquires its thread
-    /// slot and waits while all `max_threads` are taken (see [`bounded`]);
-    /// once registered, `try_recv` never waits.
+    /// closed and empty. [`TryRecvError::Empty`] also covers an endpoint
+    /// that finds no free thread slot (see [`bounded`]) and values this
+    /// one cannot reach yet (DESIGN.md §11). Never waits.
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
         match self.dequeue().probe() {
             Probe::Ready(Ok(v)) => Ok(v),
             Probe::Ready(Err(_)) => Err(TryRecvError::Closed),
-            // Limbo — values stranded behind another endpoint's consumer
-            // seat (DESIGN.md §11) — is "empty for now" here: they will
-            // surface once the holder drains or drops.
-            Probe::Wait | Probe::Limbo => Err(TryRecvError::Empty),
+            Probe::Wait => Err(TryRecvError::Empty),
         }
     }
 
@@ -875,11 +906,13 @@ impl<T: Send> Receiver<T> {
     }
 
     /// Batch receive: appends up to `max` elements to `out` in queue order
-    /// and returns how many were appended (0 means observed empty —
-    /// check [`Self::is_closed`] to distinguish "for now" from "forever").
+    /// and returns how many were appended (0 means observed empty, or no
+    /// free thread slot — check [`Self::is_closed`] to distinguish "for
+    /// now" from "forever").
     pub fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let (ep, sync) = self.endpoint();
-        ep.dequeue_batch(sync, out, max)
+        self.shared
+            .endpoint(&mut self.cache)
+            .map_or(0, |ep| ep.dequeue_batch(&self.shared.sync, out, max))
     }
 
     /// `true` once every [`Sender`] has been dropped. The backlog may
@@ -908,14 +941,8 @@ impl<T: Send> Clone for Receiver<T> {
 
 impl<T: Send> Drop for Receiver<T> {
     fn drop(&mut self) {
-        // Dropping a topology endpoint releases any consumer seat it held,
-        // which may surface ring residue to receivers parked on
-        // `not_empty` (their pre-park sweep failed while the seat was
-        // held). Fenced: the seat release is a plain store.
-        if let Some(Endpoint::Topo(ep)) = self.cache.take() {
-            drop(ep);
-            self.shared.sync.notify_not_empty_fenced();
-        }
+        // As for a sender: the thread slot, and any consumer seat with it.
+        self.shared.release(&mut self.cache);
         // ORDERING: endpoint refcount for close-on-last-drop; the ==1
         // observation must totally order with the peer's count ops
         if self.shared.receivers.fetch_sub(1, SeqCst) == 1 {

@@ -16,7 +16,8 @@
 //! shared state owns the channel's one [`SyncState`] and whose refcounts
 //! drive its close:
 //!
-//! * `send` / `recv` park until space/data or close;
+//! * `send` / `recv` park until space/data or close — and, on an endpoint
+//!   that finds every thread slot taken, until a slot frees;
 //! * `send_timeout` / `recv_timeout` do the same with a deadline;
 //!   timeouts are element-conserving (a timed-out send hands the value
 //!   back, a timed-out receive takes one last look);
@@ -35,9 +36,12 @@
 //! the operation and classifies a miss; the round calls that same
 //! function on both sides of the registration, so nothing the first look
 //! can recognise (data, a close, a close over stranded residue) can be
-//! missed by the last look before a sleep. A blocking call that can
-//! complete at once is the bare attempt: no snapshot, no registration.
-//! DESIGN.md §9 has the table and the no-lost-wakeup argument.
+//! missed by the last look before a sleep. A miss is always `Wait` —
+//! full, empty, no free thread slot, values out of reach — and each has
+//! a notify that ends it, so every wait sleeps and none is hand-paced.
+//! A blocking call that can complete at once is the bare attempt: no
+//! snapshot, no registration. DESIGN.md §9 has the table and the
+//! no-lost-wakeup argument.
 //!
 //! # Blocking example
 //!
@@ -186,29 +190,6 @@ impl Backoff {
     #[inline]
     pub fn is_completed(&self) -> bool {
         self.step > YIELD_LIMIT
-    }
-}
-
-/// The one slot-wait policy: retries `register` until it yields a handle,
-/// [snoozing](Backoff::snooze) while all of a queue's `max_threads` slots
-/// are taken. A slot frees only when another endpoint drops — likely a
-/// descheduled thread, so the backoff escalates to yielding quickly. The
-/// wait is bounded by the caller's own endpoint discipline (documented on
-/// [`crate::channel::bounded`]): an undersized `max_threads` whose holders
-/// never drop waits forever.
-pub(crate) fn wait_for_slot<H>(mut register: impl FnMut() -> Option<H>) -> H {
-    let mut backoff = Backoff::new();
-    // BOUND: wait-edge — the one slot-wait policy (channel lazy acquisition
-    // and topology spine registration both route here): waits for a peer
-    // endpoint holder to drop one of the queue's max_threads slots; paced
-    // by Backoff::snooze (adaptive spin-then-yield); unbounded only if the
-    // caller undersized max_threads and no holder ever drops (documented on
-    // channel::bounded)
-    loop {
-        if let Some(h) = register() {
-            return h;
-        }
-        backoff.snooze();
     }
 }
 
@@ -732,13 +713,11 @@ impl std::error::Error for RecvError {}
 pub(crate) enum Probe<R> {
     /// Resolved: a value, or the error that ends the wait.
     Ready(R),
-    /// Not yet — and whoever changes that will notify one of the lanes.
+    /// Not yet — and whoever changes that will notify one of the lanes:
+    /// an operation that lands a value or frees room, a close, an
+    /// endpoint drop that frees a thread slot or a consumer seat, or a
+    /// receiver that drained stranded residue to `Closed`.
     Wait,
-    /// Not yet, and nobody is bound to notify: ring residue stranded
-    /// behind a consumer seat held elsewhere (DESIGN.md §11), whose
-    /// holder's pops notify `not_full`, not `not_empty`. Sleeping would
-    /// race the holder's final pop, so the drivers stay awake instead.
-    Limbo,
 }
 
 /// One lane's registration: the epoch snapshot and, while enrolled in
@@ -778,17 +757,6 @@ pub(crate) trait Waitable {
     fn timeout(&mut self) -> Self::Output;
 }
 
-/// How a [`round`] ended.
-enum Round<R> {
-    /// Resolved (or the deadline passed); nothing is left registered.
-    Ready(R),
-    /// Enrolled on every lane and the re-probe still said `Wait`: safe to
-    /// sleep until a lane's epoch moves.
-    Registered,
-    /// See [`Probe::Limbo`]; nothing is left registered.
-    Limbo,
-}
-
 /// Cancels every registration `slots` still holds: the exit of a round
 /// that does not sleep, and the drop of a pending future.
 pub(crate) fn cancel_all<W: Waitable>(w: &W, slots: &mut [Slot]) {
@@ -808,28 +776,28 @@ pub(crate) fn cancel_all<W: Waitable>(w: &W, slots: &mut [Slot]) {
 /// waiters only, and one that lands between the first probe and the
 /// registration moves no epoch.
 ///
-/// `waker` is who to enroll (`None`: the calling thread). Slots may carry
-/// tokens in from an earlier round or poll; every exit except
-/// `Registered` cancels them all.
+/// `waker` is who to enroll (`None`: the calling thread). `Pending` means
+/// enrolled on every lane with the re-probe still saying `Wait`: safe to
+/// sleep until a lane's epoch moves. Slots may carry tokens in from an
+/// earlier round or poll; a `Ready` exit cancels them all.
 fn round<W: Waitable>(
     w: &mut W,
     slots: &mut [Slot],
     waker: Option<&Waker>,
     deadline: Option<Instant>,
-) -> Round<W::Output> {
+) -> Poll<W::Output> {
     // BOUND: wait-edge — goes round again only when a lane refused its
     // key, i.e. a notification (progress elsewhere) landed since the
     // snapshot; every other path returns
-    let verdict = loop {
+    let r = loop {
         for (i, s) in slots.iter_mut().enumerate() {
             s.key = w.lane(i).listen();
         }
         match w.probe() {
-            Probe::Ready(r) => break Round::Ready(r),
+            Probe::Ready(r) => break r,
             // An expired deadline never registers: that probe was the
             // last look, and a zero timeout is a pure try-op.
-            _ if deadline.is_some_and(|d| Instant::now() >= d) => break Round::Ready(w.timeout()),
-            Probe::Limbo => break Round::Limbo,
+            Probe::Wait if deadline.is_some_and(|d| Instant::now() >= d) => break w.timeout(),
             Probe::Wait => {}
         }
         let enrolled = slots
@@ -843,13 +811,12 @@ fn round<W: Waitable>(
         // One barrier for every lane's count store, outside their mutexes.
         waiter_fence();
         match w.probe() {
-            Probe::Ready(r) => break Round::Ready(r),
-            Probe::Limbo => break Round::Limbo,
-            Probe::Wait => return Round::Registered,
+            Probe::Ready(r) => break r,
+            Probe::Wait => return Poll::Pending,
         }
     };
     cancel_all(w, slots);
-    verdict
+    Poll::Ready(r)
 }
 
 /// The thread-side entry every blocking operation calls. The fast path
@@ -859,7 +826,7 @@ fn round<W: Waitable>(
 pub(crate) fn block<W: Waitable>(mut w: W, timeout: Option<Duration>) -> W::Output {
     match w.probe() {
         Probe::Ready(r) => r,
-        _ => park_on(&mut w, timeout),
+        Probe::Wait => park_on(&mut w, timeout),
     }
 }
 
@@ -872,41 +839,37 @@ fn park_on<W: Waitable>(w: &mut W, timeout: Option<Duration>) -> W::Output {
     let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
     let mut slots = w.slots();
     let slots = slots.as_mut();
-    let mut backoff = Backoff::new();
-    // BOUND: wait-edge — one pass per wake, limbo snooze or spurious
-    // unpark; ends when the probe resolves (data/space, close) or the
-    // round sees the deadline passed
+    // BOUND: wait-edge — one pass per wake or spurious unpark; ends when
+    // the probe resolves (data/space, close) or the round sees the
+    // deadline passed
     loop {
-        match round(w, slots, None, deadline) {
-            Round::Ready(r) => return r,
-            Round::Limbo => backoff.snooze(),
-            Round::Registered => {
-                // BOUND: wait-edge — the one park site: sleeps until a
-                // registered lane's epoch moves or the deadline passes;
-                // the nwaiters/state Dekker pair (see `Eventcount`) rules
-                // out a lost wakeup, spurious unparks re-check and re-park
-                // — cover: tests/blocking_facade.rs + dst models 5, 9-11
-                loop {
-                    let mut moved = false;
-                    for (i, s) in slots.iter_mut().enumerate() {
-                        if w.lane(i).moved_past(s.key) {
-                            // The bump drained the entry inside the same
-                            // critical section: nothing left to cancel.
-                            s.token = None;
-                            moved = true;
-                        }
-                    }
-                    if moved {
-                        break;
-                    }
-                    match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                        None => crate::sim::park(),
-                        // Out of time: the next round's probe is the one
-                        // last look, and that round cancels on its way out.
-                        Some(Duration::ZERO) => break,
-                        Some(left) => crate::sim::park_timeout(left),
-                    }
+        if let Poll::Ready(r) = round(w, slots, None, deadline) {
+            return r;
+        }
+        // BOUND: wait-edge — the one park site: sleeps until a registered
+        // lane's epoch moves or the deadline passes; the nwaiters/state
+        // Dekker pair (see `Eventcount`) rules out a lost wakeup, spurious
+        // unparks re-check and re-park — cover: tests/blocking_facade.rs +
+        // dst models 5, 9-11, 13
+        loop {
+            let mut moved = false;
+            for (i, s) in slots.iter_mut().enumerate() {
+                if w.lane(i).moved_past(s.key) {
+                    // The bump drained the entry inside the same critical
+                    // section: nothing left to cancel.
+                    s.token = None;
+                    moved = true;
                 }
+            }
+            if moved {
+                break;
+            }
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => crate::sim::park(),
+                // Out of time: the next round's probe is the one last
+                // look, and that round cancels on its way out.
+                Some(Duration::ZERO) => break,
+                Some(left) => crate::sim::park_timeout(left),
             }
         }
     }
@@ -919,14 +882,7 @@ pub(crate) fn poll_on<W: Waitable>(
     slots: &mut [Slot],
     cx: &mut Context<'_>,
 ) -> Poll<W::Output> {
-    match round(w, slots, Some(cx.waker()), None) {
-        Round::Ready(r) => Poll::Ready(r),
-        Round::Registered => Poll::Pending,
-        Round::Limbo => {
-            cx.waker().wake_by_ref(); // the task twin of the snooze
-            Poll::Pending
-        }
-    }
+    round(w, slots, Some(cx.waker()), None)
 }
 
 // ===================================================================
@@ -1152,10 +1108,7 @@ mod tests {
             });
             let mut slots = w.slots();
             let r = round(&mut w, &mut slots, None, None);
-            assert!(
-                matches!(r, Round::Ready(Ok(7))),
-                "must not report Registered"
-            );
+            assert!(matches!(r, Poll::Ready(Ok(7))), "must not report Pending");
             assert_eq!(w.probes, 2, "first look + re-probe, nothing else");
             assert!(
                 ec.iter().all(|ec| tokens_drawn(ec) == 1),
@@ -1186,25 +1139,6 @@ mod tests {
         assert_eq!(park_on(&mut w, None), Ok(2));
         assert_eq!(w.probes, 2, "the retry's first look resolves");
         assert_eq!((tokens_drawn(&ec[0]), tokens_drawn(&ec[1])), (1, 1));
-        assert!(no_waiters(&ec));
-
-        // Limbo at the first look never registers; limbo at the re-probe
-        // deregisters before staying awake.
-        let ec = lanes(2);
-        let mut w = Scripted::new(&ec, |n, _| match n {
-            0 | 1 => Probe::Limbo,
-            2 => Probe::Wait,
-            3 => Probe::Limbo,
-            _ => Probe::Ready(Err(RecvError::Closed)),
-        });
-        let mut slots = w.slots();
-        assert!(matches!(
-            round(&mut w, &mut slots, None, None),
-            Round::Limbo
-        ));
-        assert!(ec.iter().all(|ec| tokens_drawn(ec) == 0));
-        assert_eq!(park_on(&mut w, None), Err(RecvError::Closed));
-        assert_eq!(w.probes, 5);
         assert!(no_waiters(&ec));
 
         // A task that polled to Pending holds a registration; dropping

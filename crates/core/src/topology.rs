@@ -39,12 +39,16 @@
 //!
 //! # Parking and the fenced notify
 //!
-//! A core carries no parking state: the channel that owns it notifies its
-//! own [`crate::sync::SyncState`] after every successful operation. Ring
-//! operations publish with plain `Release` stores, so the channel uses the
-//! fenced variant ([`crate::sync::SyncState::notify_not_empty_fenced`])
-//! after a topology operation — the store→load barrier that keeps a
-//! concurrently registering waiter from missing the element.
+//! A core carries no parking state, and nothing here waits: an operation
+//! that finds its lane full or empty — or, on the spine, no free thread
+//! slot — misses, and the channel that owns the core parks the caller on
+//! its own [`crate::sync::SyncState`]. The channel notifies after every
+//! successful operation and after every endpoint drop (which frees seats
+//! and spine slots). Ring operations and seat releases are plain
+//! `Release` stores, so the channel uses the fenced variants
+//! ([`crate::sync::SyncState::notify_not_empty_fenced`]) — the store→load
+//! barrier that keeps a concurrently registering waiter from missing the
+//! change.
 //!
 //! # Out-of-declaration receivers
 //!
@@ -55,9 +59,10 @@
 //! whoever inherits its seat after a drop) always drains the rings, and
 //! [`TopoEndpoint::residue_hint`] keeps the blocking/async/`try` dequeue
 //! paths honest about it: a closed channel with residue stranded behind
-//! a held seat reports *empty*, never `Closed`, and the channel notifies
-//! `not_empty` when a receiver's drop releases the seat, so parked excess
-//! receivers contest it the moment it frees (DESIGN.md §11). Still,
+//! a held seat reports *empty*, never `Closed`. Parked excess receivers
+//! are woken when a receiver's drop releases the seat, so they contest it
+//! the moment it frees, or when the holder reports `Closed` itself, the
+//! residue drained (DESIGN.md §11). Still,
 //! declare the real consumer count (use [`crate::channel::bounded`] for
 //! MPMC) rather than leaning on this degraded mode — excess receivers
 //! wait out the holder's whole tenure.
@@ -67,7 +72,6 @@
 
 use crate::pack::MAX_ORDER;
 use crate::spsc::Ring;
-use crate::sync::wait_for_slot;
 use crate::{WcqConfig, WcqHandle, WcqQueue};
 use crate::sim::{AtomicBool, AtomicU8, OnceLock};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
@@ -293,21 +297,21 @@ impl<T: Send> TopoEndpoint<T> {
         self.has_cons_seat
     }
 
-    /// Registers on the spine, waiting while all of its `max_threads` slots
-    /// are taken — the same contract (and the same [`wait_for_slot`]
-    /// policy) as the channel's lazy slot acquisition on the other backends.
-    fn spine_handle(&mut self) -> &mut WcqHandle<T, Arc<WcqQueue<T>>> {
-        let spine = &self.core.spine;
-        self.spine.get_or_insert_with(|| {
-            let spine = spine.get().expect("mode SPINE implies spine");
-            wait_for_slot(|| spine.register_owned())
-        })
+    /// This endpoint's spine handle, registered on first use; `None` while
+    /// all of the spine's `max_threads` slots are taken — the same contract
+    /// as the channel's lazy slot acquisition on the other backends.
+    fn spine_handle(&mut self) -> Option<&mut WcqHandle<T, Arc<WcqQueue<T>>>> {
+        if self.spine.is_none() {
+            let spine = self.core.spine.get().expect("mode SPINE implies spine");
+            self.spine = spine.register_owned();
+        }
+        self.spine.as_mut()
     }
 
     /// Non-blocking enqueue; `Err(v)` when this producer's lane — its
-    /// private ring, or the spine — is full. A seated producer's ring
-    /// filling up reports full even if the spine exists: its elements may
-    /// not change lanes.
+    /// private ring, or the spine — is full, or the spine has no free
+    /// thread slot. A seated producer's ring filling up reports full even
+    /// if the spine exists: its elements may not change lanes.
     pub fn try_enqueue(&mut self, v: T) -> Result<(), T> {
         match self.prod_seat() {
             Some(seat) => {
@@ -315,13 +319,17 @@ impl<T: Send> TopoEndpoint<T> {
                 // producer of `rings[seat]` until it drops.
                 unsafe { self.core.rings[seat].push(v) }
             }
-            None => self.spine_handle().enqueue(v),
+            None => match self.spine_handle() {
+                Some(h) => h.enqueue(v),
+                None => Err(v),
+            },
         }
     }
 
     /// Non-blocking dequeue; `None` when every lane this endpoint can see
-    /// is observed empty (the rings require the consumer seat — see the
-    /// module docs on out-of-declaration receivers).
+    /// is observed empty (the rings require the consumer seat, the spine a
+    /// thread slot — see the module docs on out-of-declaration
+    /// receivers).
     pub fn try_dequeue(&mut self) -> Option<T> {
         if self.claim_consumer() {
             let n = self.core.rings.len();
@@ -342,21 +350,23 @@ impl<T: Send> TopoEndpoint<T> {
         // ORDERING: seat-table read: observes the seat holder's
         // publication; pairs with the SeqCst seat claim/store
         if self.core.mode.load(Acquire) == SPINE {
-            return self.spine_handle().dequeue();
+            return self.spine_handle()?.dequeue();
         }
         None
     }
 
-    /// `true` while the rings hold elements this endpoint cannot sweep
-    /// because the consumer seat is held elsewhere (DESIGN.md §11). The
-    /// blocking/async dequeue paths use this to refuse `Closed` while a
-    /// value is stranded: the holder is still draining, or its drop is
-    /// about to hand this endpoint the seat. Deliberately *not* gated on
-    /// the seat still being taken — if the holder dropped between our
-    /// failed sweep and this probe, the residue is claimable and the
-    /// caller must retry, not report `Closed`.
+    /// `true` while the channel may hold elements this endpoint cannot
+    /// reach: ring residue behind a consumer seat held elsewhere, or a
+    /// spine it holds no thread slot on (DESIGN.md §11). The dequeue paths
+    /// use this to refuse `Closed` while a value may be stranded: the
+    /// holder is still draining, or its drop is about to hand this
+    /// endpoint the seat or slot. Deliberately *not* gated on the seat
+    /// still being taken — if the holder dropped between our failed sweep
+    /// and this probe, the residue is claimable and the caller must retry,
+    /// not report `Closed`.
     pub fn residue_hint(&self) -> bool {
-        !self.has_cons_seat && self.core.rings.iter().any(|r| !r.is_empty_hint())
+        (!self.has_cons_seat && self.core.rings.iter().any(|r| !r.is_empty_hint()))
+            || (self.spine.is_none() && self.core.upgraded())
     }
 
     /// Batch enqueue: drains as many items as fit from the front of
@@ -384,7 +394,7 @@ impl<T: Send> TopoEndpoint<T> {
                     None => 0,
                 }
             }
-            None => self.spine_handle().enqueue_batch(items),
+            None => self.spine_handle().map_or(0, |h| h.enqueue_batch(items)),
         }
     }
 
@@ -418,7 +428,9 @@ impl<T: Send> TopoEndpoint<T> {
         // ORDERING: seat-table read: observes the seat holder's
         // publication; pairs with the SeqCst seat claim/store
         if got < max && self.core.mode.load(Acquire) == SPINE {
-            got += self.spine_handle().dequeue_batch(out, max - got);
+            if let Some(h) = self.spine_handle() {
+                got += h.dequeue_batch(out, max - got);
+            }
         }
         got
     }
@@ -437,8 +449,8 @@ impl<T: Send> Drop for TopoEndpoint<T> {
             self.core.prod_seats[seat].store(false, SeqCst);
         }
         if self.has_cons_seat {
-            // The channel's receiver notifies `not_empty` after this drop:
-            // the release may surface ring residue to parked receivers.
+            // The channel notifies both lanes after this drop: the release
+            // may surface ring residue to parked receivers.
             self.core.cons_seat.store(false, SeqCst);
         }
         // `self.spine` (if any) drops after: quiesced slot release.

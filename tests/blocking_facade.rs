@@ -402,3 +402,28 @@ fn dropped_future_leaves_no_stale_waiter() {
     assert_eq!(fut.as_mut().poll(&mut cx), std::task::Poll::Ready(Ok(6)));
     assert_eq!(stale.0.load(SeqCst), 0);
 }
+
+/// A future that cannot resolve yet parks its task rather than waking
+/// itself to poll again — also when the values exist but sit out of reach:
+/// ring residue behind a consumer seat another receiver holds, on a
+/// closed channel (DESIGN.md §11). The holder's drop is the wake.
+#[test]
+fn stranded_residue_pends_without_self_wakes() {
+    let (mut tx, mut rx) = channel::spsc::<u64>(2, 4);
+    let mut rx2 = rx.clone(); // beyond the declared 1 consumer
+    tx.try_send(1).unwrap();
+    tx.try_send(2).unwrap();
+    assert_eq!(rx.recv(), Ok(1)); // `rx` holds the seat; 2 stays behind it
+    drop(tx); // closed, with the residue stranded
+    let wakes = Arc::new(Wakes::default());
+    let waker = Waker::from(Arc::clone(&wakes));
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = std::pin::pin!(rx2.recv_async());
+    for _ in 0..3 {
+        assert!(fut.as_mut().poll(&mut cx).is_pending());
+    }
+    assert_eq!(wakes.0.load(SeqCst), 0, "a pending poll woke its own task");
+    drop(rx); // seat released with the residue still in the ring
+    assert_eq!(wakes.0.load(SeqCst), 1, "the holder's drop wakes the task");
+    assert_eq!(fut.as_mut().poll(&mut cx), std::task::Poll::Ready(Ok(2)));
+}

@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wcq::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use wcq::sync::{block_on, RecvError, SendError};
 use wcq::{WcqConfig, WcqQueue};
@@ -154,9 +154,10 @@ fn idle_clones_take_no_slots() {
 
 #[test]
 fn slot_waiting_resolves_when_endpoint_drops() {
-    // Three operating endpoints compete for two slots: the third blocks in
-    // lazy registration until one of the first two drops. This is the
-    // documented contract of `max_threads` on the channel constructors.
+    // Three operating endpoints compete for two slots: the third parks in
+    // its first blocking operation until one of the first two drops. This
+    // is the documented contract of `max_threads` on the channel
+    // constructors.
     let (tx, mut rx) = channel::bounded::<u32>(4, 2);
     let mut tx1 = tx.clone();
     tx1.send(1).unwrap(); // slot A
@@ -173,6 +174,31 @@ fn slot_waiting_resolves_when_endpoint_drops() {
     assert_eq!(rx.recv(), Ok(1)); // slot B
     assert_eq!(rx.recv(), Ok(2));
     assert_eq!(rx.recv(), Err(RecvError::Closed));
+
+    // Every slot held: a third endpoint's non-blocking forms miss at once
+    // and its deadline forms wait out the deadline, on both sides. A value
+    // is queued throughout, so each miss is the slot's, not the queue's.
+    const D: Duration = Duration::from_millis(10);
+    let (mut tx, mut rx) = channel::bounded::<u32>(4, 2);
+    tx.send(1).unwrap(); // slot A
+    assert_eq!(rx.try_recv(), Ok(1)); // slot B
+    tx.send(2).unwrap();
+    let (mut tx2, mut rx2) = (tx.clone(), rx.clone());
+    assert_eq!(tx2.try_send(3), Err(TrySendError::Full(3)));
+    assert_eq!(rx2.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(tx2.send_batch(&mut vec![3]), 0);
+    assert_eq!(rx2.recv_batch(&mut Vec::new(), 4), 0);
+    let start = Instant::now();
+    assert_eq!(tx2.send_timeout(3, D), Err(SendError::Timeout(3)));
+    assert!(start.elapsed() >= D, "send_timeout returned early");
+    let start = Instant::now();
+    assert_eq!(rx2.recv_timeout(D), Err(RecvError::Timeout));
+    assert!(start.elapsed() >= D, "recv_timeout returned early");
+    drop(rx); // frees slot B
+    assert_eq!(rx2.try_recv(), Ok(2));
+    drop(tx); // frees slot A
+    assert_eq!(tx2.try_send(3), Ok(()));
+    assert_eq!(rx2.recv(), Ok(3));
 }
 
 #[test]

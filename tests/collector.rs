@@ -323,21 +323,23 @@ fn flush_latency_report_is_populated() {
 
 #[test]
 fn seated_and_overflow_senders_conserve_and_never_buffer() {
-    // Three seats, six senders on six threads: threads 0–2 submit first
-    // and take the seats, threads 3–5 count through the shared overflow
-    // row. (`producers: 3`, not 2: a lane admits `producers + 1` overflow
-    // senders at a time and parks the next one until a slot frees, so six
-    // live senders need three declared.) Mid-run threads 1, 2 and 3 drop
-    // their sender and carry on with a fresh clone; thread 3's clone
+    // Two seats, six senders on six threads: threads 0–1 submit first
+    // and take the seats, threads 2–5 count through the shared overflow
+    // row. A lane's spine has thread slots for `producers + 1` overflow
+    // senders beside its worker, so one of the four finds none: it sheds
+    // rather than waits (or, should the worker be the one left out, the
+    // undrained spine fills and sheds). Mid-run threads 0, 1 and 2 drop
+    // their sender and carry on with a fresh clone; thread 2's clone
     // submits once both seats are free and before the other two do, so a
     // seat released by one thread is re-claimed by another, and one of
     // the two former seat holders continues on the overflow row.
     const THREADS: usize = 6;
-    const RECLONING: std::ops::Range<usize> = 1..4;
+    const SEATED: usize = 2;
+    const RECLONING: std::ops::Range<usize> = 0..3;
     const PER_PHASE: u64 = 3_000;
     let cfg = CollectorConfig {
         shards: 2,
-        producers: 3,
+        producers: SEATED,
         workers: 1,
         shed: ShedPolicy::Shed,
         ..CollectorConfig::default()
@@ -362,7 +364,7 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
                         }
                     }
                 };
-                if t < 3 {
+                if t < SEATED {
                     submit(&mut tx, 1); // first come, first seated
                 }
                 all.wait();
@@ -373,10 +375,10 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
                     drop(tx); // gives the seat back, if it held one
                     tx = fresh;
                     recloning.wait(); // both seats are free
-                    if t == 3 {
+                    if t == SEATED {
                         submit(&mut tx, 1);
                     }
-                    recloning.wait(); // thread 3 sits where 1 or 2 sat
+                    recloning.wait(); // thread 2 sits where 0 or 1 sat
                 }
                 submit(&mut tx, PER_PHASE);
                 (tx, taken, refused)
@@ -396,6 +398,7 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
     let live = col.snapshot();
     assert_eq!(live.accepted, taken, "seats must not buffer counts");
     assert_eq!(live.shed, refused);
+    assert!(refused > 0, "a sender without a thread slot sheds");
     drop(senders);
     let (report, exporter) = col.shutdown();
     let m = &report.metrics;

@@ -16,7 +16,8 @@
 //! handoff orderings, 8 collector drain, 9 eventcount `listen` orderings,
 //! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
 //! driver (`Waker` registration through the futures), 12 `recv_any` data
-//! vs fenced notify (one waiter fence per round over two lanes).
+//! vs fenced notify (one waiter fence per round over two lanes), 13 thread
+//! slot release vs a send parked for one.
 //!
 //! Model-size discipline: 2–3 threads, 2–6 operations, ring order ≤ 2,
 //! `WcqConfig::stress()` where the helping slow path is under test —
@@ -257,6 +258,12 @@ fn dst_eventcount_park_vs_fenced_notify() {
 /// `Closed`, losing the residue whenever the excess receiver ran between
 /// the close and the holder's drop (regression `degraded_residue` pins
 /// the explorer's minimized schedule for exactly that interleaving).
+///
+/// The waits park: either receiver may find the residue behind the
+/// other's seat and sleep on `not_empty`. If `rx2` wins the seat it
+/// drains both values and stays alive until `holder.join()`, so the
+/// holder thread's `rx`, parked on residue that is gone, is woken only by
+/// the notify `rx2` owes on reaching `Closed`.
 fn degraded_residue_model() {
     let (mut tx, mut rx) = channel::spsc::<u64>(2, 3);
     let mut rx2 = rx.clone(); // beyond the declared 1 consumer
@@ -705,4 +712,34 @@ fn recv_any_data_model() {
 #[test]
 fn dst_recv_any_data_vs_fenced_notify() {
     Explorer::new("recv-any-data").check(recv_any_data_model);
+}
+
+// ===================================================================
+// Model 13: thread-slot release vs a send parked for one
+// ===================================================================
+
+/// A channel with one thread slot: `tx` holds it, and a clone's `send` on
+/// another thread finds none. Its probe tries `register` itself, so "no
+/// slot" is an ordinary `Wait` on `not_full` — the clone parks like a
+/// sender facing a full queue. The wake is `tx`'s drop: the slot release
+/// (a plain `Release` store in `SlotTable::release`), then the fenced
+/// notify of both lanes. Under `WCQ_DST_WEAK=1` this checks that the
+/// asymmetric fence covers the release store; without the notify, the
+/// parked clone sleeps forever, which the explorer reports as a deadlock.
+fn slot_wait_model() {
+    use wcq::sync::RecvError;
+    let (mut tx, mut rx) = channel::over(WcqQueue::<u64>::new(1, 1));
+    tx.send(1).unwrap(); // takes the only thread slot
+    let mut tx2 = tx.clone(); // a clone takes none until it operates
+    let waiter = thread::spawn(move || tx2.send(2).unwrap());
+    drop(tx); // releases the slot, then notifies
+    waiter.join().unwrap(); // `tx2` drops with the thread: the slot frees
+    assert_eq!(rx.recv(), Ok(1));
+    assert_eq!(rx.recv(), Ok(2));
+    assert_eq!(rx.recv(), Err(RecvError::Closed));
+}
+
+#[test]
+fn dst_slot_release_wakes_parked_send() {
+    Explorer::new("slot-wait").check(slot_wait_model);
 }

@@ -231,10 +231,9 @@ fn excess_receiver_waits_out_stranded_residue() {
 }
 
 /// The open-channel twin, where the seat release is the only wake source:
-/// with the sender alive, the excess receiver's probe says "wait" (not
-/// "limbo"), so it parks; no further send ever comes, and only the
-/// `not_empty` notify of the holder's drop can hand it the residue before
-/// its own deadline.
+/// with the sender alive, the excess receiver's probe says "wait", so it
+/// parks; no further send ever comes, and only the `not_empty` notify of
+/// the holder's drop can hand it the residue before its own deadline.
 #[test]
 fn parked_excess_receiver_wakes_on_seat_release() {
     const DEADLINE: Duration = Duration::from_secs(1);
@@ -259,8 +258,34 @@ fn parked_excess_receiver_wakes_on_seat_release() {
     drop(tx);
 }
 
-/// The blocking twin: a parked/spinning excess receiver outlives the seat
-/// holder's whole tenure and still delivers the stranded value.
+/// The spine twin of the stranded residue: a closed channel whose spine
+/// still holds a value, seen by a receiver that finds no free spine
+/// thread slot, is "empty for now", never `Closed` — the receiver holding
+/// the slot may drop without draining. The slot's release hands it over.
+#[test]
+fn slotless_receiver_never_reports_a_closed_spine_drained() {
+    let (mut tx, mut rx) = channel::spsc::<u64>(2, 1); // one spine slot
+    let mut tx2 = tx.clone();
+    tx.try_send(1).unwrap(); // seated: the ring
+    tx2.try_send(10).unwrap(); // excess: grafts the spine, takes its slot
+    tx2.try_send(11).unwrap();
+    drop(tx2); // the spine slot frees
+    assert_eq!(rx.try_recv(), Ok(1)); // `rx` takes the seat, not the slot
+    let mut rx2 = rx.clone();
+    assert_eq!(rx2.try_recv(), Ok(10)); // `rx2` takes the spine slot
+    drop(tx); // closed, with 11 on the spine
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(
+        rx.recv_timeout(Duration::from_millis(5)),
+        Err(RecvError::Timeout)
+    );
+    drop(rx2); // the slot frees with 11 undrained
+    assert_eq!(rx.recv(), Ok(11));
+    assert_eq!(rx.recv(), Err(RecvError::Closed));
+}
+
+/// The blocking twin: a parked excess receiver outlives the seat holder's
+/// whole tenure and still delivers the stranded value.
 #[test]
 fn blocking_excess_receiver_inherits_residue() {
     let (mut tx, rx) = channel::spsc::<u64>(2, 4);
