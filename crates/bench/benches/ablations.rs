@@ -200,32 +200,13 @@ fn ablate_slot_orderings(c: &mut Criterion) {
     g.finish();
 }
 
-/// Adaptive backoff (the `wait-edge` pacing of its one site, the
-/// unbounded queue's `!drained()` residue spin; the channel's slot and
-/// seat waits park on an eventcount instead): the full `Backoff` ladder
-/// against the constant-yield loop it replaced, plus the adopted path at
-/// queue level — the unbounded queue's pairwise workload, where
-/// `dequeue_walk` constructs a `Backoff` per call and the residue window
-/// can strike.
+/// Pacing of the one hand-paced wait, the unbounded queue's `!drained()`
+/// residue spin (bounded `spin_loop`, then `yield_now`; the channel's slot
+/// and seat waits park on an eventcount instead), at queue level: the
+/// unbounded queue's pairwise workload, where the residue window can
+/// strike.
 fn ablate_backoff(c: &mut Criterion) {
     let mut g = c.benchmark_group("backoff");
-    // One full ladder: 7 escalating spin phases then 4 yields (step 0..=10).
-    g.bench_function("ladder", |b| {
-        b.iter(|| {
-            let mut bo = wcq::sync::Backoff::new();
-            while !bo.is_completed() {
-                bo.snooze();
-            }
-        })
-    });
-    // What the replaced code paid for the same number of waits.
-    g.bench_function("yield_ladder", |b| {
-        b.iter(|| {
-            for _ in 0..11 {
-                std::thread::yield_now();
-            }
-        })
-    });
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));

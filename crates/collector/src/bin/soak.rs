@@ -15,8 +15,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use collector::{run_soak, FaultProfile, ShedPolicy, SoakCfg};
-use harness::blocking::process_cpu_time;
-use harness::stats::fmt_ns;
+use harness::stats::{fmt_ns, process_cpu_time};
 
 const USAGE: &str = "\
 collector-soak: soak/fault harness for the span-collector pipeline

@@ -1,7 +1,7 @@
 //! The export edge of the pipeline: the [`Exporter`] sink trait, the
 //! [`FaultInjector`] seam the tests and the soak binary share, and the
 //! bounded-retry [`RetryPolicy`] that decides how hard the exporter stage
-//! fights a failing sink before invoking the overflow policy.
+//! fights a failing sink before it counts a batch as dropped.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
@@ -81,7 +81,7 @@ pub enum FaultAction {
 /// Injectors observe a global attempt counter (retries included), so
 /// `FailEvery(n)` with `n >= 2` always lets a retried batch through —
 /// deterministic zero-drop profiles for the loss tests — while `n == 1`
-/// fails every attempt and exercises the overflow drop path.
+/// fails every attempt and exercises the drop path.
 pub trait FaultInjector: Send + Sync {
     /// Called immediately before each export attempt.
     fn before_attempt(&self) -> FaultAction;
@@ -172,8 +172,8 @@ impl FaultInjector for StallFor {
     }
 }
 
-/// How the exporter stage responds to a failed attempt before giving the
-/// batch to the overflow policy.
+/// How the exporter stage responds to a failed attempt before it counts
+/// the batch as dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per batch, the first one included. `1` means no
@@ -192,16 +192,6 @@ impl Default for RetryPolicy {
             backoff: Duration::from_micros(50),
         }
     }
-}
-
-/// What happens to a batch once retries are exhausted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Count the batch's spans as dropped (per-shard `dropped` counters
-    /// plus the dropped checksum) and move on. Conservation still holds:
-    /// dropped spans are accounted, not lost.
-    #[default]
-    Drop,
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub mod span;
 
 pub use export::{
     ExportError, Exporter, FailEvery, FaultAction, FaultInjector, NoFaults, NullExporter,
-    OverflowPolicy, RetryPolicy, StallFor, VecExporter,
+    RetryPolicy, StallFor, VecExporter,
 };
 pub use metrics::{Metrics, MetricsSnapshot, ShardSnapshot};
 pub use pipeline::{Collector, CollectorConfig, CollectorReport, ShedPolicy, SpanSender};

@@ -46,7 +46,7 @@ struct IngestBlock {
 struct EgressBlock {
     /// Spans the exporter stage confirmed exported.
     exported: AtomicU64,
-    /// Spans dropped by the exporter overflow policy (retries exhausted).
+    /// Spans the exporter dropped (retries exhausted).
     dropped: AtomicU64,
 }
 
@@ -80,7 +80,7 @@ pub(crate) enum FlushCause {
 struct ExportBlock {
     /// XOR checksum of exported spans.
     exported_ck: AtomicU64,
-    /// XOR checksum of overflow-dropped spans.
+    /// XOR checksum of dropped spans.
     dropped_ck: AtomicU64,
     /// Export attempts that returned an error (injected or real).
     export_failures: AtomicU64,
@@ -220,7 +220,7 @@ impl Metrics {
         self.egress_batch(spans, counts, |b| &b.exported, &self.export.exported_ck);
     }
 
-    /// Counts a batch dropped by the overflow policy.
+    /// Counts a batch the exporter dropped (retries exhausted).
     pub(crate) fn on_drop_batch(&self, spans: &[Span], counts: &mut [u64]) {
         self.egress_batch(spans, counts, |b| &b.dropped, &self.export.dropped_ck);
     }
@@ -290,7 +290,7 @@ pub struct ShardSnapshot {
     pub shed: u64,
     /// Accepted spans of this shard confirmed exported.
     pub exported: u64,
-    /// Accepted spans of this shard dropped by the overflow policy.
+    /// Accepted spans of this shard the exporter dropped.
     pub dropped: u64,
 }
 

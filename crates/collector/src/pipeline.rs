@@ -34,9 +34,7 @@ use harness::stats::{LatencyStats, Reservoir};
 use wcq::channel::{self, Receiver, Sender, TrySendError};
 use wcq::sync::SendError;
 
-use crate::export::{
-    ExportError, Exporter, FaultAction, FaultInjector, OverflowPolicy, RetryPolicy,
-};
+use crate::export::{ExportError, Exporter, FaultAction, FaultInjector, RetryPolicy};
 use crate::metrics::{FlushCause, Metrics, MetricsSnapshot};
 use crate::sim;
 use crate::span::Span;
@@ -95,10 +93,10 @@ pub struct CollectorConfig {
     pub flush_after: Duration,
     /// Ingest overload response.
     pub shed: ShedPolicy,
-    /// Export retry budget and backoff.
+    /// Export retry budget and backoff. A batch whose retries are
+    /// exhausted is counted as dropped (per-shard `dropped` counters plus
+    /// the dropped checksum): accounted, not lost.
     pub retry: RetryPolicy,
-    /// What happens to a batch whose retries are exhausted.
-    pub overflow: OverflowPolicy,
     /// Export queue capacity is `2^export_order` batches; when the
     /// exporter stalls and the queue fills, workers park on it (batch
     /// backpressure), which in turn fills lanes and engages [`ShedPolicy`]
@@ -120,7 +118,6 @@ impl Default for CollectorConfig {
             flush_after: Duration::from_millis(5),
             shed: ShedPolicy::Shed,
             retry: RetryPolicy::default(),
-            overflow: OverflowPolicy::Drop,
             export_order: 6,
             latency_reservoir: 4096,
         }
@@ -232,13 +229,17 @@ impl<E: Exporter + 'static> Collector<E> {
     ///
     /// # Panics
     ///
-    /// If `cfg.shards == 0` or `cfg.batch_max == 0`.
+    /// If `cfg.shards == 0`, `cfg.producers == 0` or `cfg.batch_max == 0`.
     pub fn spawn(
         cfg: CollectorConfig,
         exporter: E,
         faults: Arc<dyn FaultInjector>,
     ) -> (Collector<E>, SpanSender) {
         assert!(cfg.shards > 0, "collector needs at least one shard");
+        assert!(
+            cfg.producers > 0,
+            "collector needs at least one producer seat"
+        );
         assert!(cfg.batch_max > 0, "batch_max of zero can never flush");
         let workers = cfg.workers.clamp(1, cfg.shards);
         let metrics = Arc::new(Metrics::new(cfg.shards, cfg.producers));
@@ -283,7 +284,6 @@ impl<E: Exporter + 'static> Collector<E> {
             exporter,
             faults,
             retry: cfg.retry,
-            overflow: cfg.overflow,
             metrics: Arc::clone(&metrics),
             counts: vec![0; cfg.shards],
             latency: Reservoir::new(cfg.latency_reservoir.max(1)),
@@ -468,7 +468,7 @@ impl Worker {
 }
 
 // ===================================================================
-// Exporter stage: bounded retry, fault injection, overflow accounting
+// Exporter stage: bounded retry, fault injection, drop accounting
 // ===================================================================
 
 struct ExportStage<E: Exporter> {
@@ -476,7 +476,6 @@ struct ExportStage<E: Exporter> {
     exporter: E,
     faults: Arc<dyn FaultInjector>,
     retry: RetryPolicy,
-    overflow: OverflowPolicy,
     metrics: Arc<Metrics>,
     /// Per-shard scratch for the batch accounting, zero between batches.
     counts: Vec<u64>,
@@ -522,10 +521,7 @@ impl<E: Exporter> ExportStage<E> {
                 }
             }
         }
-        // Retries exhausted: the overflow policy decides, and every span
-        // stays accounted either way.
-        match self.overflow {
-            OverflowPolicy::Drop => self.metrics.on_drop_batch(&batch.spans, &mut self.counts),
-        }
+        // Retries exhausted: the batch is dropped, every span accounted.
+        self.metrics.on_drop_batch(&batch.spans, &mut self.counts);
     }
 }

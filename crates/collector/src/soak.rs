@@ -117,7 +117,7 @@ impl SoakReport {
         }
     }
 
-    /// Fraction of *accepted* spans dropped by the overflow policy.
+    /// Fraction of *accepted* spans the exporter dropped.
     pub fn drop_rate(&self) -> f64 {
         if self.metrics.accepted == 0 {
             0.0

@@ -44,10 +44,10 @@
 //! different contract — they are the same channel running on private SPSC
 //! rings while the usage matches the declaration. The first operating
 //! sender beyond the declaration grafts a wait-free [`crate::WcqQueue`]
-//! spine on as an overflow lane: excess endpoints run on it, seated ones
+//! spine on as an overflow lane: excess senders run on it, seated ones
 //! keep their rings, and no element is ever lost or moved between lanes.
-//! See [`crate::topology`] for the protocol (including the visibility
-//! caveat for receivers beyond the declaration), and
+//! A receiver beyond the declaration waits for the consumer seat. See
+//! [`crate::topology`] for the protocol, and
 //! [`Sender::backend`]/[`Receiver::backend`] to observe which engine is
 //! serving.
 //!
@@ -192,11 +192,11 @@ pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Re
 /// wait-free [`WcqQueue`] spine of at least the same capacity onto the
 /// channel as an overflow lane (see [`crate::topology`]). The seated
 /// sender keeps its ring and its throughput; excess senders run on the
-/// spine; per-sender FIFO holds throughout and no element is lost. A
-/// second operating receiver needs no upgrade — it sees the spine lane
-/// (once it exists) and inherits the ring when the seated receiver
-/// drops, but cannot observe ring residue before that; see the module
-/// docs on out-of-declaration receivers.
+/// spine; per-sender FIFO holds throughout and no element is lost. The
+/// single consumer is a contract: a second operating receiver reads
+/// nothing — its operations miss as on an endpoint with no free thread
+/// slot (see [`bounded`]) — until the seated receiver drops and hands it
+/// the consumer seat, rings and spine alike.
 ///
 /// `max_threads` is the post-upgrade analogue of [`bounded`]'s parameter:
 /// the spine, if ever built, gets that many thread slots, with the same
@@ -214,7 +214,8 @@ pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>)
 ///
 /// A `max_senders + 1`-th concurrently operating sender grafts the
 /// wait-free [`WcqQueue`] overflow spine as on [`spsc`] (seated senders
-/// keep their rings); `max_threads` sizes the spine's thread slots.
+/// keep their rings); `max_threads` sizes the spine's thread slots. A
+/// second operating receiver waits for the consumer seat, as on [`spsc`].
 pub fn mpsc<T: Send>(
     order: u32,
     max_senders: usize,
@@ -252,14 +253,14 @@ pub fn mpsc<T: Send>(
 /// * [`RecvError::Closed`] means every lane is closed **and** drained —
 ///   the collective analogue of a single receiver's `Closed`.
 ///
-/// A lane holding stranded ring residue (closed, but the values sit
-/// behind a consumer seat held elsewhere — DESIGN.md §11), or a receiver
-/// that finds no free thread slot (see [`bounded`]), is "empty for now":
-/// `recv_any` parks on it as on an empty lane, woken when the holder
-/// drops or drains the residue, and never reports `Closed` over values
-/// that still exist. Call sites that sweep many lanes should hold the
-/// receivers for the thread's lifetime, as the collector does: each
-/// receiver takes its thread slot lazily, on its first operation.
+/// A receiver that finds no free thread slot (see [`bounded`]), or on a
+/// topology channel ([`spsc`], [`mpsc`]) does not hold the consumer seat,
+/// is "empty for now": `recv_any` parks on it as on an empty lane, woken
+/// when the holder of the slot or seat drops, and never reports `Closed`
+/// over values that still exist. Call sites that sweep many lanes should
+/// hold the receivers for the thread's lifetime, as the collector does:
+/// each receiver takes its thread slot (or seat) lazily, on its first
+/// operation.
 ///
 /// # Example
 ///
@@ -306,23 +307,17 @@ impl<T: Send> Waitable for AnyOf<'_, T> {
     fn probe(&mut self) -> Probe<Self::Output> {
         let mut waiting = false;
         for (i, rx) in self.0.iter_mut().enumerate() {
-            match rx.dequeue().look() {
+            match rx.dequeue().probe() {
                 Probe::Ready(Ok(v)) => return Probe::Ready(Ok((i, v))),
                 Probe::Ready(Err(_)) => {}
                 Probe::Wait => waiting = true,
             }
         }
         if waiting {
-            return Probe::Wait;
+            Probe::Wait
+        } else {
+            Probe::Ready(Err(RecvError::Closed)) // every lane closed and drained
         }
-        // `Closed` stands only if no lane objects: every one of them
-        // closed and drained. Only now does each lane announce it — a
-        // lane that did so while the wait went on would wake this very
-        // registration, round after round.
-        for rx in self.0.iter() {
-            rx.shared.sync.notify_not_empty_fenced();
-        }
-        Probe::Ready(Err(RecvError::Closed))
     }
 
     fn timeout(&mut self) -> Self::Output {
@@ -583,10 +578,9 @@ impl<T: Send> Endpoint<T> {
         n
     }
 
-    /// `true` while the channel may hold values this endpoint cannot
-    /// reach *right now* but will once another endpoint acts (DESIGN.md
-    /// §11). Only the topology backend has per-endpoint reachability; the
-    /// others see everything.
+    /// `true` while this endpoint lacks a topology channel's consumer
+    /// seat, so values may sit out of its reach until the holder drops
+    /// (DESIGN.md §11). The other backends have no seat.
     fn residue_hint(&self) -> bool {
         matches!(self, Endpoint::Topo(h) if h.residue_hint())
     }
@@ -642,11 +636,20 @@ struct Dequeue<'a, T: Send> {
     shared: &'a Shared<T>,
 }
 
-impl<T: Send> Dequeue<'_, T> {
-    /// The dequeue verdict, without the announcement a `Closed` owes (see
-    /// [`Waitable::probe`] below); [`recv_any`] reads it lane by lane.
+impl<T: Send> Waitable for Dequeue<'_, T> {
+    type Output = Result<T, RecvError>;
+    type Slots = [Slot; 1];
+
+    fn slots(&self) -> [Slot; 1] {
+        Default::default()
+    }
+
+    fn lane(&self, _: usize) -> &Eventcount {
+        self.shared.sync.not_empty()
+    }
+
     #[inline]
-    fn look(&mut self) -> Probe<Result<T, RecvError>> {
+    fn probe(&mut self) -> Probe<Self::Output> {
         let sync = &self.shared.sync;
         // No thread slot: even a closed channel may still hold values.
         let Some(ep) = self.shared.endpoint(self.ep) else {
@@ -662,38 +665,12 @@ impl<T: Send> Dequeue<'_, T> {
         // the close check.
         match ep.try_dequeue(sync) {
             Some(v) => Probe::Ready(Ok(v)),
-            // Closed and observed empty, but values this endpoint cannot
-            // reach yet still exist, and close promised to drain them. The
-            // holder of the seat or slot they sit behind notifies
-            // `not_empty` when it drops or drains them to `Closed`.
+            // No consumer seat: as with no thread slot, values may sit out
+            // of reach. The holder's drop hands the seat over and notifies
+            // `not_empty`.
             None if ep.residue_hint() => Probe::Wait,
             None => Probe::Ready(Err(RecvError::Closed)),
         }
-    }
-}
-
-impl<T: Send> Waitable for Dequeue<'_, T> {
-    type Output = Result<T, RecvError>;
-    type Slots = [Slot; 1];
-
-    fn slots(&self) -> [Slot; 1] {
-        Default::default()
-    }
-
-    fn lane(&self, _: usize) -> &Eventcount {
-        self.shared.sync.not_empty()
-    }
-
-    #[inline]
-    fn probe(&mut self) -> Probe<Self::Output> {
-        let verdict = self.look();
-        if let Probe::Ready(Err(_)) = verdict {
-            // This receiver may just have drained residue that excess
-            // receivers wait on: let them see `Closed` too. Fenced: the
-            // ring pops are plain stores.
-            self.shared.sync.notify_not_empty_fenced();
-        }
-        verdict
     }
 
     fn timeout(&mut self) -> Self::Output {
@@ -862,8 +839,8 @@ impl<T: Send> Receiver<T> {
     /// Non-blocking receive. Drains the backlog even after close:
     /// [`TryRecvError::Closed`] is reported only once the channel is both
     /// closed and empty. [`TryRecvError::Empty`] also covers an endpoint
-    /// that finds no free thread slot (see [`bounded`]) and values this
-    /// one cannot reach yet (DESIGN.md §11). Never waits.
+    /// that finds no free thread slot (see [`bounded`]) or, on [`spsc`]
+    /// and [`mpsc`] channels, no free consumer seat. Never waits.
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
         match self.dequeue().probe() {
             Probe::Ready(Ok(v)) => Ok(v),
@@ -907,8 +884,8 @@ impl<T: Send> Receiver<T> {
 
     /// Batch receive: appends up to `max` elements to `out` in queue order
     /// and returns how many were appended (0 means observed empty, or no
-    /// free thread slot — check [`Self::is_closed`] to distinguish "for
-    /// now" from "forever").
+    /// free thread slot or consumer seat — check [`Self::is_closed`] to
+    /// distinguish "for now" from "forever").
     pub fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         self.shared
             .endpoint(&mut self.cache)

@@ -5,7 +5,7 @@
 //! SCQ and wCQ differ only in the index ring, so [`RingPair`] is generic
 //! over it ([`IndexRing`], sealed to [`ScqRing`] and [`WcqRing`]) and every
 //! queue family composes this one layer: [`crate::ScqQueue`] wraps a pair,
-//! [`crate::WcqQueue`] adds the slot table and parking state,
+//! [`crate::WcqQueue`] adds the slot table (parking is the channel's),
 //! [`crate::ShardedWcq`] holds `S` bare pairs, each [`crate::unbounded`]
 //! list node holds one (Appendix A links bare rings). A pair is the rings
 //! and the data, nothing else; its operations demand one exclusive driver

@@ -17,7 +17,8 @@
 //! drive its close:
 //!
 //! * `send` / `recv` park until space/data or close — and, on an endpoint
-//!   that finds every thread slot taken, until a slot frees;
+//!   that finds every thread slot (or the consumer seat) taken, until one
+//!   frees;
 //! * `send_timeout` / `recv_timeout` do the same with a deadline;
 //!   timeouts are element-conserving (a timed-out send hands the value
 //!   back, a timed-out receive takes one last look);
@@ -35,10 +36,10 @@
 //! eventcounts a change is announced on — and a single probe that tries
 //! the operation and classifies a miss; the round calls that same
 //! function on both sides of the registration, so nothing the first look
-//! can recognise (data, a close, a close over stranded residue) can be
-//! missed by the last look before a sleep. A miss is always `Wait` —
-//! full, empty, no free thread slot, values out of reach — and each has
-//! a notify that ends it, so every wait sleeps and none is hand-paced.
+//! can recognise (data, a close, a freed slot or seat) can be missed by
+//! the last look before a sleep. A miss is always `Wait` — full, empty,
+//! no free thread slot, no consumer seat — and each has a notify that
+//! ends it, so every wait sleeps and none is hand-paced.
 //! A blocking call that can complete at once is the bare attempt: no
 //! snapshot, no registration. DESIGN.md §9 has the table and the
 //! no-lost-wakeup argument.
@@ -99,99 +100,6 @@ use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-
-// ===================================================================
-// Adaptive backoff
-// ===================================================================
-
-/// Bounded exponential backoff for spin/retry edges (the crossbeam
-/// `Backoff` shape, rebuilt on the private `sim` seam so DST builds
-/// model every pause as a scheduler step).
-///
-/// The suite's wait edges — points where a thread has nothing to do until
-/// *another* thread moves — previously hard-coded their politeness: a fixed
-/// spin count, then `yield_now` forever. That is wrong at both ends of the
-/// contention spectrum. Under light contention the partner lands within a
-/// few cycles and a fixed 64-iteration spin wastes them; under heavy
-/// oversubscription yielding immediately is right and spinning at all
-/// burns the quantum the partner needs. Exponential backoff adapts: each
-/// [`spin`](Self::spin)/[`snooze`](Self::snooze) doubles the pause, and
-/// `snooze` switches from `spin_loop` hints to `yield_now` once the pause
-/// exceeds a cache-miss-scale bound, handing the core to whoever holds the
-/// progress token.
-///
-/// The struct is deliberately *not* a loop bound: it adapts the *cost* of
-/// each retry, never the retry count. Every adopting site keeps (and
-/// states in its `// BOUND:` comment) its own bound argument —
-/// `is_completed` merely signals "pauses are maxed out, park properly if
-/// you can".
-///
-/// ```
-/// use wcq::sync::Backoff;
-/// let mut b = Backoff::new();
-/// let flag = std::sync::atomic::AtomicBool::new(true); // set by a peer
-/// while !flag.load(std::sync::atomic::Ordering::Acquire) {
-///     b.snooze(); // spin a little, then start yielding
-/// }
-/// ```
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-/// `snooze` spins `1, 2, 4, …, 2^SPIN_LIMIT` hint iterations, then yields.
-const SPIN_LIMIT: u32 = 6;
-/// After `YIELD_LIMIT` total steps `is_completed` reports saturation.
-const YIELD_LIMIT: u32 = 10;
-
-impl Backoff {
-    /// A fresh backoff: the next pause is a single `spin_loop` hint.
-    #[inline]
-    pub fn new() -> Self {
-        Backoff { step: 0 }
-    }
-
-    /// Resets to the initial (shortest) pause. Call on progress so the
-    /// next wait starts optimistic again.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Backs off without yielding: `2^step` spin-loop hints, capped at
-    /// `2^SPIN_LIMIT`. For lock-free retry edges where the partner is
-    /// known to be mid-operation and yielding would oversleep.
-    #[inline]
-    pub fn spin(&mut self) {
-        for _ in 0..1u32 << self.step.min(SPIN_LIMIT) {
-            crate::sim::spin_loop();
-        }
-        self.step = self.step.saturating_add(1);
-    }
-
-    /// Backs off, escalating from spin hints to `yield_now` once the
-    /// exponential pause passes `2^SPIN_LIMIT` hints. For wait edges where
-    /// the partner may be descheduled — the yield donates this quantum to
-    /// it (the hand-off §3.4 helping relies on under oversubscription).
-    #[inline]
-    pub fn snooze(&mut self) {
-        if self.step <= SPIN_LIMIT {
-            for _ in 0..1u32 << self.step {
-                crate::sim::spin_loop();
-            }
-        } else {
-            crate::sim::yield_now();
-        }
-        self.step = self.step.saturating_add(1);
-    }
-
-    /// Whether backoff has saturated — the caller has spun and yielded
-    /// enough that parking (eventcount registration) is the better deal.
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        self.step > YIELD_LIMIT
-    }
-}
 
 // ===================================================================
 // Asymmetric store→load fencing (membarrier)
@@ -714,9 +622,8 @@ pub(crate) enum Probe<R> {
     /// Resolved: a value, or the error that ends the wait.
     Ready(R),
     /// Not yet — and whoever changes that will notify one of the lanes:
-    /// an operation that lands a value or frees room, a close, an
-    /// endpoint drop that frees a thread slot or a consumer seat, or a
-    /// receiver that drained stranded residue to `Closed`.
+    /// an operation that lands a value or frees room, a close, or an
+    /// endpoint drop that frees a thread slot or a consumer seat.
     Wait,
 }
 
@@ -732,8 +639,8 @@ pub(crate) struct Slot {
 /// announced on (its *lanes*), and the one look — [`probe`](Self::probe)
 /// — that both tries the operation and classifies a miss. The round calls
 /// that same function before and after registering, so whatever the first
-/// look can recognise (data, a close, a close over stranded residue) the
-/// second cannot forget.
+/// look can recognise (data, a close, a freed slot or seat) the second
+/// cannot forget.
 ///
 /// A trait rather than a pair of closures because the probe needs `&mut`
 /// of the endpoint the lanes are borrowed `&` from.

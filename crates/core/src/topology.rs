@@ -22,9 +22,8 @@
 //!    Excess producers enqueue on the spine, and the path an endpoint
 //!    takes is sticky for its lifetime.
 //! 2. The consumer-seat holder sweeps the rings and, once the spine
-//!    exists, polls it after the rings. Excess receivers serve the spine
-//!    lane only (ring consumption needs the seat's exclusivity) and
-//!    inherit the seat when its holder drops.
+//!    exists, polls it after the rings. Excess receivers read neither
+//!    lane; they inherit the seat when its holder drops.
 //! 3. No element ever moves between representations: there is no drain,
 //!    no quiescence window, and nothing for a racing operation to
 //!    overlap with — conservation is structural. Per-producer FIFO holds
@@ -40,32 +39,28 @@
 //! # Parking and the fenced notify
 //!
 //! A core carries no parking state, and nothing here waits: an operation
-//! that finds its lane full or empty — or, on the spine, no free thread
-//! slot — misses, and the channel that owns the core parks the caller on
-//! its own [`crate::sync::SyncState`]. The channel notifies after every
-//! successful operation and after every endpoint drop (which frees seats
-//! and spine slots). Ring operations and seat releases are plain
-//! `Release` stores, so the channel uses the fenced variants
-//! ([`crate::sync::SyncState::notify_not_empty_fenced`]) — the store→load
-//! barrier that keeps a concurrently registering waiter from missing the
-//! change.
+//! that finds its lane full or empty — or no consumer seat, or on the
+//! spine no free thread slot — misses, and the channel that owns the core
+//! parks the caller on its own [`crate::sync::SyncState`]. The channel
+//! notifies after every successful operation and after every endpoint
+//! drop (which frees seats and spine slots). Ring operations and seat
+//! releases are plain `Release` stores, so the channel uses the fenced
+//! variants ([`crate::sync::SyncState::notify_not_empty_fenced`]) — the
+//! store→load barrier that keeps a concurrently registering waiter from
+//! missing the change.
 //!
 //! # Out-of-declaration receivers
 //!
-//! A second operating `Receiver` cannot observe elements buffered in the
-//! rings while the consumer seat is held: it sees the spine lane only,
-//! and may report *empty* although the seated receiver still has ring
-//! residue in front of it. No element is lost — the seated receiver (or
-//! whoever inherits its seat after a drop) always drains the rings, and
-//! [`TopoEndpoint::residue_hint`] keeps the blocking/async/`try` dequeue
-//! paths honest about it: a closed channel with residue stranded behind
-//! a held seat reports *empty*, never `Closed`. Parked excess receivers
-//! are woken when a receiver's drop releases the seat, so they contest it
-//! the moment it frees, or when the holder reports `Closed` itself, the
-//! residue drained (DESIGN.md §11). Still,
-//! declare the real consumer count (use [`crate::channel::bounded`] for
-//! MPMC) rather than leaning on this degraded mode — excess receivers
-//! wait out the holder's whole tenure.
+//! The consumer seat is a slot: a `Receiver` that does not hold it reaches
+//! nothing, neither the rings nor the spine. Its operations miss exactly
+//! like an endpoint with no free thread slot — `try_recv` reports
+//! *empty*, never `Closed`, and the blocking and async forms park on
+//! `not_empty` — until the holder's drop hands the seat over and notifies
+//! (DESIGN.md §11). [`TopoEndpoint::residue_hint`] is that seat test. No
+//! element is lost: the seat holder (or whoever inherits the seat) drains
+//! both lanes. Declare the real consumer count (use
+//! [`crate::channel::bounded`] for MPMC): an excess receiver waits out the
+//! holder's whole tenure.
 //!
 //! This module is the backend; the public face is
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
@@ -326,25 +321,26 @@ impl<T: Send> TopoEndpoint<T> {
         }
     }
 
-    /// Non-blocking dequeue; `None` when every lane this endpoint can see
-    /// is observed empty (the rings require the consumer seat, the spine a
-    /// thread slot — see the module docs on out-of-declaration
+    /// Non-blocking dequeue; `None` when every lane is observed empty, the
+    /// spine has no free thread slot, or another endpoint holds the
+    /// consumer seat (see the module docs on out-of-declaration
     /// receivers).
     pub fn try_dequeue(&mut self) -> Option<T> {
-        if self.claim_consumer() {
-            let n = self.core.rings.len();
-            let mut r = self.cursor;
-            for _ in 0..n {
-                // SAFETY: the consumer seat makes this endpoint the unique
-                // ring consumer until it drops.
-                if let Some(v) = unsafe { self.core.rings[r].pop() } {
-                    self.cursor = r; // sticky: drain this producer in runs
-                    return Some(v);
-                }
-                r += 1;
-                if r == n {
-                    r = 0;
-                }
+        if !self.claim_consumer() {
+            return None;
+        }
+        let n = self.core.rings.len();
+        let mut r = self.cursor;
+        for _ in 0..n {
+            // SAFETY: the consumer seat makes this endpoint the unique ring
+            // consumer until it drops.
+            if let Some(v) = unsafe { self.core.rings[r].pop() } {
+                self.cursor = r; // sticky: drain this producer in runs
+                return Some(v);
+            }
+            r += 1;
+            if r == n {
+                r = 0;
             }
         }
         // ORDERING: seat-table read: observes the seat holder's
@@ -355,18 +351,13 @@ impl<T: Send> TopoEndpoint<T> {
         None
     }
 
-    /// `true` while the channel may hold elements this endpoint cannot
-    /// reach: ring residue behind a consumer seat held elsewhere, or a
-    /// spine it holds no thread slot on (DESIGN.md §11). The dequeue paths
-    /// use this to refuse `Closed` while a value may be stranded: the
-    /// holder is still draining, or its drop is about to hand this
-    /// endpoint the seat or slot. Deliberately *not* gated on the seat
-    /// still being taken — if the holder dropped between our failed sweep
-    /// and this probe, the residue is claimable and the caller must retry,
-    /// not report `Closed`.
+    /// `true` while this endpoint does not hold the consumer seat, so the
+    /// channel may hold elements it cannot reach (DESIGN.md §11). The
+    /// dequeue paths use this to refuse `Closed`: the holder's drop hands
+    /// this endpoint the seat. A seat holder reaches everything on a
+    /// closed channel — every spine slot is free to it by then.
     pub fn residue_hint(&self) -> bool {
-        (!self.has_cons_seat && self.core.rings.iter().any(|r| !r.is_empty_hint()))
-            || (self.spine.is_none() && self.core.upgraded())
+        !self.has_cons_seat
     }
 
     /// Batch enqueue: drains as many items as fit from the front of
@@ -400,29 +391,30 @@ impl<T: Send> TopoEndpoint<T> {
 
     /// Batch dequeue: sweeps the rings once from the cursor, then tops up
     /// from the spine lane, appending up to `max` elements to `out`;
-    /// returns how many were appended.
+    /// returns how many were appended (0 without the consumer seat).
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
+        if !self.claim_consumer() {
+            return 0;
+        }
         let mut got = 0;
-        if self.claim_consumer() {
-            let n = self.core.rings.len();
-            let mut r = self.cursor;
-            for _ in 0..n {
-                // SAFETY: consumer seat, as in `try_dequeue`.
-                let took = unsafe { self.core.rings[r].pop_batch(out, max - got) };
-                if took > 0 {
-                    self.cursor = r;
-                    got += took;
-                    if got == max {
-                        break;
-                    }
+        let n = self.core.rings.len();
+        let mut r = self.cursor;
+        for _ in 0..n {
+            // SAFETY: consumer seat, as in `try_dequeue`.
+            let took = unsafe { self.core.rings[r].pop_batch(out, max - got) };
+            if took > 0 {
+                self.cursor = r;
+                got += took;
+                if got == max {
+                    break;
                 }
-                r += 1;
-                if r == n {
-                    r = 0;
-                }
+            }
+            r += 1;
+            if r == n {
+                r = 0;
             }
         }
         // ORDERING: seat-table read: observes the seat holder's
@@ -527,20 +519,24 @@ mod tests {
     }
 
     #[test]
-    fn excess_receiver_sees_spine_lane_only() {
+    fn excess_receiver_sees_no_lane_until_seat_handover() {
         let c = core(1, 4);
         let mut tx = c.register();
         let mut rx1 = c.register();
         tx.try_enqueue(1).unwrap();
         assert_eq!(rx1.try_dequeue(), Some(1)); // rx1 now holds the seat
         tx.try_enqueue(2).unwrap();
-        let mut rx2 = c.register();
-        assert_eq!(rx2.try_dequeue(), None, "no seat, no spine: nothing visible");
         let mut tx2 = c.register();
         tx2.try_enqueue(100).unwrap(); // grafts the spine
-        assert_eq!(rx2.try_dequeue(), Some(100), "spine lane is visible");
-        assert_eq!(rx2.try_dequeue(), None, "ring residue is not");
-        assert_eq!(rx1.try_dequeue(), Some(2), "the seat holder drains it");
+        let mut rx2 = c.register();
+        let mut out = Vec::new();
+        assert_eq!(rx2.try_dequeue(), None, "no seat: neither lane is reachable");
+        assert_eq!(rx2.dequeue_batch(&mut out, 4), 0, "not in a batch either");
+        assert!(rx2.residue_hint());
+        drop(rx1); // hands the seat over
+        assert_eq!(rx2.try_dequeue(), Some(2), "the ring residue first");
+        assert_eq!(rx2.try_dequeue(), Some(100), "then the spine");
+        assert!(!rx2.residue_hint());
     }
 
     #[test]

@@ -86,11 +86,12 @@ const HP_HEAD: usize = 0;
 /// Hazard slot publishing the enqueuer's `tail` ring.
 const HP_TAIL: usize = 1;
 
-// The `!drained()` wait now paces itself with [`crate::sync::Backoff`]:
-// exponential spin up to cache-miss scale, then yield — the yield donates
-// the quantum to an enqueuer preempted *inside* the ring (the mpmc suites
-// run at 4× cores, so that preemption is the common case, and burning the
-// full quantum in `spin_loop` would stall every dequeuer behind it).
+/// Spins the `!drained()` wait grants an in-flight enqueuer before yielding
+/// its quantum instead (see [`Unbounded::dequeue_walk`]). The yield donates
+/// the quantum to an enqueuer preempted *inside* the ring (the mpmc suites
+/// run at 4× cores, so that preemption is the common case, and burning the
+/// full quantum in `spin_loop` would stall every dequeuer behind it).
+const DRAIN_SPIN_BOUND: u32 = 64;
 
 /// A list node: the ring pair (the Fig. 2 layer — Appendix A links bare
 /// rings, so a node carries no slot table and no parking state) plus the
@@ -405,10 +406,10 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
     where
         F: FnMut(&RingPair<T, R>) -> usize,
     {
-        let mut backoff = crate::sync::Backoff::new();
+        let mut spins = 0u32;
         // BOUND: wait-edge — re-loops when the drained head ring still has
-        // a mid-flight enqueuer (!drained residue window); paced by
-        // Backoff, reset on progress, donates CPU via yield once hot
+        // a mid-flight enqueuer (!drained residue window); spins
+        // DRAIN_SPIN_BOUND then yields, reset on progress
         let got = loop {
             let lhead = hp.protect(HP_HEAD, &self.head);
             // SAFETY: as in `enqueue_tid` — validated against `head`, and
@@ -426,10 +427,15 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
             // A successor exists. Re-drain unless the hand-off conditions
             // hold (closed, no in-flight inserts, and still empty). The
             // wait is bounded: a preempted in-flight enqueuer holds
-            // `inflight` up for at most a quantum, so back off
-            // exponentially and then donate ours with the yield.
+            // `inflight` up for at most a quantum, so spin briefly and
+            // then donate ours with the yield.
             if !node.drained() {
-                backoff.snooze();
+                spins += 1;
+                if spins <= DRAIN_SPIN_BOUND {
+                    crate::sim::spin_loop();
+                } else {
+                    crate::sim::yield_now();
+                }
                 continue;
             }
             let got = drain(&node.ring);
@@ -437,7 +443,7 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
                 break got;
             }
             self.unlink_and_retire(lhead, next, hp);
-            backoff.reset(); // progress: the next ring starts optimistic
+            spins = 0; // progress: the next ring starts optimistic
         };
         hp.clear_slot(HP_HEAD);
         got

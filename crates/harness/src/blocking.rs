@@ -17,7 +17,7 @@
 //! oversubscription; `tests/blocking_facade.rs` reuses the same shape as a
 //! lost-wakeup stress.
 
-use crate::stats::LatencyStats;
+use crate::stats::{process_cpu_time, LatencyStats};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -105,27 +105,6 @@ impl BurstResult {
     /// Items per second over the wall clock.
     pub fn items_per_sec(&self) -> f64 {
         self.moved as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Process CPU time (user + system) so far; `None` where unsupported.
-///
-/// Reads the process CPU clock (`CLOCK_PROCESS_CPUTIME_ID`) on Linux: every
-/// thread's time, to the nanosecond. `/proc/self/stat`'s `utime`/`stime`
-/// count in 10 ms ticks, too coarse for a run of a few hundred ms.
-pub fn process_cpu_time() -> Option<Duration> {
-    #[cfg(target_os = "linux")]
-    {
-        let mut ts = libc::timespec::default();
-        // SAFETY: `ts` is a valid, writable `timespec` for the call.
-        if unsafe { libc::clock_gettime(libc::CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
-            return None;
-        }
-        Some(Duration::new(ts.tv_sec.try_into().ok()?, ts.tv_nsec.try_into().ok()?))
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
     }
 }
 

@@ -115,6 +115,10 @@ fn main() {
                     let mut tx_h = tx.register().unwrap();
                     let mut local = 0u64;
                     loop {
+                        // Read the flag before the dequeue: a miss after
+                        // it is conclusive, every frame the NIC sent is
+                        // in the ring or taken.
+                        let nic_finished = nic_done.load(SeqCst);
                         match rx_h.dequeue() {
                             Some(id) => {
                                 // SAFETY: we own frame `id` now.
@@ -128,8 +132,8 @@ fn main() {
                                     std::thread::yield_now();
                                 }
                             }
-                            None if nic_done.load(SeqCst) => break,
-                            None => std::hint::spin_loop(),
+                            None if nic_finished => break,
+                            None => std::thread::yield_now(),
                         }
                     }
                     processed.fetch_add(local, SeqCst);
@@ -142,6 +146,7 @@ fn main() {
             let mut pool_h = pool.free.register().unwrap();
             let mut local = 0u64;
             loop {
+                let workers_finished = workers_done.load(SeqCst); // as above
                 match tx_h.dequeue() {
                     Some(id) => {
                         local += 1;
@@ -151,8 +156,8 @@ fn main() {
                             std::thread::yield_now();
                         }
                     }
-                    None if workers_done.load(SeqCst) => break,
-                    None => std::hint::spin_loop(),
+                    None if workers_finished => break,
+                    None => std::thread::yield_now(),
                 }
             }
             transmitted.fetch_add(local, SeqCst);

@@ -199,6 +199,22 @@ fn slot_waiting_resolves_when_endpoint_drops() {
     drop(tx); // frees slot A
     assert_eq!(tx2.try_send(3), Ok(()));
     assert_eq!(rx2.recv(), Ok(3));
+
+    // A topology channel's consumer seat is a slot too: a receiver
+    // without it misses the same way with a value queued, until the
+    // holder's drop hands the seat over.
+    let (mut tx, mut rx) = channel::spsc::<u32>(4, 2);
+    tx.send(1).unwrap();
+    assert_eq!(rx.try_recv(), Ok(1)); // the seat
+    tx.send(2).unwrap();
+    let mut rx2 = rx.clone();
+    assert_eq!(rx2.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(rx2.recv_batch(&mut Vec::new(), 4), 0);
+    let start = Instant::now();
+    assert_eq!(rx2.recv_timeout(D), Err(RecvError::Timeout));
+    assert!(start.elapsed() >= D, "recv_timeout returned early");
+    drop(rx); // frees the seat
+    assert_eq!(rx2.try_recv(), Ok(2));
 }
 
 #[test]

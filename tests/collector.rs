@@ -1,9 +1,9 @@
 //! Collector pipeline semantics end to end: conservation under
 //! oversubscription, load shedding, fault injection (FailEvery /
-//! StallFor), retry exhaustion and the overflow drop policy, deadline and
-//! pause flushes, batches that grow behind a slow exporter, the
-//! refcount-ripple shutdown drain, seated vs overflow senders, and the
-//! freshness bound under the paced sweep.
+//! StallFor), retry exhaustion and its drop accounting, the sizing checks
+//! of `Collector::spawn`, deadline and pause flushes, batches that grow
+//! behind a slow exporter, the refcount-ripple shutdown drain, seated vs
+//! overflow senders, and the freshness bound under the paced sweep.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -118,10 +118,43 @@ fn fail_every_faults_cause_zero_loss_when_retries_cover_them() {
     assert!(m.conserved());
 }
 
+/// `spawn` rejects each degenerate sizing itself, with its own message,
+/// before building a lane.
+fn spawn_with(cfg: CollectorConfig) {
+    let _ = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
+}
+
+#[test]
+#[should_panic(expected = "collector needs at least one shard")]
+fn spawn_rejects_zero_shards() {
+    spawn_with(CollectorConfig {
+        shards: 0,
+        ..CollectorConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "collector needs at least one producer seat")]
+fn spawn_rejects_zero_producers() {
+    spawn_with(CollectorConfig {
+        producers: 0,
+        ..CollectorConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "batch_max of zero can never flush")]
+fn spawn_rejects_zero_batch_max() {
+    spawn_with(CollectorConfig {
+        batch_max: 0,
+        ..CollectorConfig::default()
+    });
+}
+
 #[test]
 fn retry_exhaustion_invokes_drop_policy_and_stays_accounted() {
     // FailEvery(1) fails every attempt: all batches exhaust the budget
-    // and take the overflow path. Nothing exports, nothing leaks.
+    // and are counted as dropped. Nothing exports, nothing leaks.
     let cfg = CollectorConfig {
         shards: 1,
         producers: 1,

@@ -12,7 +12,7 @@
 //!
 //! Models, by number: 1 helper drive vs quiesce-on-release, 2 TAG wrap,
 //! 3 slot recycle, 4 graft transition, 5 eventcount park vs fenced notify
-//! (the wait protocol's thread driver), 6 degraded-mode residue, 7 slot
+//! (the wait protocol's thread driver), 6 seat hand-over with residue, 7 slot
 //! handoff orderings, 8 collector drain, 9 eventcount `listen` orderings,
 //! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
 //! driver (`Waker` registration through the futures), 12 `recv_any` data
@@ -244,7 +244,7 @@ fn dst_eventcount_park_vs_fenced_notify() {
 }
 
 // ===================================================================
-// Model 6: degraded mode — residue stranded behind the consumer seat
+// Model 6: seat hand-over — residue stranded behind the consumer seat
 // ===================================================================
 
 /// DESIGN.md §11 bugfix model. The consumer-seat holder takes one value
@@ -259,11 +259,12 @@ fn dst_eventcount_park_vs_fenced_notify() {
 /// the close and the holder's drop (regression `degraded_residue` pins
 /// the explorer's minimized schedule for exactly that interleaving).
 ///
-/// The waits park: either receiver may find the residue behind the
-/// other's seat and sleep on `not_empty`. If `rx2` wins the seat it
-/// drains both values and stays alive until `holder.join()`, so the
-/// holder thread's `rx`, parked on residue that is gone, is woken only by
-/// the notify `rx2` owes on reaching `Closed`.
+/// The waits park: a receiver without the seat reaches nothing and sleeps
+/// on `not_empty` until the holder's drop hands the seat over. If `rx2`
+/// wins the seat it drains both values, sees `Closed` and drops, and that
+/// drop is the only wake of the holder thread's `rx`, parked for the
+/// seat. Were `rx2` to outlive the join, the holder would wait forever
+/// for a seat nobody hands over, so `rx2` drops first.
 fn degraded_residue_model() {
     let (mut tx, mut rx) = channel::spsc::<u64>(2, 3);
     let mut rx2 = rx.clone(); // beyond the declared 1 consumer
@@ -286,6 +287,7 @@ fn degraded_residue_model() {
             }
         }
     }
+    drop(rx2); // hands the seat over if `rx2` won it
     got.extend(holder.join().unwrap());
     got.sort_unstable();
     assert_eq!(got, vec![1, 2], "residue must be inherited, not dropped");

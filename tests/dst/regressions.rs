@@ -10,9 +10,9 @@
 /// closed channel, the excess receiver is scheduled before the holder's
 /// drop, maps "closed + nothing reachable" to `Closed`, and the ring
 /// residue is never delivered (`[1] != [1, 2]`). Fixed by `residue_hint`
-/// — today the arm of the dequeue probe (`Dequeue::look` in `channel.rs`)
-/// that maps stranded residue to `Wait`; deleting that arm makes this
-/// replay panic again.
+/// — today the seat arm of the dequeue probe (`Dequeue`'s `probe` in
+/// `channel.rs`), which maps "closed, no consumer seat" to `Wait`;
+/// deleting that arm makes this replay panic again.
 ///
 /// Tapes are positional — one decision per scheduling point — so a tape
 /// is only evidence for the atomics the model executed when it was cut.
@@ -20,7 +20,7 @@
 /// `"0*26,1*9,0*5"` replayed green even with the residue arm deleted):
 /// schedule #4 of the default run with that arm removed. Any change to
 /// the operations a replayed model performs owes the same re-validation
-/// (last re-checked with the residue wait parking on `not_empty`).
+/// (last re-checked once a seatless receiver reaches neither lane).
 #[test]
 fn degraded_residue_minimized_schedule() {
     shuttle_lite::replay("0*20,1*8,0*6", super::degraded_residue_model);

@@ -203,7 +203,7 @@ fn closed_edges_survive_the_graft() {
     assert_eq!(rx.recv(), Err(RecvError::Closed));
 }
 
-/// DESIGN.md §11 degraded-mode regression: an out-of-declaration receiver
+/// DESIGN.md §11 seat regression: an out-of-declaration receiver
 /// must never be told `Closed` while ring residue is stranded behind
 /// another endpoint's live consumer seat. Pre-fix, every dequeue path
 /// mapped "closed + nothing reachable from here" straight to `Closed`
@@ -258,30 +258,31 @@ fn parked_excess_receiver_wakes_on_seat_release() {
     drop(tx);
 }
 
-/// The spine twin of the stranded residue: a closed channel whose spine
-/// still holds a value, seen by a receiver that finds no free spine
-/// thread slot, is "empty for now", never `Closed` — the receiver holding
-/// the slot may drop without draining. The slot's release hands it over.
+/// A spine thread slot is the one thing the seat holder may still find
+/// taken: here a live excess sender holds the only one, so the receiver
+/// misses while the channel is open. That sender's drop frees the slot
+/// and, as the last sender, closes the channel — and on a closed channel
+/// every spine slot is free to the seat holder (senders release theirs
+/// before the last one closes, and seatless receivers never take one), so
+/// it drains the spine and then sees `Closed`.
 #[test]
-fn slotless_receiver_never_reports_a_closed_spine_drained() {
+fn seated_receiver_waits_out_a_held_spine_slot() {
     let (mut tx, mut rx) = channel::spsc::<u64>(2, 1); // one spine slot
     let mut tx2 = tx.clone();
     tx.try_send(1).unwrap(); // seated: the ring
     tx2.try_send(10).unwrap(); // excess: grafts the spine, takes its slot
     tx2.try_send(11).unwrap();
-    drop(tx2); // the spine slot frees
-    assert_eq!(rx.try_recv(), Ok(1)); // `rx` takes the seat, not the slot
-    let mut rx2 = rx.clone();
-    assert_eq!(rx2.try_recv(), Ok(10)); // `rx2` takes the spine slot
-    drop(tx); // closed, with 11 on the spine
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(rx.try_recv(), Ok(1)); // `rx` takes the seat
+    drop(tx);
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty)); // open, slot held
     assert_eq!(
         rx.recv_timeout(Duration::from_millis(5)),
         Err(RecvError::Timeout)
     );
-    drop(rx2); // the slot frees with 11 undrained
-    assert_eq!(rx.recv(), Ok(11));
-    assert_eq!(rx.recv(), Err(RecvError::Closed));
+    drop(tx2); // frees the slot, then closes the channel
+    assert_eq!(rx.try_recv(), Ok(10));
+    assert_eq!(rx.try_recv(), Ok(11));
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
 }
 
 /// The blocking twin: a parked excess receiver outlives the seat holder's
