@@ -159,6 +159,13 @@ pub fn over<T: Send>(queue: impl Into<Backend<T>>) -> (Sender<T>, Receiver<T>) {
 /// be at least 1 (and at most
 /// `2^order`, the paper's `k <= n` assumption); violations panic here,
 /// at construction.
+///
+/// `mem::forget` on an endpoint is leak-but-safe: the forgotten endpoint
+/// keeps its thread slot and its place in the sender or receiver count
+/// for good. A forgotten `Sender` holding the last free slot parks every
+/// other sender that needs one, and a forgotten `Receiver` every other
+/// receiver: their `try_*` calls miss and their deadline forms return
+/// `Timeout`, never early. The channel never closes.
 pub fn bounded<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(WcqQueue::new(order, max_threads))
 }
@@ -202,6 +209,13 @@ pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Re
 /// the spine, if ever built, gets that many thread slots, with the same
 /// lazy-acquisition semantics. Before any upgrade it is unused (the ring
 /// needs no slots).
+///
+/// `mem::forget` on an endpoint is leak-but-safe, as on [`bounded`]. A
+/// forgotten seated `Receiver` keeps the consumer seat, so every other
+/// receiver misses and parks for good. A forgotten `Sender` keeps its
+/// producer seat, or its spine thread slot: once it holds the last free
+/// one, every further spine sender misses and parks. Deadline forms
+/// return `Timeout`, never early, and the channel never closes.
 pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(TopoCore::spsc(order, max_threads, &WcqConfig::default()))
 }
@@ -216,6 +230,8 @@ pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>)
 /// wait-free [`WcqQueue`] overflow spine as on [`spsc`] (seated senders
 /// keep their rings); `max_threads` sizes the spine's thread slots. A
 /// second operating receiver waits for the consumer seat, as on [`spsc`].
+/// A forgotten endpoint keeps its seat or slot for good, and the channel
+/// never closes, as on [`spsc`].
 pub fn mpsc<T: Send>(
     order: u32,
     max_senders: usize,

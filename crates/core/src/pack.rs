@@ -122,6 +122,48 @@ impl RingLayout {
         let c = self.line_shift;
         (((pos << c) | (pos >> (k - c))) & (self.ring_size - 1)) as usize
     }
+
+    /// A full ring's `2n` slots (tickets `2n..3n` enqueued, cycle 1), built
+    /// in one address-order pass: `filled(i)` where the ring holds index
+    /// `i`, `empty()` everywhere else. `LINE` is the slots per cache line,
+    /// `2^line_shift`.
+    ///
+    /// Under `Cache_Remap`, slot `line·LINE + o` holds ring position
+    /// `line + o·(2n / LINE)` (the inverse of [`Self::slot`]'s rotation).
+    /// The positions `0..n` are therefore the first half (`o < LINE / 2`)
+    /// of every cache line. Each line is built as one `LINE`-slot array
+    /// whose offsets `o` are constants, so a filled slot costs one add and
+    /// no slot needs [`Self::slot`]'s per-ticket rotation. Without the
+    /// remap (or when `idx_bits <= line_shift`) the filled slots are the
+    /// first `n` (DESIGN.md §2, "Construction").
+    ///
+    /// The slice is allocated once at its final length: peak heap is the
+    /// ring itself.
+    pub(crate) fn full_slots<W, const LINE: usize>(
+        &self,
+        filled: impl Fn(u64) -> W,
+        empty: impl Fn() -> W,
+    ) -> Box<[W]> {
+        assert_eq!(LINE, 1 << self.line_shift, "LINE is one cache line");
+        let n = self.n();
+        if !self.remap_enabled || self.idx_bits <= self.line_shift {
+            return (0..n).map(filled).chain((0..n).map(|_| empty())).collect();
+        }
+        let stride = self.ring_size / LINE as u64;
+        (0..stride)
+            .map(|line| {
+                std::array::from_fn::<W, LINE, _>(|o| {
+                    if o < LINE / 2 {
+                        filled(line + o as u64 * stride)
+                    } else {
+                        empty()
+                    }
+                })
+            })
+            .collect::<Vec<[W; LINE]>>()
+            .into_flattened()
+            .into_boxed_slice()
+    }
 }
 
 /// Decoded wCQ entry value word (`entry_t` with the `Enq` bit, Fig. 4).
@@ -254,6 +296,24 @@ mod tests {
             seen.insert(l.slot(t) >> l.line_shift);
         }
         assert_eq!(seen.len(), lines);
+    }
+
+    /// `full_slots`' line/offset walk puts index `i` exactly where ticket
+    /// `2n + i` lands, for every `i < n`, and fills no other slot.
+    #[test]
+    fn full_slots_match_enqueued_tickets() {
+        for l in layouts() {
+            let slots = match l.line_shift {
+                2 => l.full_slots::<_, 4>(Some, || None),
+                _ => l.full_slots::<_, 8>(Some, || None),
+            };
+            assert_eq!(slots.len() as u64, l.ring_size, "{l:?}");
+            for i in 0..l.n() {
+                assert_eq!(slots[l.slot(l.ring_size + i)], Some(i), "index {i}, {l:?}");
+            }
+            let filled = slots.iter().filter(|s| s.is_some()).count() as u64;
+            assert_eq!(filled, l.n(), "{l:?}");
+        }
     }
 
     #[test]

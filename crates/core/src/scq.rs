@@ -41,53 +41,53 @@ pub struct ScqRing {
 impl ScqRing {
     /// Creates an empty ring with `n = 2^order` usable entries.
     pub fn new_empty(order: u32, cfg: &WcqConfig) -> Self {
+        Self::build(order, cfg, false)
+    }
+
+    /// Creates a ring pre-filled with the indices `0..n` (in order). Used for
+    /// the free-index queue `fq` of a freshly constructed data queue. Written
+    /// once, in address order, as in [`crate::WcqRing::new_full`]: the ring
+    /// is not shared until it is moved into place.
+    pub fn new_full(order: u32, cfg: &WcqConfig) -> Self {
+        Self::build(order, cfg, true)
+    }
+
+    fn build(order: u32, cfg: &WcqConfig, full: bool) -> Self {
         let layout = RingLayout::new(order, 3, cfg.remap);
-        let init = pack_s(
-            &layout,
-            SEntry {
-                cycle: 0,
+        let word = |cycle, index| {
+            let e = SEntry {
+                cycle,
                 is_safe: true,
-                index: layout.bot(),
-            },
-        );
-        let entries = (0..layout.ring_size)
-            .map(|_| AtomicU64::new(init))
-            .collect();
+                index,
+            };
+            pack_s(&layout, e)
+        };
+        let empty = word(0, layout.bot());
+        // The fill closures are `move`: holding the words by value lets the
+        // fill loop keep them in registers instead of re-reading them
+        // through a reference on every slot (DESIGN.md §2, "Construction").
+        let (entries, enqueued, threshold) = if full {
+            // Tickets 2n .. 3n hold indices 0..n at cycle 1.
+            let cycle1 = word(1, 0);
+            let filled = move |i| AtomicU64::new(cycle1 | i);
+            let entries = layout.full_slots::<_, 8>(filled, move || AtomicU64::new(empty));
+            (entries, layout.n(), layout.threshold_reset())
+        } else {
+            let entries = (0..layout.ring_size)
+                .map(move |_| AtomicU64::new(empty))
+                .collect();
+            (entries, 0, -1)
+        };
         ScqRing {
             layout,
             // Head = Tail = 2n: operations start at cycle 1 so that cycle-0
             // initialization entries always compare as stale.
             head: CachePadded::new(AtomicU64::new(layout.ring_size)),
-            tail: CachePadded::new(AtomicU64::new(layout.ring_size)),
-            threshold: CachePadded::new(AtomicI64::new(-1)),
+            tail: CachePadded::new(AtomicU64::new(layout.ring_size + enqueued)),
+            threshold: CachePadded::new(AtomicI64::new(threshold)),
             entries,
             max_catchup: cfg.max_catchup,
         }
-    }
-
-    /// Creates a ring pre-filled with the indices `0..n` (in order). Used for
-    /// the free-index queue `fq` of a freshly constructed data queue. Plain
-    /// stores through `&mut`, as in [`crate::WcqRing::new_full`]: the ring
-    /// is not shared until it is moved into place.
-    pub fn new_full(order: u32, cfg: &WcqConfig) -> Self {
-        let mut ring = Self::new_empty(order, cfg);
-        let l = ring.layout;
-        let n = l.n();
-        // Tickets 2n .. 3n hold indices 0..n at cycle 1.
-        for i in 0..n {
-            let ticket = l.ring_size + i;
-            ring.entries[l.slot(ticket)] = AtomicU64::new(pack_s(
-                &l,
-                SEntry {
-                    cycle: l.cycle(ticket),
-                    is_safe: true,
-                    index: i,
-                },
-            ));
-        }
-        *ring.tail = AtomicU64::new(l.ring_size + n);
-        *ring.threshold = AtomicI64::new(l.threshold_reset());
-        ring
     }
 
     /// Usable capacity `n`.
@@ -336,10 +336,11 @@ mod tests {
         )
     }
 
-    /// `new_full` writes its state with plain stores; it must be exactly
-    /// the state `new_empty` reaches by enqueuing `0..n`, in every entry,
-    /// `head`, `tail` and `threshold`, and then run as a FIFO ring. Orders
-    /// 1–2 are the `idx_bits <= line_shift` no-remap edge.
+    /// `new_full` builds its state in one address-order pass; it must be
+    /// exactly the state `new_empty` reaches by enqueuing `0..n`, in every
+    /// entry, `head`, `tail` and `threshold`, and then run as a FIFO ring.
+    /// Orders 1–2 are the `idx_bits <= line_shift` no-remap edge; order 12
+    /// is the benchmark's `channel::bounded(12, 4)`.
     #[test]
     fn full_construction_equals_enqueued_fill() {
         for remap in [true, false] {
@@ -347,7 +348,7 @@ mod tests {
                 remap,
                 ..WcqConfig::default()
             };
-            for order in 1..=10 {
+            for order in (1..=10).chain([12]) {
                 let ctx = format!("order {order}, remap {remap}");
                 let mut built = ScqRing::new_full(order, &cfg);
                 let mut filled = ScqRing::new_empty(order, &cfg);

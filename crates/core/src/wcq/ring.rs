@@ -77,6 +77,20 @@ impl WcqRing {
     /// Creates an empty ring with `n = 2^order` usable entries and room for
     /// `max_threads` concurrently registered threads.
     pub fn new_empty(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
+        Self::build(order, max_threads, cfg, false)
+    }
+
+    /// Creates a ring pre-filled with indices `0..n` (for `fq`): the state
+    /// `new_empty` reaches after enqueuing `0..n`, written once, in address
+    /// order, by `RingLayout::full_slots`. The ring is owned by value
+    /// until it is moved into an `Arc` or a spawned thread, and that move
+    /// happens-before any other thread's access, so construction needs no
+    /// atomic read-modify-write (DESIGN.md §2, "Construction").
+    pub fn new_full(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
+        Self::build(order, max_threads, cfg, true)
+    }
+
+    fn build(order: u32, max_threads: usize, cfg: &WcqConfig, full: bool) -> Self {
         assert!(max_threads >= 1, "need at least one thread slot");
         assert!(
             (max_threads as u64) <= (1u64 << order),
@@ -84,58 +98,44 @@ impl WcqRing {
             1u64 << order
         );
         let layout = RingLayout::new(order, 2, cfg.remap);
-        let init_val = pack_w(
-            &layout,
-            WEntry {
-                cycle: 0,
+        let word = |cycle, index| {
+            let e = WEntry {
+                cycle,
                 is_safe: true,
                 enq: true,
-                index: layout.bot(),
-            },
-        );
-        let entries = (0..layout.ring_size)
-            .map(|_| AtomicPair::new(init_val, NOTE_NONE))
-            .collect();
+                index,
+            };
+            pack_w(&layout, e)
+        };
+        let empty = word(0, layout.bot());
+        // `move` closures, as in `ScqRing::build`: the words stay in
+        // registers through the fill loop.
+        let (entries, enqueued, threshold) = if full {
+            // Tickets 2n .. 3n hold indices 0..n at cycle 1.
+            let cycle1 = word(1, 0);
+            let entries = layout.full_slots::<_, 4>(
+                move |i| AtomicPair::new(cycle1 | i, NOTE_NONE),
+                move || AtomicPair::new(empty, NOTE_NONE),
+            );
+            (entries, layout.n(), layout.threshold_reset())
+        } else {
+            let entries = (0..layout.ring_size)
+                .map(move |_| AtomicPair::new(empty, NOTE_NONE))
+                .collect();
+            (entries, 0, -1)
+        };
         let records = (0..max_threads)
             .map(|i| ThreadRec::new(cfg.help_delay as u64, ((i + 1) % max_threads) as u64))
             .collect();
         WcqRing {
             layout,
             cfg: *cfg,
-            tail: CachePadded::new(AtomicPair::new(layout.ring_size, 0)),
+            tail: CachePadded::new(AtomicPair::new(layout.ring_size + enqueued, 0)),
             head: CachePadded::new(AtomicPair::new(layout.ring_size, 0)),
-            threshold: CachePadded::new(AtomicI64::new(-1)),
+            threshold: CachePadded::new(AtomicI64::new(threshold)),
             entries,
             records,
         }
-    }
-
-    /// Creates a ring pre-filled with indices `0..n` (for `fq`): the state
-    /// `new_empty` reaches after enqueuing `0..n`, written with plain stores
-    /// through `&mut`. The ring is owned by value until it is moved into an
-    /// `Arc` or a spawned thread, and that move happens-before any other
-    /// thread's access, so construction needs no atomic read-modify-write
-    /// (DESIGN.md §2, "Construction").
-    pub fn new_full(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
-        let mut ring = Self::new_empty(order, max_threads, cfg);
-        let l = ring.layout;
-        let n = l.n();
-        for i in 0..n {
-            let ticket = l.ring_size + i;
-            let v = pack_w(
-                &l,
-                WEntry {
-                    cycle: l.cycle(ticket),
-                    is_safe: true,
-                    enq: true,
-                    index: i,
-                },
-            );
-            ring.entries[l.slot(ticket)] = AtomicPair::new(v, NOTE_NONE);
-        }
-        *ring.tail = AtomicPair::new(l.ring_size + n, 0);
-        *ring.threshold = AtomicI64::new(l.threshold_reset());
-        ring
     }
 
     /// Usable capacity `n`.
@@ -945,10 +945,12 @@ mod tests {
         (entries, r.head.load2(), r.tail.load2(), r.threshold())
     }
 
-    /// `new_full` writes its state with plain stores; it must be exactly
-    /// the state `new_empty` reaches by enqueuing `0..n`, in both halves of
-    /// every entry, `head`, `tail` and `threshold`, and then run as a FIFO
-    /// ring. Order 1 is the `idx_bits <= line_shift` no-remap edge.
+    /// `new_full` builds its state in one address-order pass; it must be
+    /// exactly the state `new_empty` reaches by enqueuing `0..n`, in both
+    /// halves of every entry, `head`, `tail` and `threshold`, and then run
+    /// as a FIFO ring. Order 1 is the `idx_bits <= line_shift` no-remap
+    /// edge; order 12 with 4 thread slots is the benchmark's
+    /// `channel::bounded(12, 4)`.
     #[test]
     fn full_construction_equals_enqueued_fill() {
         for remap in [true, false] {
@@ -956,10 +958,10 @@ mod tests {
                 remap,
                 ..cfg_default()
             };
-            for order in 1..=10 {
-                let ctx = format!("order {order}, remap {remap}");
-                let built = WcqRing::new_full(order, 1, &cfg);
-                let filled = WcqRing::new_empty(order, 1, &cfg);
+            for (order, threads) in (1..=10).map(|o| (o, 1)).chain([(12, 4)]) {
+                let ctx = format!("order {order}, {threads} threads, remap {remap}");
+                let built = WcqRing::new_full(order, threads, &cfg);
+                let filled = WcqRing::new_empty(order, threads, &cfg);
                 let n = filled.capacity();
                 for i in 0..n {
                     filled.enqueue(0, i);
@@ -973,6 +975,32 @@ mod tests {
                 assert_eq!(got, (0..n).collect::<Vec<_>>(), "{ctx}");
             }
         }
+    }
+
+    /// Once the threshold has decayed below zero, an empty `dequeue` or
+    /// `dequeue_batch` returns without writing anything: `head`, `tail`,
+    /// `threshold` and every entry word stay as they were. This is the
+    /// timing-free form of `tests/figure_shapes.rs`'
+    /// `threshold_makes_empty_dequeue_constant_time`.
+    #[test]
+    fn empty_dequeue_after_decay_writes_nothing() {
+        let r = WcqRing::new_empty(4, 1, &cfg_default());
+        for i in 0..10 {
+            r.enqueue(0, i);
+        }
+        assert_eq!(std::iter::from_fn(|| r.dequeue(0)).count(), 10);
+        // Each empty dequeue lowers the threshold by one, from at most 3n - 1.
+        for _ in 0..=r.layout().threshold_reset() {
+            assert_eq!(r.dequeue(0), None);
+        }
+        assert!(r.threshold() < 0);
+        let before = state(&r);
+        let mut out = [0u64; 8];
+        for _ in 0..10_000 {
+            assert_eq!(r.dequeue(0), None);
+            assert_eq!(r.dequeue_batch(0, &mut out), 0);
+        }
+        assert_eq!(state(&r), before);
     }
 
     #[test]

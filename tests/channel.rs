@@ -178,6 +178,8 @@ fn slot_waiting_resolves_when_endpoint_drops() {
     // Every slot held: a third endpoint's non-blocking forms miss at once
     // and its deadline forms wait out the deadline, on both sides. A value
     // is queued throughout, so each miss is the slot's, not the queue's.
+    // A `mem::forget`-ten holder is one that never drops: these misses are
+    // its documented leak-but-safe outcome, for good.
     const D: Duration = Duration::from_millis(10);
     let (mut tx, mut rx) = channel::bounded::<u32>(4, 2);
     tx.send(1).unwrap(); // slot A
@@ -203,18 +205,39 @@ fn slot_waiting_resolves_when_endpoint_drops() {
     // A topology channel's consumer seat is a slot too: a receiver
     // without it misses the same way with a value queued, until the
     // holder's drop hands the seat over.
-    let (mut tx, mut rx) = channel::spsc::<u32>(4, 2);
-    tx.send(1).unwrap();
-    assert_eq!(rx.try_recv(), Ok(1)); // the seat
-    tx.send(2).unwrap();
-    let mut rx2 = rx.clone();
-    assert_eq!(rx2.try_recv(), Err(TryRecvError::Empty));
-    assert_eq!(rx2.recv_batch(&mut Vec::new(), 4), 0);
-    let start = Instant::now();
-    assert_eq!(rx2.recv_timeout(D), Err(RecvError::Timeout));
-    assert!(start.elapsed() >= D, "recv_timeout returned early");
-    drop(rx); // frees the seat
-    assert_eq!(rx2.try_recv(), Ok(2));
+    for (mut tx, mut rx) in [channel::spsc::<u32>(4, 2), channel::mpsc::<u32>(4, 2, 2)] {
+        tx.send(1).unwrap();
+        assert_eq!(rx.try_recv(), Ok(1)); // the seat
+        tx.send(2).unwrap();
+        let mut rx2 = rx.clone();
+        assert_eq!(rx2.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx2.recv_batch(&mut Vec::new(), 4), 0);
+        let start = Instant::now();
+        assert_eq!(rx2.recv_timeout(D), Err(RecvError::Timeout));
+        assert!(start.elapsed() >= D, "recv_timeout returned early");
+        drop(rx); // frees the seat
+        assert_eq!(rx2.try_recv(), Ok(2));
+    }
+
+    // So are the spine's thread slots: with both held (an excess sender
+    // and the receiver), a further excess sender misses with room in the
+    // queue, until the holder's drop frees its slot.
+    for (tx, mut rx) in [channel::spsc::<u32>(4, 2), channel::mpsc::<u32>(4, 1, 2)] {
+        let (mut seated, mut excess, mut tx2) = (tx.clone(), tx.clone(), tx);
+        seated.send(1).unwrap(); // the producer seat
+        excess.send(2).unwrap(); // grafts the spine: spine slot A
+        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]); // spine slot B
+        assert_eq!(tx2.try_send(3), Err(TrySendError::Full(3)));
+        assert_eq!(tx2.send_batch(&mut vec![3]), 0);
+        let start = Instant::now();
+        assert_eq!(tx2.send_timeout(3, D), Err(SendError::Timeout(3)));
+        assert!(start.elapsed() >= D, "send_timeout returned early");
+        drop(excess); // frees spine slot A
+        assert_eq!(tx2.try_send(3), Ok(()));
+        assert_eq!(rx.recv(), Ok(3));
+    }
 }
 
 #[test]
