@@ -166,6 +166,11 @@ pub fn over<T: Send>(queue: impl Into<Backend<T>>) -> (Sender<T>, Receiver<T>) {
 /// other sender that needs one, and a forgotten `Receiver` every other
 /// receiver: their `try_*` calls miss and their deadline forms return
 /// `Timeout`, never early. The channel never closes.
+///
+/// Elements still queued when the last endpoint drops are dropped then,
+/// in FIFO order; the channel never clones a `T`. If one of those drops
+/// panics, the panic propagates out of that last endpoint's drop, the
+/// elements behind it leak, and none is dropped twice.
 pub fn bounded<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(WcqQueue::new(order, max_threads))
 }
@@ -216,6 +221,13 @@ pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Re
 /// producer seat, or its spine thread slot: once it holds the last free
 /// one, every further spine sender misses and parks. Deadline forms
 /// return `Timeout`, never early, and the channel never closes.
+///
+/// Teardown is as on [`bounded`]: the ring's elements drop in FIFO order
+/// when the last endpoint drops, and a panicking drop propagates out of
+/// that endpoint's drop, leaking the ring's later elements and dropping
+/// none twice. Elements on a grafted spine are still dropped while that
+/// panic unwinds, so a second panicking drop there aborts the process, as
+/// any panic during unwinding does.
 pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(TopoCore::spsc(order, max_threads, &WcqConfig::default()))
 }

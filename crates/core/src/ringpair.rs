@@ -73,8 +73,8 @@ pub trait IndexRing: sealed::Sealed + Send + Sync + Sized {
 
 // Inherent methods win path resolution: each `Ring::op(..)` below is the
 // ring's own operation, not a recursive call. The per-operation forwarders
-// are `#[inline]` so they add no second call in front of the ring's own
-// (not cross-crate-inlinable) operation.
+// are `#[inline]`, as the rings' own operations are, so a forwarder adds
+// no call in front of the ring's inlined fast path.
 impl IndexRing for ScqRing {
     fn new_empty(order: u32, _max_threads: usize, cfg: &WcqConfig) -> Self {
         ScqRing::new_empty(order, cfg)

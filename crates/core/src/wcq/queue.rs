@@ -68,6 +68,14 @@ impl<T> WcqQueue<T> {
     /// handle borrows the queue, so it lives inside the borrow's scope
     /// (`std::thread::scope`); see [`Self::register_owned`] for the
     /// `'static` flavour.
+    ///
+    /// `mem::forget` on a handle is leak-but-safe: its thread slot stays
+    /// claimed for good, so `register` returns `None` once every slot is
+    /// forgotten or held. The forgotten handle's helping records are quiet
+    /// (its operations all returned), and dropping the queue still drops
+    /// each remaining element exactly once. A forgotten
+    /// [`register_owned`](Self::register_owned) handle also keeps its
+    /// `Arc`, so that queue is never dropped and its elements leak.
     pub fn register(&self) -> Option<WcqHandle<T, &Self>> {
         let tid = self.slots.claim(std::slice::from_ref(&self.pair))?;
         Some(WcqHandle { q: self, tid, _item: PhantomData })
@@ -211,10 +219,12 @@ impl<T, H: Hold<WcqQueue<T>>> Drop for WcqHandle<T, H> {
     }
 }
 
+// ORDERING: test-only drop counter; ordering irrelevant
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ringpair::contract;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     #[test]
     fn register_exhaustion_and_reuse() {
@@ -228,6 +238,52 @@ mod tests {
         assert_eq!(h3.tid(), 0, "slot 0 freed and reused");
         drop(h2);
         drop(h3);
+    }
+
+    /// An element that counts its drops in `drops[id]`.
+    struct Counted {
+        id: usize,
+        drops: Arc<[AtomicUsize]>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, SeqCst);
+        }
+    }
+
+    /// `mem::forget` on a handle keeps its thread slot for good:
+    /// `register` misses once every slot is forgotten or held, and only a
+    /// held handle's drop frees one. Dropping the queue still drops every
+    /// element left in it exactly once.
+    #[test]
+    fn forgotten_handles_keep_their_slots() {
+        let drops: Arc<[AtomicUsize]> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let counted = |id| Counted {
+            id,
+            drops: Arc::clone(&drops),
+        };
+        let q: WcqQueue<Counted> = WcqQueue::new(3, 2);
+        let mut h = q.register().unwrap();
+        for id in 0..3 {
+            assert!(h.enqueue(counted(id)).is_ok());
+        }
+        let forgotten = h.tid();
+        std::mem::forget(h);
+        let mut held = q.register().expect("one slot is still free");
+        assert!(q.register().is_none(), "one slot forgotten, one held");
+        for id in 3..6 {
+            assert!(held.enqueue(counted(id)).is_ok());
+        }
+        assert_eq!(held.dequeue().map(|v| v.id), Some(0));
+        drop(held);
+        let h = q.register().expect("the held slot is free again");
+        assert_ne!(h.tid(), forgotten);
+        std::mem::forget(h);
+        assert!(q.register().is_none(), "every slot forgotten");
+        drop(q);
+        let counts: Vec<usize> = drops.iter().map(|c| c.load(SeqCst)).collect();
+        assert_eq!(counts, [1; 6], "each element dropped exactly once");
     }
 
     // The `RingPair` contract (crate::ringpair::contract) over wCQ rings.

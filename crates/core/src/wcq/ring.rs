@@ -232,8 +232,33 @@ impl WcqRing {
     /// ticket **must** be resolved (unlike tail tickets it cannot simply be
     /// abandoned: the miss path has to invalidate the slot so a late
     /// enqueuer cannot insert at a position the head has already passed).
+    ///
+    /// Inlined: the first load and the hit; a ticket whose slot does not
+    /// hold its cycle goes to [`Self::resolve_miss`] with the loaded word.
     #[inline]
     fn try_deq_at(&self, h: u64) -> DeqAt {
+        let l = &self.layout;
+        let j = l.slot(h);
+        let word = self.entries[j].load_lo();
+        let e = unpack_w(l, word);
+        if e.cycle == l.cycle(h) {
+            debug_assert!(
+                e.index != l.bot() && e.index != l.botc(),
+                "ticket {h} matched an unproduced slot"
+            );
+            self.consume(h, j, word);
+            return DeqAt::Hit(e.index);
+        }
+        self.resolve_miss(h, word)
+    }
+
+    /// The rest of `try_deq_at`, from the first-loaded value `word` of
+    /// ticket `h`'s slot: invalidate the slot for this cycle, then decide
+    /// empty or miss. A failed invalidation CAS reloads the slot, which
+    /// may now hold the ticket's cycle (a hit after all).
+    #[cold]
+    #[inline(never)]
+    fn resolve_miss(&self, h: u64, mut word: u64) -> DeqAt {
         let l = &self.layout;
         let j = l.slot(h);
         let cyc = l.cycle(h);
@@ -241,7 +266,6 @@ impl WcqRing {
         // ticket; every exit resolves the ticket (hit, empty via catchup,
         // miss via threshold)
         loop {
-            let word = self.entries[j].load_lo();
             let e = unpack_w(l, word);
             if e.cycle == cyc {
                 debug_assert!(
@@ -273,6 +297,7 @@ impl WcqRing {
                 )
             };
             if e.cycle < cyc && !self.entries[j].compare_exchange_lo(word, new) {
+                word = self.entries[j].load_lo();
                 continue;
             }
             let t = self.tail.load_lo();
@@ -300,7 +325,10 @@ impl WcqRing {
 
     /// Finds the enqueuer whose pending slow-path request produced ticket
     /// `h` and sets its `FIN` flag (Fig. 5 lines 4–11). At most one record
-    /// can match: tickets are unique.
+    /// can match: tickets are unique. Out of line: only an entry produced
+    /// by a slow-path enqueue reaches it.
+    #[cold]
+    #[inline(never)]
     fn finalize_request(&self, h: u64) {
         for rec in self.records.iter() {
             let lv = rec.local_tail.load(SeqCst);
@@ -332,6 +360,7 @@ impl WcqRing {
     // =====================================================================
 
     /// Periodically scan one peer for a pending request (Fig. 6 lines 1–12).
+    /// Inlined: the countdown; the scan is [`Self::help_scan`].
     #[inline]
     // ORDERING: advisory helping-policy counter (next_check/next_tid) or
     // seqlock pre-read re-validated under SeqCst; no protocol edge rides on
@@ -343,6 +372,18 @@ impl WcqRing {
             rec.next_check.store(nc - 1, Relaxed);
             return;
         }
+        self.help_scan(tid);
+    }
+
+    /// `help_threads` once its countdown reaches zero: re-arm it, check
+    /// the next peer's record, drive a pending request, move on.
+    #[cold]
+    #[inline(never)]
+    // ORDERING: advisory helping-policy counter (next_check/next_tid) or
+    // seqlock pre-read re-validated under SeqCst; no protocol edge rides on
+    // it
+    fn help_scan(&self, tid: usize) {
+        let rec = &self.records[tid];
         rec.next_check.store(self.cfg.help_delay as u64, Relaxed);
         let t = rec.next_tid.load(Relaxed) as usize % self.records.len();
         let thr = &self.records[t];
@@ -757,17 +798,32 @@ impl WcqRing {
     // =====================================================================
 
     /// Wait-free enqueue of `index` under thread id `tid`.
+    ///
+    /// Inlined into the caller: the help countdown and the first fast-path
+    /// attempt, which is the whole operation unless that attempt fails
+    /// (DESIGN.md §3.1). The rest is `enqueue_cold`, out of line.
+    #[inline]
     pub fn enqueue(&self, tid: usize, index: u64) {
         debug_assert!(index < self.layout.n());
         self.help_threads(tid);
-        // == fast path (SCQ) ==
-        let mut tail = 0;
-        for attempt in 0..self.cfg.max_patience_enq.max(1) {
+        // == fast path (SCQ), first attempt ==
+        if let Err(t) = self.try_enq(index) {
+            self.enqueue_cold(tid, index, t);
+        }
+    }
+
+    /// `enqueue` after a failed first attempt that burned ticket `tail`:
+    /// the other `max_patience_enq - 1` fast attempts, then the slow path
+    /// from the last burned ticket.
+    #[cold]
+    #[inline(never)]
+    fn enqueue_cold(&self, tid: usize, index: u64, mut tail: u64) {
+        // == fast path (SCQ), remaining attempts ==
+        for _ in 1..self.cfg.max_patience_enq {
             match self.try_enq(index) {
                 Ok(()) => return,
                 Err(t) => tail = t,
             }
-            let _ = attempt;
         }
         // == slow path (wCQ) ==
         let rec = &self.records[tid];
@@ -796,15 +852,33 @@ impl WcqRing {
     }
 
     /// Wait-free dequeue under thread id `tid`.
+    ///
+    /// Inlined into the caller: the O(1) empty check, the help countdown
+    /// and the first fast-path attempt. The rest is `dequeue_cold`, out of
+    /// line.
+    #[inline]
     pub fn dequeue(&self, tid: usize) -> Option<u64> {
-        let l = &self.layout;
         if self.threshold.load(SeqCst) < 0 {
             return None; // O(1) empty fast path (Fig. 5 lines 30–31)
         }
         self.help_threads(tid);
-        // == fast path (SCQ) ==
-        let mut head = 0;
-        for _ in 0..self.cfg.max_patience_deq.max(1) {
+        // == fast path (SCQ), first attempt ==
+        match self.try_deq() {
+            Ok(Deq::Index(i)) => Some(i),
+            Ok(Deq::Empty) => None,
+            Err(h) => self.dequeue_cold(tid, h),
+        }
+    }
+
+    /// `dequeue` after a first attempt that missed at ticket `head`: the
+    /// other `max_patience_deq - 1` fast attempts, then the slow path from
+    /// the last missed ticket, and the gathering of its result.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_cold(&self, tid: usize, mut head: u64) -> Option<u64> {
+        let l = &self.layout;
+        // == fast path (SCQ), remaining attempts ==
+        for _ in 1..self.cfg.max_patience_deq {
             match self.try_deq() {
                 Ok(Deq::Index(i)) => return Some(i),
                 Ok(Deq::Empty) => return None,
@@ -823,7 +897,7 @@ impl WcqRing {
         rec.enqueue.store(0, SeqCst);
         rec.seq2.store(seq, SeqCst);
         rec.pending.store(1, SeqCst);
-        // See the publish-side yield in `enqueue`.
+        // See the publish-side yield in `enqueue_cold`.
         #[cfg(all(debug_assertions, not(wcq_dst)))]
         std::thread::yield_now();
         self.dequeue_slow(rec, tag | head, rec, tag);
@@ -870,7 +944,17 @@ impl WcqRing {
             }
             done = i + 1;
         }
-        for &idx in &indices[done..] {
+        if done < indices.len() {
+            self.enqueue_each(tid, &indices[done..]);
+        }
+    }
+
+    /// The indices a batch could not place on its claimed tickets, each
+    /// through the singleton wait-free path, in order.
+    #[cold]
+    #[inline(never)]
+    fn enqueue_each(&self, tid: usize, indices: &[u64]) {
+        for &idx in indices {
             self.enqueue(tid, idx);
         }
     }
@@ -1041,6 +1125,92 @@ mod tests {
                 assert_eq!(r.dequeue(0), Some((i + round) % 8));
             }
             assert_eq!(r.dequeue(0), None);
+        }
+    }
+
+    /// Makes a fast attempt at ticket `t` fail: the slot gets an
+    /// older-cycle word holding a live index, which neither an enqueue nor
+    /// a dequeue of ticket `t` may take.
+    fn occupy_with_older_cycle(r: &WcqRing, t: u64) {
+        let l = r.layout();
+        let entry = &r.entries[l.slot(t)];
+        let (old, note) = entry.load2();
+        let word = pack_w(
+            l,
+            WEntry {
+                cycle: l.cycle(t) - 1,
+                is_safe: true,
+                enq: true,
+                index: 0,
+            },
+        );
+        assert!(entry.compare_exchange2((old, note), (word, note)));
+    }
+
+    /// A fresh order-3 ring under `cfg` whose next `k` tickets (tail and
+    /// head alike) fail their fast attempts.
+    fn ring_with_failing_tickets(cfg: &WcqConfig, k: u64) -> WcqRing {
+        let r = WcqRing::new_empty(3, 1, cfg);
+        let t = r.tail.load_lo();
+        assert_eq!(t, r.head.load_lo());
+        for i in 0..k {
+            occupy_with_older_cycle(&r, t + i);
+        }
+        r
+    }
+
+    /// Pins the patience budget: an operation makes exactly
+    /// `max_patience` fast attempts (at least one) before its slow path.
+    /// With `k` failing tickets ahead, patience `> k` lands the operation
+    /// on the fast path at ticket `t + k`; patience `<= k` publishes a
+    /// request (`seq1` + 1). Either way the counter moves by `k + 1` and
+    /// the elements come out in FIFO order. Patience `k` and `k + 1` are
+    /// the two sides of an off-by-one in the retry count; `stress()` is
+    /// the `P = 1` edge.
+    #[test]
+    fn patience_budget_counts_fast_attempts() {
+        let patience = |enq, deq| WcqConfig {
+            max_patience_enq: enq,
+            max_patience_deq: deq,
+            ..cfg_default()
+        };
+        let mut cases = vec![(WcqConfig::stress(), 0), (WcqConfig::stress(), 1)];
+        for k in 1..=3u32 {
+            for p in [k, k + 1] {
+                cases.push((patience(p, 16), k as u64));
+                cases.push((patience(16, p), k as u64));
+            }
+        }
+        for (cfg, k) in cases {
+            let ctx = format!("{k} failing tickets, {cfg:?}");
+            let seq1 = |r: &WcqRing| r.records[0].seq1.load(SeqCst);
+
+            // Enqueue side.
+            let r = ring_with_failing_tickets(&cfg, k);
+            let (t, before) = (r.tail.load_lo(), seq1(&r));
+            r.enqueue(0, 1);
+            assert_eq!(r.tail.load_lo(), t + k + 1, "enqueue, {ctx}");
+            let slow = u64::from(cfg.max_patience_enq.max(1) as u64 <= k);
+            assert_eq!(seq1(&r) - before, slow, "enqueue slow-path entries, {ctx}");
+            r.enqueue(0, 2);
+            r.enqueue(0, 3);
+            let got: Vec<u64> = std::iter::from_fn(|| r.dequeue(0)).collect();
+            assert_eq!(got, [1, 2, 3], "enqueue side, {ctx}");
+
+            // Dequeue side, over the same tickets: the enqueue takes the
+            // fast path only when its own patience outlasts them.
+            let r = ring_with_failing_tickets(&cfg, k);
+            let h = r.head.load_lo();
+            r.enqueue(0, 1);
+            let before = seq1(&r);
+            assert_eq!(r.dequeue(0), Some(1), "{ctx}");
+            assert_eq!(r.head.load_lo(), h + k + 1, "dequeue, {ctx}");
+            let slow = u64::from(cfg.max_patience_deq.max(1) as u64 <= k);
+            assert_eq!(seq1(&r) - before, slow, "dequeue slow-path entries, {ctx}");
+            r.enqueue(0, 2);
+            r.enqueue(0, 3);
+            let got: Vec<u64> = std::iter::from_fn(|| r.dequeue(0)).collect();
+            assert_eq!(got, [2, 3], "dequeue side, {ctx}");
         }
     }
 

@@ -16,12 +16,16 @@
 //! ORDERING: cmpxchg16b backend: the instruction is a full barrier; SeqCst
 //! documents the exported contract
 
-use crate::portable;
 use crate::AtomicPair;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 pub(crate) const NAME: &str = "x86_64-cmpxchg16b";
 pub(crate) const HARDWARE: bool = true;
+
+/// Feature-detection state: 0 = unknown, 1 = yes, 2 = no. Benign race:
+/// detection is idempotent.
+#[cfg(not(target_feature = "cmpxchg16b"))]
+static CX16: AtomicU8 = AtomicU8::new(0);
 
 #[inline]
 fn cx16_available() -> bool {
@@ -31,17 +35,59 @@ fn cx16_available() -> bool {
     }
     #[cfg(not(target_feature = "cmpxchg16b"))]
     {
-        // 0 = unknown, 1 = yes, 2 = no. Benign race: detection is idempotent.
-        static STATE: AtomicU8 = AtomicU8::new(0);
-        match STATE.load(Ordering::Relaxed) {
+        match CX16.load(Ordering::Relaxed) {
             1 => true,
             2 => false,
-            _ => {
-                let ok = std::arch::is_x86_feature_detected!("cmpxchg16b");
-                STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-                ok
-            }
+            _ => detect_cx16(),
         }
+    }
+}
+
+/// The first call's CPUID probe, out of line so each operation inlines
+/// only the cached check.
+#[cfg(not(target_feature = "cmpxchg16b"))]
+#[cold]
+#[inline(never)]
+fn detect_cx16() -> bool {
+    let ok = std::arch::is_x86_feature_detected!("cmpxchg16b");
+    CX16.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
+    ok
+}
+
+/// The stripe-lock backend for a CPU without `cmpxchg16b`, one out-of-line
+/// call per operation: each operation below inlines to the cached feature
+/// check and its one `lock` instruction, with no fallback code beside it.
+mod fallback {
+    use crate::{portable, AtomicPair};
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn load2(p: &AtomicPair) -> (u64, u64) {
+        portable::load2(p)
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn compare_exchange2(p: &AtomicPair, current: (u64, u64), new: (u64, u64)) -> bool {
+        portable::compare_exchange2(p, current, new)
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn fetch_add_lo(p: &AtomicPair, delta: u64) -> u64 {
+        portable::fetch_add_lo(p, delta)
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn fetch_or_lo(p: &AtomicPair, bits: u64) -> u64 {
+        portable::fetch_or_lo(p, bits)
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn compare_exchange_lo(p: &AtomicPair, current: u64, new: u64) -> bool {
+        portable::compare_exchange_lo(p, current, new)
     }
 }
 
@@ -98,7 +144,7 @@ pub(crate) fn load2(p: &AtomicPair) -> (u64, u64) {
         let (lo, hi, _) = unsafe { cas16(p.as_u128_ptr(), 0, 0, 0, 0) };
         (lo, hi)
     } else {
-        portable::load2(p)
+        fallback::load2(p)
     }
 }
 
@@ -109,7 +155,7 @@ pub(crate) fn compare_exchange2(p: &AtomicPair, current: (u64, u64), new: (u64, 
         let (_, _, ok) = unsafe { cas16(p.as_u128_ptr(), current.0, current.1, new.0, new.1) };
         ok
     } else {
-        portable::compare_exchange2(p, current, new)
+        fallback::compare_exchange2(p, current, new)
     }
 }
 
@@ -118,7 +164,7 @@ pub(crate) fn fetch_add_lo(p: &AtomicPair, delta: u64) -> u64 {
     if cx16_available() {
         p.lo_atomic().fetch_add(delta, Ordering::SeqCst)
     } else {
-        portable::fetch_add_lo(p, delta)
+        fallback::fetch_add_lo(p, delta)
     }
 }
 
@@ -127,7 +173,7 @@ pub(crate) fn fetch_or_lo(p: &AtomicPair, bits: u64) -> u64 {
     if cx16_available() {
         p.lo_atomic().fetch_or(bits, Ordering::SeqCst)
     } else {
-        portable::fetch_or_lo(p, bits)
+        fallback::fetch_or_lo(p, bits)
     }
 }
 
@@ -138,6 +184,6 @@ pub(crate) fn compare_exchange_lo(p: &AtomicPair, current: u64, new: u64) -> boo
             .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     } else {
-        portable::compare_exchange_lo(p, current, new)
+        fallback::compare_exchange_lo(p, current, new)
     }
 }

@@ -240,6 +240,52 @@ fn slot_waiting_resolves_when_endpoint_drops() {
     }
 }
 
+/// A value that counts its drops in `drops[id]`, and panics in its `Drop`
+/// (after counting) when `panics` is set.
+struct Counted {
+    id: usize,
+    drops: Arc<[AtomicU64]>,
+    panics: bool,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops[self.id].fetch_add(1, SeqCst);
+        if self.panics {
+            panic!("element {} panics in its drop", self.id);
+        }
+    }
+}
+
+#[test]
+fn panicking_drop_at_teardown_leaks_the_rest() {
+    // The documented teardown outcome on `bounded` and `spsc`: queued
+    // elements drop in FIFO order when the last endpoint drops; the first
+    // panicking drop propagates out of that endpoint's drop, the elements
+    // behind it leak, and none is dropped twice.
+    let channels = [
+        ("bounded", channel::bounded::<Counted>(3, 2)),
+        ("spsc", channel::spsc::<Counted>(3, 2)),
+    ];
+    for (name, (mut tx, rx)) in channels {
+        let drops: Arc<[AtomicU64]> = (0..5).map(|_| AtomicU64::new(0)).collect();
+        for id in 0..5 {
+            let drops = Arc::clone(&drops);
+            let sent = tx.try_send(Counted {
+                id,
+                drops,
+                panics: id == 2,
+            });
+            assert!(sent.is_ok(), "{name}: element {id}");
+        }
+        drop(tx);
+        let last = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(rx)));
+        assert!(last.is_err(), "{name}: the drop's panic must propagate");
+        let counts: Vec<u64> = drops.iter().map(|c| c.load(SeqCst)).collect();
+        assert_eq!(counts, [1, 1, 1, 0, 0], "{name}");
+    }
+}
+
 #[test]
 fn timeout_is_element_conserving() {
     let (mut tx, mut rx) = channel::bounded::<u32>(2, 2); // 4 slots
