@@ -173,7 +173,7 @@ fn main() -> ExitCode {
         fmt_ns(l.max_ns as f64),
         l.n
     );
-    // Whole-process CPU (producers, workers, exporter) over the run: what
+    // Whole-process CPU (producers and workers) over the run: what
     // the pipeline's waiting costs beside its latency.
     match cpu {
         Some(cpu) => println!(

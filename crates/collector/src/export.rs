@@ -1,6 +1,6 @@
 //! The export edge of the pipeline: the [`Exporter`] sink trait, the
 //! [`FaultInjector`] seam the tests and the soak binary share, and the
-//! bounded-retry [`RetryPolicy`] that decides how hard the exporter stage
+//! bounded-retry [`RetryPolicy`] that decides how hard the export stage
 //! fights a failing sink before it counts a batch as dropped.
 
 use std::sync::atomic::AtomicU64;
@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use crate::span::Span;
 
-/// An export attempt failed. Carries no payload: the exporter stage still
-/// owns the batch and decides (via [`RetryPolicy`]) whether to retry it.
+/// An export attempt failed. Carries no payload: the export stage still
+/// holds the batch and decides (via [`RetryPolicy`]) whether to retry it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExportError;
 
@@ -22,9 +22,11 @@ impl std::fmt::Display for ExportError {
 
 impl std::error::Error for ExportError {}
 
-/// The terminal sink for flushed batches. Implementations are owned by
-/// the single exporter thread, so `&mut self` suffices — no internal
-/// synchronization required.
+/// The terminal sink for flushed batches. The worker that flushed a batch
+/// calls `export` itself, with attempts under the export lock: one
+/// attempt at a time across all workers, so `&mut self` suffices — no
+/// internal synchronization required. A slow `export` holds that worker
+/// and every worker waiting on the lock; their spans wait in the lanes.
 pub trait Exporter: Send {
     /// Exports one batch. An `Err` means *nothing* from `spans` was
     /// persisted — the stage retries or drops the whole batch; partial
@@ -66,10 +68,10 @@ pub enum FaultAction {
     /// Fail the attempt without calling the exporter (counts as an
     /// export failure; the batch follows the retry path).
     Fail,
-    /// Stall the exporter thread for the duration, then run the attempt.
-    /// Models a slow backend: upstream keeps batching, the export queue
-    /// absorbs the bubble, and once it is full the spans wait in the
-    /// lanes, so batches grow.
+    /// Stall the export for the duration, then run the attempt. Models a
+    /// slow backend: the flushing worker waits in the export (holding the
+    /// export lock), the spans wait in the lanes, and the next sweep takes
+    /// them as one batch, so batches grow.
     Stall(Duration),
 }
 
@@ -123,8 +125,8 @@ impl FailEvery {
 impl FaultInjector for FailEvery {
     fn before_attempt(&self) -> FaultAction {
         // ORDERING: fault-injection attempt counter; only sequences
-        // injected faults against attempts on the single exporter thread,
-        // cross-thread order immaterial — cover: dst model 8
+        // injected faults against attempts under the export lock, which
+        // orders them, cross-thread order immaterial — cover: dst model 8
         let k = self.attempts.fetch_add(1, Relaxed) + 1;
         if k.is_multiple_of(self.n) {
             FaultAction::Fail
@@ -161,8 +163,8 @@ impl StallFor {
 impl FaultInjector for StallFor {
     fn before_attempt(&self) -> FaultAction {
         // ORDERING: fault-injection attempt counter; only sequences
-        // injected faults against attempts on the single exporter thread,
-        // cross-thread order immaterial
+        // injected faults against attempts under the export lock, which
+        // orders them, cross-thread order immaterial
         let k = self.attempts.fetch_add(1, Relaxed) + 1;
         if k.is_multiple_of(self.every) {
             FaultAction::Stall(self.dur)
@@ -172,7 +174,7 @@ impl FaultInjector for StallFor {
     }
 }
 
-/// How the exporter stage responds to a failed attempt before it counts
+/// How the export stage responds to a failed attempt before it counts
 /// the batch as dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {

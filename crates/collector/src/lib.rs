@@ -7,11 +7,11 @@
 //! trace's spans stay FIFO through one lane); batching workers sweep
 //! disjoint lane subsets with `recv_batch`, flush on size, deadline or
 //! a pause in the flow, and park across all their lanes with
-//! `channel::recv_any` once nothing is buffered;
-//! a single exporter stage applies a bounded [`RetryPolicy`] around a
-//! pluggable [`Exporter`] sink, with a [`FaultInjector`] seam
-//! ([`FailEvery`], [`StallFor`]) shared by the tests, the DST model, and
-//! the `collector-soak` binary.
+//! `channel::recv_any` once nothing is buffered. A worker exports what it
+//! flushes itself, through one export stage the workers share under a
+//! lock: a bounded [`RetryPolicy`] around a pluggable [`Exporter`] sink,
+//! with a [`FaultInjector`] seam ([`FailEvery`], [`StallFor`]) shared by
+//! the tests, the DST model, and the `collector-soak` binary.
 //!
 //! The crate's contract is **conservation**: every accepted span is
 //! exported exactly once or explicitly counted dropped — by count and by

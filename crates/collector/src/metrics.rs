@@ -13,9 +13,9 @@
 //! |---|---|---|---|---|
 //! | `IngestBlock`, row 0 | shard | `accepted`, `shed`, `accepted_ck` | unseated producers (RMW) | `snapshot` |
 //! | `IngestBlock`, row `1 + seat` | seat × shard | same | the one [`crate::SpanSender`] holding the seat (`load`+`store`) | `snapshot` |
-//! | `EgressBlock` | shard | `exported`, `dropped` | exporter, once per batch | `snapshot` |
+//! | `EgressBlock` | shard | `exported`, `dropped` | export stage (a worker holding the export lock), once per batch | `snapshot` |
 //! | `FlushBlock` | pipeline | `flushes`, `deadline_flushes`, `pause_flushes` | workers, once per batch (full, deadline, pause or drain) | `snapshot` |
-//! | `ExportBlock` | pipeline | `exported_ck`, `dropped_ck`, `export_failures`, `retries` | exporter, once per batch / attempt | `snapshot` |
+//! | `ExportBlock` | pipeline | `exported_ck`, `dropped_ck`, `export_failures`, `retries` | export stage, once per batch / attempt | `snapshot` |
 //!
 //! `snapshot` sums the ingest rows per shard and XOR-folds their
 //! checksums.
@@ -41,19 +41,19 @@ struct IngestBlock {
     accepted_ck: AtomicU64,
 }
 
-/// One shard's way-out counters; the exporter stage is the only writer.
+/// One shard's way-out counters; only the export stage writes them.
 #[derive(Default)]
 struct EgressBlock {
-    /// Spans the exporter stage confirmed exported.
+    /// Spans the export stage confirmed exported.
     exported: AtomicU64,
-    /// Spans the exporter dropped (retries exhausted).
+    /// Spans the export stage dropped (retries exhausted).
     dropped: AtomicU64,
 }
 
 /// Batch hand-off counters; only workers write them.
 #[derive(Default)]
 struct FlushBlock {
-    /// Batches handed to the exporter stage.
+    /// Batches handed to the export stage.
     flushes: AtomicU64,
     /// The subset of `flushes` forced by the flush deadline.
     deadline_flushes: AtomicU64,
@@ -74,7 +74,7 @@ pub(crate) enum FlushCause {
     Drain,
 }
 
-/// Pipeline-wide export-side counters; only the exporter stage writes
+/// Pipeline-wide export-side counters; only the export stage writes
 /// them.
 #[derive(Default)]
 struct ExportBlock {
@@ -89,7 +89,7 @@ struct ExportBlock {
 }
 
 /// The collector's counter set. One instance per pipeline, shared by
-/// every [`crate::SpanSender`], worker, and the exporter stage.
+/// every [`crate::SpanSender`], worker, and the export stage.
 pub struct Metrics {
     /// `(1 + seats) × shards` blocks, row-major: `[row * shards + shard]`.
     ingest: Box<[CachePadded<IngestBlock>]>,
@@ -220,7 +220,7 @@ impl Metrics {
         self.egress_batch(spans, counts, |b| &b.exported, &self.export.exported_ck);
     }
 
-    /// Counts a batch the exporter dropped (retries exhausted).
+    /// Counts a batch the export stage dropped (retries exhausted).
     pub(crate) fn on_drop_batch(&self, spans: &[Span], counts: &mut [u64]) {
         self.egress_batch(spans, counts, |b| &b.dropped, &self.export.dropped_ck);
     }
@@ -311,7 +311,7 @@ pub struct MetricsSnapshot {
     pub export_failures: u64,
     /// Scheduled re-attempts.
     pub retries: u64,
-    /// Batches flushed to the exporter stage.
+    /// Batches flushed to the export stage.
     pub flushes: u64,
     /// Flushes forced by the deadline.
     pub deadline_flushes: u64,
@@ -330,7 +330,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Accepted spans still somewhere inside the pipeline (lane backlog,
-    /// an open batch, or the exporter stage). Derived, and therefore
+    /// an open batch, or the export stage). Derived, and therefore
     /// momentarily stale mid-flight; exactly 0 after a clean shutdown.
     pub fn inflight(&self) -> u64 {
         self.accepted
@@ -358,7 +358,7 @@ mod tests {
     use super::*;
 
     /// Counts `spans` as one exported (or dropped) batch, the way the
-    /// exporter stage does.
+    /// export stage does.
     fn export(m: &Metrics, spans: &[Span]) {
         m.on_export_batch(spans, &mut vec![0; m.shards()]);
     }

@@ -1,31 +1,31 @@
-//! The collector pipeline: sharded ingest lanes → batching workers →
-//! resilient exporter, every stage joined by `wcq::channel` endpoints.
+//! The collector pipeline: sharded ingest lanes → batching workers that
+//! export their own batches through one shared, resilient export stage.
 //!
 //! ```text
 //!  SpanSender ──try_send──► lane 0 (channel::mpsc) ─┐
-//!  SpanSender ──try_send──► lane 1                  ├─ worker 0 ─┐
-//!      ...                    ...                   │            ├─► export
-//!  SpanSender ──try_send──► lane S-1               ─┴─ worker W-1┘   queue ─► exporter
+//!  SpanSender ──try_send──► lane 1                  ├─ worker 0 ─┐  export lock
+//!      ...                    ...                   │            ├─► ExportStage ─► Exporter
+//!  SpanSender ──try_send──► lane S-1               ─┴─ worker W-1┘
 //! ```
 //!
 //! A worker ships a batch when it is full, when it has been open
 //! `flush_after`, or when the flow pauses: two sweeps a short grace wait
-//! apart both find every lane empty. It parks only with nothing
-//! buffered, so a span never waits on somebody else's next span, and
-//! after a pause flush it first yields its CPU once, so an exporter the
-//! flush woke on the same CPU ships the batch before the worker pays for
-//! its park.
+//! apart both find every lane empty. To ship, it takes the export lock
+//! and runs the retry loop around the [`Exporter`] itself, so a batch
+//! reaches the sink on the thread that flushed it, with no queue and no
+//! wake between them. It parks only with nothing buffered, so a span
+//! never waits on somebody else's next span.
 //!
 //! Shutdown is a refcount ripple, not a flag: dropping the last
 //! [`SpanSender`] closes every lane (last-sender-out close in
-//! `wcq::channel`); each worker sweeps its lanes dry, ships the final
-//! partial batch, sees `Closed` from its park and drops its export-queue
-//! sender; the last worker out closes the export queue; the exporter
-//! drains it to `Closed` and returns. No span accepted before the ripple
-//! can be lost — that is the conservation identity
-//! [`crate::MetricsSnapshot::conserved`] asserts, and DST model 8
-//! explores the deadline, pause and drain flushes against the close
-//! ripple at schedule granularity.
+//! `wcq::channel`); each worker sweeps its lanes dry, exports the final
+//! partial batch, sees `Closed` from its park and returns;
+//! [`Collector::shutdown`] joins the workers and takes the exporter back
+//! out of the stage. No span accepted before the ripple can be lost —
+//! that is the conservation identity [`crate::MetricsSnapshot::conserved`]
+//! asserts, and DST model 8 explores the deadline, pause and drain
+//! flushes against the close ripple, and two workers' flushes against
+//! each other on the export lock, at schedule granularity.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,7 +78,10 @@ pub struct CollectorConfig {
     /// one drops.
     pub producers: usize,
     /// Batching worker threads. Lanes are distributed round-robin;
-    /// clamped to `1..=shards` (a lane has exactly one sweeper).
+    /// clamped to `1..=shards` (a lane has exactly one sweeper). Each
+    /// worker exports the batches it flushes, one worker at a time under
+    /// the export lock, so more workers add sweeping, not export,
+    /// parallelism.
     pub workers: usize,
     /// Flush a batch when it reaches this many spans. The cap on a
     /// batch, not a target: a batch also ships as soon as the flow
@@ -95,14 +98,12 @@ pub struct CollectorConfig {
     pub shed: ShedPolicy,
     /// Export retry budget and backoff. A batch whose retries are
     /// exhausted is counted as dropped (per-shard `dropped` counters plus
-    /// the dropped checksum): accounted, not lost.
+    /// the dropped checksum): accounted, not lost. A slow or failing
+    /// sink holds the flushing worker (and any worker waiting on the
+    /// export lock) while spans wait in the lanes, which engages
+    /// [`ShedPolicy`] at the ingest edge — overload sheds at the cheap
+    /// edge, never mid-pipeline.
     pub retry: RetryPolicy,
-    /// Export queue capacity is `2^export_order` batches; when the
-    /// exporter stalls and the queue fills, workers park on it (batch
-    /// backpressure), which in turn fills lanes and engages [`ShedPolicy`]
-    /// at the ingest edge — overload sheds at the cheap edge, never
-    /// mid-pipeline.
-    pub export_order: u32,
     /// Flush-latency samples retained for the report percentiles.
     pub latency_reservoir: usize,
 }
@@ -118,7 +119,6 @@ impl Default for CollectorConfig {
             flush_after: Duration::from_millis(5),
             shed: ShedPolicy::Shed,
             retry: RetryPolicy::default(),
-            export_order: 6,
             latency_reservoir: 4096,
         }
     }
@@ -193,14 +193,6 @@ impl Drop for SpanSender {
     }
 }
 
-/// One flushed batch in flight from a worker to the exporter stage.
-struct Batch {
-    spans: Vec<Span>,
-    /// When the batch's first span entered the worker's buffer; the
-    /// exporter turns this into the flush-latency sample.
-    opened: Instant,
-}
-
 /// Everything the pipeline can report about a finished run.
 #[derive(Clone, Debug)]
 pub struct CollectorReport {
@@ -211,18 +203,18 @@ pub struct CollectorReport {
     pub flush_latency: LatencyStats,
 }
 
-/// A running pipeline: worker and exporter threads plus the shared
-/// counters. Created by [`Collector::spawn`]; reclaimed by
+/// A running pipeline: worker threads, the export stage they share and
+/// the shared counters. Created by [`Collector::spawn`]; reclaimed by
 /// [`Collector::shutdown`].
 pub struct Collector<E: Exporter> {
     workers: Vec<sim::JoinHandle<()>>,
-    export: sim::JoinHandle<(E, Vec<u64>)>,
+    export: Arc<sim::Mutex<ExportStage<E>>>,
     metrics: Arc<Metrics>,
 }
 
 impl<E: Exporter + 'static> Collector<E> {
-    /// Builds the lanes, spawns `cfg.workers` batching workers and the
-    /// exporter thread, and returns the pipeline plus the template
+    /// Builds the lanes and the export stage, spawns `cfg.workers`
+    /// batching workers, and returns the pipeline plus the template
     /// [`SpanSender`]. Clone the sender onto producer threads; the
     /// pipeline owns no sender itself, so the close ripple starts the
     /// moment the last clone drops.
@@ -243,11 +235,14 @@ impl<E: Exporter + 'static> Collector<E> {
         assert!(cfg.batch_max > 0, "batch_max of zero can never flush");
         let workers = cfg.workers.clamp(1, cfg.shards);
         let metrics = Arc::new(Metrics::new(cfg.shards, cfg.producers));
-
-        // Export queue: workers (+ the soon-dropped template) in, one
-        // exporter out.
-        let (batch_tx, batch_rx) =
-            channel::mpsc::<Batch>(cfg.export_order, workers + 1, workers + 3);
+        let export = Arc::new(sim::Mutex::new(ExportStage {
+            faults,
+            retry: cfg.retry,
+            metrics: Arc::clone(&metrics),
+            counts: vec![0; cfg.shards],
+            latency: Reservoir::new(cfg.latency_reservoir.max(1)),
+            exporter,
+        }));
 
         // Ingest lanes, receivers dealt round-robin to workers.
         let mut lane_txs = Vec::with_capacity(cfg.shards);
@@ -267,7 +262,7 @@ impl<E: Exporter + 'static> Collector<E> {
             .map(|lanes| {
                 let w = Worker {
                     lanes,
-                    batch_tx: batch_tx.clone(),
+                    export: Arc::clone(&export) as Arc<sim::Mutex<ExportStage<dyn Exporter>>>,
                     metrics: Arc::clone(&metrics),
                     batch_max: cfg.batch_max,
                     flush_after: cfg.flush_after,
@@ -275,20 +270,6 @@ impl<E: Exporter + 'static> Collector<E> {
                 sim::spawn(move || w.run())
             })
             .collect();
-        // The workers hold the only live export-queue senders now; the
-        // last worker to exit closes it under the exporter.
-        drop(batch_tx);
-
-        let stage = ExportStage {
-            rx: batch_rx,
-            exporter,
-            faults,
-            retry: cfg.retry,
-            metrics: Arc::clone(&metrics),
-            counts: vec![0; cfg.shards],
-            latency: Reservoir::new(cfg.latency_reservoir.max(1)),
-        };
-        let export = sim::spawn(move || stage.run());
 
         let sender = SpanSender {
             lanes: lane_txs,
@@ -314,21 +295,22 @@ impl<E: Exporter + 'static> Collector<E> {
     /// Joins the pipeline after the close ripple and returns the final
     /// report plus the exporter (so tests can inspect what it received).
     ///
-    /// Blocks until every worker and the exporter exit — which requires
-    /// every [`SpanSender`] clone to have been dropped first; call this
-    /// after releasing them. In-flight spans are drained, not discarded:
-    /// workers sweep their lanes to `Closed` and flush the final partial
+    /// Blocks until every worker exits — which requires every
+    /// [`SpanSender`] clone to have been dropped first; call this after
+    /// releasing them. In-flight spans are drained, not discarded:
+    /// workers sweep their lanes to `Closed` and export the final partial
     /// batch before exiting.
     pub fn shutdown(self) -> (CollectorReport, E) {
         for w in self.workers {
             w.join().expect("collector worker panicked");
         }
-        let (exporter, samples) = self.export.join().expect("collector exporter panicked");
+        let stage = Arc::into_inner(self.export).expect("every worker has exited");
+        let stage = sim::into_inner(stage);
         let report = CollectorReport {
             metrics: self.metrics.snapshot(),
-            flush_latency: LatencyStats::from_ns_samples(samples),
+            flush_latency: LatencyStats::from_ns_samples(stage.latency.into_samples()),
         };
-        (report, exporter)
+        (report, stage.exporter)
     }
 }
 
@@ -338,7 +320,10 @@ impl<E: Exporter + 'static> Collector<E> {
 
 struct Worker {
     lanes: Vec<Receiver<Span>>,
-    batch_tx: Sender<Batch>,
+    /// The stage with its exporter type erased, so the worker loop is
+    /// compiled once, in this crate, not once per exporter type in the
+    /// caller's (DESIGN.md §14).
+    export: Arc<sim::Mutex<ExportStage<dyn Exporter>>>,
     metrics: Arc<Metrics>,
     batch_max: usize,
     flush_after: Duration,
@@ -420,15 +405,12 @@ impl Worker {
                 }
                 // Empty again: the flow paused. Ship rather than hold the
                 // spans for whoever sends next.
-                if self.lanes.iter().all(|rx| rx.is_closed()) {
-                    self.flush(&mut buf, &mut opened, FlushCause::Drain);
+                let cause = if self.lanes.iter().all(|rx| rx.is_closed()) {
+                    FlushCause::Drain
                 } else {
-                    self.flush(&mut buf, &mut opened, FlushCause::Pause);
-                    // The flush woke the exporter, perhaps onto this CPU:
-                    // let it export before this thread pays for its own
-                    // registrations and park (DESIGN.md §14).
-                    sim::hand_off();
-                }
+                    FlushCause::Pause
+                };
+                self.flush(&mut buf, &mut opened, cause);
             }
             // Nothing buffered: park across all lanes, with no deadline to
             // keep because the worker never parks holding spans.
@@ -445,71 +427,58 @@ impl Worker {
         }
     }
 
+    /// Exports the open batch under the export lock and empties `buf`,
+    /// which keeps its capacity for the next batch.
     fn flush(&mut self, buf: &mut Vec<Span>, opened: &mut Option<Instant>, cause: FlushCause) {
-        let opened_at = opened.take().expect("only an open batch is flushed");
-        let spans = std::mem::replace(buf, Vec::with_capacity(self.batch_max));
+        let opened = opened.take().expect("only an open batch is flushed");
         self.metrics.on_flush(cause);
-        match self.batch_tx.send(Batch {
-            spans,
-            opened: opened_at,
-        }) {
-            Ok(()) => {}
-            Err(SendError::Closed(batch)) | Err(SendError::Timeout(batch)) => {
-                // Closed is unreachable in the normal lifecycle (the
-                // exporter holds the receiver until this sender closes)
-                // and Timeout cannot come from an untimed send, but if
-                // either ever surfaces the spans must still be accounted,
-                // not lost.
-                self.metrics
-                    .on_drop_batch(&batch.spans, &mut vec![0; self.metrics.shards()]);
-            }
-        }
+        self.export
+            .lock()
+            .expect("another worker panicked while exporting")
+            .export_batch(buf, opened);
+        buf.clear();
     }
 }
 
 // ===================================================================
-// Exporter stage: bounded retry, fault injection, drop accounting
+// Export stage: bounded retry, fault injection, drop accounting
 // ===================================================================
 
-struct ExportStage<E: Exporter> {
-    rx: Receiver<Batch>,
-    exporter: E,
+/// The exporter and its retry state, shared by every worker behind one
+/// lock: the workers take turns running attempts, so the [`Exporter`]
+/// sees one call at a time.
+struct ExportStage<E: Exporter + ?Sized> {
     faults: Arc<dyn FaultInjector>,
     retry: RetryPolicy,
     metrics: Arc<Metrics>,
     /// Per-shard scratch for the batch accounting, zero between batches.
     counts: Vec<u64>,
     latency: Reservoir,
+    /// Last, so the workers can share the stage as
+    /// `ExportStage<dyn Exporter>`.
+    exporter: E,
 }
 
-impl<E: Exporter> ExportStage<E> {
-    fn run(mut self) -> (E, Vec<u64>) {
-        // `recv` without a timeout only ever yields a value or Closed;
-        // Closed here means every worker has flushed its final batch.
-        // BOUND: wait-edge — exporter drains until the batch channel
-        // closes, which means every worker flushed its final batch
-        while let Ok(batch) = self.rx.recv() {
-            self.export_batch(batch);
-        }
-        (self.exporter, self.latency.into_samples())
-    }
-
-    fn export_batch(&mut self, batch: Batch) {
+impl ExportStage<dyn Exporter> {
+    /// Exports `spans`, retrying within the budget, or counts them
+    /// dropped; `opened` (when the batch's first span was buffered)
+    /// becomes the flush-latency sample.
+    fn export_batch(&mut self, spans: &[Span], opened: Instant) {
         let budget = self.retry.max_attempts.max(1);
         for attempt in 1..=budget {
             let outcome = match self.faults.before_attempt() {
-                FaultAction::Proceed => self.exporter.export(&batch.spans),
+                FaultAction::Proceed => self.exporter.export(spans),
                 FaultAction::Fail => Err(ExportError),
                 FaultAction::Stall(d) => {
                     sim::sleep(d);
-                    self.exporter.export(&batch.spans)
+                    self.exporter.export(spans)
                 }
             };
             match outcome {
                 Ok(()) => {
-                    self.metrics.on_export_batch(&batch.spans, &mut self.counts);
+                    self.metrics.on_export_batch(spans, &mut self.counts);
                     self.latency
-                        .push(batch.opened.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                        .push(opened.elapsed().as_nanos().min(u64::MAX as u128) as u64);
                     return;
                 }
                 Err(ExportError) => {
@@ -522,6 +491,6 @@ impl<E: Exporter> ExportStage<E> {
             }
         }
         // Retries exhausted: the batch is dropped, every span accounted.
-        self.metrics.on_drop_batch(&batch.spans, &mut self.counts);
+        self.metrics.on_drop_batch(spans, &mut self.counts);
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! Shutdown is pure refcounting, as everywhere on the channel stack: the
 //! request threads drop their `SpanSender` clones → the lanes close → the
-//! batching workers drain and flush → the export queue closes → the
-//! exporter finishes and the report is exact.
+//! batching workers drain, export their final batches and exit → the
+//! report is exact.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -2,9 +2,11 @@
 //! oversubscription, load shedding, fault injection (FailEvery /
 //! StallFor), retry exhaustion and its drop accounting, the sizing checks
 //! of `Collector::spawn`, deadline and pause flushes, batches that grow
-//! behind a slow exporter, the refcount-ripple shutdown drain, seated vs
-//! overflow senders, and the freshness bound under the paced sweep.
+//! behind a slow exporter, the export lock that serializes the workers'
+//! exports, the refcount-ripple shutdown drain, seated vs overflow
+//! senders, and the freshness bound under the paced sweep.
 
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -76,7 +78,6 @@ fn shed_policy_counts_refusals_and_conserves_the_rest() {
         producers: 4,
         workers: 1,
         batch_max: 8,
-        export_order: 2,
         shed: ShedPolicy::Shed,
         ..CollectorConfig::default()
     };
@@ -283,16 +284,15 @@ fn pause_ships_a_partial_batch_before_the_deadline() {
 #[test]
 fn slow_exporter_grows_batches() {
     // Every export attempt stalls 1 ms against ~100 k spans/s: shipping
-    // on every pause would mean one-span batches, but once the export
-    // queue is full the worker waits in `flush` while spans pile up in
-    // the lanes, so the next sweep takes them as one batch.
+    // on every pause would mean one-span batches, but the worker waits
+    // in the export while spans pile up in the lanes, so the next sweep
+    // takes them as one batch.
     let cfg = CollectorConfig {
         shards: 1,
         producers: 1,
         workers: 1,
         batch_max: 1_024,
         shed: ShedPolicy::Block,
-        export_order: 2,
         ..CollectorConfig::default()
     };
     let faults = Arc::new(StallFor::new(1, Duration::from_millis(1)));
@@ -307,6 +307,54 @@ fn slow_exporter_grows_batches() {
         "{:.1} spans per flush: {m:?}",
         m.spans_per_flush()
     );
+}
+
+/// Counts `export` calls that overlap another one in flight.
+#[derive(Default)]
+struct OverlapExporter {
+    spans: u64,
+    in_flight: Arc<AtomicU64>,
+    overlaps: Arc<AtomicU64>,
+}
+
+impl Exporter for OverlapExporter {
+    fn export(&mut self, spans: &[Span]) -> Result<(), ExportError> {
+        if self.in_flight.fetch_add(1, SeqCst) != 0 {
+            self.overlaps.fetch_add(1, SeqCst);
+        }
+        // Stay inside long enough for another worker's flush to arrive.
+        std::thread::sleep(Duration::from_micros(20));
+        self.spans += spans.len() as u64;
+        self.in_flight.fetch_sub(1, SeqCst);
+        Ok(())
+    }
+}
+
+#[test]
+fn workers_never_export_concurrently() {
+    // Four workers, each with its own lane, flush into one exporter while
+    // every other attempt stalls: flushes pile up on the export lock, and
+    // each must wait its turn. The exporter sees one call at a time.
+    let cfg = CollectorConfig {
+        shards: 4,
+        producers: 4,
+        workers: 4,
+        batch_max: 64,
+        shed: ShedPolicy::Block,
+        ..CollectorConfig::default()
+    };
+    let faults = Arc::new(StallFor::new(2, Duration::from_micros(200)));
+    let exporter = OverlapExporter::default();
+    let overlaps = Arc::clone(&exporter.overlaps);
+    let (col, tx) = Collector::spawn(cfg, exporter, faults);
+    let submitted = flood(tx, 4, 5_000);
+    let (report, exporter) = col.shutdown();
+    let m = &report.metrics;
+    assert_eq!(overlaps.load(SeqCst), 0, "two exports overlapped: {m:?}");
+    assert!(m.flushes >= 4, "every worker flushed: {m:?}");
+    assert_eq!(m.exported, submitted);
+    assert_eq!(exporter.spans, submitted);
+    assert!(m.conserved(), "{m:?}");
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //! Models, by number: 1 helper drive vs quiesce-on-release, 2 TAG wrap,
 //! 3 slot recycle, 4 graft transition, 5 eventcount park vs fenced notify
 //! (the wait protocol's thread driver), 6 seat hand-over with residue, 7 slot
-//! handoff orderings, 8 collector drain, 9 eventcount `listen` orderings,
+//! handoff orderings, 8 collector drain (one worker, and two sharing the
+//! export lock), 9 eventcount `listen` orderings,
 //! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
 //! driver (`Waker` registration through the futures), 12 `recv_any` data
 //! vs fenced notify (one waiter fence per round over two lanes), 13 thread
@@ -521,17 +522,18 @@ fn dst_seed_replay_is_deterministic() {
 }
 
 // ===================================================================
-// Model 8: collector drain — deadline and pause flushes vs the close
+// Model 8: collector drain — deadline and pause flushes vs the close,
+// and two workers on the export lock
 // ===================================================================
 
 /// The span-collector drain path (DESIGN.md §14) at DST scale: one
-/// producer submits three spans and drops its handle (starting the
-/// refcount close ripple) while the batching worker races it with
-/// flushes and the exporter stage races both with injected failures.
-/// The explorer owns every interleaving of submit / flush / close /
-/// final-drain; the invariant is the crate's conservation contract —
-/// every accepted span exported exactly once, none lost in a batch that
-/// a close overtook, none duplicated by a retry.
+/// producer submits a few spans and drops its handle (starting the
+/// refcount close ripple) while the batching workers race it with
+/// flushes, each exported on the flushing worker through injected
+/// failures. The explorer owns every interleaving of submit / flush /
+/// close / final-drain; the invariant is the crate's conservation
+/// contract — every accepted span exported exactly once, none lost in a
+/// batch that a close overtook, none duplicated by a retry.
 ///
 /// `flush_after` is pinned to the two deterministic extremes so the
 /// branch structure is a pure function of the schedule: `ZERO` forces
@@ -543,17 +545,26 @@ fn dst_seed_replay_is_deterministic() {
 /// every lane is closed).
 /// `fail_every` is chosen against a 2-attempt budget such that every
 /// failed batch's retry lands: faults reorder work but must not drop it.
-fn collector_drain_model(flush_after: std::time::Duration, fail_every: u64) {
+/// `lanes` shards get one worker each, and span `id` goes to lane
+/// `id % lanes`: with two, both workers flush and their exports meet on
+/// the export lock, where a worker that finds it taken blocks in the
+/// explorer, so every order of turns is explored, retries included.
+fn collector_drain_model(
+    flush_after: std::time::Duration,
+    fail_every: u64,
+    lanes: usize,
+    spans: u64,
+) {
     use collector::{
         Collector, CollectorConfig, FailEvery, RetryPolicy, ShedPolicy, Span, VecExporter,
     };
     use std::time::Duration;
 
     let cfg = CollectorConfig {
-        shards: 1,
+        shards: lanes,
         lane_order: 2,
         producers: 1,
-        workers: 1,
+        workers: lanes,
         batch_max: 2,
         flush_after,
         shed: ShedPolicy::Block,
@@ -561,28 +572,31 @@ fn collector_drain_model(flush_after: std::time::Duration, fail_every: u64) {
             max_attempts: 2,
             backoff: Duration::ZERO,
         },
-        export_order: 2,
         latency_reservoir: 4,
         ..CollectorConfig::default()
     };
     let (col, mut tx) =
         Collector::spawn(cfg, VecExporter::default(), Arc::new(FailEvery::new(fail_every)));
     let producer = thread::spawn(move || {
-        for id in 1..=3u64 {
-            assert!(tx.submit(Span::new(0, id)), "Block policy accepts");
+        for id in 1..=spans {
+            assert!(tx.submit(Span::new(id % lanes as u64, id)), "Block policy accepts");
         }
-        // Handle drops here: the close ripple races the worker's flush.
+        // Handle drops here: the close ripple races the workers' flushes.
     });
     producer.join().unwrap();
     let (report, exporter) = col.shutdown();
     let m = &report.metrics;
-    assert_eq!(m.accepted, 3);
+    assert_eq!(m.accepted, spans);
     assert_eq!(m.dropped, 0, "retry budget covers this fault profile");
     assert_eq!(m.inflight(), 0, "drain may not leave residue");
     assert!(m.conserved(), "count+checksum conservation: {m:?}");
     let mut ids: Vec<u64> = exporter.spans.iter().map(|s| s.id).collect();
     ids.sort_unstable();
-    assert_eq!(ids, vec![1, 2, 3], "exactly-once export across the race");
+    assert_eq!(
+        ids,
+        (1..=spans).collect::<Vec<_>>(),
+        "exactly-once export across the race"
+    );
 }
 
 /// Deadline-flush path armed on every pass (ZERO), faults on every other
@@ -590,7 +604,7 @@ fn collector_drain_model(flush_after: std::time::Duration, fail_every: u64) {
 #[test]
 fn dst_collector_deadline_flush_vs_drain() {
     Explorer::new("collector-drain-deadline")
-        .check(|| collector_drain_model(std::time::Duration::ZERO, 2));
+        .check(|| collector_drain_model(std::time::Duration::ZERO, 2, 1, 3));
 }
 
 /// Deadline disabled: a pause flush or the shutdown drain ships the
@@ -599,7 +613,16 @@ fn dst_collector_deadline_flush_vs_drain() {
 #[test]
 fn dst_collector_shutdown_drain_ships_partial_batch() {
     Explorer::new("collector-drain-hold")
-        .check(|| collector_drain_model(std::time::Duration::from_secs(3_600), 2));
+        .check(|| collector_drain_model(std::time::Duration::from_secs(3_600), 2, 1, 3));
+}
+
+/// Two lanes, two workers, four spans alternating between them, the
+/// deadline firing on every pass: two flushes meet on the export lock
+/// while the close ripple runs.
+#[test]
+fn dst_collector_two_workers_share_the_exporter() {
+    Explorer::new("collector-two-workers")
+        .check(|| collector_drain_model(std::time::Duration::ZERO, 2, 2, 4));
 }
 
 // ===================================================================
