@@ -20,6 +20,11 @@
 //!   idle memory but put the list on the hot path, and large nodes converge
 //!   on the bounded ring's throughput. Pairwise, at the ladder's top
 //!   thread count.
+//! * `ablate [--panel patience|help_delay|catchup|remap|all]` — the
+//!   paper's §6 knobs (`MAX_PATIENCE`, `HELP_DELAY`, `MAX_CATCHUP`) and
+//!   `Cache_Remap` (SCQ beside wCQ), one row per knob value, every other
+//!   knob at its default. Pairwise, at 2 and 4 threads: the contended
+//!   regime, where the slow path and helping can fire.
 //! * `wakeup` — beyond the paper: the blocking facade (`wcq::sync`,
 //!   DESIGN.md §9) vs pure spin under bursty producers at 1×–4× core
 //!   oversubscription: throughput, wakeup latency (parking pays here) and
@@ -39,8 +44,8 @@
 
 use std::time::Duration;
 
-use bench::{cores, ladder, node_orders, parse_command, print_env_banner, print_panel, reject};
-use bench::{run_figure, BenchOpts, Queue, Subcommand};
+use bench::{cores, knob_sweep, ladder, node_orders, parse_command, print_env_banner};
+use bench::{print_panel, reject, run_figure, BenchOpts, Queue, Subcommand, KNOBS};
 use bench::{LADDER_PPC, LADDER_X86, NO_LCRQ, PAPER, SHARD, UNBOUNDED};
 use collector::{run_soak, ShedPolicy, SoakCfg};
 use harness::blocking::{run_burst, BurstCfg, ConsumerMode};
@@ -48,12 +53,15 @@ use harness::stats::{fmt_ns, Stats};
 use harness::workload::Workload::{EmptyDequeue, Mixed5050, Pairwise};
 
 const THROUGHPUT_PANELS: &[&str] = &["empty", "pairs", "mixed", "all"];
+/// One per `bench::KNOBS` entry, by name, then `all`.
+const ABLATE_PANELS: &[&str] = &["patience", "help_delay", "catchup", "remap", "all"];
 
 const FIGURES: &[Subcommand] = &[
     ("11", THROUGHPUT_PANELS, fig11),
     ("12", THROUGHPUT_PANELS, fig12),
     ("shard", &[], shard),
     ("unbounded", &[], unbounded),
+    ("ablate", ABLATE_PANELS, ablate),
     ("wakeup", &[], wakeup),
     ("collector", &[], collector),
 ];
@@ -113,6 +121,17 @@ fn unbounded(_: &str) {
     run_figure(Pairwise, UNBOUNDED, &points, &opts, false).print_tput(&format!(
         "Unbounded sweep: node size vs throughput (Mops/s, {threads} threads)"
     ));
+}
+
+fn ablate(panel: &str) {
+    let opts = BenchOpts::from_env(LADDER_X86);
+    print_env_banner("Figure A: wCQ knob ablations (pairwise enqueue+dequeue)");
+    for knob in KNOBS.iter().filter(|k| panel == k.name || panel == "all") {
+        run_figure(Pairwise, knob.queues, &knob_sweep(knob), &opts, false).print_tput(&format!(
+            "Ablation: {} at 2 and 4 threads (Mops/s, mean of reps)",
+            knob.name
+        ));
+    }
 }
 
 fn wakeup(_: &str) {

@@ -4,11 +4,12 @@
 //!   its own because it alone installs [`harness::alloc::CountingAlloc`] as
 //!   the global allocator, which is fixed per binary and slows the
 //!   allocating baselines (DESIGN.md §5).
-//! * `figures <11|12|shard|unbounded|wakeup|collector> [--panel NAME]` —
-//!   every other figure, on the system allocator.
+//! * `figures <11|12|shard|unbounded|ablate|wakeup|collector> [--panel
+//!   NAME]` — every other figure, on the system allocator.
 //!
 //! The series layout mirrors the figures: one row per point (a thread
-//! count; a node order for the unbounded sweep), one column per queue,
+//! count; a node order for the unbounded sweep; a thread count and a knob
+//! value for the ablations), one column per queue,
 //! values in Mops/s (throughput panels) or MB (memory panel). Each queue's
 //! label is written once, in the queue table below.
 //!
@@ -19,7 +20,8 @@
 //! * `WCQ_BENCH_REPS` — repetitions per point (default 3; the paper uses 10).
 //! * `WCQ_BENCH_THREADS` — comma-separated thread ladder override, e.g.
 //!   `1,2,4,8,18,36,72,144` (the paper's x86 ladder; the default caps the
-//!   ladder at 4 × available cores to keep CI turnaround sane).
+//!   ladder at 4 × available cores to keep CI turnaround sane). `figures
+//!   ablate` does not read it: its rows run at 2 and 4 threads.
 //! * `WCQ_BENCH_PIN` — set to `1` to pin workers round-robin.
 //! * `WCQ_SOAK_MS` — per-point run length of `figures collector`, in ms
 //!   (default 300).
@@ -32,7 +34,7 @@ use harness::queues::{BenchQueue, ChannelBench, QueueSpec};
 use harness::stats::{fmt_mb, Stats};
 use harness::workload::{repeat, Workload, WorkloadCfg};
 use wcq::unbounded::Unbounded;
-use wcq::{ScqQueue, ScqRing, ShardedWcq, WcqQueue, WcqRing};
+use wcq::{ScqQueue, ScqRing, ShardedWcq, WcqConfig, WcqQueue, WcqRing};
 
 /// Parsed benchmark options.
 #[derive(Clone, Debug)]
@@ -244,6 +246,70 @@ pub fn node_orders(opts: &BenchOpts) -> Vec<Point> {
         }
     };
     NODE_ORDERS.iter().copied().map(row).collect()
+}
+
+/// One `figures ablate` panel: a `WcqConfig` knob, the values it is swept
+/// over, and the queue columns it is read on.
+pub struct Knob {
+    /// Panel name, and the key column holding the knob's value.
+    pub name: &'static str,
+    /// The values swept, one row each per thread count.
+    values: &'static [usize],
+    /// Sets the knob to a value.
+    set: fn(&mut WcqConfig, usize),
+    /// The columns: wCQ, plus SCQ where the knob is shared with it.
+    pub queues: &'static [Queue],
+}
+
+/// The paper's §6 knobs (`MAX_PATIENCE`, `HELP_DELAY`, `MAX_CATCHUP`) and
+/// `Cache_Remap` (1 = on), at the values the retired micro-bench groups
+/// swept. Patience sets the enqueue and dequeue budgets alike.
+pub const KNOBS: &[Knob] = &[
+    Knob {
+        name: "patience",
+        values: &[1, 4, 16, 64, 256],
+        set: |c, v| (c.max_patience_enq, c.max_patience_deq) = (v as u32, v as u32),
+        queues: &[WCQ],
+    },
+    Knob {
+        name: "help_delay",
+        values: &[0, 4, 16, 128],
+        set: |c, v| c.help_delay = v as u32,
+        queues: &[WCQ],
+    },
+    Knob {
+        name: "catchup",
+        values: &[0, 4, 16, 64],
+        set: |c, v| c.max_catchup = v as u32,
+        queues: &[WCQ],
+    },
+    Knob {
+        name: "remap",
+        values: &[1, 0],
+        set: |c, v| c.remap = v == 1,
+        queues: &[WCQ, SCQ],
+    },
+];
+
+/// The rows of one `figures ablate` panel: every knob value at 2 and 4
+/// threads, keyed by the thread count and the value, with every other
+/// knob at its default. Two threads is the first contended point (one
+/// thread never takes the slow path or helps); four oversubscribes a
+/// 2-core host.
+pub fn knob_sweep(knob: &Knob) -> Vec<Point> {
+    let row = |threads, value| {
+        let mut spec = spec_for(threads);
+        (knob.set)(&mut spec.cfg, value);
+        Point {
+            keys: vec![("threads", threads), (knob.name, value)],
+            threads,
+            spec,
+        }
+    };
+    [2, 4]
+        .into_iter()
+        .flat_map(|t| knob.values.iter().map(move |&v| row(t, v)))
+        .collect()
 }
 
 /// One figure cell: throughput statistics plus the peak-memory census.
@@ -464,6 +530,17 @@ mod tests {
         assert_eq!(labels(UNBOUNDED), ["wcq_unbounded", "lscq", "wcq_bounded"]);
         assert!(UNBOUNDED.iter().chain(PAPER).all(|q| q.shards == 1));
         assert_eq!(CHANNEL.label, "wCQ-channel");
+        // The ablations: wCQ's knobs on wCQ alone; Cache_Remap on SCQ too.
+        let knobs: Vec<_> = (KNOBS.iter()).map(|k| (k.name, labels(k.queues))).collect();
+        assert_eq!(
+            knobs,
+            [
+                ("patience", vec!["wCQ"]),
+                ("help_delay", vec!["wCQ"]),
+                ("catchup", vec!["wCQ"]),
+                ("remap", vec!["wCQ", "SCQ"]),
+            ]
+        );
     }
 
     #[test]
@@ -477,11 +554,13 @@ mod tests {
             pin: false,
             soak_ms: 1,
         };
+        let remap = KNOBS.last().expect("the remap knob");
         let runs = [
             (NO_LCRQ, ladder(&opts)),
             (&[CHANNEL][..], ladder(&opts)),
             (SHARD, ladder(&opts)),
             (UNBOUNDED, node_orders(&opts)),
+            (remap.queues, knob_sweep(remap)),
         ];
         let series: Vec<Series> = (runs.iter())
             .map(|(queues, points)| run_figure(Workload::Pairwise, queues, points, &opts, false))
@@ -506,6 +585,14 @@ mod tests {
             unbounded.rows[0].0,
             [4, 16],
             "2^4-slot nodes admit 3 threads"
+        );
+        let ablate = &series[4];
+        assert_eq!(ablate.header, ["threads", "remap", "wCQ", "SCQ"]);
+        let keys: Vec<&[usize]> = ablate.rows.iter().map(|r| &r.0[..]).collect();
+        assert_eq!(keys, [[2, 1], [2, 0], [4, 1], [4, 0]], "threads x value");
+        assert!(
+            (runs[4].1.iter()).all(|p| p.spec.cfg.remap == (p.keys[1].1 == 1)),
+            "each row runs at its own value"
         );
     }
 

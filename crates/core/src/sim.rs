@@ -72,7 +72,7 @@ mod imp {
     pub use shuttle_lite::atomic::{
         fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize,
     };
-    pub use shuttle_lite::cell::UnsafeCell as DataCell;
+    pub type DataCell<T> = shuttle_lite::cell::UnsafeCell<T>;
     pub use shuttle_lite::hint::spin_loop;
     pub use shuttle_lite::sync::{Mutex, OnceLock};
     pub use shuttle_lite::thread::{current, park, park_timeout, yield_now, Thread};

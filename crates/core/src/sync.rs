@@ -313,7 +313,7 @@ impl Eventcount {
         // ORDERING: listen's epoch snapshot is not part of the Dekker pair:
         // the register path re-reads the epoch under the waiter mutex
         // before parking, so a stale key costs one retry, never a lost
-        // wakeup (downgraded from SeqCst; bench ablation eventcount_listen)
+        // wakeup (downgraded from SeqCst; priced by rung sync.listen_ns)
         // — cover: dst model 9 (weak)
         self.epoch.load(Relaxed)
     }

@@ -44,8 +44,8 @@ impl<T> WcqQueue<T> {
     }
 
     /// Creates a queue with explicit tuning knobs (patience, help delay,
-    /// catch-up bound, cache remapping) — used by tests and the ablation
-    /// benches.
+    /// catch-up bound, cache remapping) — used by tests and by `figures
+    /// ablate`.
     pub fn with_config(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
         WcqQueue {
             pair: RingPair::new(order, max_threads, cfg),

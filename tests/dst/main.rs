@@ -18,12 +18,15 @@
 //! 10 `recv_any` vs the close ripple (the N-lane waitable), 11 the task
 //! driver (`Waker` registration through the futures), 12 `recv_any` data
 //! vs fenced notify (one waiter fence per round over two lanes), 13 thread
-//! slot release vs a send parked for one.
+//! slot release vs a send parked for one, 14 TAG wrap through the channel
+//! facade (beside model 2).
 //!
 //! Model-size discipline: 2–3 threads, 2–6 operations, ring order ≤ 2,
 //! `WcqConfig::stress()` where the helping slow path is under test —
 //! the protocols' state machines are small-bounds-reachable (TAG_BITS is
-//! 2 under `wcq_dst` for exactly this reason).
+//! 2 under `wcq_dst` for exactly this reason). Model 14 is the exception:
+//! a tag wrap takes many preemptions inside operations, so it sends 32
+//! items with the preemption bound lifted.
 #![cfg(wcq_dst)]
 
 use std::sync::Arc;
@@ -125,6 +128,51 @@ fn tag_wrap_model() {
 #[test]
 fn dst_tag_wrap_with_stale_helper() {
     Explorer::new("tag-wrap").check(tag_wrap_model);
+}
+
+// ===================================================================
+// Model 14: TAG wraparound through the channel facade
+// ===================================================================
+
+/// Model 2's queue (`TAG_BITS == 2`, stress config, 4 slots) driven
+/// through a `Sender`/`Receiver` pair instead of raw handles: the
+/// endpoints' thread-slot caches, the send's wait on a full queue and the
+/// receive's wait on an empty one sit between the user and the ring.
+///
+/// A record's tag wraps on its fifth slow-path request, and with one
+/// sender and one receiver each request needs the peer to land inside a
+/// single operation (the receiver invalidating the slot of a ticket the
+/// sender has taken but not yet filled, and the like). Five items and the
+/// default budget of three preemptions never get there: counting each
+/// record's requests found at most two in 10k schedules. So this model
+/// sends [`WRAP_ITEMS`] items and lifts the preemption bound; then about
+/// one schedule in fifteen takes a record past four requests. Exact
+/// in-order delivery, then `Closed`.
+fn tag_wrap_facade_model() {
+    let (mut tx, mut rx) = channel::over(WcqQueue::with_config(2, 3, &WcqConfig::stress()));
+    let producer = thread::spawn(move || {
+        for v in 0..WRAP_ITEMS {
+            tx.send(v).unwrap(); // capacity 4: may wait on full
+        }
+    });
+    let mut got = Vec::new();
+    while let Ok(v) = rx.recv() {
+        got.push(v);
+    }
+    producer.join().unwrap();
+    let want: Vec<u64> = (0..WRAP_ITEMS).collect();
+    assert_eq!(got, want, "exact delivery across tag wrap");
+}
+
+/// Items model 14 sends: enough that some explored schedules take one
+/// record past 2^`TAG_BITS` slow-path requests.
+const WRAP_ITEMS: u64 = 32;
+
+#[test]
+fn dst_tag_wrap_through_the_facade() {
+    Explorer::new("tag-wrap-facade")
+        .preemptions(usize::MAX)
+        .check(tag_wrap_facade_model);
 }
 
 // ===================================================================
@@ -573,7 +621,6 @@ fn collector_drain_model(
             backoff: Duration::ZERO,
         },
         latency_reservoir: 4,
-        ..CollectorConfig::default()
     };
     let (col, mut tx) =
         Collector::spawn(cfg, VecExporter::default(), Arc::new(FailEvery::new(fail_every)));
