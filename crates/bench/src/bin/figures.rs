@@ -8,8 +8,9 @@
 //! * `12 [--panel …]` — Fig. 12, the same panels on the paper's PowerPC
 //!   ladder without LCRQ (it needs true CAS2). The paper's POWER build has
 //!   no CAS2 and no native F&A; the faithful substitution (DESIGN.md §3.5)
-//!   is the portable dwcas backend, which routes every CAS2 *and* F&A
-//!   through a stripe-reservation path with the same cost model:
+//!   is the portable dwcas backend: Fig. 9's weak CAS2 (one LL/SC attempt,
+//!   which may fail spuriously) and every F&A as an LL/SC retry loop, over
+//!   a striped table of emulated reservation granules:
 //!   `cargo run --release -p bench --features portable --bin figures -- 12`.
 //! * `shard` — beyond the paper: `ShardedWcq` vs the single-ring queue as
 //!   thread and shard counts grow, on the pairwise workload (the one the

@@ -130,8 +130,9 @@ mod imp {
         fn mirror(&self, v: u128) {
             let new = unpack(v);
             // BOUND: wait-edge — DST mirror CAS: retries until the mirror
-            // matches the shadow word; each failure means another mirror
-            // write landed first
+            // matches the shadow word; a failure means another mirror write
+            // landed first or, on the portable backend, an SC on the same
+            // stripe committed (a weak CAS2's spurious failure)
             loop {
                 let cur = self.real.load2();
                 if cur == new || self.real.compare_exchange2(cur, new) {
@@ -176,15 +177,6 @@ mod imp {
                 return v as u64;
             }
             self.real.load_lo()
-        }
-        #[allow(dead_code)] // mirrors the dwcas API; core currently reads hi via load2
-        #[inline]
-        pub fn load_hi(&self) -> u64 {
-            shuttle_lite::step();
-            if let Some(v) = self.weak.load(Ordering::SeqCst, || self.init()) {
-                return (v >> 64) as u64;
-            }
-            self.real.load_hi()
         }
         #[inline]
         pub fn fetch_add_lo(&self, delta: u64) -> u64 {

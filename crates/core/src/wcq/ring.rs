@@ -1134,7 +1134,6 @@ mod tests {
     fn occupy_with_older_cycle(r: &WcqRing, t: u64) {
         let l = r.layout();
         let entry = &r.entries[l.slot(t)];
-        let (old, note) = entry.load2();
         let word = pack_w(
             l,
             WEntry {
@@ -1144,7 +1143,14 @@ mod tests {
                 index: 0,
             },
         );
-        assert!(entry.compare_exchange2((old, note), (word, note)));
+        // BOUND: wait-edge — the ring is private to this test, so a failed
+        // CAS2 is a portable-backend spurious failure: reload and retry
+        loop {
+            let (old, note) = entry.load2();
+            if entry.compare_exchange2((old, note), (word, note)) {
+                break;
+            }
+        }
     }
 
     /// A fresh order-3 ring under `cfg` whose next `k` tickets (tail and

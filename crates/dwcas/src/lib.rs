@@ -9,7 +9,9 @@
 //! This crate provides [`AtomicPair`], a 16-byte-aligned pair of `u64` words
 //! supporting:
 //!
-//! * `load2` / `compare_exchange2` — full 128-bit atomic load and CAS;
+//! * `load2` / `compare_exchange2` — full 128-bit atomic load and CAS
+//!   (the CAS is weak on the portable backend: see
+//!   [`AtomicPair::compare_exchange2`]);
 //! * `load_lo` / `fetch_add_lo` / `fetch_or_lo` / `compare_exchange_lo` —
 //!   *word-sized* operations on the low half that remain coherent with the
 //!   128-bit operations.
@@ -29,16 +31,17 @@
 //!   §9.1.2.2 guarantees that overlapping `lock`-prefixed accesses are
 //!   globally serialized and cache-coherent, which is the hardware contract
 //!   this crate encapsulates.
-//! * **`portable`** (any other arch, or the `force-portable` feature): a
-//!   striped sequence-lock table. 128-bit writes take a per-address stripe
-//!   lock; word RMWs take the same lock; 128-bit loads are optimistic seqlock
-//!   reads; plain word loads are ordinary atomic loads (single-word load
-//!   atomicity — the same guarantee the paper's LL/SC substitute provides on
-//!   CAS2 failure). This backend is **not** lock-free; it exists (a) for
-//!   functional portability, and (b) as the stand-in for the paper's
-//!   PowerPC/MIPS implementation in the Figure 12 reproduction, where native
-//!   CAS2 and F&A are unavailable and every RMW pays a reservation-style
-//!   round-trip.
+//! * **`portable`** (any other arch, or the `force-portable` feature): the
+//!   paper's Fig. 9 weak CAS2 over an emulated LL/SC, with a 256-stripe
+//!   table of sequence words as the reservation granules. 128-bit loads
+//!   are LL plus plain loads plus a re-check; CAS2 is **one** LL/SC
+//!   attempt, so it may fail spuriously when another pair on the same
+//!   stripe commits; word RMWs retry their LL/SC until it commits; plain
+//!   word loads are ordinary atomic loads (single-word load atomicity).
+//!   This backend is **not** lock-free; it exists (a) for functional
+//!   portability, and (b) as the stand-in for the paper's PowerPC/MIPS
+//!   implementation in the Figure 12 reproduction, where native CAS2 and
+//!   F&A are unavailable and every RMW pays a reservation round-trip.
 //!
 //! All operations are sequentially consistent; the paper's pseudo-code
 //! assumes an SC memory model and the queue layer relies on it.
@@ -48,7 +51,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub mod llsc;
 mod portable;
 #[cfg(all(target_arch = "x86_64", not(feature = "force-portable")))]
 mod x86;
@@ -101,10 +103,12 @@ impl AtomicPair {
     /// Double-width compare-and-swap: if the pair equals `current`, replaces
     /// it with `new` and returns `true`.
     ///
-    /// Strong semantics on the hardware backend. The portable backend is also
-    /// strong (it holds the stripe lock), which is strictly stronger than the
-    /// weak CAS the paper's LL/SC substitute provides — the algorithm
-    /// tolerates either.
+    /// `true` always means the swap happened. `false` is strong only on the
+    /// hardware backend: on the portable backend this is the paper's Fig. 9
+    /// weak CAS2, which fails spuriously when another pair on the same
+    /// stripe commits between its LL and its SC. So a `false` means "reload
+    /// and retry", never proof that the pair differs from `current`
+    /// (DESIGN.md §3.5 lists what each call site does with it).
     #[inline]
     pub fn compare_exchange2(&self, current: (u64, u64), new: (u64, u64)) -> bool {
         imp::compare_exchange2(self, current, new)
@@ -115,21 +119,15 @@ impl AtomicPair {
     pub fn load_lo(&self) -> u64 {
         // A plain word load is coherent with locked ops on both backends: on
         // x86 all lock-prefixed writes to the line are globally ordered before
-        // or after this load; on the portable backend writers publish each
+        // or after this load; on the portable backend each SC publishes each
         // word with a SeqCst store.
         self.lo.load(Ordering::SeqCst)
-    }
-
-    /// Atomically loads the high word only (single-word atomicity).
-    #[inline]
-    pub fn load_hi(&self) -> u64 {
-        self.hi.load(Ordering::SeqCst)
     }
 
     /// Word-sized fetch-and-add on the low half, coherent with `CAS2`.
     ///
     /// On x86-64 this is a native `lock xadd` (wait-free). On the portable
-    /// backend it acquires the stripe lock, modelling an ISA without native
+    /// backend it is an LL/SC retry loop, modelling an ISA without native
     /// F&A (the paper: "wCQ for PowerPC does not benefit from native F&A").
     #[inline]
     pub fn fetch_add_lo(&self, delta: u64) -> u64 {
@@ -177,36 +175,24 @@ impl std::fmt::Debug for AtomicPair {
     }
 }
 
-/// Packs `(lo, hi)` into the `u128` representation used by the x86 backend.
-#[inline]
-pub fn pack128(lo: u64, hi: u64) -> u128 {
-    (hi as u128) << 64 | lo as u128
-}
-
-/// Splits a `u128` into `(lo, hi)` words.
-#[inline]
-pub fn unpack128(v: u128) -> (u64, u64) {
-    (v as u64, (v >> 64) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
 
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (lo, hi) in [
-            (0u64, 0u64),
-            (1, 0),
-            (0, 1),
-            (u64::MAX, 0),
-            (0, u64::MAX),
-            (0xdead_beef, 0xcafe_babe),
-            (u64::MAX, u64::MAX),
-        ] {
-            assert_eq!(unpack128(pack128(lo, hi)), (lo, hi));
+    /// Retries a CAS2 until it commits or the pair stops equalling
+    /// `current`, as the `compare_exchange2` contract asks of a caller.
+    fn cas2_retry(p: &AtomicPair, current: (u64, u64), new: (u64, u64)) -> bool {
+        // BOUND: wait-edge — a spurious failure (portable backend) needs a
+        // commit on the same stripe by a concurrent test
+        loop {
+            if p.compare_exchange2(current, new) {
+                return true;
+            }
+            if p.load2() != current {
+                return false;
+            }
         }
     }
 
@@ -215,13 +201,12 @@ mod tests {
         let p = AtomicPair::new(7, 9);
         assert_eq!(p.load2(), (7, 9));
         assert_eq!(p.load_lo(), 7);
-        assert_eq!(p.load_hi(), 9);
     }
 
     #[test]
     fn cas2_success_and_failure() {
         let p = AtomicPair::new(1, 2);
-        assert!(p.compare_exchange2((1, 2), (3, 4)));
+        assert!(cas2_retry(&p, (1, 2), (3, 4)));
         assert_eq!(p.load2(), (3, 4));
         // Wrong lo.
         assert!(!p.compare_exchange2((1, 4), (9, 9)));
@@ -235,7 +220,7 @@ mod tests {
         // Exercises the load-via-cmpxchg16b trick's edge: value is zero.
         let p = AtomicPair::new(0, 0);
         assert_eq!(p.load2(), (0, 0));
-        assert!(p.compare_exchange2((0, 0), (5, 6)));
+        assert!(cas2_retry(&p, (0, 0), (5, 6)));
         assert_eq!(p.load2(), (5, 6));
     }
 
@@ -323,7 +308,7 @@ mod tests {
             })
             .collect();
         for k in 0..50_000u64 {
-            assert!(p.compare_exchange2((k, !k), (k + 1, !(k + 1))));
+            assert!(cas2_retry(&p, (k, !k), (k + 1, !(k + 1))));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {

@@ -11,7 +11,8 @@
 //! `cmpxchg16b` is not part of the base x86-64 target (pre-2006 CPUs lack
 //! it), so we detect the feature once at runtime and, in the practically
 //! nonexistent case it is absent, route every operation through the portable
-//! stripe-lock backend so mixed-width coherence is preserved.
+//! LL/SC backend so mixed-width coherence is preserved (its CAS2 is then
+//! weak, as the `compare_exchange2` contract allows).
 //!
 //! ORDERING: cmpxchg16b backend: the instruction is a full barrier; SeqCst
 //! documents the exported contract
@@ -54,7 +55,7 @@ fn detect_cx16() -> bool {
     ok
 }
 
-/// The stripe-lock backend for a CPU without `cmpxchg16b`, one out-of-line
+/// The portable LL/SC backend for a CPU without `cmpxchg16b`, one out-of-line
 /// call per operation: each operation below inlines to the cached feature
 /// check and its one `lock` instruction, with no fallback code beside it.
 mod fallback {

@@ -10,8 +10,9 @@
 //! `shuttle_lite::replay`. The `regressions` module pins minimized
 //! schedules from defects the explorer has found.
 //!
-//! Models, by number: 1 helper drive vs quiesce-on-release, 2 TAG wrap,
-//! 3 slot recycle, 4 graft transition, 5 eventcount park vs fenced notify
+//! Models, by number: 1 helper drive vs quiesce-on-release, 2 slow-path
+//! publish vs a stale helper (small TAG width; wraps no tag), 3 slot
+//! recycle, 4 graft transition, 5 eventcount park vs fenced notify
 //! (the wait protocol's thread driver), 6 seat hand-over with residue, 7 slot
 //! handoff orderings, 8 collector drain (one worker, and two sharing the
 //! export lock), 9 eventcount `listen` orderings,
@@ -79,13 +80,18 @@ fn dst_helper_drive_vs_quiesce_release() {
 }
 
 // ===================================================================
-// Model 2: TAG wraparound with a stale helper
+// Model 2: slow-path publishes with a stale helper, at TAG_BITS == 2
 // ===================================================================
 
-/// `TAG_BITS == 2` under `wcq_dst`, so per-record request tags wrap after
-/// four slow-path publishes. Five operations per side force wrap while
-/// the peer holds (possibly stale) helping references; the seqlock +
-/// phase-2 protocol must never double-apply or lose a request.
+/// Five items through a 4-slot ring under `WcqConfig::stress()` (patience
+/// 1, help every op), one producer and one consumer on raw handles: a
+/// slow-path request may be published while the peer holds (possibly
+/// stale) helping references, and the seqlock + phase-2 protocol must
+/// never double-apply or lose it. `TAG_BITS == 2` under `wcq_dst`, so a
+/// record's tag wraps after four publishes, but this model does not reach
+/// that: at the default preemption bound a schedule publishes at most one
+/// request per record (52 of 10,000 publish one, none two). Model 14 is
+/// sized to wrap the tag.
 fn tag_wrap_model() {
     assert_eq!(wcq::wcq::record::TAG_BITS, 2, "small-bounds tag in dst builds");
     let cfg = WcqConfig::stress();

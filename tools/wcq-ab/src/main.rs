@@ -321,7 +321,7 @@ fn loadavg() -> String {
 }
 
 /// The DWCAS backend a default build selects here: `dwcas` compiles the
-/// `cmpxchg16b` backend on x86-64 and the portable seqlock elsewhere.
+/// `cmpxchg16b` backend on x86-64 and the portable LL/SC elsewhere.
 fn dwcas_backend() -> String {
     if cfg!(target_arch = "x86_64") {
         let cx16 = std::fs::read_to_string("/proc/cpuinfo")
@@ -329,6 +329,6 @@ fn dwcas_backend() -> String {
             .unwrap_or(false);
         format!("x86_64-cmpxchg16b (cpu cx16: {cx16})")
     } else {
-        "portable-seqlock".into()
+        "portable-llsc".into()
     }
 }
