@@ -494,14 +494,24 @@ impl<T: Send> Shared<T> {
     #[inline]
     fn endpoint<'a>(&self, cache: &'a mut Option<Endpoint<T>>) -> Option<&'a mut Endpoint<T>> {
         if cache.is_none() {
-            *cache = self.backend.register();
+            return self.register(cache);
         }
+        cache.as_mut()
+    }
+
+    /// [`Self::endpoint`]'s first call on an endpoint, or a retry while no
+    /// slot is free: registers with the backend, out of line.
+    #[cold]
+    #[inline(never)]
+    fn register<'a>(&self, cache: &'a mut Option<Endpoint<T>>) -> Option<&'a mut Endpoint<T>> {
+        *cache = self.backend.register();
         cache.as_mut()
     }
 
     /// One non-blocking enqueue through `cache`'s endpoint; `Err(v)` hands
     /// the value back when its lane is full or no thread slot is free.
-    #[inline]
+    /// `always` for the reason given on `Enqueue::probe`.
+    #[inline(always)]
     fn try_enqueue(&self, cache: &mut Option<Endpoint<T>>, v: T) -> Result<(), T> {
         match self.endpoint(cache) {
             Some(ep) => ep.try_enqueue(&self.sync, v),
@@ -549,32 +559,57 @@ impl<T: Send> Endpoint<T> {
 
     /// One non-blocking enqueue attempt; `Err(v)` hands the value back
     /// when this endpoint's lane is full.
-    #[inline]
+    ///
+    /// Inline: the topology arm, whose seated push is a few plain loads
+    /// and stores. The queue arms are one call, [`Self::enqueue_queue`]:
+    /// their ring operations are out-of-line `IndexRing` calls anyway
+    /// (DESIGN.md §3.1). `always` for the reason given on
+    /// `Enqueue::probe`.
+    #[inline(always)]
     fn try_enqueue(&mut self, sync: &SyncState, v: T) -> Result<(), T> {
-        let r = match self {
-            Endpoint::Bounded(h) => h.enqueue(v),
-            Endpoint::Sharded(h) => h.enqueue(v),
-            Endpoint::Unbounded(h) => {
-                h.enqueue(v);
-                Ok(())
-            }
-            Endpoint::Topo(h) => h.try_enqueue(v),
+        let Endpoint::Topo(h) = self else {
+            return self.enqueue_queue(sync, v);
         };
-        if r.is_ok() {
-            self.notify(sync.not_empty());
+        h.try_enqueue(v)?;
+        self.notify(sync.not_empty());
+        Ok(())
+    }
+
+    /// [`Self::try_enqueue`] on a bounded, sharded or unbounded queue.
+    #[inline(never)]
+    fn enqueue_queue(&mut self, sync: &SyncState, v: T) -> Result<(), T> {
+        match self {
+            Endpoint::Bounded(h) => h.enqueue(v)?,
+            Endpoint::Sharded(h) => h.enqueue(v)?,
+            Endpoint::Unbounded(h) => h.enqueue(v),
+            Endpoint::Topo(_) => unreachable!("taken inline by try_enqueue"),
         }
-        r
+        self.notify(sync.not_empty());
+        Ok(())
     }
 
     /// One non-blocking dequeue attempt; `None` when observed empty.
-    #[inline]
+    /// Inline: the topology arm, as in [`Self::try_enqueue`]; `always` for
+    /// the reason given on `Enqueue::probe`.
+    #[inline(always)]
     fn try_dequeue(&mut self, sync: &SyncState) -> Option<T> {
+        let Endpoint::Topo(h) = self else {
+            return self.dequeue_queue(sync);
+        };
+        let v = h.try_dequeue()?;
+        self.notify(sync.not_full());
+        Some(v)
+    }
+
+    /// [`Self::try_dequeue`] on a bounded, sharded or unbounded queue.
+    #[inline(never)]
+    fn dequeue_queue(&mut self, sync: &SyncState) -> Option<T> {
         let v = match self {
             Endpoint::Bounded(h) => h.dequeue(),
             Endpoint::Sharded(h) => h.dequeue(),
             // Nobody waits for room in a list that grows.
             Endpoint::Unbounded(h) => return h.dequeue(),
-            Endpoint::Topo(h) => h.try_dequeue(),
+            Endpoint::Topo(_) => unreachable!("taken inline by try_dequeue"),
         }?;
         self.notify(sync.not_full());
         Some(v)
@@ -634,7 +669,15 @@ impl<T: Send> Waitable for Enqueue<'_, T> {
         self.shared.sync.not_full()
     }
 
-    #[inline]
+    // `always`, here, on `Dequeue`'s probe, on `Shared::try_enqueue` and on
+    // `Endpoint::try_{en,de}queue`: a probe is the body of every channel op,
+    // reached from `block`, from both probes of each park round, and from
+    // `try_recv` and `recv_any`. With that many call sites LLVM's inliner
+    // stops one level short of the ring and leaves a call in front of it.
+    // After the hot/cold split what this forces in is small: the endpoint
+    // check, the topology arm with its notify, and calls to the
+    // out-of-line tails (DESIGN.md §3.1).
+    #[inline(always)]
     fn probe(&mut self) -> Probe<Self::Output> {
         let v = self.v.take().expect("polled after completion");
         if self.shared.sync.is_closed() {
@@ -676,16 +719,33 @@ impl<T: Send> Waitable for Dequeue<'_, T> {
         self.shared.sync.not_empty()
     }
 
-    #[inline]
+    // `always`: see `Enqueue::probe`.
+    #[inline(always)]
     fn probe(&mut self) -> Probe<Self::Output> {
+        if let Some(ep) = self.shared.endpoint(self.ep) {
+            if let Some(v) = ep.try_dequeue(&self.shared.sync) {
+                return Probe::Ready(Ok(v));
+            }
+        }
+        self.miss()
+    }
+
+    fn timeout(&mut self) -> Self::Output {
+        Err(RecvError::Timeout)
+    }
+}
+
+impl<T: Send> Dequeue<'_, T> {
+    /// The probe's verdict after its attempt missed: wait, or — closed
+    /// and drained — `Closed`. Out of line (DESIGN.md §3.1).
+    #[cold]
+    #[inline(never)]
+    fn miss(&mut self) -> Probe<Result<T, RecvError>> {
         let sync = &self.shared.sync;
         // No thread slot: even a closed channel may still hold values.
-        let Some(ep) = self.shared.endpoint(self.ep) else {
+        let Some(ep) = self.ep.as_mut() else {
             return Probe::Wait;
         };
-        if let Some(v) = ep.try_dequeue(sync) {
-            return Probe::Ready(Ok(v));
-        }
         if !sync.is_closed() {
             return Probe::Wait;
         }
@@ -699,10 +759,6 @@ impl<T: Send> Waitable for Dequeue<'_, T> {
             None if ep.residue_hint() => Probe::Wait,
             None => Probe::Ready(Err(RecvError::Closed)),
         }
-    }
-
-    fn timeout(&mut self) -> Self::Output {
-        Err(RecvError::Timeout)
     }
 }
 
@@ -731,6 +787,7 @@ impl<T: Send> Sender<T> {
     /// the queue is full (never on [`unbounded`] channels) or this endpoint
     /// finds no free thread slot (see [`bounded`]);
     /// [`TrySendError::Closed`] when every receiver is gone. Never waits.
+    #[inline]
     pub fn try_send(&mut self, v: T) -> Result<(), TrySendError<T>> {
         if self.shared.sync.is_closed() {
             return Err(TrySendError::Closed(v));
@@ -749,9 +806,6 @@ impl<T: Send> Sender<T> {
     /// assert_eq!(rx.recv(), Ok(1));
     /// ```
     pub fn send(&mut self, v: T) -> Result<(), SendError<T>> {
-        if self.shared.sync.is_closed() {
-            return Err(SendError::Closed(v));
-        }
         block(self.enqueue(v), None)
     }
 
@@ -770,9 +824,6 @@ impl<T: Send> Sender<T> {
     /// assert_eq!(r, Err(SendError::Timeout(99))); // value handed back
     /// ```
     pub fn send_timeout(&mut self, v: T, timeout: Duration) -> Result<(), SendError<T>> {
-        if self.shared.sync.is_closed() {
-            return Err(SendError::Closed(v));
-        }
         block(self.enqueue(v), Some(timeout))
     }
 
@@ -869,6 +920,7 @@ impl<T: Send> Receiver<T> {
     /// closed and empty. [`TryRecvError::Empty`] also covers an endpoint
     /// that finds no free thread slot (see [`bounded`]) or, on [`spsc`]
     /// and [`mpsc`] channels, no free consumer seat. Never waits.
+    #[inline]
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
         match self.dequeue().probe() {
             Probe::Ready(Ok(v)) => Ok(v),

@@ -73,8 +73,12 @@ pub trait IndexRing: sealed::Sealed + Send + Sync + Sized {
 
 // Inherent methods win path resolution: each `Ring::op(..)` below is the
 // ring's own operation, not a recursive call. The per-operation forwarders
-// are `#[inline]`, as the rings' own operations are, so a forwarder adds
-// no call in front of the ring's inlined fast path.
+// are `#[inline]`, as the rings' own operations are, so the ring's first
+// attempt inlines into its forwarder, and the forwarder is the call: in the
+// optimized benchmark binary a queue op calls `<WcqRing as
+// IndexRing>::enqueue`/`dequeue` out of line, once per ring op, and the
+// ladder's bare-ring rungs call `WcqRing::enqueue`/`dequeue` out of line
+// (DESIGN.md §3.1 has the recipe that counts them).
 impl IndexRing for ScqRing {
     fn new_empty(order: u32, _max_threads: usize, cfg: &WcqConfig) -> Self {
         ScqRing::new_empty(order, cfg)

@@ -160,6 +160,7 @@ impl<T: Send> Ring<T> {
     ///
     /// # Safety
     /// Caller is the exclusive producer (see [`Self::push`]).
+    #[inline]
     unsafe fn free_slots(&self, tail: usize, want: usize) -> usize {
         let cap = self.buf.len();
         let mut head = self.prod.head_cache.load(Relaxed);
@@ -185,6 +186,7 @@ impl<T: Send> Ring<T> {
     /// time, with its calls ordered by happens-before edges. The safe
     /// [`Producer`] enforces this by unique ownership; `crate::topology`
     /// by seat claims.
+    #[inline]
     pub(crate) unsafe fn push(&self, v: T) -> Result<(), T> {
         let tail = self.prod.tail.load(Relaxed); // producer-owned index
         // SAFETY: forwarded producer-exclusivity contract.
@@ -227,6 +229,7 @@ impl<T: Send> Ring<T> {
     /// # Safety
     /// At most one thread may act as consumer (`pop`/`pop_batch`) at a
     /// time, with its calls ordered by happens-before edges.
+    #[inline]
     pub(crate) unsafe fn pop(&self) -> Option<T> {
         let head = self.cons.head.load(Relaxed); // consumer-owned index
         let mut tail = self.cons.tail_cache.load(Relaxed);

@@ -307,11 +307,28 @@ impl<T: Send> TopoEndpoint<T> {
     /// private ring, or the spine — is full, or the spine has no free
     /// thread slot. A seated producer's ring filling up reports full even
     /// if the spine exists: its elements may not change lanes.
+    ///
+    /// Inline: a seated producer's one `push`. The seat claim, the graft
+    /// and the spine lane are `enqueue_unseated`, out of line
+    /// (DESIGN.md §3.1's layout rule).
+    #[inline]
     pub fn try_enqueue(&mut self, v: T) -> Result<(), T> {
+        if let ProdPath::Ring(seat) = self.prod_path {
+            // SAFETY: the claimed seat makes this endpoint the unique
+            // producer of `rings[seat]` until it drops.
+            return unsafe { self.core.rings[seat].push(v) };
+        }
+        self.enqueue_unseated(v)
+    }
+
+    /// [`Self::try_enqueue`] off the seated ring: decides the lane on the
+    /// first enqueue, then pushes (a new seat) or enqueues on the spine.
+    #[cold]
+    #[inline(never)]
+    fn enqueue_unseated(&mut self, v: T) -> Result<(), T> {
         match self.prod_seat() {
             Some(seat) => {
-                // SAFETY: the claimed seat makes this endpoint the unique
-                // producer of `rings[seat]` until it drops.
+                // SAFETY: as in `try_enqueue`.
                 unsafe { self.core.rings[seat].push(v) }
             }
             None => match self.spine_handle() {
@@ -325,23 +342,49 @@ impl<T: Send> TopoEndpoint<T> {
     /// spine has no free thread slot, or another endpoint holds the
     /// consumer seat (see the module docs on out-of-declaration
     /// receivers).
+    ///
+    /// Inline: a seat holder's one `pop` on the cursor's ring. A miss
+    /// there, and a receiver without the seat, take
+    /// `dequeue_sweep`, out of line. The cursor moves only when
+    /// the sweep finds a value on another ring, so a run of hits writes
+    /// nothing to the endpoint.
+    #[inline]
     pub fn try_dequeue(&mut self) -> Option<T> {
+        if self.has_cons_seat {
+            // SAFETY: the consumer seat makes this endpoint the unique ring
+            // consumer until it drops.
+            if let Some(v) = unsafe { self.core.rings[self.cursor].pop() } {
+                return Some(v);
+            }
+        }
+        self.dequeue_sweep()
+    }
+
+    /// [`Self::try_dequeue`] past the cursor's ring: claims the consumer
+    /// seat if this endpoint lacks it, sweeps the rings once from the
+    /// cursor (skipping the cursor's ring if the inline path just missed
+    /// on it), then polls the spine.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_sweep(&mut self) -> Option<T> {
+        let missed_cursor = self.has_cons_seat;
         if !self.claim_consumer() {
             return None;
         }
         let n = self.core.rings.len();
-        let mut r = self.cursor;
-        for _ in 0..n {
-            // SAFETY: the consumer seat makes this endpoint the unique ring
-            // consumer until it drops.
+        let next = |r: usize| if r + 1 == n { 0 } else { r + 1 };
+        let (mut r, left) = if missed_cursor {
+            (next(self.cursor), n - 1)
+        } else {
+            (self.cursor, n)
+        };
+        for _ in 0..left {
+            // SAFETY: as in `try_dequeue`.
             if let Some(v) = unsafe { self.core.rings[r].pop() } {
                 self.cursor = r; // sticky: drain this producer in runs
                 return Some(v);
             }
-            r += 1;
-            if r == n {
-                r = 0;
-            }
+            r = next(r);
         }
         // ORDERING: seat-table read: observes the seat holder's
         // publication; pairs with the SeqCst seat claim/store

@@ -10,8 +10,8 @@
 /// closed channel, the excess receiver is scheduled before the holder's
 /// drop, maps "closed + nothing reachable" to `Closed`, and the ring
 /// residue is never delivered (`[1] != [1, 2]`). Fixed by `residue_hint`
-/// — today the seat arm of the dequeue probe (`Dequeue`'s `probe` in
-/// `channel.rs`), which maps "closed, no consumer seat" to `Wait`;
+/// — today the seat arm of the dequeue probe's miss path (`Dequeue::miss`
+/// in `channel.rs`), which maps "closed, no consumer seat" to `Wait`;
 /// deleting that arm makes this replay panic again.
 ///
 /// Tapes are positional — one decision per scheduling point — so a tape
@@ -20,7 +20,8 @@
 /// `"0*26,1*9,0*5"` replayed green even with the residue arm deleted):
 /// schedule #4 of the default run with that arm removed. Any change to
 /// the operations a replayed model performs owes the same re-validation
-/// (last re-checked once a seatless receiver reaches neither lane).
+/// (last re-checked when the probe's miss path and the topology sweep
+/// moved out of line, and `send` stopped testing `closed` twice).
 #[test]
 fn degraded_residue_minimized_schedule() {
     shuttle_lite::replay("0*20,1*8,0*6", super::degraded_residue_model);

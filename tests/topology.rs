@@ -135,6 +135,46 @@ fn mpsc_batch_roundtrip() {
     assert_eq!(out, (0..48).collect::<Vec<_>>());
 }
 
+/// The consumer's sweep, by hand: its cursor stays on the ring that last
+/// gave a value, and a miss there still reaches every other ring — one
+/// thread, so the interleaving is fixed. `try_recv` pops the cursor's ring
+/// inline and sweeps the rest out of line; `recv_batch` sweeps in one call.
+#[test]
+fn mpsc_sweep_keeps_a_sticky_cursor() {
+    let (a, b) = (|i: u64| i, |i: u64| 100 + i);
+    let (mut tx_a, mut rx) = channel::mpsc::<u64>(4, 2, 4);
+    let mut tx_b = tx_a.clone();
+    for i in 0..3 {
+        tx_a.try_send(a(i)).unwrap(); // A's first send takes ring 0
+    }
+    for i in 0..3 {
+        tx_b.try_send(b(i)).unwrap();
+    }
+    let got: Vec<u64> = (0..6).map(|_| rx.try_recv().unwrap()).collect();
+    assert_eq!(got, [a(0), a(1), a(2), b(0), b(1), b(2)]);
+    tx_b.try_send(b(3)).unwrap();
+    tx_a.try_send(a(3)).unwrap();
+    assert_eq!(rx.try_recv(), Ok(b(3)), "the cursor stays on B's ring");
+    assert_eq!(rx.try_recv(), Ok(a(3)), "a miss on it reaches A's ring");
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+
+    let (mut tx_a, mut rx) = channel::mpsc::<u64>(4, 2, 4);
+    let mut tx_b = tx_a.clone();
+    let mut inbox: Vec<u64> = (0..3).map(a).collect();
+    assert_eq!(tx_a.send_batch(&mut inbox), 3);
+    let mut inbox: Vec<u64> = (0..3).map(b).collect();
+    assert_eq!(tx_b.send_batch(&mut inbox), 3);
+    let mut out = Vec::new();
+    assert_eq!(rx.recv_batch(&mut out, 8), 6);
+    assert_eq!(out, [a(0), a(1), a(2), b(0), b(1), b(2)]);
+    tx_b.try_send(b(3)).unwrap();
+    tx_a.try_send(a(3)).unwrap();
+    out.clear();
+    assert_eq!(rx.recv_batch(&mut out, 8), 2);
+    assert_eq!(out, [b(3), a(3)], "B's ring first, then A's");
+    assert_eq!(rx.recv_batch(&mut out, 8), 0);
+}
+
 #[test]
 fn clone_past_topology_grafts_spine_and_conserves() {
     let (mut tx, mut rx) = channel::spsc::<u64>(5, 6);

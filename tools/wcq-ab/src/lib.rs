@@ -6,7 +6,10 @@
 //! metric, each side's median and interquartile range over the pairs, the
 //! head's wins, and a verdict: is the head's median inside the base's IQR
 //! or beyond it. Host facts (`nproc`, the DWCAS backend, the load average
-//! before and after every pair) go in the report beside the numbers.
+//! before and after every pair) go in the report beside the numbers. The
+//! backend is what each side's command printed in its banner
+//! ([`banner_backend`]), or `unknown`; the benchmark is always a default
+//! build, and the report says so.
 //! A last column applies the stricter rule a claimed gain must pass
 //! ([`claim`]): 9 wins in 10 and a median shift wider than the base's IQR.
 //!
@@ -199,6 +202,14 @@ pub fn last_number(output: &str) -> Option<f64> {
             let num = tok.trim_end_matches(|c: char| !c.is_ascii_digit() && c != '.');
             num.parse::<f64>().ok().filter(|x| x.is_finite())
         })
+}
+
+/// The DWCAS backend a command says it ran on: the name after the last
+/// `dwcas backend:` in its output (the `figures`/`figure10` banner line,
+/// `# dwcas backend: portable-llsc (hardware CAS2: false)`).
+pub fn banner_backend(output: &str) -> Option<&str> {
+    let (_, rest) = output.rsplit_once("dwcas backend:")?;
+    rest.split_whitespace().next()
 }
 
 /// One metric as read from a results file.
@@ -436,6 +447,19 @@ mod tests {
         ] {
             assert!(args(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn banner_backend_reads_the_figure_banner() {
+        let out = "# Figure 12\n# dwcas backend: portable-llsc (hardware CAS2: false)\n\
+                   # cores: 2\nwCQ 1 12.5\n";
+        assert_eq!(banner_backend(out), Some("portable-llsc"));
+        assert_eq!(
+            banner_backend("# dwcas backend: x86_64-cmpxchg16b (hardware CAS2: true)"),
+            Some("x86_64-cmpxchg16b")
+        );
+        assert_eq!(banner_backend("took 12 ns/op"), None);
+        assert_eq!(banner_backend("dwcas backend:"), None);
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::process::{exit, Command, Stdio};
 use std::time::Instant;
 use wcq_ab::json::Json;
 use wcq_ab::{
-    directions, last_number, parse_args, readings, table, Args, Head, Load, Reading, Series, USAGE,
+    banner_backend, directions, last_number, parse_args, readings, table, Args, Head, Load,
+    Reading, Series, USAGE,
 };
 
 fn main() {
@@ -45,6 +46,7 @@ fn run(args: &Args) -> Result<(), String> {
     let repo = git(".", &["rev-parse", "--show-toplevel"])?;
     let base = export(&repo, &Head::Rev(args.base.clone()), &work, "base")?;
     let head = export(&repo, &args.head, &work, "head")?;
+    let mut backends = Vec::new();
     for side in [&base, &head] {
         eprintln!("wcq-ab: building {} ({})", side.name, side.label);
         match &args.load {
@@ -57,15 +59,23 @@ fn run(args: &Args) -> Result<(), String> {
                 "benchmark build",
             )
             .map(drop)?,
-            // The command builds what it runs: one unmeasured warm-up run.
-            Load::Command { argv } => run_command(side, argv).map(drop)?,
+            // The command builds what it runs: one unmeasured warm-up run,
+            // whose banner (if it prints one) names the backend it built.
+            Load::Command { argv } => {
+                let out = run_command(side, argv)?;
+                let name = banner_backend(&out).unwrap_or("unknown");
+                backends.push(format!("{} {name}", side.name));
+            }
         }
     }
+    let backend = match args.load {
+        Load::Workloads { .. } => format!("{} (default build)", default_backend()),
+        Load::Command { .. } => backends.join(", "),
+    };
 
     let host = format!(
-        "host: nproc {}, dwcas {}; base {}, head {}; work dir {}",
+        "host: nproc {}, dwcas {backend}; base {}, head {}; work dir {}",
         std::thread::available_parallelism().map_or(0, |n| n.get()),
-        dwcas_backend(),
         base.label,
         head.label,
         work.display()
@@ -104,7 +114,9 @@ fn run(args: &Args) -> Result<(), String> {
             }
             Load::Command { argv } => {
                 for side in order {
-                    let value = run_command(side, argv)?;
+                    let out = run_command(side, argv)?;
+                    let value = last_number(&out)
+                        .ok_or_else(|| format!("{}: the command printed no number", side.name))?;
                     let r = Reading {
                         workload: "cmd".into(),
                         metric: "last_number".into(),
@@ -300,16 +312,15 @@ fn run_benchmark(
 }
 
 /// Runs the user's command in the side's directory (cargo inside it uses
-/// the side's target dir) and returns the last number it printed.
-fn run_command(side: &Side, argv: &[String]) -> Result<f64, String> {
-    let stdout = check(
+/// the side's target dir) and returns what it printed.
+fn run_command(side: &Side, argv: &[String]) -> Result<String, String> {
+    check(
         Command::new(&argv[0])
             .args(&argv[1..])
             .env("CARGO_TARGET_DIR", &side.target)
             .current_dir(&side.dir),
         &format!("{} {}", side.name, argv.join(" ")),
-    )?;
-    last_number(&stdout).ok_or_else(|| format!("{}: the command printed no number", side.name))
+    )
 }
 
 /// The 1-minute load average, or `n/a` off Linux.
@@ -321,8 +332,9 @@ fn loadavg() -> String {
 }
 
 /// The DWCAS backend a default build selects here: `dwcas` compiles the
-/// `cmpxchg16b` backend on x86-64 and the portable LL/SC elsewhere.
-fn dwcas_backend() -> String {
+/// `cmpxchg16b` backend on x86-64 and the portable LL/SC elsewhere. The
+/// benchmark is built without features, so this is what it runs on.
+fn default_backend() -> String {
     if cfg!(target_arch = "x86_64") {
         let cx16 = std::fs::read_to_string("/proc/cpuinfo")
             .map(|s| s.split_whitespace().any(|f| f == "cx16"))
