@@ -93,9 +93,9 @@
 //! change; the no-lost-wakeup argument needs these in the SeqCst total order
 //! with the queue's RMWs — cover: dst model 5
 
+use crate::sim::{AtomicBool, AtomicU64, AtomicUsize, Mutex};
 use crossbeam_utils::CachePadded;
 use std::future::Future;
-use crate::sim::{AtomicBool, AtomicU64, AtomicUsize, Mutex};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -173,7 +173,12 @@ mod asymfence {
         // SAFETY: no pointers; after successful registration this command
         // cannot fail (membarrier(2)).
         let r = unsafe {
-            libc::syscall(libc::SYS_membarrier, libc::MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0)
+            libc::syscall(
+                libc::SYS_membarrier,
+                libc::MEMBARRIER_CMD_PRIVATE_EXPEDITED,
+                0,
+                0,
+            )
         };
         debug_assert_eq!(r, 0, "registered PRIVATE_EXPEDITED membarrier failed");
     }
@@ -184,9 +189,11 @@ mod asymfence {
 /// fence executed on behalf of every simulated thread, which is the IPI
 /// semantics the real syscall provides. That lets the DST models search
 /// the actual asymmetric notify protocol (Relaxed waiter-count load, no
-/// notifier fence) instead of the symmetric fallback. Outside an
-/// exploration (pass-through tests in a `wcq_dst` build) it stays
-/// disabled and the symmetric `SeqCst`-fence notify runs.
+/// notifier fence) instead of the symmetric fallback. `Eventcount::new`
+/// asks once: every model builds its channel inside the exploration, so
+/// it runs the asymmetric arm, while an eventcount built outside one
+/// (pass-through tests in a `wcq_dst` build) stays on the symmetric
+/// `SeqCst`-fence notify for its whole life.
 #[cfg(wcq_dst)]
 mod asymfence {
     #[inline]
@@ -222,11 +229,14 @@ mod asymfence {
 /// look cannot miss it. One call covers any number of registrations, so a
 /// round over several lanes pays one IPI broadcast, not one per lane.
 ///
+/// `asym`: whether any lane the caller registered on is asymmetric, read
+/// from the same bit its notifiers read (see `Eventcount::asym`).
+///
 /// It cannot be paid once per *thread*: the argument is "this count store,
 /// then a barrier, then this re-probe", so each registration round needs
 /// a barrier of its own, after its stores.
-fn waiter_fence() {
-    if asymfence::enabled() {
+fn waiter_fence(asym: bool) {
+    if asym {
         asymfence::heavy();
     }
 }
@@ -268,13 +278,29 @@ struct WaiterList {
 /// state. In the `SeqCst` total order one of the two must see the other,
 /// so either the notifier wakes the waiter or the waiter never parks.
 ///
-/// `notify_all` with no waiters is a single `SeqCst` load — cheap enough
-/// to sit after every successful queue operation.
+/// Per-op cost with no waiters: [`Self::notify_all`] is a single `SeqCst`
+/// load; [`Self::notify_all_fenced`] is a load of the fence mode fixed at
+/// construction and a `Relaxed` load of the count, both on one line (plus
+/// a `SeqCst` fence where the mode is symmetric). Cheap enough to sit
+/// after every successful queue operation.
+///
+/// `repr(C)` pins `asym` right after `nwaiters`, so the two loads share a
+/// line under any field sizes: rustc's own order may put it after the
+/// mutex, which with the `wcq_dst` shim's 16-byte atomics is a line on.
+#[repr(C)]
 pub struct Eventcount {
     /// Bumped on every delivered notification; `listen` keys against it.
     epoch: AtomicU64,
     /// Mirror of `waiters.entries.len()`, readable without the lock.
     nwaiters: AtomicUsize,
+    /// Whether the fenced notify leaves the store→load barrier to the
+    /// waiters' `membarrier` (asymmetric) instead of fencing itself
+    /// (symmetric). Written once, here, and read by both halves of the
+    /// Dekker pair: [`Self::notify_all_fenced`] skips its fence only when
+    /// it is set, and [`waiter_fence`] pays the `membarrier` whenever a
+    /// lane it registered on has it set, so a notifier that relies on the
+    /// waiter's barrier always meets a waiter that issues it.
+    asym: bool,
     waiters: Mutex<WaiterList>,
 }
 
@@ -285,11 +311,14 @@ impl Default for Eventcount {
 }
 
 impl Eventcount {
-    /// Creates an eventcount with no waiters.
+    /// Creates an eventcount with no waiters, and fixes its fence mode:
+    /// asymmetric where `membarrier` is registered (under `wcq_dst`: when
+    /// built inside an exploration).
     pub fn new() -> Self {
         Eventcount {
             epoch: AtomicU64::new(0),
             nwaiters: AtomicUsize::new(0),
+            asym: asymfence::enabled(),
             waiters: Mutex::new(WaiterList::default()),
         }
     }
@@ -340,14 +369,13 @@ impl Eventcount {
     /// the waiter's post-registration re-check misses it, and both sides
     /// sleep — the classic store-buffering lost wakeup.
     ///
-    /// Where the asymmetric `membarrier` fence is available the waiters
-    /// carry the whole
-    /// barrier (a `membarrier` after registering) and this path is a
-    /// single `Relaxed` load; elsewhere it issues the symmetric `SeqCst`
-    /// fence before the count check.
+    /// On an asymmetric eventcount (see [`Self::new`]) the waiters carry
+    /// the whole barrier (a `membarrier` after registering) and this path
+    /// is two plain loads on one line; on a symmetric one it issues the
+    /// `SeqCst` fence before the count check.
     #[inline]
     pub fn notify_all_fenced(&self) {
-        if !asymfence::enabled() {
+        if !self.asym {
             // ORDERING: notify_all_fenced symmetric fallback: orders the
             // caller's plain-store state change before the waiter-count
             // load when membarrier is unavailable — cover: dst model 5 +
@@ -391,7 +419,7 @@ impl Eventcount {
     pub fn register_thread(&self, key: u64) -> Option<u64> {
         let mut token = None;
         if self.register(key, None, &mut token) {
-            waiter_fence();
+            waiter_fence(self.asym);
         }
         token
     }
@@ -473,8 +501,9 @@ impl Eventcount {
 /// side's `notify_slow` stores would invalidate the other side's per-op
 /// check — false sharing on the one field the facade touches per element
 /// (the cache-layout audit of PR 6; the SPSC ring pads its index blocks
-/// for the same reason). The closed flag shares `not_empty`'s line: a
-/// sender reads both on every send, and the flag is written once.
+/// for the same reason). The closed flag shares `not_empty`'s padded
+/// block: a sender reads both on every send, and the flag is written
+/// once, so its line stays shared whatever the waiters write.
 pub struct SyncState {
     send: CachePadded<SendLine>,
     not_full: CachePadded<Eventcount>,
@@ -716,7 +745,7 @@ fn round<W: Waitable>(
             continue;
         }
         // One barrier for every lane's count store, outside their mutexes.
-        waiter_fence();
+        waiter_fence((0..slots.len()).any(|i| w.lane(i).asym));
         match w.probe() {
             Probe::Ready(r) => break r,
             Probe::Wait => return Poll::Pending,
@@ -728,8 +757,15 @@ fn round<W: Waitable>(
 
 /// The thread-side entry every blocking operation calls. The fast path
 /// is the bare attempt — no epoch snapshot, no slot, no allocation — and
-/// everything else stays out of line behind it.
-#[inline]
+/// everything else stays out of line behind it, in [`park_on`].
+///
+/// `always`: it is reached from five blocking entries (`send`,
+/// `send_timeout`, `recv`, `recv_timeout`, `recv_any`) per element type,
+/// and under `#[inline]` the release benchmark binary kept 8 calls to it,
+/// one in front of every blocking op. Forced in, a seated blocking op
+/// runs its `try_*` twin's instructions plus the branch to `park_on`
+/// (DESIGN.md §3.1).
+#[inline(always)]
 pub(crate) fn block<W: Waitable>(mut w: W, timeout: Option<Duration>) -> W::Output {
     match w.probe() {
         Probe::Ready(r) => r,
@@ -1112,6 +1148,18 @@ mod tests {
             no_waiters(&ec),
             "lane 0's registration was cancelled on the way out"
         );
+    }
+
+    /// The fenced notify's two loads, the fence mode and the waiter count,
+    /// sit on one cache line of each lane.
+    #[test]
+    fn fence_mode_shares_the_count_line() {
+        let s = SyncState::new();
+        for ec in [s.not_empty(), s.not_full()] {
+            let line = |p: *const u8| p as usize / 64;
+            let count = line((&ec.nwaiters as *const AtomicUsize).cast());
+            assert_eq!(count, line((&ec.asym as *const bool).cast()));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Stress suite for the blocking/async channel surface (`wcq::sync`,
-//! DESIGN.md §9), over each queue family through `channel::over`.
+//! DESIGN.md §9), over each queue family through `channel::over` and over
+//! the topology channels.
 //!
 //! The claims under test, at 4× core oversubscription (the regime the
 //! facade exists for — parked threads give their quantum away, preempted
@@ -7,7 +8,8 @@
 //!
 //! * **No lost wakeups**: every element a producer blocks in is delivered
 //!   exactly once to a blocking consumer, across full *and* empty edges,
-//!   for all three queue families behind the channel.
+//!   for all three queue families behind the channel and for the
+//!   declared-topology `spsc` and `mpsc` channels.
 //! * **Shutdown drains cleanly**: the close that dropping the last
 //!   endpoint of one side triggers wakes every parked thread; producers get
 //!   their values back, consumers drain the backlog before seeing `Closed`.
@@ -16,11 +18,11 @@
 //!   balances exactly.
 
 use std::future::Future;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::task::{Context, Wake, Waker};
 use std::time::Duration;
-use wcq::channel::{self, TryRecvError, TrySendError};
+use wcq::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use wcq::sync::{block_on, RecvError, SendError};
 use wcq::{ShardedWcq, UnboundedWcq, WcqQueue};
 
@@ -33,80 +35,137 @@ fn oversubscribed_split() -> (usize, usize) {
     (workers / 2, workers - workers / 2)
 }
 
-/// Exact-delivery blocking stress shared by the three queue families: all
-/// producers `send` tagged values, consumers `recv` until `Closed`, and
-/// the result must be the exact multiset in per-producer FIFO order (each
-/// family preserves it per consumer).
-macro_rules! blocking_stress_test {
-    ($name:ident, $mk:expr) => {
-        #[test]
-        fn $name() {
-            let (producers, consumers) = oversubscribed_split();
-            let per: u64 = 30_000;
-            let (tx, rx) = channel::over($mk(producers + consumers));
-            let delivered = AtomicU64::new(0);
-            std::thread::scope(|s| {
-                for p in 0..producers as u64 {
-                    let mut tx = tx.clone();
-                    s.spawn(move || {
-                        for i in 0..per {
-                            tx.send((p << 32) | i)
-                                .expect("channel closed under producer");
-                        }
-                    });
-                }
-                // The last producer to finish closes the channel, which
-                // wakes the consumers once the backlog drains.
-                drop(tx);
-                for _ in 0..consumers {
-                    let mut rx = rx.clone();
-                    let delivered = &delivered;
-                    s.spawn(move || {
-                        // Per-producer FIFO: sequence numbers from any one
-                        // producer must arrive in order at this consumer.
-                        let mut last = vec![None::<u64>; producers];
-                        let mut n = 0u64;
-                        loop {
-                            match rx.recv() {
-                                Ok(v) => {
-                                    let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-                                    if let Some(prev) = last[p] {
-                                        assert!(i > prev, "per-producer FIFO violated");
-                                    }
-                                    last[p] = Some(i);
-                                    n += 1;
-                                }
-                                Err(RecvError::Closed) => break,
-                                Err(RecvError::Timeout) => unreachable!("no deadline"),
-                            }
-                        }
-                        delivered.fetch_add(n, SeqCst);
-                    });
+/// Sets its flag when dropped, panicking or not: the filler threads'
+/// stop signal, so a failed run ends instead of hanging.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, SeqCst);
+    }
+}
+
+/// Exact-delivery blocking stress shared by every channel kind:
+/// `producers` senders `send` `per` tagged values each, `consumers`
+/// receivers `recv` until `Closed`, and the result must be the exact
+/// multiset in per-producer FIFO order (every kind preserves it per
+/// consumer). Where the channel takes fewer endpoints than 4× the host's
+/// cores, yielding filler threads pad the run to that, so notifiers and
+/// waiters are still preempted mid-protocol.
+fn stress(producers: usize, consumers: usize, per: u64, (tx, rx): (Sender<u64>, Receiver<u64>)) {
+    let (a, b) = oversubscribed_split();
+    let fillers = (a + b).saturating_sub(producers + consumers);
+    let stop = AtomicBool::new(false);
+    let delivered = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop);
+        for _ in 0..fillers {
+            s.spawn(|| {
+                while !stop.load(SeqCst) {
+                    std::thread::yield_now();
                 }
             });
-            assert_eq!(
-                delivered.load(SeqCst),
-                producers as u64 * per,
-                "lost or duplicated elements (lost wakeup?)"
-            );
         }
-    };
+        for p in 0..producers as u64 {
+            let mut tx = tx.clone();
+            s.spawn(move || {
+                for i in 0..per {
+                    tx.send((p << 32) | i)
+                        .expect("channel closed under producer");
+                }
+            });
+        }
+        // The last producer to finish closes the channel, which wakes the
+        // consumers once the backlog drains.
+        drop(tx);
+        // The original receiver is one of the consumers, so a declared
+        // topology holds no idle endpoint.
+        let mut rxs = vec![rx];
+        for _ in 1..consumers {
+            rxs.push(rxs[0].clone());
+        }
+        let consumers: Vec<_> = rxs
+            .into_iter()
+            .map(|mut rx| {
+                let delivered = &delivered;
+                s.spawn(move || {
+                    // Per-producer FIFO: sequence numbers from any one
+                    // producer must arrive in order at this consumer.
+                    let mut last = vec![None::<u64>; producers];
+                    let mut n = 0u64;
+                    loop {
+                        match rx.recv() {
+                            Ok(v) => {
+                                let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
+                                if let Some(prev) = last[p] {
+                                    assert!(i > prev, "per-producer FIFO violated");
+                                }
+                                last[p] = Some(i);
+                                n += 1;
+                            }
+                            Err(RecvError::Closed) => break,
+                            Err(RecvError::Timeout) => unreachable!("no deadline"),
+                        }
+                    }
+                    delivered.fetch_add(n, SeqCst);
+                })
+            })
+            .collect();
+        for c in consumers {
+            c.join().expect("consumer panicked");
+        }
+    });
+    assert_eq!(
+        delivered.load(SeqCst),
+        producers as u64 * per,
+        "lost or duplicated elements (lost wakeup?)"
+    );
 }
 
 // Tiny capacities relative to the in-flight volume, so both the full edge
 // (producers park) and the empty edge (consumers park) cycle constantly.
-blocking_stress_test!(
-    wcq_no_lost_wakeups_4x_oversubscribed,
-    |threads| WcqQueue::<u64>::new(6, threads)
-);
-blocking_stress_test!(
-    sharded_no_lost_wakeups_4x_oversubscribed,
-    |threads| ShardedWcq::<u64>::new(2, 5, threads)
-);
-blocking_stress_test!(
-    unbounded_no_lost_wakeups_4x_oversubscribed,
-    |threads| UnboundedWcq::<u64>::new(4, threads)
-);
+#[test]
+fn wcq_no_lost_wakeups_4x_oversubscribed() {
+    let (p, c) = oversubscribed_split();
+    stress(p, c, 30_000, channel::over(WcqQueue::<u64>::new(6, p + c)));
+}
+
+#[test]
+fn sharded_no_lost_wakeups_4x_oversubscribed() {
+    let (p, c) = oversubscribed_split();
+    stress(
+        p,
+        c,
+        30_000,
+        channel::over(ShardedWcq::<u64>::new(2, 5, p + c)),
+    );
+}
+
+#[test]
+fn unbounded_no_lost_wakeups_4x_oversubscribed() {
+    let (p, c) = oversubscribed_split();
+    stress(
+        p,
+        c,
+        30_000,
+        channel::over(UnboundedWcq::<u64>::new(4, p + c)),
+    );
+}
+
+// The declared-topology channels publish with plain stores and so announce
+// through the fenced notify (DESIGN.md §11). With one receiver, the FIFO
+// check and the count make delivery exact. A 4-slot ring: the sender parks
+// on the full edge and the receiver on the empty edge many times over.
+#[test]
+fn spsc_no_lost_wakeups_4x_oversubscribed() {
+    stress(1, 1, 200_000, channel::spsc(2, 2));
+}
+
+#[test]
+fn mpsc_no_lost_wakeups_4x_oversubscribed() {
+    let (p, _) = oversubscribed_split();
+    stress(p, 1, 30_000, channel::mpsc(2, p, p + 1));
+}
 
 /// Spin producers (`try_send`, never parking) must still wake blocking
 /// consumers: the notify rides every successful send, not just `send`.
