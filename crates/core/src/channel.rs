@@ -86,8 +86,10 @@
 //! assert_eq!(got, 200);
 //! ```
 
+use crate::sim::AtomicUsize;
 use crate::sync::{
-    block, cancel_all, poll_on, Eventcount, Probe, RecvError, SendError, Slot, SyncState, Waitable,
+    cancel_all, park_on, poll_on, Eventcount, Probe, RecvError, SendError, Slot, SyncState,
+    Waitable,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
 use crate::{
@@ -96,7 +98,6 @@ use crate::{
 };
 use std::future::Future;
 use std::pin::Pin;
-use crate::sim::AtomicUsize;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::task::{Context, Poll};
@@ -179,11 +180,7 @@ pub fn bounded<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<
 /// (a power of two) of `2^order` slots each. Senders keep per-sender FIFO
 /// within their affinity shard; cross-sender ordering is relaxed exactly
 /// as documented on [`ShardedWcq`].
-pub fn sharded<T: Send>(
-    shards: usize,
-    order: u32,
-    max_threads: usize,
-) -> (Sender<T>, Receiver<T>) {
+pub fn sharded<T: Send>(shards: usize, order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(ShardedWcq::new(shards, order, max_threads))
 }
 
@@ -312,7 +309,10 @@ pub fn recv_any<T: Send>(
     timeout: Option<Duration>,
 ) -> Result<(usize, T), RecvError> {
     assert!(!rxs.is_empty(), "recv_any over zero receivers");
-    block(AnyOf(rxs), timeout)
+    match AnyOf(&mut *rxs).probe() {
+        Probe::Ready(r) => r,
+        Probe::Wait => park_on(&mut AnyOf(rxs), timeout),
+    }
 }
 
 /// Waitable: take a value from any of N receivers, one lane each (its
@@ -536,6 +536,13 @@ impl<T: Send> Shared<T> {
 /// One endpoint drives one thread record at a time (endpoints take
 /// `&mut self`, and a clone starts with an empty cache), which is the
 /// handles' contract.
+///
+/// `repr(u8)` keeps the tag a byte of its own. Left to rustc, the enum
+/// hides it in a niche of the unbounded handle whenever the other variants
+/// fit beside that field, and every match then decodes the niche first:
+/// six more instructions in front of each bounded op's dispatch
+/// (DESIGN.md §3.1).
+#[repr(u8)]
 enum Endpoint<T: Send> {
     Bounded(WcqHandle<T, Arc<WcqQueue<T>>>),
     Sharded(ShardedHandle<T, Arc<ShardedWcq<T>>>),
@@ -561,17 +568,18 @@ impl<T: Send> Endpoint<T> {
     /// when this endpoint's lane is full.
     ///
     /// Inline: the topology arm, whose seated push is a few plain loads
-    /// and stores. The queue arms are one call, [`Self::enqueue_queue`]:
-    /// their ring operations are out-of-line `IndexRing` calls anyway
-    /// (DESIGN.md §3.1). `always` for the reason given on
-    /// `Enqueue::probe`.
+    /// and stores, and its fenced notify, called directly rather than
+    /// through [`Self::notify`], which would test the arm again. The queue
+    /// arms are one call, [`Self::enqueue_queue`]: their ring operations
+    /// are out-of-line `IndexRing` calls anyway (DESIGN.md §3.1). `always`
+    /// for the reason given on `Enqueue::probe`.
     #[inline(always)]
     fn try_enqueue(&mut self, sync: &SyncState, v: T) -> Result<(), T> {
         let Endpoint::Topo(h) = self else {
             return self.enqueue_queue(sync, v);
         };
         h.try_enqueue(v)?;
-        self.notify(sync.not_empty());
+        sync.not_empty().notify_all_fenced();
         Ok(())
     }
 
@@ -589,15 +597,16 @@ impl<T: Send> Endpoint<T> {
     }
 
     /// One non-blocking dequeue attempt; `None` when observed empty.
-    /// Inline: the topology arm, as in [`Self::try_enqueue`]; `always` for
-    /// the reason given on `Enqueue::probe`.
+    /// Inline: the topology arm and its fenced notify, as in
+    /// [`Self::try_enqueue`]; `always` for the reason given on
+    /// `Enqueue::probe`.
     #[inline(always)]
     fn try_dequeue(&mut self, sync: &SyncState) -> Option<T> {
         let Endpoint::Topo(h) = self else {
             return self.dequeue_queue(sync);
         };
         let v = h.try_dequeue()?;
-        self.notify(sync.not_full());
+        sync.not_full().notify_all_fenced();
         Some(v)
     }
 
@@ -669,14 +678,16 @@ impl<T: Send> Waitable for Enqueue<'_, T> {
         self.shared.sync.not_full()
     }
 
-    // `always`, here, on `Dequeue`'s probe, on `Shared::try_enqueue` and on
-    // `Endpoint::try_{en,de}queue`: a probe is the body of every channel op,
-    // reached from `block`, from both probes of each park round, and from
-    // `try_recv` and `recv_any`. With that many call sites LLVM's inliner
-    // stops one level short of the ring and leaves a call in front of it.
-    // After the hot/cold split what this forces in is small: the endpoint
-    // check, the topology arm with its notify, and calls to the
-    // out-of-line tails (DESIGN.md §3.1).
+    // `always`, here, on `Dequeue`'s probe, on `Shared::try_enqueue`, on
+    // `Endpoint::try_{en,de}queue` and on the blocking entries'
+    // `send_within`/`recv_within`: the attempt is the body of every channel
+    // op, reached from `send`/`recv` and their deadline forms, from both
+    // probes of each park round, and from `try_*` and `recv_any`. With that
+    // many call sites LLVM's inliner stops one level short of the ring and
+    // leaves a call in front of it; relaxing any one of these to `#[inline]`
+    // brings such calls back. After the hot/cold split what this forces in
+    // is small: the endpoint check, the topology arm with its notify, and
+    // calls to the out-of-line tails (DESIGN.md §3.1).
     #[inline(always)]
     fn probe(&mut self) -> Probe<Self::Output> {
         let v = self.v.take().expect("polled after completion");
@@ -727,7 +738,7 @@ impl<T: Send> Waitable for Dequeue<'_, T> {
                 return Probe::Ready(Ok(v));
             }
         }
-        self.miss()
+        Self::miss(self.ep, &self.shared.sync)
     }
 
     fn timeout(&mut self) -> Self::Output {
@@ -737,13 +748,14 @@ impl<T: Send> Waitable for Dequeue<'_, T> {
 
 impl<T: Send> Dequeue<'_, T> {
     /// The probe's verdict after its attempt missed: wait, or — closed
-    /// and drained — `Closed`. Out of line (DESIGN.md §3.1).
+    /// and drained — `Closed`. Out of line (DESIGN.md §3.1). It takes the
+    /// waitable's two fields, not the waitable: a `&mut self` call made
+    /// the caller store the waitable to its stack on every op, hit or miss.
     #[cold]
     #[inline(never)]
-    fn miss(&mut self) -> Probe<Result<T, RecvError>> {
-        let sync = &self.shared.sync;
+    fn miss(ep: &mut Option<Endpoint<T>>, sync: &SyncState) -> Probe<Result<T, RecvError>> {
         // No thread slot: even a closed channel may still hold values.
-        let Some(ep) = self.ep.as_mut() else {
+        let Some(ep) = ep.as_mut() else {
             return Probe::Wait;
         };
         if !sync.is_closed() {
@@ -806,7 +818,7 @@ impl<T: Send> Sender<T> {
     /// assert_eq!(rx.recv(), Ok(1));
     /// ```
     pub fn send(&mut self, v: T) -> Result<(), SendError<T>> {
-        block(self.enqueue(v), None)
+        self.send_within(v, None)
     }
 
     /// Like [`Self::send`] with a deadline; a timeout is
@@ -824,7 +836,25 @@ impl<T: Send> Sender<T> {
     /// assert_eq!(r, Err(SendError::Timeout(99))); // value handed back
     /// ```
     pub fn send_timeout(&mut self, v: T, timeout: Duration) -> Result<(), SendError<T>> {
-        block(self.enqueue(v), Some(timeout))
+        self.send_within(v, Some(timeout))
+    }
+
+    /// The blocking send, written once: [`Self::try_send`]'s attempt
+    /// inline, and only when it finds the lane full the `Enqueue`
+    /// waitable, built on the way into `park_on`. A hit keeps the value
+    /// and the endpoint in registers; nothing of the waitable is stored.
+    /// The attempt is `try_send`'s body, not a call to it: one more caller
+    /// of `try_send` pushed it out of line at every site, `try_send`
+    /// loops included (DESIGN.md §3.1).
+    #[inline(always)]
+    fn send_within(&mut self, v: T, timeout: Option<Duration>) -> Result<(), SendError<T>> {
+        if self.shared.sync.is_closed() {
+            return Err(SendError::Closed(v));
+        }
+        match self.shared.try_enqueue(&mut self.cache, v) {
+            Ok(()) => Ok(()),
+            Err(v) => park_on(&mut self.enqueue(v), timeout),
+        }
     }
 
     /// Async send: resolves when the value is in, or with
@@ -933,7 +963,7 @@ impl<T: Send> Receiver<T> {
     /// [`Sender`] drops, drains the backlog and then reports
     /// [`RecvError::Closed`].
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        block(self.dequeue(), None)
+        self.recv_within(None)
     }
 
     /// Like [`Self::recv`] with a deadline; takes one last look before
@@ -950,7 +980,21 @@ impl<T: Send> Receiver<T> {
     /// assert_eq!(r, Err(RecvError::Timeout));
     /// ```
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvError> {
-        block(self.dequeue(), Some(timeout))
+        self.recv_within(Some(timeout))
+    }
+
+    /// The blocking receive, written once: the bare attempt inline, and
+    /// on a miss the `Dequeue` waitable, built on the way into `park_on`,
+    /// as in `Sender::send_within`. A miss is not classified here: the
+    /// first round's probe tells `Closed` from a wait.
+    #[inline(always)]
+    fn recv_within(&mut self, timeout: Option<Duration>) -> Result<T, RecvError> {
+        if let Some(ep) = self.shared.endpoint(&mut self.cache) {
+            if let Some(v) = ep.try_dequeue(&self.shared.sync) {
+                return Ok(v);
+            }
+        }
+        park_on(&mut self.dequeue(), timeout)
     }
 
     /// Async receive: resolves with a value, or [`RecvError::Closed`] once

@@ -755,30 +755,18 @@ fn round<W: Waitable>(
     Poll::Ready(r)
 }
 
-/// The thread-side entry every blocking operation calls. The fast path
-/// is the bare attempt — no epoch snapshot, no slot, no allocation — and
-/// everything else stays out of line behind it, in [`park_on`].
-///
-/// `always`: it is reached from five blocking entries (`send`,
-/// `send_timeout`, `recv`, `recv_timeout`, `recv_any`) per element type,
-/// and under `#[inline]` the release benchmark binary kept 8 calls to it,
-/// one in front of every blocking op. Forced in, a seated blocking op
-/// runs its `try_*` twin's instructions plus the branch to `park_on`
-/// (DESIGN.md §3.1).
-#[inline(always)]
-pub(crate) fn block<W: Waitable>(mut w: W, timeout: Option<Duration>) -> W::Output {
-    match w.probe() {
-        Probe::Ready(r) => r,
-        Probe::Wait => park_on(&mut w, timeout),
-    }
-}
-
 /// Thread driver: runs rounds, sleeping between them until a registered
 /// lane's epoch moves or the deadline passes. A `timeout` too large to
 /// add to the clock (`Duration::MAX`) waits without a deadline.
+///
+/// Every blocking entry (`send`, `send_timeout`, `recv`, `recv_timeout`,
+/// `recv_any`) makes its bare attempt inline first — no epoch snapshot,
+/// no slot, no allocation, no waitable — and calls this only on a miss,
+/// with the waitable built then. Its first round probes again after the
+/// snapshot, so a change that lands between the two looks is not lost.
 #[cold]
 #[inline(never)]
-fn park_on<W: Waitable>(w: &mut W, timeout: Option<Duration>) -> W::Output {
+pub(crate) fn park_on<W: Waitable>(w: &mut W, timeout: Option<Duration>) -> W::Output {
     let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
     let mut slots = w.slots();
     let slots = slots.as_mut();

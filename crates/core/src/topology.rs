@@ -66,9 +66,10 @@
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
 
 use crate::pack::MAX_ORDER;
+use crate::sim::{AtomicBool, AtomicU8, OnceLock};
 use crate::spsc::Ring;
 use crate::{WcqConfig, WcqHandle, WcqQueue};
-use crate::sim::{AtomicBool, AtomicU8, OnceLock};
+use std::ptr::NonNull;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
 use std::sync::Arc;
 
@@ -174,24 +175,40 @@ impl<T: Send> TopoCore<T> {
         TopoEndpoint {
             core: Arc::clone(self),
             prod_path: ProdPath::Undecided,
-            has_cons_seat: false,
-            cursor: 0,
+            cursor: None,
             spine: None,
         }
     }
 
-    /// Claims the lowest free producer seat, or `None` when every seat is
-    /// owned by a live endpoint (topology exceeded). The `SeqCst` CAS
-    /// pairs with the release store in `TopoEndpoint::drop`, ordering a
-    /// dead predecessor's ring accesses before the new owner's.
+    /// The address of ring `i`, as an endpoint caches it. It stays valid
+    /// while the core lives: `rings` is a boxed slice, never moved or
+    /// resized after construction.
+    fn ring_at(&self, i: usize) -> NonNull<Ring<T>> {
+        NonNull::from(&self.rings[i])
+    }
+
+    /// The index of the ring at `ring`, an address from [`Self::ring_at`]
+    /// — its seat in `prod_seats`, or its place in the consumer's sweep.
+    fn seat_of(&self, ring: NonNull<Ring<T>>) -> usize {
+        // SAFETY: `ring` came from `ring_at` on this core, so it points
+        // into the `rings` allocation, at a whole element.
+        let i = unsafe { ring.as_ptr().offset_from(self.rings.as_ptr()) };
+        i as usize // in `0..rings.len()`, so the cast is exact
+    }
+
+    /// Claims the lowest free producer seat and returns its ring's
+    /// address, or `None` when every seat is owned by a live endpoint
+    /// (topology exceeded). The `SeqCst` CAS pairs with the release store
+    /// in `TopoEndpoint::drop`, ordering a dead predecessor's ring accesses
+    /// before the new owner's.
     // ORDERING: the Relaxed load is an advisory mode/occupancy probe;
     // decisions re-validated by the seat CAS; the CAS is the endpoint seat
     // claim/publish handoff and graft-mode latch; cold path, kept SeqCst
     // until a weak-DST model argues otherwise
-    fn claim_prod_seat(&self) -> Option<usize> {
+    fn claim_prod_seat(&self) -> Option<NonNull<Ring<T>>> {
         for (i, seat) in self.prod_seats.iter().enumerate() {
             if !seat.load(Relaxed) && seat.compare_exchange(false, true, SeqCst, SeqCst).is_ok() {
-                return Some(i);
+                return Some(self.ring_at(i));
             }
         }
         None
@@ -235,11 +252,12 @@ impl<T: Send> TopoCore<T> {
 /// Which lane a producer endpoint committed to. Sticky: switching lanes
 /// mid-stream would interleave one producer's elements across two
 /// independently ordered sources and break its FIFO.
-enum ProdPath {
+enum ProdPath<T: Send> {
     /// No enqueue yet; decided by the first one.
     Undecided,
-    /// Seated: the private ring at this index, for life.
-    Ring(usize),
+    /// Seated: the private ring at this address (into the core's
+    /// `rings`), for life.
+    Ring(NonNull<Ring<T>>),
     /// Excess: the wCQ spine, for life.
     Spine,
 }
@@ -248,31 +266,50 @@ enum ProdPath {
 /// channel's internal endpoint enum. One endpoint serves one side: the
 /// channel's `Sender` only enqueues (claiming a producer seat on first
 /// use), its `Receiver` only dequeues (claiming the consumer seat).
+///
+/// A seated endpoint caches its ring's address, so a hit reaches the ring
+/// without going through `core` or bounds-checking an index. The address
+/// points into `core.rings`, a boxed slice that never moves, and `core`
+/// keeps it alive for the endpoint's whole life; the seat makes this
+/// endpoint the ring's one producer, or its one consumer.
 pub struct TopoEndpoint<T: Send> {
     core: Arc<TopoCore<T>>,
     /// Producer lane, decided by the first enqueue.
-    prod_path: ProdPath,
-    /// Whether this endpoint holds the consumer seat. Excess receivers
-    /// retry the (cheap, `Relaxed`-guarded) claim each operation so they
-    /// inherit the rings when the holder drops.
-    has_cons_seat: bool,
-    /// Sweep cursor: the ring the consumer drains first (sticky, so a
-    /// busy producer is consumed in runs instead of round-robin churn).
-    cursor: usize,
+    prod_path: ProdPath<T>,
+    /// The consumer seat and the sweep cursor in one: `Some(ring)` while
+    /// this endpoint holds the seat, pointing at the ring it drains first
+    /// (sticky, so a busy producer is consumed in runs instead of
+    /// round-robin churn). The seat claim sets it to the first ring, and
+    /// only the sweep moves it. Excess receivers (`None`) retry the
+    /// (cheap, `Relaxed`-guarded) claim each operation so they inherit
+    /// the rings when the holder drops.
+    cursor: Option<NonNull<Ring<T>>>,
     /// Spine handle, acquired lazily by the first spine-lane operation.
     spine: Option<WcqHandle<T, Arc<WcqQueue<T>>>>,
 }
 
+// SAFETY: the ring addresses are the only fields that are not `Send` on
+// their own. They point into `core.rings`, which this endpoint keeps
+// alive, and `Ring<T>` is `Send + Sync` for `T: Send`; moving the endpoint
+// moves its seat with it, and the seat is what makes the ring accesses
+// exclusive, on whichever thread.
+unsafe impl<T: Send> Send for TopoEndpoint<T> {}
+// SAFETY: through `&TopoEndpoint` no ring is reached: every method that
+// dereferences a cached address takes `&mut self`, and the rest of the
+// endpoint is `Sync` for `T: Send`.
+unsafe impl<T: Send> Sync for TopoEndpoint<T> {}
+
 impl<T: Send> TopoEndpoint<T> {
-    /// Decides (once) and returns this producer's lane.
-    fn prod_seat(&mut self) -> Option<usize> {
+    /// Decides (once) and returns this producer's lane: its ring's
+    /// address, or `None` for the spine.
+    fn prod_seat(&mut self) -> Option<NonNull<Ring<T>>> {
         match self.prod_path {
-            ProdPath::Ring(i) => Some(i),
+            ProdPath::Ring(ring) => Some(ring),
             ProdPath::Spine => None,
             ProdPath::Undecided => match self.core.claim_prod_seat() {
-                Some(i) => {
-                    self.prod_path = ProdPath::Ring(i);
-                    Some(i)
+                Some(ring) => {
+                    self.prod_path = ProdPath::Ring(ring);
+                    Some(ring)
                 }
                 None => {
                     // Cloned past the declared topology: graft the spine
@@ -285,11 +322,13 @@ impl<T: Send> TopoEndpoint<T> {
         }
     }
 
-    fn claim_consumer(&mut self) -> bool {
-        if !self.has_cons_seat {
-            self.has_cons_seat = self.core.claim_cons_seat();
+    /// The cursor, claiming the consumer seat first if this endpoint
+    /// lacks it; `None` while another endpoint holds the seat.
+    fn claim_consumer(&mut self) -> Option<NonNull<Ring<T>>> {
+        if self.cursor.is_none() && self.core.claim_cons_seat() {
+            self.cursor = Some(self.core.ring_at(0));
         }
-        self.has_cons_seat
+        self.cursor
     }
 
     /// This endpoint's spine handle, registered on first use; `None` while
@@ -308,15 +347,16 @@ impl<T: Send> TopoEndpoint<T> {
     /// thread slot. A seated producer's ring filling up reports full even
     /// if the spine exists: its elements may not change lanes.
     ///
-    /// Inline: a seated producer's one `push`. The seat claim, the graft
-    /// and the spine lane are `enqueue_unseated`, out of line
-    /// (DESIGN.md §3.1's layout rule).
+    /// Inline: a seated producer's one `push`, on the cached ring address.
+    /// The seat claim, the graft and the spine lane are
+    /// `enqueue_unseated`, out of line (DESIGN.md §3.1's layout rule).
     #[inline]
     pub fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        if let ProdPath::Ring(seat) = self.prod_path {
-            // SAFETY: the claimed seat makes this endpoint the unique
-            // producer of `rings[seat]` until it drops.
-            return unsafe { self.core.rings[seat].push(v) };
+        if let ProdPath::Ring(ring) = self.prod_path {
+            // SAFETY: `ring` points into `self.core.rings`, alive while
+            // `self.core` is; the claimed seat makes this endpoint the
+            // ring's unique producer until it drops.
+            return unsafe { ring.as_ref().push(v) };
         }
         self.enqueue_unseated(v)
     }
@@ -327,10 +367,8 @@ impl<T: Send> TopoEndpoint<T> {
     #[inline(never)]
     fn enqueue_unseated(&mut self, v: T) -> Result<(), T> {
         match self.prod_seat() {
-            Some(seat) => {
-                // SAFETY: as in `try_enqueue`.
-                unsafe { self.core.rings[seat].push(v) }
-            }
+            // SAFETY: as in `try_enqueue`.
+            Some(ring) => unsafe { ring.as_ref().push(v) },
             None => match self.spine_handle() {
                 Some(h) => h.enqueue(v),
                 None => Err(v),
@@ -350,10 +388,11 @@ impl<T: Send> TopoEndpoint<T> {
     /// nothing to the endpoint.
     #[inline]
     pub fn try_dequeue(&mut self) -> Option<T> {
-        if self.has_cons_seat {
-            // SAFETY: the consumer seat makes this endpoint the unique ring
-            // consumer until it drops.
-            if let Some(v) = unsafe { self.core.rings[self.cursor].pop() } {
+        if let Some(ring) = self.cursor {
+            // SAFETY: `ring` points into `self.core.rings`, alive while
+            // `self.core` is; the consumer seat makes this endpoint the
+            // unique ring consumer until it drops.
+            if let Some(v) = unsafe { ring.as_ref().pop() } {
                 return Some(v);
             }
         }
@@ -367,21 +406,20 @@ impl<T: Send> TopoEndpoint<T> {
     #[cold]
     #[inline(never)]
     fn dequeue_sweep(&mut self) -> Option<T> {
-        let missed_cursor = self.has_cons_seat;
-        if !self.claim_consumer() {
-            return None;
-        }
+        let missed_cursor = self.cursor.is_some();
+        let cursor = self.claim_consumer()?;
         let n = self.core.rings.len();
         let next = |r: usize| if r + 1 == n { 0 } else { r + 1 };
+        let at = self.core.seat_of(cursor);
         let (mut r, left) = if missed_cursor {
-            (next(self.cursor), n - 1)
+            (next(at), n - 1)
         } else {
-            (self.cursor, n)
+            (at, n)
         };
         for _ in 0..left {
-            // SAFETY: as in `try_dequeue`.
+            // SAFETY: the consumer seat, as in `try_dequeue`.
             if let Some(v) = unsafe { self.core.rings[r].pop() } {
-                self.cursor = r; // sticky: drain this producer in runs
+                self.cursor = Some(self.core.ring_at(r)); // sticky: drain this producer in runs
                 return Some(v);
             }
             r = next(r);
@@ -400,7 +438,7 @@ impl<T: Send> TopoEndpoint<T> {
     /// this endpoint the seat. A seat holder reaches everything on a
     /// closed channel — every spine slot is free to it by then.
     pub fn residue_hint(&self) -> bool {
-        !self.has_cons_seat
+        self.cursor.is_none()
     }
 
     /// Batch enqueue: drains as many items as fit from the front of
@@ -412,22 +450,19 @@ impl<T: Send> TopoEndpoint<T> {
             return 0;
         }
         match self.prod_seat() {
-            Some(seat) => {
-                // SAFETY: claimed seat, as in `try_enqueue`.
-                match unsafe { self.core.rings[seat].reserve(items.len()) } {
-                    Some(mut res) => {
-                        let n = res.capacity();
-                        for v in items.drain(..n) {
-                            res.write(v).unwrap_or_else(|_| {
-                                panic!("reservation window matches drain length")
-                            });
-                        }
-                        res.commit();
-                        n
+            // SAFETY: claimed seat on a live ring, as in `try_enqueue`.
+            Some(ring) => match unsafe { ring.as_ref().reserve(items.len()) } {
+                Some(mut res) => {
+                    let n = res.capacity();
+                    for v in items.drain(..n) {
+                        res.write(v)
+                            .unwrap_or_else(|_| panic!("reservation window matches drain length"));
                     }
-                    None => 0,
+                    res.commit();
+                    n
                 }
-            }
+                None => 0,
+            },
             None => self.spine_handle().map_or(0, |h| h.enqueue_batch(items)),
         }
     }
@@ -439,17 +474,17 @@ impl<T: Send> TopoEndpoint<T> {
         if max == 0 {
             return 0;
         }
-        if !self.claim_consumer() {
+        let Some(cursor) = self.claim_consumer() else {
             return 0;
-        }
+        };
         let mut got = 0;
         let n = self.core.rings.len();
-        let mut r = self.cursor;
+        let mut r = self.core.seat_of(cursor);
         for _ in 0..n {
             // SAFETY: consumer seat, as in `try_dequeue`.
             let took = unsafe { self.core.rings[r].pop_batch(out, max - got) };
             if took > 0 {
-                self.cursor = r;
+                self.cursor = Some(self.core.ring_at(r));
                 got += took;
                 if got == max {
                     break;
@@ -479,11 +514,11 @@ impl<T: Send> Drop for TopoEndpoint<T> {
         // position (a ring's residue stays where it is; the next seat
         // holder appends — or sweeps — after it). The SeqCst store pairs
         // with the claim CAS to order this owner's ring accesses before
-        // the successor's.
-        if let ProdPath::Ring(seat) = self.prod_path {
-            self.core.prod_seats[seat].store(false, SeqCst);
+        // the successor's. The cached addresses die with the endpoint.
+        if let ProdPath::Ring(ring) = self.prod_path {
+            self.core.prod_seats[self.core.seat_of(ring)].store(false, SeqCst);
         }
-        if self.has_cons_seat {
+        if self.cursor.is_some() {
             // The channel notifies both lanes after this drop: the release
             // may surface ring residue to parked receivers.
             self.core.cons_seat.store(false, SeqCst);
@@ -573,7 +608,11 @@ mod tests {
         tx2.try_enqueue(100).unwrap(); // grafts the spine
         let mut rx2 = c.register();
         let mut out = Vec::new();
-        assert_eq!(rx2.try_dequeue(), None, "no seat: neither lane is reachable");
+        assert_eq!(
+            rx2.try_dequeue(),
+            None,
+            "no seat: neither lane is reachable"
+        );
         assert_eq!(rx2.dequeue_batch(&mut out, 4), 0, "not in a batch either");
         assert!(rx2.residue_hint());
         drop(rx1); // hands the seat over

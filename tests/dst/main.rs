@@ -93,7 +93,11 @@ fn dst_helper_drive_vs_quiesce_release() {
 /// request per record (52 of 10,000 publish one, none two). Model 14 is
 /// sized to wrap the tag.
 fn tag_wrap_model() {
-    assert_eq!(wcq::wcq::record::TAG_BITS, 2, "small-bounds tag in dst builds");
+    assert_eq!(
+        wcq::wcq::record::TAG_BITS,
+        2,
+        "small-bounds tag in dst builds"
+    );
     let cfg = WcqConfig::stress();
     let q = Arc::new(WcqQueue::with_config(2, 3, &cfg));
     let qa = q.clone();
@@ -628,11 +632,17 @@ fn collector_drain_model(
         },
         latency_reservoir: 4,
     };
-    let (col, mut tx) =
-        Collector::spawn(cfg, VecExporter::default(), Arc::new(FailEvery::new(fail_every)));
+    let (col, mut tx) = Collector::spawn(
+        cfg,
+        VecExporter::default(),
+        Arc::new(FailEvery::new(fail_every)),
+    );
     let producer = thread::spawn(move || {
         for id in 1..=spans {
-            assert!(tx.submit(Span::new(id % lanes as u64, id)), "Block policy accepts");
+            assert!(
+                tx.submit(Span::new(id % lanes as u64, id)),
+                "Block policy accepts"
+            );
         }
         // Handle drops here: the close ripple races the workers' flushes.
     });
@@ -746,45 +756,57 @@ fn dst_task_driver_waker_vs_fenced_notify() {
 // ===================================================================
 
 /// A receiver loops `recv_any` with no deadline over two SPSC lanes while
-/// each lane's sender sends one value from its own thread and drops. The
-/// lanes publish by plain stores and notify through the fence-free
+/// each lane's sender sends one value from its own thread. The lanes
+/// publish by plain stores and notify through the fence-free
 /// `notify_all_fenced`, so every data wake rests on the asymmetric fence,
 /// and one round over two lanes issues that fence once, after both
 /// registrations: under `WCQ_DST_WEAK=1` this checks that one barrier
 /// covers both lanes' count stores. A lost data wake parks the receiver
 /// forever, which the explorer reports as a deadlock.
 ///
-/// Idle clones hold both lanes open until both values are in. Without
-/// them each sender's drop would close its lane, and `close` reaches
-/// registered waiters through a `SeqCst` pair that needs no asymmetric
-/// fence — it would wake the receiver anyway and hide the lost wake (with
-/// the round's fence deleted, the model then stays green).
+/// The send is each sender's last act until both values are in: the
+/// threads hand their senders back, and the receiver drops them only
+/// after its second value. A sender that dropped on its own thread would
+/// follow its send with a second notify (the endpoint-drop notify of both
+/// lanes, then the close), and that later look at the waiter count finds
+/// a receiver the first one missed: it would wake the receiver anyway and
+/// hide the lost data wake. Written that way, the model stayed green with
+/// the round's fence deleted.
 fn recv_any_data_model() {
     use wcq::sync::RecvError;
     let (tx_a, rx_a) = channel::spsc::<u64>(1, 2);
     let (tx_b, rx_b) = channel::spsc::<u64>(1, 2);
-    let mut open = Some((tx_a.clone(), tx_b.clone()));
     let senders: Vec<_> = [(tx_a, 10u64), (tx_b, 20)]
         .into_iter()
-        .map(|(mut tx, v)| thread::spawn(move || tx.send(v).unwrap()))
+        .map(|(mut tx, v)| {
+            thread::spawn(move || {
+                tx.send(v).unwrap();
+                tx
+            })
+        })
         .collect();
     let mut lanes = [rx_a, rx_b];
     let mut got = Vec::new();
+    let mut senders = Some(senders);
     let end = loop {
         match channel::recv_any(&mut lanes, None) {
             Ok(lane_and_value) => got.push(lane_and_value),
             Err(e) => break e,
         }
         if got.len() == 2 {
-            drop(open.take()); // the last senders: both lanes close
+            // Both values are in: drop the senders, closing both lanes.
+            for s in senders.take().into_iter().flatten() {
+                drop(s.join().unwrap());
+            }
         }
     };
-    for s in senders {
-        s.join().unwrap();
-    }
     assert_eq!(end, RecvError::Closed);
     got.sort_unstable();
-    assert_eq!(got, vec![(0, 10), (1, 20)], "both values, each from its lane");
+    assert_eq!(
+        got,
+        vec![(0, 10), (1, 20)],
+        "both values, each from its lane"
+    );
 }
 
 #[test]

@@ -50,7 +50,10 @@ fn slot_downgrade_minimized_schedule() {
                 super::slot_downgrade_model(Ordering::Relaxed, Ordering::Acquire)
             });
     });
-    assert!(wrong.is_err(), "relaxed slot release must race on the pinned schedule");
+    assert!(
+        wrong.is_err(),
+        "relaxed slot release must race on the pinned schedule"
+    );
     // The queue's actual orderings pass the identical schedule.
     shuttle_lite::Explorer::new("slot-downgrade")
         .weak(true)

@@ -119,7 +119,12 @@ fn mpsc_per_sender_fifo() {
     // every message rode the per-sender rings, not an upgraded spine.
     assert_eq!(rx.backend(), "mpsc-rings");
     for t in 0..3u64 {
-        let lane: Vec<u64> = got.iter().copied().filter(|v| v >> 32 == t).map(|v| v & 0xffff_ffff).collect();
+        let lane: Vec<u64> = got
+            .iter()
+            .copied()
+            .filter(|v| v >> 32 == t)
+            .map(|v| v & 0xffff_ffff)
+            .collect();
         assert_eq!(lane, (0..500).collect::<Vec<_>>(), "sender {t} lost FIFO");
     }
 }
@@ -341,4 +346,127 @@ fn blocking_excess_receiver_inherits_residue() {
     std::thread::sleep(Duration::from_millis(20));
     drop(rx); // hand over the seat
     assert_eq!(waiter.join().unwrap(), Ok(8));
+}
+
+/// A seated endpoint reaches its ring by a cached address; these three
+/// pin what that cache must follow. First, the consumer seat changing
+/// hands: the holder's cursor has moved to the second ring, it drops with
+/// both rings holding residue, and a receiver that never operated before
+/// inherits the seat. Its first `recv` claims the seat and drains the
+/// holder's leftovers, each ring in order.
+#[test]
+fn inherited_consumer_seat_drains_what_the_holder_left() {
+    let (a, b) = (|i: u64| i, |i: u64| 100 + i);
+    let (mut tx_a, mut rx) = channel::mpsc::<u64>(3, 2, 4);
+    let mut tx_b = tx_a.clone();
+    let mut heir = rx.clone();
+    for i in 0..4 {
+        tx_a.try_send(a(i)).unwrap(); // ring 0
+        tx_b.try_send(b(i)).unwrap(); // ring 1
+    }
+    let taken: Vec<u64> = (0..6).map(|_| rx.recv().unwrap()).collect();
+    assert_eq!(taken, [a(0), a(1), a(2), a(3), b(0), b(1)]);
+    tx_a.try_send(a(4)).unwrap(); // behind the holder's cursor, on ring 0
+    drop(rx); // hands the seat over with b(2), b(3) and a(4) left
+    let left: Vec<u64> = (0..3).map(|_| heir.recv().unwrap()).collect();
+    assert_eq!(
+        left,
+        [a(4), b(2), b(3)],
+        "the heir sweeps from the first ring"
+    );
+    assert_eq!(heir.try_recv(), Err(TryRecvError::Empty));
+    tx_b.send(b(4)).unwrap();
+    assert_eq!(heir.recv(), Ok(b(4)), "and keeps the seat it inherited");
+    drop((tx_a, tx_b));
+    assert_eq!(heir.recv(), Err(RecvError::Closed));
+}
+
+/// Second, the consumer's cursor moving: in each phase the receiver
+/// drains half of one ring, the next phase's ring fills to the brim while
+/// the rest waits, and the receiver drains the rest. The cursor stays on
+/// the draining ring until its inline pop misses; then the sweep moves it
+/// to the full ring and the pops that follow hit there. Five moves over
+/// three rings, every value delivered once, in the order the sticky
+/// cursor implies.
+#[test]
+fn mpsc_cursor_follows_the_sweep_to_the_full_ring() {
+    const CAP: u64 = 8;
+    let tag = |p: usize, i: u64| (p as u64) << 32 | i;
+    let (tx, mut rx) = channel::mpsc::<u64>(3, 3, 4);
+    let mut txs: Vec<_> = (0..3).map(|_| tx.clone()).collect();
+    drop(tx);
+    // Seats in order, so sender `p` pushes to ring `p`; the receiver's
+    // cursor starts on ring 0 and steps to ring 1 and ring 2.
+    for (p, tx) in txs.iter_mut().enumerate() {
+        tx.try_send(tag(p, 0)).unwrap();
+    }
+    for p in 0..3 {
+        assert_eq!(rx.recv(), Ok(tag(p, 0)));
+    }
+    let mut sent = [1u64; 3];
+    let mut fill = |p: usize| {
+        for _ in 0..CAP {
+            txs[p].try_send(tag(p, sent[p])).unwrap();
+            sent[p] += 1;
+        }
+        assert!(txs[p].try_send(0).is_err(), "ring {p} is full");
+    };
+    let phases = [0, 1, 2, 1, 0, 2];
+    let mut next = [1u64; 3];
+    let want: Vec<u64> = phases
+        .iter()
+        .flat_map(|&p| {
+            next[p] += CAP;
+            (next[p] - CAP..next[p]).map(move |i| tag(p, i))
+        })
+        .collect();
+    let mut got = Vec::new();
+    fill(phases[0]);
+    for then in phases[1..].iter().map(Some).chain([None]) {
+        got.extend((0..CAP / 2).map(|_| rx.recv().unwrap()));
+        if let Some(&q) = then {
+            fill(q); // ring `q` fills while this phase's ring holds half
+        }
+        got.extend((0..CAP / 2).map(|_| rx.recv().unwrap()));
+    }
+    assert_eq!(got, want);
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(rx.backend(), "mpsc-rings");
+}
+
+/// Third, a producer seat changing hands: sender A's drop frees ring 0
+/// with residue in it, and a later clone's first send claims that seat.
+/// Its values land on ring 0, behind A's residue and bounded by ring 0's
+/// room, not on ring 1 (full) and not on a spine (none is grafted).
+#[test]
+fn reclaimed_producer_seat_pushes_to_its_own_ring() {
+    let (mut tx_a, mut rx) = channel::mpsc::<u64>(2, 2, 4); // 4 slots a ring
+    let mut tx_b = tx_a.clone();
+    for i in 0..3 {
+        tx_a.try_send(i).unwrap(); // ring 0
+    }
+    for i in 0..4 {
+        tx_b.try_send(100 + i).unwrap(); // ring 1, full
+    }
+    drop(tx_a); // seat 0 free; ring 0 keeps 0, 1, 2
+    let mut tx_c = tx_b.clone();
+    tx_c.try_send(200).unwrap(); // claims seat 0: ring 0's last slot
+    assert!(
+        matches!(tx_c.try_send(201), Err(TrySendError::Full(201))),
+        "ring 0 is full now; ring 1 was full already"
+    );
+    assert_eq!(tx_c.backend(), "mpsc-rings", "a seat, not the spine");
+    let got: Vec<u64> = (0..8).map(|_| rx.recv().unwrap()).collect();
+    assert_eq!(got, [0, 1, 2, 200, 100, 101, 102, 103]);
+    tx_c.send(201).unwrap();
+    assert_eq!(rx.recv(), Ok(201), "the miss on ring 1 sweeps to ring 0");
+    drop(tx_c); // seat 0 free again, ring 0 empty
+    let mut tx_d = tx_b.clone();
+    for i in 0..4 {
+        tx_d.try_send(300 + i).unwrap(); // a whole ring's worth: ring 0
+    }
+    assert!(matches!(tx_d.try_send(304), Err(TrySendError::Full(304))));
+    let got: Vec<u64> = (0..4).map(|_| rx.recv().unwrap()).collect();
+    assert_eq!(got, [300, 301, 302, 303]);
+    assert_eq!(rx.backend(), "mpsc-rings");
 }
