@@ -69,13 +69,11 @@ pub struct CollectorConfig {
     pub lane_order: u32,
     /// Declared concurrently-submitting [`SpanSender`] clones: each gets
     /// a private ring in every lane and a private row of ingest counters.
-    /// More than this still works — the lane grafts its wait-free spine,
-    /// exactly as `channel::mpsc` documents, and the extra senders share
-    /// one counter row — but seated producers are faster, so declare the
-    /// real number. The spine has thread slots for `producers + 1` extra
-    /// senders at a time; a sender beyond that sheds under
-    /// [`ShedPolicy::Shed`] and parks under [`ShedPolicy::Block`] until
-    /// one drops.
+    /// A hard count, as `channel::mpsc` documents: a sender that finds
+    /// every seat of its span's lane held sheds under
+    /// [`ShedPolicy::Shed`] and parks under [`ShedPolicy::Block`] until a
+    /// seated sender drops. Extra senders share one counter row. Declare
+    /// the real number.
     pub producers: usize,
     /// Batching worker threads. Lanes are distributed round-robin;
     /// clamped to `1..=shards` (a lane has exactly one sweeper). Each
@@ -249,10 +247,9 @@ impl<E: Exporter + 'static> Collector<E> {
         let mut worker_lanes: Vec<Vec<Receiver<Span>>> =
             (0..workers).map(|_| Vec::new()).collect();
         for shard in 0..cfg.shards {
-            // Slots: `producers` seated sender handles + the sweeping
-            // worker + slack for the template/overflow clones.
-            let (tx, rx) =
-                channel::mpsc::<Span>(cfg.lane_order, cfg.producers, cfg.producers + 2);
+            // One seat per declared producer; the thread-slot count is
+            // unused on topology channels.
+            let (tx, rx) = channel::mpsc::<Span>(cfg.lane_order, cfg.producers, 1);
             lane_txs.push(tx);
             worker_lanes[shard % workers].push(rx);
         }

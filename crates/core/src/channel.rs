@@ -37,17 +37,15 @@
 //! | [`bounded`] | [`crate::WcqQueue`] (wait-free, bounded) | `send` parks / `try_send` returns [`TrySendError::Full`] |
 //! | [`sharded`] | [`crate::ShardedWcq`] (per-shard FIFO) | as above, per affinity shard |
 //! | [`unbounded`] | [`crate::UnboundedWcq`] (list of rings) | `send` never blocks on capacity |
-//! | [`spsc`] | [`TopoCore::spsc`]: [`crate::spsc::Ring`] + wCQ spine ([`crate::topology`]) | as [`bounded`]; load/store fast path |
-//! | [`mpsc`] | [`TopoCore::mpsc`]: per-sender [`crate::spsc::Ring`]s + wCQ spine | as [`bounded`], per sender ring |
+//! | [`spsc`] | [`TopoCore::spsc`]: one [`crate::spsc::Ring`] ([`crate::topology`]) | as [`bounded`]; load/store fast path |
+//! | [`mpsc`] | [`TopoCore::mpsc`]: per-sender [`crate::spsc::Ring`]s | as [`bounded`], per sender ring |
 //!
-//! The topology-declared constructors ([`spsc`], [`mpsc`]) are not a
-//! different contract — they are the same channel running on private SPSC
-//! rings while the usage matches the declaration. The first operating
-//! sender beyond the declaration grafts a wait-free [`crate::WcqQueue`]
-//! spine on as an overflow lane: excess senders run on it, seated ones
-//! keep their rings, and no element is ever lost or moved between lanes.
-//! A receiver beyond the declaration waits for the consumer seat. See
-//! [`crate::topology`] for the protocol, and
+//! The topology-declared constructors ([`spsc`], [`mpsc`]) are the same
+//! channel surface running on private SPSC rings, one per declared
+//! sender. The declaration is a hard count: a sender beyond it waits for a
+//! producer seat, and a receiver beyond it for the consumer seat, each
+//! missing as an endpoint with no free thread slot does until a seated
+//! endpoint drops. See [`crate::topology`] for the seats, and
 //! [`Sender::backend`]/[`Receiver::backend`] to observe which engine is
 //! serving.
 //!
@@ -196,35 +194,29 @@ pub fn unbounded<T: Send>(node_order: u32, max_threads: usize) -> (Sender<T>, Re
 /// records or DWCAS anywhere near it.
 ///
 /// The declaration is enforced dynamically, not by the type system: any
-/// number of idle clones is free (as everywhere in this module), but the
-/// first operation by a *second* concurrently operating sender grafts a
-/// wait-free [`WcqQueue`] spine of at least the same capacity onto the
-/// channel as an overflow lane (see [`crate::topology`]). The seated
-/// sender keeps its ring and its throughput; excess senders run on the
-/// spine; per-sender FIFO holds throughout and no element is lost. The
-/// single consumer is a contract: a second operating receiver reads
-/// nothing — its operations miss as on an endpoint with no free thread
-/// slot (see [`bounded`]) — until the seated receiver drops and hands it
-/// the consumer seat, rings and spine alike.
+/// number of idle clones is free (as everywhere in this module), but only
+/// one sender and one receiver operate at a time. The first to operate
+/// takes the producer (or consumer) seat and holds it until it drops. A
+/// second operating endpoint of the same side reaches nothing: its
+/// operations miss as on an endpoint with no free thread slot (see
+/// [`bounded`]) — `try_send` returns [`TrySendError::Full`], `try_recv`
+/// [`TryRecvError::Empty`], the batch calls 0, and the blocking, deadline
+/// and async forms park — until the holder drops and hands it the seat.
+/// The channel is strictly FIFO: one ring carries every element, and an
+/// heir appends after, or drains, its predecessor's residue.
 ///
-/// `max_threads` is the post-upgrade analogue of [`bounded`]'s parameter:
-/// the spine, if ever built, gets that many thread slots, with the same
-/// lazy-acquisition semantics. Before any upgrade it is unused (the ring
-/// needs no slots).
+/// `max_threads` is unused: no endpoint of a topology channel takes a
+/// thread slot.
 ///
 /// `mem::forget` on an endpoint is leak-but-safe, as on [`bounded`]. A
-/// forgotten seated `Receiver` keeps the consumer seat, so every other
-/// receiver misses and parks for good. A forgotten `Sender` keeps its
-/// producer seat, or its spine thread slot: once it holds the last free
-/// one, every further spine sender misses and parks. Deadline forms
-/// return `Timeout`, never early, and the channel never closes.
+/// forgotten seated endpoint keeps its seat, so every other endpoint of
+/// its side misses and parks for good. Deadline forms return `Timeout`,
+/// never early, and the channel never closes.
 ///
 /// Teardown is as on [`bounded`]: the ring's elements drop in FIFO order
 /// when the last endpoint drops, and a panicking drop propagates out of
 /// that endpoint's drop, leaking the ring's later elements and dropping
-/// none twice. Elements on a grafted spine are still dropped while that
-/// panic unwinds, so a second panicking drop there aborts the process, as
-/// any panic during unwinding does.
+/// none twice.
 pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>) {
     over(TopoCore::spsc(order, max_threads, &WcqConfig::default()))
 }
@@ -235,12 +227,11 @@ pub fn spsc<T: Send>(order: u32, max_threads: usize) -> (Sender<T>, Receiver<T>)
 /// with each other), and the receiver sweeps the rings. Per-sender FIFO
 /// holds; cross-sender ordering is relaxed, exactly as on [`sharded`].
 ///
-/// A `max_senders + 1`-th concurrently operating sender grafts the
-/// wait-free [`WcqQueue`] overflow spine as on [`spsc`] (seated senders
-/// keep their rings); `max_threads` sizes the spine's thread slots. A
-/// second operating receiver waits for the consumer seat, as on [`spsc`].
-/// A forgotten endpoint keeps its seat or slot for good, and the channel
-/// never closes, as on [`spsc`].
+/// `max_senders` is a hard count: a `max_senders + 1`-th concurrently
+/// operating sender waits for a producer seat, and a second operating
+/// receiver for the consumer seat, as on [`spsc`]. `max_threads` is
+/// unused, as on [`spsc`]. A forgotten endpoint keeps its seat for good,
+/// and the channel never closes, as on [`spsc`].
 pub fn mpsc<T: Send>(
     order: u32,
     max_senders: usize,
@@ -457,10 +448,9 @@ impl<T: Send> Backend<T> {
             Backend::Bounded(q) => q.register_owned().map(Endpoint::Bounded),
             Backend::Sharded(q) => q.register_owned().map(Endpoint::Sharded),
             Backend::Unbounded(q) => q.register_owned().map(Endpoint::Unbounded),
-            // Topology endpoints need no slot up front: seats are claimed
-            // by the first operation (and their exhaustion upgrades), spine
-            // slots by the first spine operation, so registration always
-            // succeeds.
+            // Topology endpoints take no thread slot: seats are claimed by
+            // the first operation (finding none is a miss there), so
+            // registration always succeeds.
             Backend::Topo(c) => Some(Endpoint::Topo(c.register())),
         }
     }
@@ -520,8 +510,9 @@ impl<T: Send> Shared<T> {
     }
 
     /// Drops an endpoint's handle, if it took one, and announces what that
-    /// freed — a thread slot, a consumer seat — on both lanes: endpoints
-    /// of either side park on their own lane while waiting for one.
+    /// freed — a thread slot, a producer or consumer seat — on both lanes:
+    /// endpoints of either side park on their own lane while waiting for
+    /// one.
     /// Fenced: the slot and seat releases are plain `Release` stores.
     fn release(&self, cache: &mut Option<Endpoint<T>>) {
         if let Some(ep) = cache.take() {
@@ -797,7 +788,8 @@ impl<T: Send> Sender<T> {
 
     /// Non-blocking send. [`TrySendError::Full`] hands the value back when
     /// the queue is full (never on [`unbounded`] channels) or this endpoint
-    /// finds no free thread slot (see [`bounded`]);
+    /// finds no free thread slot (see [`bounded`]) or, on [`spsc`] and
+    /// [`mpsc`] channels, no free producer seat;
     /// [`TrySendError::Closed`] when every receiver is gone. Never waits.
     #[inline]
     pub fn try_send(&mut self, v: T) -> Result<(), TrySendError<T>> {
@@ -871,8 +863,9 @@ impl<T: Send> Sender<T> {
 
     /// Batch send: drains as many items as fit from the **front** of
     /// `items` (preserving order) and returns how many were sent; items
-    /// left behind did not fit (queue full, or no free thread slot) or the
-    /// channel is closed (check [`Self::is_closed`] to distinguish).
+    /// left behind did not fit (queue full, or no free thread slot or
+    /// producer seat) or the channel is closed (check [`Self::is_closed`]
+    /// to distinguish).
     pub fn send_batch(&mut self, items: &mut Vec<T>) -> usize {
         if self.shared.sync.is_closed() {
             return 0;
@@ -888,11 +881,9 @@ impl<T: Send> Sender<T> {
         self.shared.sync.is_closed()
     }
 
-    /// The engine currently serving this channel: `"wcq"`,
-    /// `"wcq-sharded"`, `"wcq-unbounded"`, or — on topology-declared
-    /// channels — `"spsc-ring"` / `"mpsc-rings"`, becoming `"wcq-spine"`
-    /// after an upgrade (see [`spsc`]). Diagnostics only; snapshot, since
-    /// an upgrade can race it.
+    /// The engine serving this channel: `"wcq"`, `"wcq-sharded"`,
+    /// `"wcq-unbounded"`, or — on topology-declared channels —
+    /// `"spsc-ring"` / `"mpsc-rings"`. Diagnostics only.
     pub fn backend(&self) -> &'static str {
         self.shared.backend.name()
     }
@@ -1022,7 +1013,7 @@ impl<T: Send> Receiver<T> {
         self.shared.sync.is_closed()
     }
 
-    /// The engine currently serving this channel; see [`Sender::backend`].
+    /// The engine serving this channel; see [`Sender::backend`].
     pub fn backend(&self) -> &'static str {
         self.shared.backend.name()
     }

@@ -33,7 +33,7 @@
 //! | [`UnboundedScq`] = `Unbounded<T, ScqRing>` | lock-free | unbounded (list of ring pairs, hazard-pointer reclaimed) | §7, App. A |
 //! | [`UnboundedWcq`] = `Unbounded<T, WcqRing>` | wait-free rings, lock-free list | unbounded, hazard-pointer reclaimed | App. A |
 //! | [`ShardedWcq`] | wait-free per shard | bounded | beyond the paper: splits the §6 `Head`/`Tail` hotspot over S ring pairs |
-//! | [`spsc::Ring`] + [`topology`] | load/store fast path, wait-free spine | bounded | beyond the paper: topology-declared channels that only pay for wCQ when usage goes MPMC |
+//! | [`spsc::Ring`] + [`topology`] | wait-free plain loads and stores for seated endpoints; one past the declared count waits for a seat | bounded | beyond the paper: topology-declared SPSC/MPSC channels that never pay for wCQ |
 //! | [`WcqHandle`] / [`ShardedHandle`] / [`UnboundedHandle`] | — | — | §3.4's one precondition (one exclusive driver per thread record), as a type: **one** handle struct per family, generic over how it holds the queue ([`Hold`]: `&Q` from `register()`, `Arc<Q>` from `register_owned()`); spin and batch ops only, as in the paper |
 //! | [`channel`] + [`sync`] | as the queue under it | as the queue under it | beyond the paper: cloneable `Arc`-owning [`Sender`]/[`Receiver`]; one constructor path, [`channel::over`]; the only blocking/async surface, parking on the channel's one [`sync::SyncState`] |
 //!

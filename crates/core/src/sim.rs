@@ -17,9 +17,9 @@ mod imp {
     pub use dwcas::AtomicPair;
     pub use std::hint::spin_loop;
     pub use std::sync::atomic::{
-        fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize,
+        fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize,
     };
-    pub use std::sync::{Mutex, OnceLock};
+    pub use std::sync::Mutex;
     pub use std::thread::{current, park, park_timeout, yield_now, Thread};
 
     /// Production data cell: a zero-cost `UnsafeCell` wrapper sharing the
@@ -70,11 +70,11 @@ mod imp {
 #[cfg(wcq_dst)]
 mod imp {
     pub use shuttle_lite::atomic::{
-        fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize,
+        fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize,
     };
     pub type DataCell<T> = shuttle_lite::cell::UnsafeCell<T>;
     pub use shuttle_lite::hint::spin_loop;
-    pub use shuttle_lite::sync::{Mutex, OnceLock};
+    pub use shuttle_lite::sync::Mutex;
     pub use shuttle_lite::thread::{current, park, park_timeout, yield_now, Thread};
 
     use std::sync::atomic::Ordering;

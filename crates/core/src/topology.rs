@@ -1,86 +1,57 @@
-//! Topology-specialized channel core: private SPSC rings as the fast
-//! path, the wait-free wCQ queue as an overflow lane (DESIGN.md §11).
+//! Topology-specialized channel core: private SPSC rings, one per declared
+//! producer, and one sweeping consumer (DESIGN.md §11).
 //!
 //! A channel declared SPSC or MPSC at construction runs on
 //! [`crate::spsc::Ring`]s — one private ring per declared producer, one
 //! sweeping consumer — with no helping records, no DWCAS, no threshold
-//! probes on the hot path. The declared topology is *enforced
-//! dynamically* through **seats**: an endpoint claims its seat (one per
-//! declared producer, one consumer seat) on its first operation, holds it
-//! for its whole lifetime, and releases it on `Drop`. A `Sender` clone
-//! beyond the declared producer count finds every seat taken and triggers
-//! the one-way **upgrade**: it builds the wait-free [`WcqQueue`] spine and
-//! becomes a spine producer permanently. The public channel surface never
-//! changes shape.
-//!
-//! # The overflow-lane protocol
-//!
-//! The spine is grafted *alongside* the rings, never in place of them:
-//!
-//! 1. Seated producers keep pushing to their private rings — an upgrade
-//!    does not slow down endpoints that honor the declared topology.
-//!    Excess producers enqueue on the spine, and the path an endpoint
-//!    takes is sticky for its lifetime.
-//! 2. The consumer-seat holder sweeps the rings and, once the spine
-//!    exists, polls it after the rings. Excess receivers read neither
-//!    lane; they inherit the seat when its holder drops.
-//! 3. No element ever moves between representations: there is no drain,
-//!    no quiescence window, and nothing for a racing operation to
-//!    overlap with — conservation is structural. Per-producer FIFO holds
-//!    because each endpoint's elements traverse exactly one lane in
-//!    order; cross-lane (and cross-producer) ordering is relaxed, the
-//!    same contract [`crate::ShardedWcq`] documents for cross-shard
-//!    ordering.
-//!
-//! The spine is published through a [`OnceLock`] plus a monotone mode
-//! word (`FAST → SPINE`), so "which lanes exist" is a single `Acquire`
-//! load on the hot path and never changes back.
+//! probes anywhere. The declared topology is *enforced dynamically*
+//! through **seats**: an endpoint claims its seat (one per declared
+//! producer, one consumer seat) on its first operation, holds it for its
+//! whole lifetime, and releases it on `Drop`. The channel never changes
+//! representation: the rings are all there is, so `channel::spsc` is
+//! strictly FIFO and `channel::mpsc` FIFO per producer.
 //!
 //! # Parking and the fenced notify
 //!
 //! A core carries no parking state, and nothing here waits: an operation
-//! that finds its lane full or empty — or no consumer seat, or on the
-//! spine no free thread slot — misses, and the channel that owns the core
-//! parks the caller on its own [`crate::sync::SyncState`]. The channel
-//! notifies after every successful operation and after every endpoint
-//! drop (which frees seats and spine slots). Ring operations and seat
-//! releases are plain `Release` stores, so the channel uses the fenced
-//! variants ([`crate::sync::SyncState::notify_not_empty_fenced`]) — the
-//! store→load barrier that keeps a concurrently registering waiter from
-//! missing the change.
+//! that finds its ring full or empty, or no seat, misses, and the channel
+//! that owns the core parks the caller on its own
+//! [`crate::sync::SyncState`]. The channel notifies after every
+//! successful operation and after every endpoint drop (which frees
+//! seats). Ring operations and seat releases are plain stores, so the
+//! channel uses the fenced variants
+//! ([`crate::sync::SyncState::notify_not_empty_fenced`]) — the store→load
+//! barrier that keeps a concurrently registering waiter from missing the
+//! change.
 //!
-//! # Out-of-declaration receivers
+//! # Out-of-declaration endpoints
 //!
-//! The consumer seat is a slot: a `Receiver` that does not hold it reaches
-//! nothing, neither the rings nor the spine. Its operations miss exactly
-//! like an endpoint with no free thread slot — `try_recv` reports
-//! *empty*, never `Closed`, and the blocking and async forms park on
-//! `not_empty` — until the holder's drop hands the seat over and notifies
-//! (DESIGN.md §11). [`TopoEndpoint::residue_hint`] is that seat test. No
-//! element is lost: the seat holder (or whoever inherits the seat) drains
-//! both lanes. Declare the real consumer count (use
-//! [`crate::channel::bounded`] for MPMC): an excess receiver waits out the
-//! holder's whole tenure.
+//! Every seat is a slot. A `Sender` that finds every producer seat taken
+//! reaches no ring: `try_send` reports *full* and `send_batch` takes
+//! nothing, and the blocking, deadline and async forms park on `not_full`
+//! until a seated sender's drop hands its seat over and notifies. A
+//! `Receiver` without the consumer seat likewise reaches no ring:
+//! `try_recv` reports *empty*, never `Closed`, and the blocking and async
+//! forms park on `not_empty` until the holder's drop hands the seat over
+//! (DESIGN.md §11). [`TopoEndpoint::residue_hint`] is that consumer-seat
+//! test. No element is lost: a ring's residue stays where it is, and the
+//! seat's next holder appends after it, or drains it. Declare the real
+//! endpoint counts (use [`crate::channel::bounded`] for MPMC): an excess
+//! endpoint waits out a holder's whole tenure.
 //!
 //! This module is the backend; the public face is
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
 
-use crate::pack::MAX_ORDER;
-use crate::sim::{AtomicBool, AtomicU8, OnceLock};
+use crate::sim::AtomicBool;
 use crate::spsc::Ring;
-use crate::{WcqConfig, WcqHandle, WcqQueue};
+use crate::WcqConfig;
 use std::ptr::NonNull;
-use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 
-/// Only the declared rings exist.
-const FAST: u8 = 0;
-/// Terminal: the spine lane is built and published.
-const SPINE: u8 = 1;
-
-/// Shared state of a topology-declared channel: the rings, the seats, the
-/// mode word, and the (lazily built) spine. Owned by `Arc` inside the
-/// channel's shared state; user code never touches it directly.
+/// Shared state of a topology-declared channel: the rings and their
+/// seats. Owned by `Arc` inside the channel's shared state; user code
+/// never touches it directly.
 pub struct TopoCore<T: Send> {
     /// One private SPSC ring per declared producer seat.
     rings: Box<[Ring<T>]>,
@@ -90,55 +61,29 @@ pub struct TopoCore<T: Send> {
     prod_seats: Box<[AtomicBool]>,
     /// The single declared consumer seat.
     cons_seat: AtomicBool,
-    /// `FAST` / `SPINE`, monotone.
-    mode: AtomicU8,
-    /// The wCQ overflow lane, built by the first excess producer.
-    spine: OnceLock<Arc<WcqQueue<T>>>,
-    /// Spine geometry, fixed at construction (see [`Self::with_rings`]).
-    spine_order: u32,
-    spine_threads: usize,
-    cfg: WcqConfig,
 }
 
 impl<T: Send> TopoCore<T> {
-    /// SPSC core: one producer ring of `2^order` slots.
+    /// SPSC core: one producer ring of `2^order` slots. `max_threads` and
+    /// `cfg` are unused: no topology endpoint takes a thread slot.
     pub fn spsc(order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
-        Self::with_rings(1, order, max_threads, cfg)
+        let _ = (max_threads, cfg);
+        Self::with_rings(1, order)
     }
 
     /// MPSC core: `senders` producer rings of `2^order` slots each.
+    /// `max_threads` and `cfg` are unused, as on [`Self::spsc`].
     pub fn mpsc(senders: usize, order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
-        Self::with_rings(senders, order, max_threads, cfg)
+        let _ = (max_threads, cfg);
+        Self::with_rings(senders, order)
     }
 
-    /// `rings` producer rings of `2^order` slots; the spine (if ever
-    /// built) gets `max(1, order + ceil(log2(rings)))` bits — at least the
-    /// declared fast-lane capacity again, and never below a wCQ ring's
-    /// smallest order — and `max_threads` thread slots (the post-upgrade
-    /// analogue of [`crate::channel::bounded`]'s `max_threads` contract).
-    /// A spine order no ring can take is rejected here, not inside the
-    /// grafting `send`.
-    fn with_rings(rings: usize, order: u32, max_threads: usize, cfg: &WcqConfig) -> Self {
+    fn with_rings(rings: usize, order: u32) -> Self {
         assert!(rings >= 1, "at least one producer seat");
-        assert!(max_threads >= 1, "at least one thread slot");
-        let spine_order = (order + rings.next_power_of_two().trailing_zeros()).max(1);
-        assert!(
-            spine_order <= MAX_ORDER,
-            "spine order {spine_order} exceeds the ring limit {MAX_ORDER}"
-        );
-        assert!(
-            max_threads <= 1usize << spine_order,
-            "max_threads must not exceed spine capacity (k <= n)"
-        );
         TopoCore {
             rings: (0..rings).map(|_| Ring::new(order)).collect(),
             prod_seats: (0..rings).map(|_| AtomicBool::new(false)).collect(),
             cons_seat: AtomicBool::new(false),
-            mode: AtomicU8::new(FAST),
-            spine: OnceLock::new(),
-            spine_order,
-            spine_threads: max_threads,
-            cfg: *cfg,
         }
     }
 
@@ -147,36 +92,24 @@ impl<T: Send> TopoCore<T> {
         self.rings.len()
     }
 
-    /// Current backend label, for diagnostics (the channel's `backend()`):
-    /// `"spsc-ring"`, `"mpsc-rings"`, or — once the overflow lane exists —
-    /// `"wcq-spine"`.
+    /// Backend label, for diagnostics (the channel's `backend()`):
+    /// `"spsc-ring"` or `"mpsc-rings"`.
     pub fn backend_name(&self) -> &'static str {
-        // ORDERING: seat-table read: observes the seat holder's
-        // publication; pairs with the SeqCst seat claim/store — cover: dst
-        // models 4, 6
-        match self.mode.load(Acquire) {
-            FAST if self.rings.len() == 1 => "spsc-ring",
-            FAST => "mpsc-rings",
-            _ => "wcq-spine",
+        if self.rings.len() == 1 {
+            "spsc-ring"
+        } else {
+            "mpsc-rings"
         }
     }
 
-    /// `true` once the wCQ spine lane has been grafted on.
-    pub fn upgraded(&self) -> bool {
-        // ORDERING: seat-table read: observes the seat holder's
-        // publication; pairs with the SeqCst seat claim/store
-        self.mode.load(Acquire) == SPINE
-    }
-
     /// Registers an endpoint. Never fails: seats are claimed lazily by the
-    /// endpoint's first operation (exceeding the declared topology there
-    /// routes the endpoint to the spine lane, not an error).
+    /// endpoint's first operation (finding none there is a miss, not an
+    /// error).
     pub fn register(self: &Arc<Self>) -> TopoEndpoint<T> {
         TopoEndpoint {
             core: Arc::clone(self),
-            prod_path: ProdPath::Undecided,
+            prod: None,
             cursor: None,
-            spine: None,
         }
     }
 
@@ -197,14 +130,14 @@ impl<T: Send> TopoCore<T> {
     }
 
     /// Claims the lowest free producer seat and returns its ring's
-    /// address, or `None` when every seat is owned by a live endpoint
-    /// (topology exceeded). The `SeqCst` CAS pairs with the release store
-    /// in `TopoEndpoint::drop`, ordering a dead predecessor's ring accesses
+    /// address, or `None` when every seat is owned by a live endpoint.
+    /// The `SeqCst` CAS pairs with the release store in
+    /// `TopoEndpoint::drop`, ordering a dead predecessor's ring accesses
     /// before the new owner's.
-    // ORDERING: the Relaxed load is an advisory mode/occupancy probe;
-    // decisions re-validated by the seat CAS; the CAS is the endpoint seat
-    // claim/publish handoff and graft-mode latch; cold path, kept SeqCst
-    // until a weak-DST model argues otherwise
+    // ORDERING: the Relaxed load is an advisory occupancy probe; decisions
+    // re-validated by the seat CAS; the CAS is the endpoint seat
+    // claim/publish handoff; cold path, kept SeqCst until a weak-DST model
+    // argues otherwise
     fn claim_prod_seat(&self) -> Option<NonNull<Ring<T>>> {
         for (i, seat) in self.prod_seats.iter().enumerate() {
             if !seat.load(Relaxed) && seat.compare_exchange(false, true, SeqCst, SeqCst).is_ok() {
@@ -214,10 +147,7 @@ impl<T: Send> TopoCore<T> {
         None
     }
 
-    // ORDERING: the Relaxed load is an advisory mode/occupancy probe;
-    // decisions re-validated by the seat CAS; the CAS is the endpoint seat
-    // claim/publish handoff and graft-mode latch; cold path, kept SeqCst
-    // until a weak-DST model argues otherwise
+    // ORDERING: as `claim_prod_seat` — cover: dst models 4, 6
     fn claim_cons_seat(&self) -> bool {
         !self.cons_seat.load(Relaxed)
             && self
@@ -225,41 +155,6 @@ impl<T: Send> TopoCore<T> {
                 .compare_exchange(false, true, SeqCst, SeqCst)
                 .is_ok()
     }
-
-    /// Builds (or joins) the spine lane and publishes `SPINE`. Idempotent;
-    /// racing excess producers serialize on the `OnceLock`.
-    fn ensure_spine(&self) -> &Arc<WcqQueue<T>> {
-        let spine = self.spine.get_or_init(|| {
-            Arc::new(WcqQueue::with_config(
-                self.spine_order,
-                self.spine_threads,
-                &self.cfg,
-            ))
-        });
-        // ORDERING: advisory mode/occupancy probe; decisions re-validated
-        // by the seat CAS
-        if self.mode.load(Relaxed) != SPINE {
-            // Release: a reader that sees SPINE sees the initialized lock.
-            // ORDERING: endpoint seat claim/publish handoff and graft-mode
-            // latch; cold path, kept SeqCst until a weak-DST model argues
-            // otherwise
-            self.mode.store(SPINE, SeqCst);
-        }
-        spine
-    }
-}
-
-/// Which lane a producer endpoint committed to. Sticky: switching lanes
-/// mid-stream would interleave one producer's elements across two
-/// independently ordered sources and break its FIFO.
-enum ProdPath<T: Send> {
-    /// No enqueue yet; decided by the first one.
-    Undecided,
-    /// Seated: the private ring at this address (into the core's
-    /// `rings`), for life.
-    Ring(NonNull<Ring<T>>),
-    /// Excess: the wCQ spine, for life.
-    Spine,
 }
 
 /// A lazily seated endpoint over a [`TopoCore`] — the `Topo` arm of the
@@ -274,8 +169,11 @@ enum ProdPath<T: Send> {
 /// endpoint the ring's one producer, or its one consumer.
 pub struct TopoEndpoint<T: Send> {
     core: Arc<TopoCore<T>>,
-    /// Producer lane, decided by the first enqueue.
-    prod_path: ProdPath<T>,
+    /// The producer seat: `Some(ring)` once this endpoint holds one, the
+    /// private ring it pushes to for life (switching rings mid-stream
+    /// would break its FIFO). Without a seat (`None`) each enqueue retries
+    /// the claim, so the endpoint inherits a seat when its holder drops.
+    prod: Option<NonNull<Ring<T>>>,
     /// The consumer seat and the sweep cursor in one: `Some(ring)` while
     /// this endpoint holds the seat, pointing at the ring it drains first
     /// (sticky, so a busy producer is consumed in runs instead of
@@ -284,8 +182,6 @@ pub struct TopoEndpoint<T: Send> {
     /// (cheap, `Relaxed`-guarded) claim each operation so they inherit
     /// the rings when the holder drops.
     cursor: Option<NonNull<Ring<T>>>,
-    /// Spine handle, acquired lazily by the first spine-lane operation.
-    spine: Option<WcqHandle<T, Arc<WcqQueue<T>>>>,
 }
 
 // SAFETY: the ring addresses are the only fields that are not `Send` on
@@ -300,26 +196,13 @@ unsafe impl<T: Send> Send for TopoEndpoint<T> {}
 unsafe impl<T: Send> Sync for TopoEndpoint<T> {}
 
 impl<T: Send> TopoEndpoint<T> {
-    /// Decides (once) and returns this producer's lane: its ring's
-    /// address, or `None` for the spine.
-    fn prod_seat(&mut self) -> Option<NonNull<Ring<T>>> {
-        match self.prod_path {
-            ProdPath::Ring(ring) => Some(ring),
-            ProdPath::Spine => None,
-            ProdPath::Undecided => match self.core.claim_prod_seat() {
-                Some(ring) => {
-                    self.prod_path = ProdPath::Ring(ring);
-                    Some(ring)
-                }
-                None => {
-                    // Cloned past the declared topology: graft the spine
-                    // and stay on it.
-                    self.core.ensure_spine();
-                    self.prod_path = ProdPath::Spine;
-                    None
-                }
-            },
+    /// The producer's ring, claiming a producer seat first if this
+    /// endpoint lacks one; `None` while every seat is held.
+    fn claim_producer(&mut self) -> Option<NonNull<Ring<T>>> {
+        if self.prod.is_none() {
+            self.prod = self.core.claim_prod_seat();
         }
+        self.prod
     }
 
     /// The cursor, claiming the consumer seat first if this endpoint
@@ -331,28 +214,15 @@ impl<T: Send> TopoEndpoint<T> {
         self.cursor
     }
 
-    /// This endpoint's spine handle, registered on first use; `None` while
-    /// all of the spine's `max_threads` slots are taken — the same contract
-    /// as the channel's lazy slot acquisition on the other backends.
-    fn spine_handle(&mut self) -> Option<&mut WcqHandle<T, Arc<WcqQueue<T>>>> {
-        if self.spine.is_none() {
-            let spine = self.core.spine.get().expect("mode SPINE implies spine");
-            self.spine = spine.register_owned();
-        }
-        self.spine.as_mut()
-    }
-
-    /// Non-blocking enqueue; `Err(v)` when this producer's lane — its
-    /// private ring, or the spine — is full, or the spine has no free
-    /// thread slot. A seated producer's ring filling up reports full even
-    /// if the spine exists: its elements may not change lanes.
+    /// Non-blocking enqueue; `Err(v)` when this producer's ring is full,
+    /// or every producer seat is held by another endpoint.
     ///
     /// Inline: a seated producer's one `push`, on the cached ring address.
-    /// The seat claim, the graft and the spine lane are
-    /// `enqueue_unseated`, out of line (DESIGN.md §3.1's layout rule).
+    /// The seat claim is `enqueue_unseated`, out of line (DESIGN.md §3.1's
+    /// layout rule).
     #[inline]
     pub fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        if let ProdPath::Ring(ring) = self.prod_path {
+        if let Some(ring) = self.prod {
             // SAFETY: `ring` points into `self.core.rings`, alive while
             // `self.core` is; the claimed seat makes this endpoint the
             // ring's unique producer until it drops.
@@ -361,25 +231,20 @@ impl<T: Send> TopoEndpoint<T> {
         self.enqueue_unseated(v)
     }
 
-    /// [`Self::try_enqueue`] off the seated ring: decides the lane on the
-    /// first enqueue, then pushes (a new seat) or enqueues on the spine.
+    /// [`Self::try_enqueue`] without a seat: claims one, then pushes.
     #[cold]
     #[inline(never)]
     fn enqueue_unseated(&mut self, v: T) -> Result<(), T> {
-        match self.prod_seat() {
+        match self.claim_producer() {
             // SAFETY: as in `try_enqueue`.
             Some(ring) => unsafe { ring.as_ref().push(v) },
-            None => match self.spine_handle() {
-                Some(h) => h.enqueue(v),
-                None => Err(v),
-            },
+            None => Err(v),
         }
     }
 
-    /// Non-blocking dequeue; `None` when every lane is observed empty, the
-    /// spine has no free thread slot, or another endpoint holds the
-    /// consumer seat (see the module docs on out-of-declaration
-    /// receivers).
+    /// Non-blocking dequeue; `None` when every ring is observed empty, or
+    /// another endpoint holds the consumer seat (see the module docs on
+    /// out-of-declaration endpoints).
     ///
     /// Inline: a seat holder's one `pop` on the cursor's ring. A miss
     /// there, and a receiver without the seat, take
@@ -400,9 +265,9 @@ impl<T: Send> TopoEndpoint<T> {
     }
 
     /// [`Self::try_dequeue`] past the cursor's ring: claims the consumer
-    /// seat if this endpoint lacks it, sweeps the rings once from the
+    /// seat if this endpoint lacks it, then sweeps the rings once from the
     /// cursor (skipping the cursor's ring if the inline path just missed
-    /// on it), then polls the spine.
+    /// on it).
     #[cold]
     #[inline(never)]
     fn dequeue_sweep(&mut self) -> Option<T> {
@@ -424,52 +289,44 @@ impl<T: Send> TopoEndpoint<T> {
             }
             r = next(r);
         }
-        // ORDERING: seat-table read: observes the seat holder's
-        // publication; pairs with the SeqCst seat claim/store
-        if self.core.mode.load(Acquire) == SPINE {
-            return self.spine_handle()?.dequeue();
-        }
         None
     }
 
     /// `true` while this endpoint does not hold the consumer seat, so the
     /// channel may hold elements it cannot reach (DESIGN.md §11). The
     /// dequeue paths use this to refuse `Closed`: the holder's drop hands
-    /// this endpoint the seat. A seat holder reaches everything on a
-    /// closed channel — every spine slot is free to it by then.
+    /// this endpoint the seat.
     pub fn residue_hint(&self) -> bool {
         self.cursor.is_none()
     }
 
     /// Batch enqueue: drains as many items as fit from the front of
-    /// `items`; on the ring lane through one zero-copy reservation (a
-    /// single Release publication for the whole run). Returns how many
-    /// items were taken.
+    /// `items` through one zero-copy reservation on this producer's ring
+    /// (a single Release publication for the whole run). Returns how many
+    /// items were taken (0 without a producer seat).
     pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
         if items.is_empty() {
             return 0;
         }
-        match self.prod_seat() {
-            // SAFETY: claimed seat on a live ring, as in `try_enqueue`.
-            Some(ring) => match unsafe { ring.as_ref().reserve(items.len()) } {
-                Some(mut res) => {
-                    let n = res.capacity();
-                    for v in items.drain(..n) {
-                        res.write(v)
-                            .unwrap_or_else(|_| panic!("reservation window matches drain length"));
-                    }
-                    res.commit();
-                    n
-                }
-                None => 0,
-            },
-            None => self.spine_handle().map_or(0, |h| h.enqueue_batch(items)),
+        let Some(ring) = self.claim_producer() else {
+            return 0;
+        };
+        // SAFETY: claimed seat on a live ring, as in `try_enqueue`.
+        let Some(mut res) = (unsafe { ring.as_ref().reserve(items.len()) }) else {
+            return 0;
+        };
+        let n = res.capacity();
+        for v in items.drain(..n) {
+            res.write(v)
+                .unwrap_or_else(|_| panic!("reservation window matches drain length"));
         }
+        res.commit();
+        n
     }
 
-    /// Batch dequeue: sweeps the rings once from the cursor, then tops up
-    /// from the spine lane, appending up to `max` elements to `out`;
-    /// returns how many were appended (0 without the consumer seat).
+    /// Batch dequeue: sweeps the rings once from the cursor, appending up
+    /// to `max` elements to `out`; returns how many were appended (0
+    /// without the consumer seat).
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -495,35 +352,28 @@ impl<T: Send> TopoEndpoint<T> {
                 r = 0;
             }
         }
-        // ORDERING: seat-table read: observes the seat holder's
-        // publication; pairs with the SeqCst seat claim/store
-        if got < max && self.core.mode.load(Acquire) == SPINE {
-            if let Some(h) = self.spine_handle() {
-                got += h.dequeue_batch(out, max - got);
-            }
-        }
         got
     }
 }
 
 impl<T: Send> Drop for TopoEndpoint<T> {
-    // ORDERING: endpoint seat claim/publish handoff and graft-mode latch;
-    // cold path, kept SeqCst until a weak-DST model argues otherwise
+    // ORDERING: endpoint seat claim/publish handoff; cold path, kept
+    // SeqCst until a weak-DST model argues otherwise
     fn drop(&mut self) {
         // Hand the seats back so a later endpoint can take over the
         // position (a ring's residue stays where it is; the next seat
         // holder appends — or sweeps — after it). The SeqCst store pairs
         // with the claim CAS to order this owner's ring accesses before
-        // the successor's. The cached addresses die with the endpoint.
-        if let ProdPath::Ring(ring) = self.prod_path {
+        // the successor's. The channel notifies both lanes after this
+        // drop: an excess sender may be parked for the producer seat, an
+        // excess receiver for the consumer seat. The cached addresses die
+        // with the endpoint.
+        if let Some(ring) = self.prod {
             self.core.prod_seats[self.core.seat_of(ring)].store(false, SeqCst);
         }
         if self.cursor.is_some() {
-            // The channel notifies both lanes after this drop: the release
-            // may surface ring residue to parked receivers.
             self.core.cons_seat.store(false, SeqCst);
         }
-        // `self.spine` (if any) drops after: quiesced slot release.
     }
 }
 
@@ -532,12 +382,7 @@ mod tests {
     use super::*;
 
     fn core(rings: usize, order: u32) -> Arc<TopoCore<u64>> {
-        Arc::new(TopoCore::with_rings(
-            rings,
-            order,
-            4, // k <= n even for the tiniest spine these tests build
-            &WcqConfig::default(),
-        ))
+        Arc::new(TopoCore::with_rings(rings, order))
     }
 
     #[test]
@@ -550,7 +395,6 @@ mod tests {
             assert_eq!(rx.try_dequeue(), Some(i));
         }
         assert_eq!(c.backend_name(), "spsc-ring");
-        assert!(!c.upgraded());
     }
 
     #[test]
@@ -576,24 +420,27 @@ mod tests {
     }
 
     #[test]
-    fn excess_producer_takes_spine_lane() {
+    fn excess_producer_misses_until_the_seat_frees() {
         let c = core(1, 4);
         let mut tx1 = c.register();
         let mut rx = c.register();
         for i in 0..10 {
             tx1.try_enqueue(i).unwrap();
         }
-        // A second producer on a declared-SPSC core: seat claim fails and
-        // the spine lane is grafted on.
+        // A second producer on a declared-SPSC core: every seat is held,
+        // so it reaches no ring, singly or in a batch, with room to spare.
         let mut tx2 = c.register();
-        tx2.try_enqueue(100).unwrap();
-        assert!(c.upgraded());
-        assert_eq!(c.backend_name(), "wcq-spine");
-        // The seated producer keeps its ring — and its FIFO — untouched.
+        assert_eq!(tx2.try_enqueue(100), Err(100));
+        let mut batch = vec![100, 101];
+        assert_eq!(tx2.enqueue_batch(&mut batch), 0);
+        assert_eq!(batch, [100, 101], "the batch rides back whole");
         tx1.try_enqueue(10).unwrap();
+        drop(tx1); // hands the seat over, residue and all
+        tx2.try_enqueue(100).unwrap();
+        assert_eq!(tx2.enqueue_batch(&mut batch), 2);
         let got: Vec<u64> = std::iter::from_fn(|| rx.try_dequeue()).collect();
-        // The seated consumer drains the rings before polling the spine.
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100]);
+        // One ring, so one order: the holder's values, then its heir's.
+        assert_eq!(got, (0..=10).chain([100, 100, 101]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -604,20 +451,13 @@ mod tests {
         tx.try_enqueue(1).unwrap();
         assert_eq!(rx1.try_dequeue(), Some(1)); // rx1 now holds the seat
         tx.try_enqueue(2).unwrap();
-        let mut tx2 = c.register();
-        tx2.try_enqueue(100).unwrap(); // grafts the spine
         let mut rx2 = c.register();
         let mut out = Vec::new();
-        assert_eq!(
-            rx2.try_dequeue(),
-            None,
-            "no seat: neither lane is reachable"
-        );
+        assert_eq!(rx2.try_dequeue(), None, "no seat: no ring is reachable");
         assert_eq!(rx2.dequeue_batch(&mut out, 4), 0, "not in a batch either");
         assert!(rx2.residue_hint());
         drop(rx1); // hands the seat over
-        assert_eq!(rx2.try_dequeue(), Some(2), "the ring residue first");
-        assert_eq!(rx2.try_dequeue(), Some(100), "then the spine");
+        assert_eq!(rx2.try_dequeue(), Some(2), "the ring residue");
         assert!(!rx2.residue_hint());
     }
 
@@ -633,7 +473,6 @@ mod tests {
         } // rx1 drops; the consumer seat frees with residue buffered
         let mut rx2 = c.register();
         assert_eq!(rx2.try_dequeue(), Some(2), "successor sweeps the rings");
-        assert!(!c.upgraded());
     }
 
     #[test]
@@ -645,26 +484,9 @@ mod tests {
             tx.try_enqueue(1).unwrap();
         } // seat released with one element still buffered
         let mut tx2 = c.register();
-        tx2.try_enqueue(2).unwrap(); // same seat, same ring, no spine
-        assert!(!c.upgraded());
+        tx2.try_enqueue(2).unwrap(); // same seat, same ring
         assert_eq!(rx.try_dequeue(), Some(1));
         assert_eq!(rx.try_dequeue(), Some(2));
-    }
-
-    #[test]
-    fn full_ring_hands_value_back_even_with_spine() {
-        let c = core(1, 2); // 4 slots
-        let mut tx = c.register();
-        for i in 0..4 {
-            tx.try_enqueue(i).unwrap();
-        }
-        assert_eq!(tx.try_enqueue(99), Err(99));
-        // Grafting the spine does not reroute a seated producer: its lane
-        // is sticky, so the full ring still reports full.
-        let mut tx2 = c.register();
-        tx2.try_enqueue(100).unwrap();
-        assert!(c.upgraded());
-        assert_eq!(tx.try_enqueue(99), Err(99));
     }
 
     #[test]
@@ -686,41 +508,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_dequeue_tops_up_from_spine() {
-        let c = core(1, 3);
-        let mut tx1 = c.register();
-        let mut tx2 = c.register();
-        let mut rx = c.register();
-        tx1.try_enqueue(1).unwrap();
-        tx2.try_enqueue(100).unwrap(); // spine lane
-        let mut out = Vec::new();
-        assert_eq!(rx.dequeue_batch(&mut out, 10), 2);
-        assert_eq!(out, vec![1, 100], "rings first, then the spine");
-    }
-
-    #[test]
-    fn spine_grafts_once_under_racing_excess_producers() {
+    fn racing_producers_share_one_seat_in_turns() {
+        // Four producers race for one seat, each sending a fixed run and
+        // then dropping, so the seat passes from thread to thread. A loser
+        // spins on its miss until a holder's drop frees the seat: every
+        // value arrives once, and the ring keeps strict FIFO, so each
+        // producer's run arrives whole, never interleaved with another's.
         for _ in 0..20 {
-            // 6 spine slots: the receiver and all four racers may hold one
-            // at once (the seed producer keeps the ring seat). With fewer
-            // slots than live spine endpoints the racers can fill the spine
-            // while the receiver still spins for a slot to drain it with.
-            let c = Arc::new(TopoCore::with_rings(1, 6, 6, &WcqConfig::default()));
+            let c = core(1, 3); // 8 slots: runs fill the ring
             let mut rx = c.register();
-            let mut seed = c.register();
-            for i in 0..32 {
-                seed.try_enqueue(i).unwrap();
-            }
-            let threads: Vec<_> = (0..4)
+            let threads: Vec<_> = (0..4u64)
                 .map(|t| {
                     let c = Arc::clone(&c);
                     std::thread::spawn(move || {
                         let mut tx = c.register();
-                        for i in 0..64u64 {
-                            // Tag above the seed producer's 0..32 range.
-                            let mut v = (t as u64 + 1) << 32 | i;
+                        for i in 0..16u64 {
+                            let mut v = t << 32 | i;
                             // BOUND: wait-edge — test producer retries a
-                            // full ring until the consumer frees space
+                            // full ring or a held seat until the consumer
+                            // frees space or the holder drops
                             while let Err(back) = tx.try_enqueue(v) {
                                 v = back;
                                 std::thread::yield_now();
@@ -732,7 +538,7 @@ mod tests {
             let mut got = Vec::new();
             // BOUND: wait-edge — test consumer collects the fixed expected
             // count
-            while got.len() < 32 + 4 * 64 {
+            while got.len() < 4 * 16 {
                 match rx.try_dequeue() {
                     Some(v) => got.push(v),
                     None => std::thread::yield_now(),
@@ -741,20 +547,11 @@ mod tests {
             for t in threads {
                 t.join().unwrap();
             }
-            assert!(c.upgraded());
             assert_eq!(rx.try_dequeue(), None);
-            // The seed producer's ring residue came out in order.
-            let seeded: Vec<u64> = got.iter().copied().filter(|v| *v < 32).collect();
-            assert_eq!(seeded, (0..32).collect::<Vec<_>>());
-            // Each racing excess producer kept its FIFO through the spine.
-            for t in 1..=4u64 {
-                let lane: Vec<u64> = got
-                    .iter()
-                    .copied()
-                    .filter(|v| v >> 32 == t)
-                    .map(|v| v & 0xffff_ffff)
-                    .collect();
-                assert_eq!(lane, (0..64).collect::<Vec<_>>());
+            for run in got.chunks(16) {
+                let t = run[0] >> 32;
+                let want: Vec<u64> = (0..16).map(|i| t << 32 | i).collect();
+                assert_eq!(run, want, "one holder's run, whole and in order");
             }
         }
     }

@@ -1,5 +1,6 @@
-//! Unbounded queues: a lock-free outer list of bounded rings
-//! (paper §7 / Appendix A), reclaimed with hazard pointers.
+//! Unbounded queues: an outer list of bounded rings (paper §7 /
+//! Appendix A), reclaimed with hazard pointers. The list is not
+//! lock-free; see "Progress" below.
 //!
 //! LCRQ and LSCQ obtain unbounded capacity by linking ring buffers through
 //! a Michael & Scott list; the wCQ paper sketches the same construction
@@ -26,6 +27,17 @@
 //! Real-time order is preserved: an insert into ring `k+1` that does not
 //! overlap an insert into ring `k` can only start after ring `k` was
 //! closed, and dequeuers drain ring `k` completely first.
+//!
+//! ## Progress
+//!
+//! The rings are wait-free (wCQ) or lock-free (SCQ); the outer list is
+//! **neither**. The hand-off above waits: once the head ring drains and a
+//! successor is linked, a dequeuer may not leave the ring until it reads
+//! `inflight == 0`, and `dequeue_walk` spins, then yields, until it does.
+//! So one enqueuer suspended between its `inflight` increment and
+//! decrement stops every dequeuer, `UnboundedHandle::dequeue` (which never
+//! parks) included. LSCQ's finalize bit, which bounces late tickets to the
+//! successor instead of waiting for them, is the fix (ROADMAP item 9).
 //!
 //! ## Reclamation
 //!
@@ -186,11 +198,13 @@ impl<T, R: IndexRing> RingNode<T, R> {
     }
 }
 
-/// Lock-free unbounded MPMC queue built from rings of `2^order` slots,
-/// reclaimed with hazard pointers (see the module docs).
+/// Unbounded MPMC queue built from rings of `2^order` slots, reclaimed
+/// with hazard pointers (see the module docs).
 ///
 /// `Unbounded<T, ScqRing>` is LSCQ; `Unbounded<T, WcqRing>` uses wait-free
-/// rings (the outer list stays lock-free; see module docs).
+/// rings. Neither is lock-free as a whole: a dequeuer waits out an
+/// enqueuer suspended mid-insert at a ring hand-off (module docs,
+/// "Progress").
 pub struct Unbounded<T, R: IndexRing> {
     head: AtomicPtr<RingNode<T, R>>,
     tail: AtomicPtr<RingNode<T, R>>,
@@ -211,8 +225,8 @@ unsafe impl<T: Send, R: IndexRing> Sync for Unbounded<T, R> {}
 
 /// Unbounded queue over lock-free SCQ rings (LSCQ).
 pub type UnboundedScq<T> = Unbounded<T, ScqRing>;
-/// Unbounded queue over wait-free wCQ rings (the paper's Appendix A shape
-/// with a lock-free outer list).
+/// Unbounded queue over wait-free wCQ rings (the paper's Appendix A
+/// shape; its outer list is not lock-free, see the module docs).
 pub type UnboundedWcq<T> = Unbounded<T, WcqRing>;
 
 impl<T: Send, R: IndexRing> Unbounded<T, R> {
@@ -364,8 +378,8 @@ impl<T: Send, R: IndexRing> Unbounded<T, R> {
     fn enqueue_tid(&self, tid: usize, hp: &HpHandle<'_>, mut v: T) {
         // BOUND: wait-edge — outer-list enqueue CAS retry: each failure
         // implies another thread appended a ring or advanced tail
-        // (lock-free M&S outer list — the documented non-wait-free layer,
-        // DESIGN.md 13)
+        // (the M&S append is lock-free; the list as a whole is not, see
+        // the module docs' "Progress" and DESIGN.md §8)
         loop {
             let ltail = hp.protect(HP_TAIL, &self.tail);
             // SAFETY: `ltail` was re-validated against `tail` after the

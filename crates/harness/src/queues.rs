@@ -18,7 +18,6 @@ use baselines::msqueue::MsHandle;
 use baselines::ymc::YmcHandle;
 use baselines::{CcQueue, CrTurnQueue, FaaQueue, Lcrq, MsQueue, YmcQueue};
 use wcq::channel::{self, Receiver, Sender};
-use wcq::topology::TopoCore;
 use wcq::unbounded::{Unbounded, UnboundedHandle};
 use wcq::{IndexRing, ScqQueue, ShardedHandle, ShardedWcq, WcqConfig, WcqHandle, WcqQueue};
 
@@ -225,74 +224,36 @@ impl<R: IndexRing> QueueHandle for UnboundedHandle<u64, R, &Unbounded<u64, R>> {
 
 // ------------------------------------------------------------ channel -----
 
-/// The owned channel API (`wcq::channel`) over any of its backends, built
-/// through the one `channel::over` entry: [`BenchQueue::build`] is the
-/// bounded-wCQ flavour, [`Self::spsc`] and [`Self::mpsc`] the topology ones.
+/// The owned channel API (`wcq::channel`) over a bounded wCQ, built
+/// through the one `channel::over` entry.
 ///
 /// Measures what the production-facing surface costs on top of the raw
 /// handles: the `Arc` indirection, the per-op closed check, and the lazy
 /// endpoint registration. A worker's handle is a clone of this prototype
 /// endpoint pair; endpoints take thread slots lazily on first use, so the
-/// prototype costs nothing while idle — every flavour sizes its wCQ (queue
-/// or spine) at two slots per worker (sender + receiver endpoint) plus the
-/// drain handle's pair.
+/// prototype costs nothing while idle — the queue is sized at two slots
+/// per worker (sender + receiver endpoint) plus the drain handle's pair.
 ///
 /// The harness workloads are MPMC-shaped — every worker holds a sender
-/// *and* a receiver clone — so on the topology flavours `threads == 1`
-/// measures the true ring fast path, while any higher thread count exceeds
-/// the declared topology on first use and measures the **upgraded wCQ
-/// spine** through the same endpoints (a conformance row, by design: it
-/// proves the upgrade keeps the channel serving). The honest per-topology
-/// pair costs are the repo benchmark's `channel.spsc.*` and
-/// `channel.mpsc.*` rungs; `tests/topology.rs` asserts which backend
-/// serves each shape.
+/// *and* a receiver clone — so the topology-declared channels
+/// (`channel::spsc`/`mpsc`) have no row here: their excess endpoints wait
+/// for a seat. Their declared shapes are covered by `tests/topology.rs`
+/// and `tests/blocking_facade.rs`, and their per-op costs by the repo
+/// benchmark's `channel.spsc.*` and `channel.mpsc.*` rungs.
 #[derive(Clone)]
 pub struct ChannelBench {
     tx: Sender<u64>,
     rx: Receiver<u64>,
 }
 
-impl ChannelBench {
-    fn over((tx, rx): (Sender<u64>, Receiver<u64>)) -> Self {
-        ChannelBench { tx, rx }
-    }
-
-    fn slots(spec: &QueueSpec) -> usize {
-        (spec.max_threads + 1) * 2
-    }
-
-    /// The SPSC-declared topology backend, one `2^ring_order`-slot ring.
-    pub fn spsc(spec: &QueueSpec) -> Self {
-        let core = TopoCore::spsc(spec.ring_order, Self::slots(spec), &spec.cfg);
-        Self::over(channel::over(core))
-    }
-
-    /// The MPSC-declared topology backend — one private ring per declared
-    /// sender, capacity split per [`Self::mpsc_geometry`].
-    pub fn mpsc(spec: &QueueSpec) -> Self {
-        let (senders, per_ring) = Self::mpsc_geometry(spec);
-        let core = TopoCore::mpsc(senders, per_ring, Self::slots(spec), &spec.cfg);
-        Self::over(channel::over(core))
-    }
-
-    /// Resolved MPSC geometry for `spec`: `(senders, per_ring_order)`, with
-    /// total fast-path capacity `senders << per_ring_order` kept at
-    /// `2^ring_order` (like [`QueueSpec::shard_geometry`], so spec sweeps
-    /// stay like-for-like) unless the floor (tiny rings) forces it larger.
-    pub fn mpsc_geometry(spec: &QueueSpec) -> (usize, u32) {
-        let senders = spec.max_threads.max(1);
-        let log2s = senders.next_power_of_two().trailing_zeros();
-        let per_ring = spec.ring_order.saturating_sub(log2s).max(2);
-        (senders, per_ring)
-    }
-}
-
 impl BenchQueue for ChannelBench {
     type Handle<'a> = ChannelBench;
     /// A bounded wCQ of capacity `2^ring_order` behind the channel.
     fn build(spec: &QueueSpec) -> Self {
-        let q = WcqQueue::with_config(spec.ring_order, Self::slots(spec), &spec.cfg);
-        Self::over(channel::over(q))
+        let slots = (spec.max_threads + 1) * 2;
+        let q = WcqQueue::with_config(spec.ring_order, slots, &spec.cfg);
+        let (tx, rx) = channel::over(q);
+        ChannelBench { tx, rx }
     }
     fn handle(&self) -> ChannelBench {
         self.clone()
@@ -389,10 +350,7 @@ mod tests {
     use wcq::{ScqRing, WcqRing};
 
     fn roundtrip<Q: BenchQueue>(spec: &QueueSpec) {
-        roundtrip_on(&Q::build(spec));
-    }
-
-    fn roundtrip_on<Q: BenchQueue>(q: &Q) {
+        let q = Q::build(spec);
         let mut h = q.handle();
         assert!(h.enqueue(41));
         assert!(h.enqueue(42));
@@ -420,37 +378,11 @@ mod tests {
         roundtrip::<CrTurnQueue>(&spec);
         roundtrip::<CcQueue>(&spec);
         roundtrip::<ChannelBench>(&spec);
-        roundtrip_on(&ChannelBench::spsc(&spec));
-        roundtrip_on(&ChannelBench::mpsc(&spec));
         // FAA is not a real queue; it only counts.
         let f = FaaQueue::build(&spec);
         let mut h = f.handle();
         assert!(QueueHandle::enqueue(&mut h, 1));
         assert!(QueueHandle::dequeue(&mut h).is_some());
-    }
-
-    #[test]
-    fn mpsc_geometry_splits_capacity() {
-        let spec = QueueSpec {
-            max_threads: 4,
-            ring_order: 10,
-            ..QueueSpec::default()
-        };
-        let (senders, per_ring) = ChannelBench::mpsc_geometry(&spec);
-        assert_eq!(senders, 4);
-        assert_eq!(
-            senders << per_ring,
-            1 << 10,
-            "capacity split, not multiplied"
-        );
-        // The per-ring floor inflates tiny splits rather than underflowing.
-        let spec = QueueSpec {
-            max_threads: 16,
-            ring_order: 3,
-            ..QueueSpec::default()
-        };
-        let (_, per_ring) = ChannelBench::mpsc_geometry(&spec);
-        assert!(per_ring >= 2);
     }
 
     #[test]

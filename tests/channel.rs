@@ -81,7 +81,11 @@ fn bounded_mpmc_on_spawned_threads() {
 fn bounded_mpmc_stress_config() {
     let workers = oversubscribed(8).min(12);
     let (p, c) = (workers / 2, workers / 2);
-    let (tx, rx) = channel::over(WcqQueue::<u64>::with_config(5, p + c + 2, &WcqConfig::stress()));
+    let (tx, rx) = channel::over(WcqQueue::<u64>::with_config(
+        5,
+        p + c + 2,
+        &WcqConfig::stress(),
+    ));
     mpmc_exact_delivery(tx, rx, p, c, 1_000);
 }
 
@@ -219,23 +223,19 @@ fn slot_waiting_resolves_when_endpoint_drops() {
         assert_eq!(rx2.try_recv(), Ok(2));
     }
 
-    // So are the spine's thread slots: with both held (an excess sender
-    // and the receiver), a further excess sender misses with room in the
-    // queue, until the holder's drop frees its slot.
-    for (tx, mut rx) in [channel::spsc::<u32>(4, 2), channel::mpsc::<u32>(4, 1, 2)] {
-        let (mut seated, mut excess, mut tx2) = (tx.clone(), tx.clone(), tx);
-        seated.send(1).unwrap(); // the producer seat
-        excess.send(2).unwrap(); // grafts the spine: spine slot A
-        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, [1, 2]); // spine slot B
+    // So is each producer seat: with every seat held, a further sender
+    // misses with room in the ring, until a holder's drop hands it over.
+    for (mut tx, mut rx) in [channel::spsc::<u32>(4, 2), channel::mpsc::<u32>(4, 1, 2)] {
+        tx.send(1).unwrap(); // the seat
+        let mut tx2 = tx.clone();
         assert_eq!(tx2.try_send(3), Err(TrySendError::Full(3)));
         assert_eq!(tx2.send_batch(&mut vec![3]), 0);
         let start = Instant::now();
         assert_eq!(tx2.send_timeout(3, D), Err(SendError::Timeout(3)));
         assert!(start.elapsed() >= D, "send_timeout returned early");
-        drop(excess); // frees spine slot A
+        drop(tx); // frees the seat
         assert_eq!(tx2.try_send(3), Ok(()));
+        assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(3));
     }
 }
@@ -385,15 +385,25 @@ fn keeps_the_buffer(
     items.extend(0..whole);
     assert_eq!(tx.send_batch(&mut items), whole as usize, "{name}");
     assert!(items.is_empty(), "{name}");
-    assert!(items.capacity() >= 64, "{name}: a full send keeps the allocation");
+    assert!(
+        items.capacity() >= 64,
+        "{name}: a full send keeps the allocation"
+    );
     let mut out = Vec::new();
     while rx.recv_batch(&mut out, 64) > 0 {}
     assert_eq!(out, (0..whole).collect::<Vec<_>>(), "{name}");
     if let Some(room) = room {
         items.extend(0..room + 2);
         assert_eq!(tx.send_batch(&mut items), room as usize, "{name}");
-        assert_eq!(items, [room, room + 1], "{name}: rejects stay behind in order");
-        assert!(items.capacity() >= 64, "{name}: a partial send keeps it too");
+        assert_eq!(
+            items,
+            [room, room + 1],
+            "{name}: rejects stay behind in order"
+        );
+        assert!(
+            items.capacity() >= 64,
+            "{name}: a partial send keeps it too"
+        );
     }
 }
 
@@ -554,7 +564,11 @@ fn recv_any_parks_and_wakes_on_any_lane() {
     let (tx_b, rx_b) = channel::mpsc::<u64>(4, 2, 4);
     let mut lanes = [rx_a, rx_b];
     for lane in [1usize, 0, 1] {
-        let mut tx = if lane == 0 { tx_a.clone() } else { tx_b.clone() };
+        let mut tx = if lane == 0 {
+            tx_a.clone()
+        } else {
+            tx_b.clone()
+        };
         let h = std::thread::spawn(move || {
             // Give the receiver time to pass its empty probe and park.
             std::thread::sleep(Duration::from_millis(20));
@@ -574,7 +588,7 @@ fn recv_any_closed_only_after_every_lane_closes_and_drains() {
     drop(tx_a); // lane 0 closed empty
     tx_b.send(7).unwrap();
     drop(tx_b); // lane 1 closed with one value still queued
-    // The queued value must surface before the collective Closed.
+                // The queued value must surface before the collective Closed.
     assert_eq!(channel::recv_any(&mut lanes, None), Ok((1, 7)));
     assert_eq!(channel::recv_any(&mut lanes, None), Err(RecvError::Closed));
     // And Closed is sticky.

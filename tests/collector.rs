@@ -404,16 +404,16 @@ fn flush_latency_report_is_populated() {
 
 #[test]
 fn seated_and_overflow_senders_conserve_and_never_buffer() {
-    // Two seats, six senders on six threads: threads 0–1 submit first
-    // and take the seats, threads 2–5 count through the shared overflow
-    // row. A lane's spine has thread slots for `producers + 1` overflow
-    // senders beside its worker, so one of the four finds none: it sheds
-    // rather than waits (or, should the worker be the one left out, the
-    // undrained spine fills and sheds). Mid-run threads 0, 1 and 2 drop
-    // their sender and carry on with a fresh clone; thread 2's clone
-    // submits once both seats are free and before the other two do, so a
-    // seat released by one thread is re-claimed by another, and one of
-    // the two former seat holders continues on the overflow row.
+    // Two seats, six senders on six threads: threads 0–1 submit one span
+    // to each lane first and take both lanes' seats and both counter
+    // rows; threads 2–5 count through the shared overflow row.
+    // `producers` is a hard count, so under `Shed` a sender without a
+    // lane seat sheds everything it offers that lane: in the first phase
+    // threads 2–5 get nothing in. Mid-run threads 0, 1 and 2 drop their
+    // sender and carry on with a fresh clone; thread 2's clone submits
+    // once both seats are free and before the other two do, so a seat
+    // released by one thread is re-claimed by another (thread 2, or one of
+    // threads 3–5, which retry the claim on every offer).
     const THREADS: usize = 6;
     const SEATED: usize = 2;
     const RECLONING: std::ops::Range<usize> = 0..3;
@@ -434,7 +434,9 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
             let (all, recloning) = (Arc::clone(&all), Arc::clone(&recloning));
             std::thread::spawn(move || {
                 let (mut taken, mut refused, mut seq) = (0u64, 0u64, 0u64);
+                // Returns how many of the `n` spans got in.
                 let mut submit = |tx: &mut SpanSender, n: u64| {
+                    let before = taken;
                     for _ in 0..n {
                         let id = t as u64 * 1_000_000 + seq;
                         seq += 1;
@@ -444,12 +446,15 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
                             refused += 1;
                         }
                     }
+                    taken - before
                 };
                 if t < SEATED {
-                    submit(&mut tx, 1); // first come, first seated
+                    // First come, first seated: ids of both parities, so
+                    // a seat on both lanes.
+                    submit(&mut tx, 2);
                 }
                 all.wait();
-                submit(&mut tx, PER_PHASE);
+                let first_phase_taken = submit(&mut tx, PER_PHASE);
                 all.wait();
                 if RECLONING.contains(&t) {
                     let fresh = tx.clone();
@@ -457,19 +462,22 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
                     tx = fresh;
                     recloning.wait(); // both seats are free
                     if t == SEATED {
-                        submit(&mut tx, 1);
+                        submit(&mut tx, 2);
                     }
-                    recloning.wait(); // thread 2 sits where 0 or 1 sat
+                    recloning.wait(); // thread 2 has offered to both lanes
                 }
                 submit(&mut tx, PER_PHASE);
-                (tx, taken, refused)
+                (tx, taken, refused, first_phase_taken)
             })
         })
         .collect();
     let mut senders = vec![template];
     let (mut taken, mut refused) = (0, 0);
-    for t in threads {
-        let (tx, a, r) = t.join().unwrap();
+    for (t, thread) in threads.into_iter().enumerate() {
+        let (tx, a, r, first) = thread.join().unwrap();
+        if t >= SEATED {
+            assert_eq!(first, 0, "thread {t} got a span in without a seat");
+        }
         senders.push(tx);
         taken += a;
         refused += r;
@@ -479,7 +487,7 @@ fn seated_and_overflow_senders_conserve_and_never_buffer() {
     let live = col.snapshot();
     assert_eq!(live.accepted, taken, "seats must not buffer counts");
     assert_eq!(live.shed, refused);
-    assert!(refused > 0, "a sender without a thread slot sheds");
+    assert!(refused > 0, "a sender without a seat sheds");
     drop(senders);
     let (report, exporter) = col.shutdown();
     let m = &report.metrics;

@@ -12,7 +12,7 @@
 //!
 //! Models, by number: 1 helper drive vs quiesce-on-release, 2 slow-path
 //! publish vs a stale helper (small TAG width; wraps no tag), 3 slot
-//! recycle, 4 graft transition, 5 eventcount park vs fenced notify
+//! recycle, 4 producer-seat hand-over, 5 eventcount park vs fenced notify
 //! (the wait protocol's thread driver), 6 seat hand-over with residue, 7 slot
 //! handoff orderings, 8 collector drain (one worker, and two sharing the
 //! export lock), 9 eventcount `listen` orderings,
@@ -227,45 +227,43 @@ fn dst_slot_recycle_and_reregistration() {
 }
 
 // ===================================================================
-// Model 4: graft mode transition with seated + excess endpoints
+// Model 4: producer-seat hand-over — an excess sender parks for the seat
 // ===================================================================
 
-/// Topology-declared SPSC channel: the seated producer streams over its
-/// ring while a second (out-of-declaration) producer forces the
-/// FAST→SPINE graft concurrently. Exact delivery and per-producer FIFO
-/// must hold across the mode transition; the consumer must drain both the
-/// ring lane and the grafted spine.
-fn graft_model() {
-    let (mut tx, mut rx) = channel::spsc::<u64>(2, 3);
-    let mut tx2 = tx.clone(); // beyond the declared 1 producer → graft
-    let seated = thread::spawn(move || {
+/// The sender-side mirror of model 6. Two senders on a declared-SPSC
+/// channel race for its one producer seat, each sending two values and
+/// then dropping. The loser finds the seat held and parks on `not_full`
+/// — the ring has room throughout, so it waits for the seat, not for
+/// space. Only the holder's drop (seat release, then the fenced
+/// `not_full` notify of `Shared::release`) hands the seat over, and in
+/// the schedules where the receiver has taken both of the holder's
+/// values before that drop, its notify is the loser's only wake. A lost
+/// wake-up parks the loser forever, which the explorer reports as a
+/// deadlock. One ring carries everything, so the channel is strictly
+/// FIFO: the holder's two values, then the heir's two.
+fn producer_seat_model() {
+    let (mut tx, mut rx) = channel::spsc::<u64>(2, 1);
+    let mut tx2 = tx.clone(); // beyond the declared 1 producer
+    let a = thread::spawn(move || {
         tx.send(1).unwrap();
         tx.send(2).unwrap();
     });
-    let excess = thread::spawn(move || {
+    let b = thread::spawn(move || {
         tx2.send(10).unwrap();
         tx2.send(11).unwrap();
     });
-    let mut got = Vec::new();
-    while got.len() < 4 {
-        match rx.try_recv() {
-            Ok(v) => got.push(v),
-            Err(_) => thread::yield_now(),
-        }
-    }
-    seated.join().unwrap();
-    excess.join().unwrap();
-    let mut sorted = got.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, vec![1, 2, 10, 11], "exact delivery across graft");
-    let pos = |v: u64| got.iter().position(|&x| x == v).unwrap();
-    assert!(pos(1) < pos(2), "per-producer FIFO (seated): {got:?}");
-    assert!(pos(10) < pos(11), "per-producer FIFO (excess): {got:?}");
+    let got: Vec<u64> = (0..4).map(|_| rx.recv().unwrap()).collect();
+    a.join().unwrap();
+    b.join().unwrap();
+    assert!(
+        got == [1, 2, 10, 11] || got == [10, 11, 1, 2],
+        "one seat holder at a time, strict FIFO: {got:?}"
+    );
 }
 
 #[test]
-fn dst_graft_mode_transition() {
-    Explorer::new("graft-transition").check(graft_model);
+fn dst_producer_seat_handover() {
+    Explorer::new("producer-seat").check(producer_seat_model);
 }
 
 // ===================================================================

@@ -20,8 +20,9 @@
 /// `"0*26,1*9,0*5"` replayed green even with the residue arm deleted):
 /// schedule #4 of the default run with that arm removed. Any change to
 /// the operations a replayed model performs owes the same re-validation
-/// (last re-checked when the probe's miss path and the topology sweep
-/// moved out of line, and `send` stopped testing `closed` twice).
+/// (last re-checked when the spine graft left the topology sweep: with
+/// the arm deleted, the default run still fails at schedule #4 on this
+/// same tape).
 #[test]
 fn degraded_residue_minimized_schedule() {
     shuttle_lite::replay("0*20,1*8,0*6", super::degraded_residue_model);

@@ -16,10 +16,7 @@ enum Op {
 
 fn ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        prop_oneof![
-            (0u64..1_000_000).prop_map(Op::Enq),
-            Just(Op::Deq),
-        ],
+        prop_oneof![(0u64..1_000_000).prop_map(Op::Enq), Just(Op::Deq),],
         0..max_len,
     )
 }
@@ -549,8 +546,8 @@ proptest! {
     // ---------------------------------------------------------------
     // Topology-declared channels (PR 6): the SPSC ring fast path and the
     // MPSC sweep must agree with the oracle exactly, including the
-    // full/empty edges, and element conservation must survive a forced
-    // mid-sequence spine graft.
+    // full/empty edges, and strict FIFO must survive a forced
+    // mid-sequence producer-seat hand-over.
     // ---------------------------------------------------------------
 
     #[test]
@@ -648,58 +645,57 @@ proptest! {
         }
     }
 
-    /// Forced mid-sequence graft: after `pre` ops on the declared-SPSC
-    /// fast path, a second sender starts operating and every later send
-    /// routes by parity across the two lanes. The graft must conserve the
-    /// ring backlog and both lanes' FIFO exactly.
+    /// Producer-seat hand-over against the oracle: a second sender
+    /// appears after `pre` ops and sends route by parity between the two
+    /// while both live. The first to send takes the one producer seat; the
+    /// other's sends report `Full` with the value handed back and leave the
+    /// model untouched. At op `cut` the seat holder drops, and the other
+    /// sender inherits the seat on its next send. One ring carries every
+    /// accepted value, so the channel must match the `VecDeque` model
+    /// exactly — strict FIFO and conservation across the hand-over.
     #[test]
-    fn spsc_channel_graft_conserves(ops in ops(300), pre in 0usize..64) {
-        let (mut tx, mut rx) = wcq::channel::spsc::<u64>(6, 4);
-        let mut lanes = [Vec::new(), Vec::new()];
-        let mut accepted = 0usize;
-        let mut received: Vec<u64> = Vec::new();
-        let mut tx2: Option<wcq::channel::Sender<u64>> = None;
+    fn spsc_channel_producer_seat_handover_matches_model(
+        ops in ops(300),
+        pre in 0usize..64,
+        cut in 0usize..300,
+    ) {
+        let (tx, mut rx) = wcq::channel::spsc::<u64>(6, 4);
+        let mut txs = [Some(tx), None];
+        let mut holder: Option<usize> = None;
+        let mut model = SeqModel::bounded(1 << 6);
         for (i, op) in ops.into_iter().enumerate() {
             if i == pre {
-                tx2 = Some(tx.clone());
+                txs[1] = txs[0].clone();
+            }
+            if i == cut {
+                if let Some(h) = holder.take() {
+                    txs[h] = None; // drops the holder, freeing the seat
+                }
             }
             match op {
                 Op::Enq(v) => {
-                    // Uniquify (op index ≪ values, 1e6 is even so parity
-                    // survives): lane membership below is by value lookup.
-                    let u = (i as u64) * 1_000_000 + v;
-                    let (lane, s) = match tx2.as_mut() {
-                        Some(t2) if u % 2 == 1 => (1, t2),
-                        _ => (0, &mut tx),
+                    let lane = (v % 2) as usize;
+                    let s = if txs[lane].is_some() { lane } else { 1 - lane };
+                    let Some(tx) = txs[s].as_mut() else {
+                        continue; // no live sender
                     };
-                    if s.try_send(u).is_ok() {
-                        lanes[lane].push(u);
-                        accepted += 1;
+                    let got = tx.try_send(v);
+                    if *holder.get_or_insert(s) == s {
+                        prop_assert_eq!(got.is_ok(), model.enqueue(v), "seated send vs the oracle");
+                    } else {
+                        let full = wcq::channel::TrySendError::Full(v);
+                        prop_assert_eq!(got, Err(full), "no seat: Full, value back");
                     }
                 }
                 Op::Deq => {
-                    if let Ok(v) = rx.try_recv() {
-                        received.push(v);
-                    }
+                    prop_assert_eq!(rx.try_recv().ok(), model.dequeue());
                 }
             }
         }
-        while let Ok(v) = rx.try_recv() {
-            received.push(v);
-        }
-        if let Some(t2) = &tx2 {
-            if !lanes[1].is_empty() {
-                prop_assert_eq!(t2.backend(), "wcq-spine", "second lane ran, must have grafted");
-            }
-        }
-        prop_assert_eq!(received.len(), accepted, "conservation across the graft");
-        for lane in 0..2 {
-            let got: Vec<u64> = received
-                .iter()
-                .copied()
-                .filter(|v| if lane == 1 { lanes[1].contains(v) } else { !lanes[1].contains(v) })
-                .collect();
-            prop_assert_eq!(&got, &lanes[lane], "lane {} FIFO across the graft", lane);
+        loop {
+            let (a, b) = (rx.try_recv().ok(), model.dequeue());
+            prop_assert_eq!(a, b);
+            if a.is_none() { break; }
         }
     }
 

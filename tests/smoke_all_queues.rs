@@ -86,15 +86,6 @@ fn channel_smoke() {
 }
 
 #[test]
-fn topology_channels_smoke() {
-    // MPMC-shaped traffic over topology-declared channels: the declared
-    // fast path is exceeded immediately, so this is the spine-graft
-    // conformance row — exact delivery must survive the upgrade.
-    smoke(&ChannelBench::spsc(&spec()));
-    smoke(&ChannelBench::mpsc(&spec()));
-}
-
-#[test]
 fn sharded_wcq_smoke() {
     // Every worker lands on a different affinity shard; the opportunistic
     // dequeues sweep the other shards, and workers outnumber cores 4× on

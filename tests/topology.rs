@@ -1,13 +1,14 @@
 //! Channel-level semantics of the topology-declared backends: the
 //! `channel::spsc` / `channel::mpsc` constructors must preserve the full
 //! `Sender`/`Receiver` contract (FIFO, full/closed edges, blocking and
-//! async paths, batch ops) while running on private SPSC rings, and must
-//! survive a clone past the declared topology by grafting the wait-free
-//! wCQ spine without losing or duplicating a single element.
+//! async paths, batch ops) while running on private SPSC rings. The
+//! declaration is a hard count: an endpoint past it waits for a seat —
+//! missing as `Full`/`Empty`, parking in its blocking forms — and inherits
+//! one when a holder drops, without losing or duplicating an element.
 
 use std::time::{Duration, Instant};
 use wcq::channel::{self, TryRecvError, TrySendError};
-use wcq::sync::{block_on, RecvError};
+use wcq::sync::{block_on, RecvError, SendError};
 
 #[test]
 fn spsc_fifo_and_backend() {
@@ -115,8 +116,8 @@ fn mpsc_per_sender_fifo() {
         t.join().unwrap();
     }
     assert_eq!(got.len(), 3 * 500);
-    // Three senders on three declared lanes never exceed the topology, so
-    // every message rode the per-sender rings, not an upgraded spine.
+    // Three senders on three declared lanes: every message rode its
+    // sender's private ring.
     assert_eq!(rx.backend(), "mpsc-rings");
     for t in 0..3u64 {
         let lane: Vec<u64> = got
@@ -180,70 +181,83 @@ fn mpsc_sweep_keeps_a_sticky_cursor() {
     assert_eq!(rx.recv_batch(&mut out, 8), 0);
 }
 
+/// A sender past the declared count reaches no ring: with room to spare,
+/// its `try_send` reports `Full` and hands the value back, and its batch
+/// takes nothing, until the holder's drop hands it the seat. One ring, so
+/// the hand-over keeps strict FIFO: the holder's values, then the heir's.
 #[test]
-fn clone_past_topology_grafts_spine_and_conserves() {
+fn clone_past_topology_waits_for_the_producer_seat() {
     let (mut tx, mut rx) = channel::spsc::<u64>(5, 6);
     for i in 0..10 {
         tx.try_send(i).unwrap();
     }
-    // Second operating sender exceeds the declared topology: the wCQ
-    // spine grafts on as an overflow lane. The seated sender keeps its
-    // ring; the excess sender runs on the spine.
     let mut tx2 = tx.clone();
+    assert_eq!(tx2.try_send(100), Err(TrySendError::Full(100)));
+    assert_eq!(tx2.send_batch(&mut vec![100]), 0);
+    tx.try_send(10).unwrap(); // the holder keeps its ring
+    drop(tx); // hands the seat over with 0..=10 in the ring
     tx2.try_send(100).unwrap();
-    assert_eq!(tx.backend(), "wcq-spine");
-    assert_eq!(rx.backend(), "wcq-spine");
-    tx.try_send(10).unwrap(); // still the ring lane, still FIFO
-    let mut got = Vec::new();
-    while let Ok(v) = rx.try_recv() {
-        got.push(v);
-    }
-    // The receiver sweeps rings before the spine, so the seated sender's
-    // backlog drains first and in order; the spine value follows.
+    let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
     assert_eq!(got, (0..=10).chain([100]).collect::<Vec<_>>());
+    assert_eq!(rx.backend(), "spsc-ring");
+
+    // On `mpsc` the heir takes the freed seat's ring, behind its residue.
+    let (mut a, mut rx) = channel::mpsc::<u64>(4, 2, 4);
+    let (mut b, mut c) = (a.clone(), a.clone());
+    a.try_send(1).unwrap(); // ring 0
+    b.try_send(2).unwrap(); // ring 1
+    assert_eq!(c.try_send(3), Err(TrySendError::Full(3)), "both seats held");
+    drop(a);
+    c.try_send(3).unwrap(); // ring 0, after 1
+    let got: Vec<u64> = (0..3).map(|_| rx.recv().unwrap()).collect();
+    assert_eq!(got, [1, 3, 2]);
+    assert_eq!(rx.backend(), "mpsc-rings");
 }
 
 #[test]
-fn order_zero_graft_conserves() {
-    // One ring slot, so `order + log2(rings)` is 0, which no wCQ ring can
-    // take: the spine order is clamped to 1 at construction, and the
-    // excess sender's `send` grafts instead of panicking.
+fn order_zero_seat_handover_conserves() {
+    // One ring slot, the smallest ring there is: the holder's value fills
+    // it, the excess sender misses on the seat, and once seated it misses
+    // on the full ring until the receiver drains it.
     let (mut tx, mut rx) = channel::spsc::<u64>(0, 1);
     tx.try_send(1).unwrap();
     let mut tx2 = tx.clone();
+    assert_eq!(tx2.try_send(2), Err(TrySendError::Full(2)));
+    drop(tx);
+    assert_eq!(tx2.try_send(2), Err(TrySendError::Full(2)), "ring full");
+    assert_eq!(rx.try_recv(), Ok(1));
     tx2.try_send(2).unwrap();
-    assert_eq!(tx2.backend(), "wcq-spine");
-    drop(tx2); // frees the spine's only thread slot for the receiver
-    let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-    assert_eq!(got, [1, 2]);
+    assert_eq!(rx.try_recv(), Ok(2));
+    drop(tx2);
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
 }
 
 #[test]
-#[should_panic(expected = "spine order 49")]
-fn oversized_spine_rejected_at_construction() {
-    // 4 rings of 2^47 slots need a 2^49 spine; the constructor refuses
-    // before allocating anything.
-    let _ = channel::mpsc::<u64>(47, 4, 1);
-}
-
-#[test]
-fn closed_edges_survive_the_graft() {
+fn closed_edges_reach_an_unseated_sender() {
+    // Closed wins over the seat test: with every receiver gone, a sender
+    // without a seat sees `Closed`, never `Full`, and its blocking send
+    // fails at once instead of parking for the seat.
     let (mut tx, rx) = channel::spsc::<u64>(4, 6);
     tx.try_send(1).unwrap();
     let mut tx2 = tx.clone();
-    tx2.try_send(2).unwrap(); // grafts the spine
+    assert_eq!(tx2.try_send(2), Err(TrySendError::Full(2)));
     drop(rx);
     assert!(matches!(tx.try_send(3), Err(TrySendError::Closed(3))));
     assert!(matches!(tx2.try_send(4), Err(TrySendError::Closed(4))));
+    assert_eq!(tx2.send(5), Err(SendError::Closed(5)));
 
+    // Refcount close: an unseated sender counts like any other. Its drop
+    // leaves the channel open; the holder's, the last, closes it, and the
+    // backlog drains, then `Closed`.
     let (mut tx, mut rx) = channel::spsc::<u64>(4, 6);
     tx.try_send(7).unwrap();
     let mut tx2 = tx.clone();
-    tx2.try_send(8).unwrap();
-    drop(tx);
+    assert!(tx2.try_send(8).is_err());
     drop(tx2);
-    // Refcount close: the backlog (ring residue + spine) drains, then Closed.
-    assert_eq!(rx.recv(), Ok(7));
+    assert_eq!(rx.try_recv(), Ok(7));
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty), "still open");
+    tx.try_send(8).unwrap();
+    drop(tx);
     assert_eq!(rx.recv(), Ok(8));
     assert_eq!(rx.recv(), Err(RecvError::Closed));
 }
@@ -303,31 +317,33 @@ fn parked_excess_receiver_wakes_on_seat_release() {
     drop(tx);
 }
 
-/// A spine thread slot is the one thing the seat holder may still find
-/// taken: here a live excess sender holds the only one, so the receiver
-/// misses while the channel is open. That sender's drop frees the slot
-/// and, as the last sender, closes the channel — and on a closed channel
-/// every spine slot is free to the seat holder (senders release theirs
-/// before the last one closes, and seatless receivers never take one), so
-/// it drains the spine and then sees `Closed`.
+/// The sender-side twin: with room in the ring and the channel open, an
+/// excess sender's blocking send parks for the producer seat. Nothing is
+/// received meanwhile, so only the `not_full` notify of the holder's drop
+/// can hand it the seat before its own deadline.
 #[test]
-fn seated_receiver_waits_out_a_held_spine_slot() {
-    let (mut tx, mut rx) = channel::spsc::<u64>(2, 1); // one spine slot
+fn parked_excess_sender_wakes_on_seat_release() {
+    const DEADLINE: Duration = Duration::from_secs(1);
+    let (mut tx, mut rx) = channel::spsc::<u64>(2, 4);
     let mut tx2 = tx.clone();
-    tx.try_send(1).unwrap(); // seated: the ring
-    tx2.try_send(10).unwrap(); // excess: grafts the spine, takes its slot
-    tx2.try_send(11).unwrap();
-    assert_eq!(rx.try_recv(), Ok(1)); // `rx` takes the seat
-    drop(tx);
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty)); // open, slot held
-    assert_eq!(
-        rx.recv_timeout(Duration::from_millis(5)),
-        Err(RecvError::Timeout)
+    tx.try_send(1).unwrap(); // `tx` holds the seat; three slots are free
+    let waiter = std::thread::spawn(move || {
+        let start = Instant::now();
+        (tx2.send_timeout(2, DEADLINE), start.elapsed(), tx2)
+    });
+    // Give the waiter time to find no seat and park.
+    std::thread::sleep(Duration::from_millis(20));
+    drop(tx); // seat released, channel still open
+    let (sent, waited, tx2) = waiter.join().unwrap();
+    assert_eq!(sent, Ok(()), "the parked sender inherited the seat");
+    assert!(
+        waited < DEADLINE,
+        "woken by its own deadline ({waited:?}), not by the seat release"
     );
-    drop(tx2); // frees the slot, then closes the channel
-    assert_eq!(rx.try_recv(), Ok(10));
-    assert_eq!(rx.try_recv(), Ok(11));
-    assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
+    assert_eq!(rx.recv(), Ok(1));
+    assert_eq!(rx.recv(), Ok(2));
+    drop(tx2);
+    assert_eq!(rx.recv(), Err(RecvError::Closed));
 }
 
 /// The blocking twin: a parked excess receiver outlives the seat holder's
@@ -437,7 +453,7 @@ fn mpsc_cursor_follows_the_sweep_to_the_full_ring() {
 /// Third, a producer seat changing hands: sender A's drop frees ring 0
 /// with residue in it, and a later clone's first send claims that seat.
 /// Its values land on ring 0, behind A's residue and bounded by ring 0's
-/// room, not on ring 1 (full) and not on a spine (none is grafted).
+/// room, never on ring 1 (full, and B's).
 #[test]
 fn reclaimed_producer_seat_pushes_to_its_own_ring() {
     let (mut tx_a, mut rx) = channel::mpsc::<u64>(2, 2, 4); // 4 slots a ring
@@ -455,7 +471,6 @@ fn reclaimed_producer_seat_pushes_to_its_own_ring() {
         matches!(tx_c.try_send(201), Err(TrySendError::Full(201))),
         "ring 0 is full now; ring 1 was full already"
     );
-    assert_eq!(tx_c.backend(), "mpsc-rings", "a seat, not the spine");
     let got: Vec<u64> = (0..8).map(|_| rx.recv().unwrap()).collect();
     assert_eq!(got, [0, 1, 2, 200, 100, 101, 102, 103]);
     tx_c.send(201).unwrap();

@@ -1,17 +1,19 @@
-//! Clone-past-topology upgrade stress at 4×-core oversubscription.
+//! Producer-seat hand-over stress at 4×-core oversubscription.
 //!
-//! An SPSC-declared channel is flooded by one seated producer while extra
-//! sender clones appear mid-stream, forcing the wCQ spine to graft on as
-//! the overflow lane. Every produced value must arrive exactly once —
-//! counted and checksummed — across the backend transition, three runs in
-//! a row. This is the acceptance gate for the topology refactor: the
-//! upgrade may cost throughput, never elements.
+//! A topology-declared channel gets far more sender clones than it
+//! declares seats, all started at once. The senders past the declaration
+//! park for a producer seat — in `send`, in `send_timeout` rounds and in
+//! `send_async` — and inherit one as each holder finishes its run and
+//! drops. Every produced value must arrive exactly once, counted and
+//! checksummed, with each sender's FIFO intact; on `channel::spsc`, whose
+//! one ring carries every element, each sender's run must also arrive
+//! whole, never interleaved with another's.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use wcq::channel;
-use wcq::topology::TopoCore;
-use wcq::WcqConfig;
+use std::time::Duration;
+use wcq::channel::{self, Receiver, Sender};
+use wcq::sync::{block_on, SendError};
 
 fn oversubscribed(n: usize) -> usize {
     let cores = std::thread::available_parallelism()
@@ -20,37 +22,36 @@ fn oversubscribed(n: usize) -> usize {
     (cores * 4).max(n)
 }
 
-/// One stress run: `extra` clone-senders join a declared-SPSC channel
-/// mid-stream. Returns after asserting exact delivery.
-fn upgrade_run(cfg: &WcqConfig, per: u64) {
-    let extra = oversubscribed(8) - 1;
-    // Spine slots: seat producer + every excess sender + the receiver may
-    // hold one simultaneously, plus headroom for thread-churn laggards.
-    let slots = (extra + 2) * 2;
-    let (tx, mut rx) = channel::over(TopoCore::<u64>::spsc(10, slots, cfg));
+/// Sends `v` on one of the three parking forms, picked by the sender's
+/// index `t`.
+fn send_parking(tx: &mut Sender<u64>, t: u64, v: u64) {
+    match t % 3 {
+        0 => tx.send(v).unwrap(),
+        1 => {
+            let mut v = v;
+            // BOUND: wait-edge — a seatless sender's deadline rounds end
+            // once a holder's drop hands it the seat
+            loop {
+                match tx.send_timeout(v, Duration::from_millis(2)) {
+                    Ok(()) => break,
+                    Err(SendError::Timeout(back)) => v = back,
+                    Err(e) => panic!("receiver alive, got {e:?}"),
+                }
+            }
+        }
+        _ => block_on(tx.send_async(v)).unwrap(),
+    }
+}
 
+/// One stress run: `senders` clones of `tx`, started together, each
+/// sending `per` tagged values and then dropping. Returns after asserting
+/// exact delivery and per-sender FIFO; with `whole_runs`, also that each
+/// sender's values arrived as one unbroken run.
+fn handover_run((tx, mut rx): (Sender<u64>, Receiver<u64>), per: u64, whole_runs: bool) {
+    let senders = oversubscribed(8) as u64;
     let total = Arc::new(AtomicU64::new(0));
     let checksum = Arc::new(AtomicU64::new(0));
-
-    // Seated producer: starts before any clone exists, keeps its ring
-    // across the graft.
-    let seed = {
-        let total = Arc::clone(&total);
-        let checksum = Arc::clone(&checksum);
-        let mut tx = tx.clone();
-        std::thread::spawn(move || {
-            for i in 0..per {
-                let v = i; // lane tag 0
-                tx.send(v).unwrap();
-                total.fetch_add(1, Relaxed);
-                checksum.fetch_add(v, Relaxed);
-            }
-        })
-    };
-
-    // Excess producers: cloned mid-stream (after the seed is running), so
-    // the graft happens under live traffic.
-    let producers: Vec<_> = (1..=extra as u64)
+    let producers: Vec<_> = (0..senders)
         .map(|t| {
             let total = Arc::clone(&total);
             let checksum = Arc::clone(&checksum);
@@ -58,10 +59,11 @@ fn upgrade_run(cfg: &WcqConfig, per: u64) {
             std::thread::spawn(move || {
                 for i in 0..per {
                     let v = t << 32 | i;
-                    tx.send(v).unwrap();
+                    send_parking(&mut tx, t, v);
                     total.fetch_add(1, Relaxed);
                     checksum.fetch_add(v, Relaxed);
                 }
+                // `tx` drops here: its seat, if it held one, passes on.
             })
         })
         .collect();
@@ -69,37 +71,51 @@ fn upgrade_run(cfg: &WcqConfig, per: u64) {
 
     let mut got = 0u64;
     let mut sum = 0u64;
-    let mut last_per_lane = vec![None::<u64>; extra + 1];
+    let mut last_per_lane = vec![None::<u64>; senders as usize];
+    let mut run: Option<(usize, u64)> = None;
     while let Ok(v) = rx.recv() {
         got += 1;
         sum = sum.wrapping_add(v);
-        // Per-producer FIFO must hold across the backend transition.
         let lane = (v >> 32) as usize;
         let seq = v & 0xffff_ffff;
         if let Some(prev) = last_per_lane[lane] {
             assert!(seq > prev, "lane {lane} reordered: {seq} after {prev}");
         }
         last_per_lane[lane] = Some(seq);
+        if whole_runs {
+            match run {
+                Some((l, s)) if l == lane => assert_eq!(seq, s + 1, "lane {lane} broke"),
+                Some((l, s)) => {
+                    assert_eq!(s, per - 1, "lane {l} cut off at {s} by lane {lane}");
+                    assert_eq!(seq, 0, "lane {lane} started mid-run");
+                }
+                None => assert_eq!(seq, 0),
+            }
+            run = Some((lane, seq));
+        }
     }
 
-    seed.join().unwrap();
     for p in producers {
         p.join().unwrap();
     }
-    assert_eq!(got, total.load(Relaxed), "element count across the graft");
-    assert_eq!(sum, checksum.load(Relaxed), "element identity across the graft");
-    assert_eq!(got, (extra as u64 + 1) * per);
+    assert_eq!(got, total.load(Relaxed), "element count across hand-overs");
+    assert_eq!(
+        sum,
+        checksum.load(Relaxed),
+        "element identity across hand-overs"
+    );
+    assert_eq!(got, senders * per);
 }
 
 #[test]
-fn upgrade_stress_exact_delivery_3x() {
+fn seat_handover_stress_exact_delivery_3x() {
     for run in 0..3 {
-        upgrade_run(&WcqConfig::default(), 2_000);
-        eprintln!("upgrade stress run {run}: exact delivery");
+        handover_run(channel::spsc(10, 1), 2_000, true);
+        eprintln!("seat hand-over stress run {run}: exact delivery");
     }
 }
 
 #[test]
-fn upgrade_stress_exact_delivery_stress_config() {
-    upgrade_run(&WcqConfig::stress(), 500);
+fn seat_handover_stress_mpsc_two_seats() {
+    handover_run(channel::mpsc(6, 2, 1), 1_000, false);
 }

@@ -21,6 +21,10 @@
 //!   adjacent to every `unsafe` block, fn, impl and trait, and every
 //!   unsafe-bearing crate root declares [`DENY_ATTR`].
 //!
+//! A fourth check keeps the prose honest: every `DESIGN.md §n(.m)` /
+//! `DESIGN §n` citation under [`CITING_DIRS`] and in [`CITING_FILES`]
+//! must name a numbered heading of `DESIGN.md` ([`check_citations`]).
+//!
 //! # Bound-class taxonomy
 //!
 //! | class | meaning |
@@ -745,6 +749,132 @@ pub fn load_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
         .collect()
 }
 
+// ===================================================================
+// DESIGN.md citations
+// ===================================================================
+
+/// Directories whose files are checked for DESIGN citations, recursively
+/// (a `target` directory is skipped). `CHANGES.md` is deliberately out of
+/// scope: it is history, and its entries cite sections as they were
+/// numbered when written — an early entry cites a section 15 that no
+/// longer exists.
+pub const CITING_DIRS: &[&str] = &["crates", "tests", "tools", "examples"];
+
+/// Root-level files checked for DESIGN citations.
+pub const CITING_FILES: &[&str] = &["README.md", "PAPER_MAP.md", "DESIGN.md"];
+
+/// File extensions read under [`CITING_DIRS`].
+const CITING_EXTS: &[&str] = &["rs", "md", "toml", "txt"];
+
+/// The section numbers of `design`'s numbered headings: `## 11. Topology`
+/// gives `11`, `### 3.1 Fast path` gives `3.1`.
+pub fn design_sections(design: &str) -> Vec<String> {
+    design
+        .lines()
+        .filter_map(|line| {
+            let title = line.strip_prefix("##")?.trim_start_matches('#');
+            let title = title.strip_prefix(' ')?;
+            let end = title
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap_or(title.len());
+            let number = title[..end].trim_end_matches('.');
+            (!number.is_empty()).then(|| number.to_string())
+        })
+        .collect()
+}
+
+/// Every DESIGN section citation in `text`, as `(line, section)`:
+/// `DESIGN.md §n(.m)` or `DESIGN §n`, also with the file name in
+/// backquotes or the `§` wrapped onto the next comment line, and both ends
+/// of a range (`§9–10`).
+pub fn design_citations(text: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("DESIGN") {
+        let rest = &text[at + "DESIGN".len()..];
+        let rest = rest.strip_prefix(".md").unwrap_or(rest);
+        let rest = rest.trim_start_matches(|c: char| c.is_whitespace() || "`/!*".contains(c));
+        let Some(mut rest) = rest.strip_prefix('§') else {
+            continue;
+        };
+        let line = text[..at].matches('\n').count() + 1;
+        // BOUND: capacity — each pass consumes a number from `rest`, a
+        // suffix of the file
+        loop {
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap_or(rest.len());
+            let number = rest[..end].trim_end_matches('.');
+            if number.is_empty() {
+                break;
+            }
+            out.push((line, number.to_string()));
+            rest = &rest[end..];
+            match rest.strip_prefix(['–', '-']) {
+                Some(next) if next.starts_with(|c: char| c.is_ascii_digit()) => rest = next,
+                _ => break,
+            }
+        }
+    }
+    out
+}
+
+/// Checks every DESIGN citation in `files` (`(path, text)` pairs, as
+/// [`load_citing`] returns them) against `design`'s headings. Returns the
+/// number of citations found and one clippy-style error per citation that
+/// names no heading.
+pub fn check_citations(files: &[(String, String)], design: &str) -> (usize, Vec<String>) {
+    let sections = design_sections(design);
+    let mut found = 0;
+    let mut errors = Vec::new();
+    for (file, text) in files {
+        for (line, section) in design_citations(text) {
+            found += 1;
+            if !sections.contains(&section) {
+                errors.push(format!(
+                    "error: dangling DESIGN citation\n  --> {file}:{line} §{section}\n  = note: DESIGN.md has no heading numbered {section}; cite the section that holds the argument"
+                ));
+            }
+        }
+    }
+    (found, errors)
+}
+
+/// Reads the files [`check_citations`] covers: every `.rs`, `.md`,
+/// `.toml` or `.txt` file under `root`'s [`CITING_DIRS`], then
+/// [`CITING_FILES`], as `(workspace-relative path, text)`.
+pub fn load_citing(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    collect(&path, out)?;
+                }
+            } else if path
+                .extension()
+                .is_some_and(|e| CITING_EXTS.iter().any(|x| e == *x))
+            {
+                out.push(path);
+            }
+        }
+        Ok(())
+    }
+    let mut paths = Vec::new();
+    for dir in CITING_DIRS {
+        collect(&root.join(dir), &mut paths)?;
+    }
+    paths.sort();
+    paths.extend(CITING_FILES.iter().map(|f| root.join(f)));
+    paths
+        .into_iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            Ok((rel, std::fs::read_to_string(&path)?))
+        })
+        .collect()
+}
+
 /// Locates the workspace root: the nearest ancestor of `start` containing
 /// a `Cargo.toml` with a `[workspace]` section.
 pub fn find_root(start: &Path) -> Option<PathBuf> {
@@ -926,5 +1056,34 @@ mod tests {
         // The stacked pair shares one comment; the doc section counts for
         // the fn; the second block and the pointer type have nothing.
         assert_eq!(documented, [true, true, true, true, false, false, true]);
+    }
+
+    /// The `§` is spelled `\u{a7}` in these literals so that this file's
+    /// own text holds no citation for the tree-wide check to read.
+    #[test]
+    fn design_citations_resolve_or_fail() {
+        let design = "# DESIGN\n## 3. Notes\n### 3.1 Fast path\n### Unnumbered\n## 11. Topology\n";
+        assert_eq!(design_sections(design), ["3", "3.1", "11"]);
+        let text = "// see DESIGN.md \u{a7}3.1's layout rule and DESIGN \u{a7}11.\n\
+                    //! (`DESIGN.md` \u{a7}3–11) and (DESIGN.md\n//! \u{a7}11)\n";
+        let cited: Vec<_> = design_citations(text);
+        let want = [(1, "3.1"), (1, "11"), (2, "3"), (2, "11"), (2, "11")];
+        let want: Vec<_> = want.iter().map(|&(l, s)| (l, s.to_string())).collect();
+        assert_eq!(cited, want);
+        let files = [("x.rs".to_string(), text.to_string())];
+        assert_eq!(check_citations(&files, design), (5, Vec::new()));
+
+        // A dangling section fails, with its file and line.
+        let files = [(
+            "y.md".to_string(),
+            "a\nper DESIGN.md \u{a7}99, b\n".to_string(),
+        )];
+        let (found, errors) = check_citations(&files, design);
+        assert_eq!(found, 1);
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].contains("y.md:2 \u{a7}99"), "{}", errors[0]);
+        // A heading-less number is not a section: `§3.2` is not `§3`.
+        let files = [("z.rs".to_string(), "DESIGN \u{a7}3.2".to_string())];
+        assert_eq!(check_citations(&files, design).1.len(), 1);
     }
 }

@@ -2,7 +2,8 @@
 //! contract violations, 2 usage/IO error.
 //!
 //! ```text
-//! cargo run -p wcq-lint     # check crates/*/src; prints the inventory
+//! cargo run -p wcq-lint     # check crates/*/src and the DESIGN.md
+//!                            # citations; prints the inventory
 //! ```
 
 use std::path::PathBuf;
@@ -24,7 +25,7 @@ fn main() -> ExitCode {
                 None => return fail("--root needs a path".to_string()),
             },
             "-h" | "--help" => {
-                println!("wcq-lint: check the ORDERING / BOUND / SAFETY contracts under crates/*/src\n{USAGE}");
+                println!("wcq-lint: check the ORDERING / BOUND / SAFETY contracts under crates/*/src and that every DESIGN.md citation resolves\n{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return fail(format!("unknown argument `{other}`")),
@@ -38,17 +39,35 @@ fn main() -> ExitCode {
         Err(e) => return fail(format!("scanning {}: {e}", root.display())),
     };
 
+    let (citing, design) = match wcq_lint::load_citing(&root)
+        .and_then(|citing| Ok((citing, std::fs::read_to_string(root.join("DESIGN.md"))?)))
+    {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            return fail(format!(
+                "reading the DESIGN citations under {}: {e}",
+                root.display()
+            ))
+        }
+    };
+
     let report = wcq_lint::check(&files);
-    for e in &report.errors {
+    let (citations, citation_errors) = wcq_lint::check_citations(&citing, &design);
+    let errors: Vec<&String> = report.errors.iter().chain(&citation_errors).collect();
+    for e in &errors {
         eprintln!("{e}\n");
     }
     for line in report.summary() {
         println!("wcq-lint: {line}");
     }
-    if report.errors.is_empty() {
+    println!(
+        "wcq-lint: citations: {citations} DESIGN section citations in {} files",
+        citing.len()
+    );
+    if errors.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("wcq-lint: {} error(s)", report.errors.len());
+        eprintln!("wcq-lint: {} error(s)", errors.len());
         ExitCode::from(1)
     }
 }
